@@ -85,12 +85,9 @@ class SQLGraphLoader:
 
     # ------------------------------------------------------------------
     def _load_vertices(self, graph):
-        names = self.schema.table_names
-        va = self.database.table(names["va"])
-        opa = self.database.table(names["opa"])
-        osa = self.database.table(names["osa"])
-        ipa = self.database.table(names["ipa"])
-        isa = self.database.table(names["isa"])
+        # rows are staged per table and appended with one insert_many
+        # each: the set-at-a-time write path (docs/ARCHITECTURE.md)
+        va, opa, osa, ipa, isa = [], [], [], [], []
         out_stats = self.report.out
         in_stats = self.report.incoming
         out_stats.hashed_labels = len(self.out_coloring)
@@ -99,7 +96,7 @@ class SQLGraphLoader:
         in_stats.columns = self.in_coloring.num_columns
         for vertex in graph.vertices():
             self.report.vertex_count += 1
-            va.insert((vertex.id, dict(vertex.properties)), coerce=False)
+            va.append((vertex.id, dict(vertex.properties)))
             self._shred_adjacency(
                 vertex.id, vertex.out_edges, "out", opa, osa,
                 self.out_coloring, out_stats,
@@ -108,6 +105,10 @@ class SQLGraphLoader:
                 vertex.id, vertex.in_edges, "in", ipa, isa,
                 self.in_coloring, in_stats,
             )
+        names = self.schema.table_names
+        for name, rows in (("va", va), ("opa", opa), ("osa", osa),
+                           ("ipa", ipa), ("isa", isa)):
+            self.database.table(names[name]).insert_many(rows, coerce=False)
 
     def _shred_adjacency(self, vid, edges_by_label, direction, primary,
                          secondary, coloring, stats):
@@ -143,14 +144,14 @@ class SQLGraphLoader:
                         if direction == "out"
                         else edge.out_vertex.id
                     )
-                    secondary.insert((lid, edge.id, value), coerce=False)
+                    secondary.append((lid, edge.id, value))
                     stats.multi_value_rows += 1
         if len(rows) > 1:
             stats.spill_rows += len(rows) - 1
             for row in rows:
                 row[1] = 1
         for row in rows:
-            primary.insert(tuple(row), coerce=False)
+            primary.append(tuple(row))
             stats.rows += 1
 
     @staticmethod
@@ -174,16 +175,16 @@ class SQLGraphLoader:
 
     # ------------------------------------------------------------------
     def _load_edges(self, graph):
-        ea = self.database.table(self.schema.table_names["ea"])
-        for edge in graph.edges():
-            self.report.edge_count += 1
-            ea.insert(
-                (
-                    edge.id,
-                    edge.out_vertex.id,
-                    edge.in_vertex.id,
-                    edge.label,
-                    dict(edge.properties),
-                ),
-                coerce=False,
+        rows = [
+            (
+                edge.id,
+                edge.out_vertex.id,
+                edge.in_vertex.id,
+                edge.label,
+                dict(edge.properties),
             )
+            for edge in graph.edges()
+        ]
+        self.report.edge_count += len(rows)
+        ea = self.database.table(self.schema.table_names["ea"])
+        ea.insert_many(rows, coerce=False)

@@ -159,8 +159,14 @@ class _Run:
         the prepared-statement/plan cache across iterations and runs.
         """
         self.check()
+        started = perf_counter()
         result = self.database.execute(statement, params)
-        self.stats.statements_executed += 1
+        # the per-run token is stripped so a statement keeps one shape
+        # across runs: ``INSERT INTO scratch_counts SELECT ...``
+        self.stats.record_statement(
+            statement.replace(self.name(""), SCRATCH_TABLE_PREFIX),
+            perf_counter() - started,
+        )
         return result
 
     def check(self):

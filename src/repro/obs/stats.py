@@ -343,6 +343,9 @@ class AnalyticsStats:
         self.iterations = []
         #: every SQL statement the driver issued (setup + iterations)
         self.statements_executed = 0
+        #: statement shape (scratch token stripped) -> [executions,
+        #: total seconds]: where a run's time went, statement by statement
+        self.statement_times = {}
         #: False when the run stopped at ``max_iterations`` instead of at
         #: its convergence condition
         self.converged = False
@@ -355,6 +358,20 @@ class AnalyticsStats:
     @property
     def iteration_count(self):
         return len(self.iterations)
+
+    def record_statement(self, shape, elapsed_s):
+        self.statements_executed += 1
+        entry = self.statement_times.setdefault(shape, [0, 0.0])
+        entry[0] += 1
+        entry[1] += elapsed_s
+
+    def slowest_statements(self):
+        """``(shape, executions, total seconds)``, slowest first."""
+        return sorted(
+            ((shape, count, elapsed)
+             for shape, (count, elapsed) in self.statement_times.items()),
+            key=lambda entry: -entry[2],
+        )
 
     def record_iteration(self, rows, delta, elapsed_s):
         self.iterations.append(
@@ -373,6 +390,10 @@ class AnalyticsStats:
             "iterations": [dict(entry) for entry in self.iterations],
             "iteration_count": self.iteration_count,
             "statements_executed": self.statements_executed,
+            "statements": [
+                {"shape": shape, "count": count, "elapsed_s": elapsed}
+                for shape, count, elapsed in self.slowest_statements()
+            ],
             "converged": self.converged,
             "result_rows": self.result_rows,
             "elapsed_s": self.elapsed_s,

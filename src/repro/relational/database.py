@@ -25,7 +25,11 @@ from repro.relational import expressions as ex
 from repro.relational import operators as op
 from repro.relational.cache import LRUCache, resolve_capacity
 from repro.relational.errors import BindError, CatalogError, TransactionError
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import (
+    HashIndex,
+    SortedIndex,
+    column_key_function,
+)
 from repro.relational.locks import LockManager
 from repro.relational.pages import BufferPool
 from repro.relational.planner import Planner, Runtime
@@ -210,8 +214,11 @@ class Transaction:
                     return True
         return False
 
-    def record_insert(self, table, rid):
-        self.undo.append(("insert", table, rid, None))
+    def record_inserts(self, table, rids):
+        self.undo.extend([("insert", table, rid, None) for rid in rids])
+
+    def record_truncate(self, table, saved):
+        self.undo.append(("truncate", table, None, saved))
 
     def record_delete(self, table, rid, old_row):
         self.undo.append(("delete", table, rid, old_row))
@@ -248,6 +255,8 @@ class Transaction:
                 table.restore(rid, old_row)
             elif kind == "update":
                 table.update(rid, old_row, coerce=False)
+            elif kind == "truncate":
+                table.restore_all(old_row)
 
     def _finish(self, outcome):
         if not self.active:
@@ -941,40 +950,44 @@ class Database:
 
     def _run_insert(self, statement, transaction, params=None):
         table = self.catalog.get_table(statement.table)
-        planner = self._planner(params)
-        rows_to_insert = []
         if statement.rows is not None:
-            for row_exprs in statement.rows:
-                rows_to_insert.append(
-                    [planner.const_value(expression) for expression in row_exprs]
-                )
+            planner = self._planner(params)
+            rows = [
+                [planner.const_value(expression) for expression in row_exprs]
+                for row_exprs in statement.rows
+            ]
         else:
-            result = self._run_select(statement.query, params)
-            rows_to_insert.extend(list(row) for row in result.rows)
-        count = 0
-        for values in rows_to_insert:
-            full = self._arrange_insert_values(table, statement.columns, values)
-            # undo is recorded by the table itself (see HeapTable.insert)
-            table.insert(full)
-            count += 1
-        return ResultSet(rowcount=count)
+            rows = self._run_select(statement.query, params).rows
+        if statement.columns is not None:
+            rows = self._arrange_insert_rows(table, statement.columns, rows)
+        # one call: the statement is all-or-nothing, and undo is recorded
+        # by the table itself (see HeapTable.insert_many)
+        return ResultSet(rowcount=len(table.insert_many(rows)))
 
     @staticmethod
-    def _arrange_insert_values(table, columns, values):
-        if columns is None:
-            return values
-        positions = {name.lower(): i for i, name in enumerate(columns)}
-        full = []
-        for column in table.schema.columns:
-            if column.name in positions:
-                full.append(values[positions[column.name]])
-            else:
-                full.append(None)
-        if len(positions) != len(values):
-            raise BindError(
-                f"INSERT lists {len(positions)} columns but {len(values)} values"
-            )
-        return full
+    def _arrange_insert_rows(table, columns, rows):
+        """Reorder *rows* from an INSERT column list into table order
+        (unlisted columns NULL), a column at a time."""
+        schema = table.schema
+        names = [name.lower() for name in columns]
+        for name in names:
+            schema.position(name)  # BindError names an unknown column
+            if names.count(name) > 1:
+                raise BindError(
+                    f"INSERT lists column {name!r} more than once"
+                )
+        for length in set(map(len, rows)):
+            if length != len(names):
+                raise BindError(
+                    f"INSERT lists {len(names)} columns but {length} values"
+                )
+        if not rows:
+            return rows
+        listed = dict(zip(names, zip(*rows)))
+        nulls = (None,) * len(rows)
+        return list(zip(
+            *[listed.get(column.name, nulls) for column in schema.columns]
+        ))
 
     def _where_matches(self, table, where, params=None):
         """RIDs of rows matching *where* (index-assisted when possible)."""
@@ -1031,6 +1044,8 @@ class Database:
 
     def _run_delete(self, statement, transaction, params=None):
         table = self.catalog.get_table(statement.table)
+        if statement.where is None:
+            return ResultSet(rowcount=table.truncate())
         matches = self._where_matches(table, statement.where, params)
         count = 0
         for rid, __row in matches:
@@ -1059,7 +1074,7 @@ class Database:
         index = HashIndex(
             f"{table.name}_pk",
             table.name,
-            lambda row, _p=position: row[_p],
+            column_key_function(position),
             fingerprint,
             unique=True,
         )

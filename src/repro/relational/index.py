@@ -10,6 +10,7 @@ expression.  The planner matches predicates against an index through its
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 from repro.obs.metrics import ENGINE_METRICS
 from repro.relational.errors import ConstraintError
@@ -81,10 +82,27 @@ class Index:
     def key_of(self, row):
         return self.key_function(row)
 
+    def _violation(self, key):
+        return ConstraintError(
+            f"unique index {self.name!r} violated for key {key!r}"
+        )
+
     def insert(self, rid, row):
         raise NotImplementedError
 
     def delete(self, rid, row):
+        raise NotImplementedError
+
+    def insert_many(self, rids, rows):
+        """Index *rows* at *rids* in one loop, all or nothing: a key that
+        violates uniqueness (or cannot be computed) leaves the index as
+        it was."""
+        raise NotImplementedError
+
+    def swap_contents(self, contents=None):
+        """Install *contents* (empty when ``None``) and return what the
+        index held before — whole-table DELETE empties an index this way
+        and its undo puts the old contents back."""
         raise NotImplementedError
 
     def update(self, rid, old_row, new_row):
@@ -123,13 +141,42 @@ class HashIndex(Index):
             self._buckets[key] = [rid]
             return
         if self.unique and key is not None:
-            raise ConstraintError(
-                f"unique index {self.name!r} violated for key {key!r}"
-            )
+            raise self._violation(key)
         bucket.append(rid)
 
+    def insert_many(self, rids, rows):
+        if len(rids) == 1:  # one row is all-or-nothing as it stands
+            self.insert(rids[0], rows[0])
+            return
+        keys = list(map(self.key_function, rows))
+        buckets = self._buckets
+        get = buckets.get
+        unique = self.unique
+        done = 0
+        try:
+            for key, rid in zip(keys, rids):
+                bucket = get(key)
+                if bucket is None:
+                    buckets[key] = [rid]
+                elif unique and key is not None:
+                    raise self._violation(key)
+                else:
+                    bucket.append(rid)
+                done += 1
+        except Exception:
+            for key, rid in zip(keys[:done], rids):
+                self._remove(key, rid)
+            raise
+
+    def swap_contents(self, contents=None):
+        old = self._buckets
+        self._buckets = {} if contents is None else contents
+        return old
+
     def delete(self, rid, row):
-        key = self.key_of(row)
+        self._remove(self.key_of(row), rid)
+
+    def _remove(self, key, rid):
         bucket = self._buckets.get(key)
         if not bucket:
             return
@@ -167,16 +214,47 @@ class SortedIndex(Index):
     def __len__(self):
         return len(self._entries)
 
+    def _holds(self, order):
+        lo = bisect.bisect_left(self._entries, (order,))
+        return lo < len(self._entries) and self._entries[lo][0] == order
+
     def insert(self, rid, row):
         key = self.key_of(row)
         order = total_order_key(key)
-        if self.unique and key is not None:
-            lo = bisect.bisect_left(self._entries, (order,))
-            if lo < len(self._entries) and self._entries[lo][0] == order:
-                raise ConstraintError(
-                    f"unique index {self.name!r} violated for key {key!r}"
-                )
+        if self.unique and key is not None and self._holds(order):
+            raise self._violation(key)
         bisect.insort(self._entries, (order, rid, key))
+
+    def insert_many(self, rids, rows):
+        entries = self._entries
+        fresh = sorted(
+            (total_order_key(key), rid, key)
+            for key, rid in zip(map(self.key_function, rows), rids)
+        )
+        if self.unique:
+            previous = None
+            for order, __, key in fresh:
+                if key is None:
+                    continue
+                if (previous is not None and order == previous) or (
+                    self._holds(order)
+                ):
+                    raise self._violation(key)
+                previous = order
+        if len(fresh) * 8 < len(entries):
+            for entry in fresh:
+                bisect.insort(entries, entry)
+        else:
+            # two sorted runs: list.sort merges them in one galloping
+            # pass, but finding the runs costs a comparison per existing
+            # entry — hence insort above for a small batch
+            entries.extend(fresh)
+            entries.sort()
+
+    def swap_contents(self, contents=None):
+        old = self._entries
+        self._entries = [] if contents is None else contents
+        return old
 
     def delete(self, rid, row):
         key = self.key_of(row)
@@ -238,11 +316,7 @@ class SortedIndex(Index):
 
 def column_key_function(position):
     """Key function projecting a single column by ordinal position."""
-
-    def key(row, _position=position):
-        return row[_position]
-
-    return key
+    return itemgetter(position)
 
 
 def composite_key_function(positions):

@@ -37,6 +37,8 @@ twice.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.relational import batch as batch_mod
 from repro.relational.batch import (
     BatchRow,
@@ -1222,17 +1224,26 @@ class AggregateOp(Operator):
             yield group_values + tuple(acc.result() for acc in accs)
 
     def batches_impl(self):
-        groups = {}
         group_fns = self.group_fns
         specs = self.agg_specs
         group_batch_fns = self.group_batch_fns
         agg_batch_fns = self.agg_batch_fns
+        row_fns = [value_fn for __, value_fn, __d in specs]
+        accs = [_ColumnAgg(kind, distinct) for kind, __, distinct in specs]
+        #: hashable group key -> dense group id, in first-occurrence order
+        group_ids = {}
+        #: group id -> raw group values, kept only where the key had to be
+        #: normalized (an unhashable cell) and so differs from them
+        raw_values = {}
         for block in self.child.batches():
             positions = block.positions()
             count = len(positions)
             if count == 0:
                 continue
-            if group_fns:
+            if not group_fns:
+                group_ids[()] = 0
+                gids = [0] * count
+            else:
                 if group_batch_fns is not None:
                     group_lists = [
                         fn(block.columns, positions) for fn in group_batch_fns
@@ -1241,82 +1252,160 @@ class AggregateOp(Operator):
                     group_lists = _eval_row_fns(
                         block.columns, positions, group_fns
                     )
-            else:
-                group_lists = None
-            value_lists = []
+                gids = _assign_group_ids(group_lists, group_ids, raw_values)
             if agg_batch_fns is not None:
-                for fn in agg_batch_fns:
-                    value_lists.append(
-                        None if fn is None else fn(block.columns, positions)
-                    )
-            else:
-                row_fns = [
-                    value_fn for __, value_fn, __d in specs
+                value_lists = [
+                    None if fn is None else fn(block.columns, positions)
+                    for fn in agg_batch_fns
                 ]
-                evaluated = _eval_row_fns(
+            else:
+                evaluated = iter(_eval_row_fns(
                     block.columns, positions,
                     [fn for fn in row_fns if fn is not None],
-                )
-                it = iter(evaluated)
-                for fn in row_fns:
-                    value_lists.append(None if fn is None else next(it))
-            for idx in range(count):
-                if group_lists is None:
-                    key = ()
-                else:
-                    # fast path mirroring DistinctOp: hash raw values,
-                    # normalize via make_hashable only on TypeError
-                    key = tuple([lst[idx] for lst in group_lists])
-                    try:
-                        state = groups.get(key)
-                    except TypeError:
-                        key = tuple(
-                            make_hashable(lst[idx]) for lst in group_lists
-                        )
-                        state = groups.get(key)
-                    if state is None:
-                        group_values = tuple(
-                            lst[idx] for lst in group_lists
-                        )
-                        state = (
-                            group_values,
-                            [
-                                _AggState(kind, distinct)
-                                for kind, __, distinct in specs
-                            ],
-                        )
-                        groups[key] = state
-                    for acc, lst in zip(state[1], value_lists):
-                        acc.add(None if lst is None else lst[idx])
-                    continue
-                state = groups.get(key)
-                if state is None:
-                    group_values = (
-                        ()
-                        if group_lists is None
-                        else tuple(lst[idx] for lst in group_lists)
-                    )
-                    state = (
-                        group_values,
-                        [
-                            _AggState(kind, distinct)
-                            for kind, __, distinct in specs
-                        ],
-                    )
-                    groups[key] = state
-                for acc, lst in zip(state[1], value_lists):
-                    acc.add(None if lst is None else lst[idx])
-        out_rows = []
-        if not groups and not group_fns:
-            accs = [_AggState(kind, distinct) for kind, __, distinct in specs]
-            out_rows.append(tuple(acc.result() for acc in accs))
-        else:
-            for group_values, accs in groups.values():
-                out_rows.append(
-                    group_values + tuple(acc.result() for acc in accs)
-                )
-        if out_rows:
-            yield ColumnBatch.from_rows(out_rows, len(self.columns))
+                ))
+                value_lists = [
+                    None if fn is None else next(evaluated) for fn in row_fns
+                ]
+            for acc, values in zip(accs, value_lists):
+                acc.add_block(gids, values, len(group_ids))
+        if not group_ids:
+            if group_fns:
+                return
+            group_ids[()] = 0  # global aggregate over empty input: one row
+        group_rows = [
+            raw_values.get(gid, key) for gid, key in enumerate(group_ids)
+        ]
+        columns = [list(column) for column in zip(*group_rows)]
+        columns.extend(acc.results(len(group_ids)) for acc in accs)
+        yield ColumnBatch(columns, len(group_ids))
+
+
+def _assign_group_ids(group_lists, group_ids, raw_values):
+    """Map each row's group key to its dense group id, numbering new
+    groups in first-occurrence order.  Keys are hashed raw; only a block
+    holding an unhashable cell (lists/dicts from JSON) pays for
+    :func:`make_hashable`, as in :class:`DistinctOp`."""
+    try:
+        setdefault = group_ids.setdefault
+        return [
+            setdefault(key, len(group_ids)) for key in zip(*group_lists)
+        ]
+    except TypeError:
+        pass
+    gids = []
+    for raw in zip(*group_lists):
+        key = tuple([make_hashable(value) for value in raw])
+        gid = group_ids.get(key)
+        if gid is None:
+            gid = group_ids[key] = len(group_ids)
+            raw_values[gid] = raw
+        gids.append(gid)
+    return gids
+
+
+_NUMERIC_TYPES = frozenset((int, float, type(None)))
+
+
+class _ColumnAgg:
+    """One aggregate call over every group at once: dense per-group arrays
+    indexed by group id, fed a block of ``(group id, value)`` columns at a
+    time — one tight loop per block, chosen by kind outside the loop.
+    Semantics (and float summation order) match :class:`_AggState`."""
+
+    __slots__ = ("kind", "seen", "counts", "values", "numeric")
+
+    def __init__(self, kind, distinct):
+        if kind not in ("count_star", "count", "sum", "avg", "min", "max"):
+            raise BindError(f"unknown aggregate {kind!r}")
+        self.kind = kind
+        #: DISTINCT: the ``(group id, value)`` pairs already counted
+        self.seen = set() if distinct and kind != "count_star" else None
+        self.counts = []  # per group: non-NULL inputs (rows for COUNT(*))
+        self.values = []  # per group: running total / minimum / maximum
+        self.numeric = True  # MIN/MAX saw only ints and floats so far
+
+    def _grow(self, groups):
+        missing = groups - len(self.counts)
+        if missing:
+            self.counts.extend([0] * missing)
+            self.values.extend([None] * missing)
+
+    def add_block(self, gids, values, groups):
+        self._grow(groups)
+        kind = self.kind
+        counts = self.counts
+        if kind == "count_star":
+            for gid, rows in Counter(gids).items():
+                counts[gid] += rows
+            return
+        if self.seen is not None:
+            gids, values = self._unseen(gids, values)
+        if kind in ("count", "avg"):
+            for gid, value in zip(gids, values):
+                if value is not None:
+                    counts[gid] += 1
+        if kind in ("sum", "avg"):
+            totals = self.values
+            for gid, value in zip(gids, values):
+                if value is not None:
+                    total = totals[gid]
+                    totals[gid] = value if total is None else total + value
+        elif kind != "count":
+            self._extremes(gids, values, kind == "min")
+
+    def _unseen(self, gids, values):
+        seen = self.seen
+        fresh_gids, fresh_values = [], []
+        for gid, value in zip(gids, values):
+            if value is None:
+                continue
+            pair = (gid, make_hashable(value))
+            if pair not in seen:
+                seen.add(pair)
+                fresh_gids.append(gid)
+                fresh_values.append(value)
+        return fresh_gids, fresh_values
+
+    def _extremes(self, gids, values, smallest):
+        best = self.values
+        if self.numeric and _NUMERIC_TYPES.issuperset(map(type, values)):
+            # plain numbers order the same under total_order_key
+            if smallest:
+                for gid, value in zip(gids, values):
+                    if value is not None:
+                        current = best[gid]
+                        if current is None or value < current:
+                            best[gid] = value
+            else:
+                for gid, value in zip(gids, values):
+                    if value is not None:
+                        current = best[gid]
+                        if current is None or current < value:
+                            best[gid] = value
+            return
+        self.numeric = False
+        for gid, value in zip(gids, values):
+            if value is not None:
+                current = best[gid]
+                if current is None:
+                    best[gid] = value
+                elif smallest:
+                    if total_order_key(value) < total_order_key(current):
+                        best[gid] = value
+                elif total_order_key(current) < total_order_key(value):
+                    best[gid] = value
+
+    def results(self, groups):
+        """The aggregate's output column, one value per group id."""
+        self._grow(groups)
+        if self.kind in ("count", "count_star"):
+            return self.counts
+        if self.kind == "avg":
+            return [
+                None if count == 0 else total / count
+                for total, count in zip(self.values, self.counts)
+            ]
+        return self.values
 
 
 class SortOp(Operator):

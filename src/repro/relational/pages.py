@@ -111,10 +111,16 @@ class BufferPool:
             self._write_back(key, self._frames.pop(key))
 
     def drop_table(self, table_name):
-        """Discard resident pages of a dropped table without write-back."""
+        """Discard resident pages of a dropped (or truncated) table without
+        write-back; returns them as ``{page_no: frame}``."""
         keys = [key for key in self._frames if key[0] == table_name]
-        for key in keys:
-            del self._frames[key]
+        return {key[1]: self._frames.pop(key) for key in keys}
+
+    def adopt_pages(self, table_name, frames):
+        """Make *frames* (from :meth:`drop_table`) resident again."""
+        for page_no, frame in frames.items():
+            self._frames[(table_name, page_no)] = frame
+        self._maybe_evict()
 
     def clear(self):
         """Evict (with write-back) every resident page.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import is_
 
 from repro.relational.errors import BindError, TypeMismatchError
 
@@ -113,6 +114,28 @@ def coerce_value(value, column_type):
     raise TypeMismatchError(f"cannot coerce {value!r} to {column_type.value}")
 
 
+#: per declared type, the exact value types :func:`coerce_value` returns
+#: unchanged — a column holding nothing else needs no per-value work
+_UNCHANGED_TYPES = {
+    ColumnType.INTEGER: frozenset((int, type(None))),
+    ColumnType.DOUBLE: frozenset((int, float, type(None))),
+    ColumnType.STRING: frozenset((str, type(None))),
+    ColumnType.BOOLEAN: frozenset((bool, type(None))),
+}
+
+
+def coerce_column(values, column_type):
+    """Coerce one column of values to *column_type* (bulk insert path).
+
+    The common case — every value already has the declared type — is one
+    C-speed type sweep that returns *values* itself.
+    """
+    unchanged = _UNCHANGED_TYPES.get(column_type)
+    if unchanged is None or unchanged.issuperset(map(type, values)):
+        return values
+    return [coerce_value(value, column_type) for value in values]
+
+
 @dataclass(frozen=True)
 class Column:
     """A named, typed column in a table schema."""
@@ -161,14 +184,24 @@ class TableSchema:
 
     def coerce_row(self, values):
         """Coerce a full row of values to the declared column types."""
-        if len(values) != len(self.columns):
-            raise BindError(
-                f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        return tuple(
-            coerce_value(value, col.type) for value, col in zip(values, self.columns)
-        )
+        return self.coerce_rows((values,))[0]
+
+    def coerce_rows(self, rows):
+        """Coerce many full rows column by column; returns row tuples."""
+        width = len(self.columns)
+        for length in set(map(len, rows)):
+            if length != width:
+                raise BindError(
+                    f"table {self.name!r} expects {width} values, got {length}"
+                )
+        raw = list(zip(*rows))
+        columns = [
+            coerce_column(values, col.type)
+            for values, col in zip(raw, self.columns)
+        ]
+        if all(map(is_, columns, raw)):  # nothing to coerce: keep the rows
+            return list(map(tuple, rows))
+        return list(zip(*columns))
 
     # ------------------------------------------------------------------
     # durable snapshot form (see repro.relational.recovery) — plain

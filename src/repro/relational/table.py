@@ -1,8 +1,9 @@
 """Heap tables: paged row storage with index maintenance.
 
 A row is addressed by its RID ``(page_no, slot)``.  Deleting a row leaves a
-``None`` tombstone in the slot (RIDs are never reused), which keeps index
-entries and undo records stable.
+``None`` tombstone in the slot, which keeps index entries and undo records
+stable; RIDs are reused only after :meth:`HeapTable.truncate` empties the
+whole table and the heap restarts at page 0.
 """
 
 from __future__ import annotations
@@ -66,38 +67,126 @@ class HeapTable:
     # row operations
     # ------------------------------------------------------------------
     def insert(self, values, coerce=True):
-        """Append a row; returns its RID.  Maintains all indexes."""
-        row = self.schema.coerce_row(values) if coerce else tuple(values)
-        if self._page_count == 0 or self._last_page_size >= PAGE_CAPACITY:
-            page_no = self._page_count
-            self._blobs.append(None)
-            self._page_count += 1
-            self._pool.add_page(self, page_no, [])
-            self._last_page_size = 0
+        """Append one row; returns its RID."""
+        return self.insert_many((values,), coerce)[0]
+
+    def insert_many(self, rows, coerce=True):
+        """Append *rows* in order; returns their RIDs.
+
+        The single append path (``insert`` is its one-row case).  Work is
+        per column, per page and per index rather than per row: one
+        coercion sweep per column, one pool fetch per page filled, one
+        loop per index, one transaction / WAL lookup per call.  All or
+        nothing: a row that fails coercion or a unique index leaves
+        pages, every index and the row counters untouched.
+        """
+        if coerce:
+            rows = self.schema.coerce_rows(rows)
+        else:
+            rows = list(map(tuple, rows))
+        count = len(rows)
+        if not count:
+            return []
+        # RIDs follow from the fill state alone (a RID is the row's linear
+        # position split by the page capacity), so indexes — which may
+        # refuse — are maintained before any page changes
         page_no = self._page_count - 1
-        rows = self._pool.fetch(self, page_no, for_write=True)
-        slot = len(rows)
-        rid = (page_no, slot)
-        inserted = []
+        slot = self._last_page_size
+        if page_no < 0 or slot >= PAGE_CAPACITY:
+            page_no += 1
+            slot = 0
+        first = page_no * PAGE_CAPACITY + slot
+        rids = [
+            divmod(position, PAGE_CAPACITY)
+            for position in range(first, first + count)
+        ]
+        indexes = self.indexes.values()
         try:
-            for index in self.indexes.values():
-                index.insert(rid, row)
-                inserted.append(index)
+            for index in indexes:
+                index.insert_many(rids, rows)
         except Exception:
-            for index in inserted:
-                index.delete(rid, row)
+            for maintained in indexes:
+                if maintained is index:
+                    break
+                for rid, row in zip(rids, rows):
+                    maintained.delete(rid, row)
             raise
-        rows.append(row)
-        self._last_page_size = slot + 1
-        self.live_rows += 1
-        self.insert_count += 1
+        done = 0
+        while done < count:
+            chunk = rows[done:done + PAGE_CAPACITY - slot]
+            if page_no < self._page_count:
+                self._pool.fetch(self, page_no, for_write=True).extend(chunk)
+            else:
+                self._blobs.append(None)
+                self._page_count += 1
+                self._pool.add_page(self, page_no, chunk)
+            done += len(chunk)
+            self._last_page_size = slot + len(chunk)
+            page_no += 1
+            slot = 0
+        self.live_rows += count
+        self.insert_count += count
         transaction = self._transaction()
         if transaction is not None:
-            transaction.record_insert(self, rid)
+            transaction.record_inserts(self, rids)
         wal = self.wal
         if wal is not None and wal.active:
-            wal.log_op("insert", self.name, rid, row)
-        return rid
+            name = self.name
+            for rid, row in zip(rids, rows):
+                wal.log_op("insert", name, rid, row)
+        return rids
+
+    def truncate(self):
+        """Delete every row in one step; returns how many there were.
+
+        Pages and index contents are dropped wholesale instead of being
+        tombstoned row by row, so the heap restarts at page 0 and dead
+        pages are reclaimed.  A logged table still emits one ``delete``
+        record per live row (the WAL format has no bulk record); inside a
+        transaction the old pages and index contents become one undo
+        entry that :meth:`restore_all` puts back.
+        """
+        if not self._page_count:
+            return 0
+        count = self.live_rows
+        wal = self.wal
+        if wal is not None and wal.active:
+            name = self.name
+            for rid, row in self.scan():
+                wal.log_op("delete", name, rid, row)
+        frames = self._pool.drop_table(self.name)
+        contents = {
+            name: index.swap_contents()
+            for name, index in self.indexes.items()
+        }
+        transaction = self._transaction()
+        if transaction is not None:
+            transaction.record_truncate(self, (
+                self._blobs, self._page_count, self._last_page_size,
+                count, frames, contents,
+            ))
+        self._blobs = []
+        self._page_count = 0
+        self._last_page_size = 0
+        self.live_rows = 0
+        self.delete_count += count
+        return count
+
+    def restore_all(self, saved):
+        """Undo helper: put back the pages and indexes :meth:`truncate`
+        dropped (rows appended since have already been undone)."""
+        blobs, page_count, last_page_size, count, frames, contents = saved
+        self._pool.drop_table(self.name)
+        self._blobs = blobs
+        self._page_count = page_count
+        self._last_page_size = last_page_size
+        self._pool.adopt_pages(self.name, frames)
+        self.live_rows = count
+        self.insert_count += count
+        for name, index in self.indexes.items():
+            index.swap_contents(contents.get(name))
+            if name not in contents:  # created since: build it now
+                self._populate(index)
 
     def get(self, rid):
         """Return the row at *rid*, or ``None`` if it was deleted."""
@@ -176,7 +265,7 @@ class HeapTable:
         self.insert_count += 1
         transaction = self._transaction()
         if transaction is not None:
-            transaction.record_insert(self, rid)
+            transaction.record_inserts(self, (rid,))
         wal = self.wal
         if wal is not None and wal.active:
             wal.log_op("insert", self.name, rid, row)
@@ -293,10 +382,14 @@ class HeapTable:
         if index.name in self.indexes:
             raise CatalogError(f"index {index.name!r} already exists")
         if populate:
-            for rid, row in self.scan():
-                index.insert(rid, row)
+            self._populate(index)
         self.indexes[index.name] = index
         return index
+
+    def _populate(self, index):
+        pairs = list(self.scan())
+        if pairs:
+            index.insert_many(*map(list, zip(*pairs)))
 
     def drop_index(self, index_name):
         self.indexes.pop(index_name.lower(), None)

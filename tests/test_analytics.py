@@ -92,6 +92,32 @@ def test_run_stats_record_iterations_and_options():
     assert "pagerank" in stats.describe()
 
 
+def test_run_stats_name_the_slowest_statement_shape():
+    store = _loaded_store(random_property_graph(seed=5, n_vertices=15))
+    store.label_propagation(max_iterations=3)
+    first = store.last_analytics_stats
+    store.label_propagation(max_iterations=3)
+    stats = store.last_analytics_stats
+    statements = stats.as_dict()["statements"]
+    # every statement is accounted for under exactly one shape
+    assert sum(entry["count"] for entry in statements) == (
+        stats.statements_executed
+    )
+    elapsed = [entry["elapsed_s"] for entry in statements]
+    assert elapsed == sorted(elapsed, reverse=True)
+    assert sum(elapsed) <= stats.elapsed_s
+    # the scratch token is stripped: shapes repeat across runs and name
+    # the scratch table by role alone
+    shapes = {entry["shape"]: entry["count"] for entry in statements}
+    assert shapes == {
+        shape: count for shape, count, __ in first.slowest_statements()
+    }
+    assert shapes[
+        "INSERT INTO scratch_counts SELECT vid, val, COUNT(*) "
+        "FROM scratch_stage GROUP BY vid, val"
+    ] == stats.iteration_count
+
+
 def test_stats_are_per_algorithm_and_thread_local_property_updates():
     store = _loaded_store(paper_figure_graph())
     store.connected_components()

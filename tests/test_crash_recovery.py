@@ -22,6 +22,7 @@ from repro.gremlin import GremlinInterpreter, parse_gremlin
 from repro.relational.database import Database
 from repro.relational.recovery import wal_path
 from tests.crashkit import (
+    Unit,
     assert_states_equal,
     crash_copy,
     database_state,
@@ -215,6 +216,99 @@ def test_checkpoint_then_crash(tmp_path):
     recovered2 = reopen(str(target2))
     assert_states_equal(database_state(recovered2), full, context="full log")
     recovered2.close()
+    database.close()
+
+
+def test_whole_table_delete_and_refill_sweep(tmp_path):
+    """``DELETE FROM t`` + ``INSERT ... SELECT`` on a durable table, cut
+    at every record boundary.
+
+    The whole-table delete restarts the heap at page 0, so the refill
+    reuses RIDs the checkpoint snapshot (and earlier log records) still
+    hold rows under; replay has to tombstone those before the inserts
+    land.  Multi-row statements sit in transactions so every unit is
+    atomic in the log (see :mod:`tests.crashkit`).
+    """
+    source = tmp_path / "refill"
+    setup = [
+        "CREATE TABLE t (k INTEGER PRIMARY KEY, v STRING, n INTEGER)",
+        "CREATE INDEX t_n ON t (n)",
+        "CREATE INDEX t_v ON t (v) USING sorted",
+        "CREATE TABLE src (k INTEGER, v STRING, n INTEGER)",
+        "INSERT INTO src VALUES " + ", ".join(
+            f"({k}, 'v{k % 5}', {k % 3})" for k in range(24)
+        ),
+        "INSERT INTO t SELECT k, v, n FROM src",
+    ]
+    units = [
+        Unit("txn", ["DELETE FROM t",
+                     "INSERT INTO t SELECT k, v, n FROM src WHERE k < 12"]),
+        Unit("abort", ["DELETE FROM t",
+                       "INSERT INTO t SELECT k + 100, v, n FROM src"]),
+        Unit("auto", ["INSERT INTO t VALUES (500, 'single', 1)"]),
+        Unit("txn", ["DELETE FROM t",
+                     "INSERT INTO t SELECT k + 1000, v, n FROM src",
+                     "DELETE FROM t WHERE k = 1007"]),
+        Unit("auto", ["UPDATE t SET v = 'u' WHERE k = 1003"]),
+        Unit("auto", ["DELETE FROM t WHERE k = 1004"]),
+        Unit("txn", ["DELETE FROM t"]),
+        Unit("auto", ["INSERT INTO t VALUES (7, 'last', 2)"]),
+    ]
+    database = Database(
+        path=str(source), wal_fsync="off", wal_checkpoint_every=0
+    )
+    oracle = Database()
+    for sql in setup:
+        database.execute(sql)
+        oracle.execute(sql)
+    # the snapshot holds t's 24 rows at the RIDs the refills reuse
+    assert database.checkpoint() is True
+    run_workload(database, units)
+    database.wal.flush()
+    boundaries = [0] + record_boundaries(wal_path(str(source)))
+
+    oracle_states = [(0, database_state(oracle))]
+    for unit in units:
+        if unit.kind == "abort":
+            continue
+        with oracle.transaction():
+            for sql in unit.statements:
+                oracle.execute(sql)
+        oracle_states.append((unit.end_offset, database_state(oracle)))
+    assert database_state(database) == oracle_states[-1][1]
+    assert len(boundaries) > 100  # one record per row deleted / refilled
+    sweep(str(source), boundaries, oracle_states, tmp_path, "refill")
+    database.close()
+
+
+def test_autocommit_delete_and_refill_replays(tmp_path):
+    """Outside a transaction the same pair logs under txid 0 and a full
+    log replays to the live state — five cycles, still one page."""
+    source = tmp_path / "auto"
+    database = Database(
+        path=str(source), wal_fsync="off", wal_checkpoint_every=0
+    )
+    database.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, n INTEGER)")
+    database.execute("CREATE INDEX t_n ON t (n)")
+    database.execute("CREATE TABLE src (k INTEGER, n INTEGER)")
+    database.table("src").insert_many([(k, k % 4) for k in range(40)])
+    for cycle in range(5):
+        database.execute("DELETE FROM t")
+        database.execute(
+            "INSERT INTO t SELECT k + ?, n FROM src WHERE k >= ?",
+            [100 * cycle, cycle],
+        )
+    assert database.table("t").page_count == 1
+    live = database_state(database)
+    database.wal.flush()
+    target = tmp_path / "auto_crash"
+    crash_copy(str(source), str(target))
+    recovered = reopen(str(target))
+    assert_states_equal(database_state(recovered), live, context="autocommit")
+    assert recovered.execute(
+        "SELECT COUNT(*) FROM t WHERE n = 3"
+    ).scalar() == 9
+    recovered.close()
     database.close()
 
 

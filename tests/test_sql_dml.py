@@ -37,6 +37,67 @@ class TestInsert:
         assert db.execute("SELECT a, b FROM t").rows == [(5, "9")]
 
 
+    def test_insert_select_is_all_or_nothing(self, db):
+        """Regression: a unique violation on row k used to leave rows
+        1..k-1 behind in autocommit mode."""
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
+        db.execute("CREATE INDEX t_b ON t (b) USING sorted")
+        db.execute("CREATE TABLE u (a INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 10)")
+        db.execute("INSERT INTO u VALUES (5), (1), (6)")
+        table = db.table("t")
+        inserted = table.insert_count
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO t SELECT a, a * 10 FROM u")
+        assert db.execute("SELECT a, b FROM t").rows == [(1, 10)]
+        assert (table.live_rows, table.insert_count) == (1, inserted)
+        assert [len(index) for index in table.indexes.values()] == [1, 1]
+        assert db.execute("SELECT a FROM t WHERE a = 5").rows == []
+        assert db.execute("SELECT a FROM t WHERE b >= 50").rows == []
+        # and the statement still works once the conflict is gone
+        db.execute("DELETE FROM u WHERE a = 1")
+        assert db.execute("INSERT INTO t SELECT a, a FROM u").rowcount == 2
+
+    def test_insert_values_is_all_or_nothing(self, db):
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO t VALUES (1), (2), (1)")
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
+    def test_insert_select_with_column_list(self, db):
+        db.execute("CREATE TABLE src (x INTEGER, y STRING)")
+        db.execute("CREATE TABLE dst (a INTEGER, b STRING, c DOUBLE)")
+        db.execute("INSERT INTO src VALUES (1, 'p'), (2, 'q')")
+        db.execute("INSERT INTO dst (b, a) SELECT y, x FROM src")
+        assert db.execute("SELECT a, b, c FROM dst").rows == [
+            (1, "p", None), (2, "q", None),
+        ]
+        empty = db.execute("INSERT INTO dst (b, a) SELECT y, x FROM src "
+                           "WHERE x > 9")
+        assert empty.rowcount == 0
+
+    def test_too_few_values_for_column_list(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BindError, match="2 columns but 1 values"):
+            db.execute("INSERT INTO t (a, b) VALUES (1)")
+
+    def test_too_many_values_for_column_list(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BindError, match="1 columns but 2 values"):
+            db.execute("INSERT INTO t (a) VALUES (1, 2)")
+
+    def test_unknown_column_in_column_list(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BindError, match="zz"):
+            db.execute("INSERT INTO t (a, zz) VALUES (1, 2)")
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
+    def test_repeated_column_in_column_list(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        with pytest.raises(BindError, match="'a' more than once"):
+            db.execute("INSERT INTO t (a, A) VALUES (1, 2)")
+
+
 class TestUpdate:
     def test_update_with_where(self, people_db):
         result = people_db.execute(
@@ -80,6 +141,19 @@ class TestDelete:
         result = people_db.execute("DELETE FROM orders")
         assert result.rowcount == 6
         assert people_db.execute("SELECT COUNT(*) FROM orders").scalar() == 0
+
+    def test_delete_all_reclaims_pages_and_indexes(self, people_db):
+        people_db.execute("CREATE INDEX orders_amount ON orders (amount) "
+                          "USING sorted")
+        orders = people_db.table("orders")
+        people_db.execute("DELETE FROM orders")
+        assert orders.page_count == 0
+        assert all(len(index) == 0 for index in orders.indexes.values())
+        assert people_db.execute("DELETE FROM orders").rowcount == 0
+        people_db.execute("INSERT INTO orders VALUES (1, 1, 5.0, 'ink')")
+        assert people_db.execute(
+            "SELECT oid FROM orders WHERE amount >= 1"
+        ).rows == [(1,)]
 
     def test_delete_then_insert(self, people_db):
         people_db.execute("DELETE FROM people WHERE id = 1")

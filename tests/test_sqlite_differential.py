@@ -13,9 +13,12 @@ Known dialect differences handled by the harness:
 * integer division: ours returns floats for inexact division (SQLite
   truncates), so the pool avoids bare ``/`` between integers;
 * LIKE is case-sensitive in our engine, case-insensitive in SQLite for
-  ASCII — patterns in the pool use lowercase text only.
+  ASCII — patterns in the pool use lowercase text only;
+* JSON cells are lists/dicts in our engine and canonical JSON text in
+  SQLite — compared as that text.
 """
 
+import json
 import random
 import sqlite3
 
@@ -92,6 +95,26 @@ QUERIES = [
     # recursive CTE joined to data
     "WITH RECURSIVE r(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM r "
     "WHERE n < 8) SELECT COUNT(*) FROM r, t WHERE r.n = t.a",
+    # grouped-aggregate kernel corners: NULL group keys and NULL inputs
+    "SELECT b, COUNT(*), COUNT(b), SUM(b), MIN(s), MAX(s) FROM t GROUP BY b",
+    "SELECT s, b, COUNT(*), COUNT(s), MIN(b) FROM t GROUP BY s, b",
+    # ... mixed int/float inputs to SUM / MIN / MAX
+    "SELECT b, SUM(CASE WHEN a > 4 THEN a * 0.5 ELSE a END), "
+    "MIN(CASE WHEN a > 4 THEN a * 0.5 ELSE a END), "
+    "MAX(CASE WHEN a < 4 THEN a * 1.5 ELSE a END) FROM t GROUP BY b",
+    "SELECT SUM(CASE WHEN a > 4 THEN a * 0.5 ELSE a END), "
+    "MIN(CASE WHEN a > 4 THEN 4.5 ELSE a END), MAX(a * 1.0) FROM t",
+    # ... COUNT(DISTINCT) and AVG, also over groups whose inputs are all NULL
+    "SELECT s, COUNT(DISTINCT b), AVG(b), COUNT(DISTINCT a) FROM t GROUP BY s",
+    "SELECT a % 2, COUNT(DISTINCT s), SUM(DISTINCT b), AVG(a) FROM t "
+    "GROUP BY a % 2",
+    # ... a global aggregate over empty input still yields its one row
+    "SELECT COUNT(*), COUNT(b), SUM(a), AVG(a), MIN(s), MAX(a), "
+    "COUNT(DISTINCT a) FROM t WHERE a > 100",
+    "SELECT b, COUNT(*) FROM t WHERE a > 100 GROUP BY b",
+    # ... unhashable JSON cells (lists / dicts) as group keys
+    "SELECT j, COUNT(*), SUM(a), MIN(b) FROM t GROUP BY j",
+    "SELECT j, s, COUNT(DISTINCT a), MAX(a) FROM t GROUP BY j, s",
 ]
 
 
@@ -101,21 +124,36 @@ def _random_rows(rng, count):
         a = rng.randrange(0, 9)
         b = rng.choice([None, 1, 2, 3, 4])
         s = rng.choice([None, "x1", "x23", "y3", "zz"])
-        rows.append((a, b, s))
+        rows.append((a, b, s, _json_cell(a, b)))
     return rows
+
+
+def _json_cell(a, b):
+    """An unhashable JSON value (or NULL) derived from the row, so it
+    groups non-trivially without consuming the random stream."""
+    if a % 4 == 0:
+        return None
+    return [a % 2, b] if a % 2 else {"k": b, "even": True}
+
+
+def _json_text(value):
+    return None if value is None else json.dumps(value, sort_keys=True)
 
 
 def _build_pair(seed, t_rows=12, u_rows=8):
     rng = random.Random(seed)
     ours = Database()
-    ours.execute("CREATE TABLE t (a INTEGER, b INTEGER, s STRING)")
+    ours.execute("CREATE TABLE t (a INTEGER, b INTEGER, s STRING, j JSON)")
     ours.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
     theirs = sqlite3.connect(":memory:")
-    theirs.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT)")
+    theirs.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT, j TEXT)")
     theirs.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
     for row in _random_rows(rng, t_rows):
-        ours.execute("INSERT INTO t VALUES (?, ?, ?)", list(row))
-        theirs.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+        ours.execute("INSERT INTO t VALUES (?, ?, ?, ?)", list(row))
+        theirs.execute(
+            "INSERT INTO t VALUES (?, ?, ?, ?)",
+            row[:3] + (_json_text(row[3]),),
+        )
     for __ in range(u_rows):
         row = (rng.randrange(0, 9), rng.randrange(0, 6))
         ours.execute("INSERT INTO u VALUES (?, ?)", list(row))
@@ -132,6 +170,8 @@ def _normalize(rows):
                 value = int(value)
             if isinstance(value, float) and value.is_integer():
                 value = int(value)
+            if isinstance(value, (list, dict)):
+                value = _json_text(value)  # SQLite holds JSON as text
             normalized.append(value)
         out.append(tuple(normalized))
     return sorted(out, key=repr)

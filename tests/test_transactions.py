@@ -296,6 +296,112 @@ class TestRollbackProperty:
             assert (key,) in got, f"seed {seed}: index kv_v lost k={key}"
 
 
+class TestWholeTableDelete:
+    """``DELETE FROM t`` drops pages and index contents in one step; its
+    single undo entry must put all of it back."""
+
+    ROWS = 600  # three pages
+
+    def filled(self):
+        database = property_db()
+        database.execute("CREATE TABLE src (k INTEGER, v STRING, n INTEGER)")
+        database.table("src").insert_many(
+            [(k, f"v{k % 50:02d}", k % 7) for k in range(self.ROWS)]
+        )
+        database.execute("INSERT INTO kv SELECT k, v, n FROM src")
+        return database
+
+    def check_lookups(self, database):
+        """Every index still answers: PK, hash and sorted range."""
+        assert database.execute(
+            "SELECT v FROM kv WHERE k = ?", [self.ROWS - 1]
+        ).rows == [(f"v{(self.ROWS - 1) % 50:02d}",)]
+        by_n = database.execute("SELECT k FROM kv WHERE n = 3").rows
+        assert sorted(by_n) == [(k,) for k in range(3, self.ROWS, 7)]
+        by_v = database.execute(
+            "SELECT k FROM kv WHERE v >= 'v48' AND v <= 'v49'"
+        ).rows
+        assert sorted(by_v) == sorted(
+            (k,) for k in range(self.ROWS) if k % 50 >= 48
+        )
+
+    def test_rollback_restores_rows_indexes_and_lookups(self):
+        database = self.filled()
+        before = database_state(database)
+        kv = database.table("kv")
+        pages = kv.page_count
+        with pytest.raises(_Boom):
+            with database.transaction():
+                deleted = database.execute("DELETE FROM kv").rowcount
+                assert deleted == self.ROWS
+                assert kv.page_count == 0 and kv.live_rows == 0
+                assert database.execute(
+                    "SELECT COUNT(*) FROM kv WHERE n = 3"
+                ).scalar() == 0
+                raise _Boom("abort")
+        assert_states_equal(
+            database_state(database), before, context="whole-table delete"
+        )
+        assert kv.page_count == pages
+        self.check_lookups(database)
+        # the restored heap keeps appending where it left off
+        database.execute("INSERT INTO kv VALUES (?, 'tail', 0)", [self.ROWS])
+        assert kv.live_rows == self.ROWS + 1
+
+    def test_rollback_of_delete_refill_delete(self):
+        database = self.filled()
+        before = database_state(database)
+        with pytest.raises(_Boom):
+            with database.transaction():
+                database.execute("DELETE FROM kv")
+                database.execute(
+                    "INSERT INTO kv SELECT k + 1000, v, n FROM src "
+                    "WHERE k < 300"
+                )
+                database.execute("DELETE FROM kv WHERE k = 1001")
+                database.execute("DELETE FROM kv")
+                database.execute("INSERT INTO kv VALUES (1, 'x', 1)")
+                raise _Boom("abort")
+        assert_states_equal(
+            database_state(database), before, context="delete/refill/delete"
+        )
+        self.check_lookups(database)
+
+    def test_commit_keeps_the_refill(self):
+        database = self.filled()
+        with database.transaction():
+            database.execute("DELETE FROM kv")
+            database.execute(
+                "INSERT INTO kv SELECT k, v, n FROM src WHERE k < 10"
+            )
+        assert database.execute("SELECT COUNT(*) FROM kv").scalar() == 10
+        assert database.table("kv").page_count == 1
+        assert database.execute(
+            "SELECT k FROM kv WHERE n = 3"
+        ).rows == [(3,)]
+
+    def test_index_created_after_the_delete_sees_restored_rows(self):
+        database = self.filled()
+        with pytest.raises(_Boom):
+            with database.transaction():
+                database.execute("DELETE FROM kv")
+                database.execute("CREATE INDEX kv_late ON kv (n) USING sorted")
+                raise _Boom("abort")
+        assert len(database.table("kv").indexes["kv_late"]) == self.ROWS
+
+    def test_pages_do_not_accumulate_over_refill_cycles(self):
+        database = self.filled()
+        kv = database.table("kv")
+        pages = []
+        for __ in range(5):
+            database.execute("DELETE FROM kv")
+            database.execute("INSERT INTO kv SELECT k, v, n FROM src")
+            pages.append(kv.page_count)
+        assert pages == [pages[0]] * 5
+        assert pages[0] == -(-self.ROWS // 256)
+        self.check_lookups(database)
+
+
 class TestStoreRollback:
     """Rolling back graph procedures must restore the whole hybrid schema,
     including ``lid:`` spill rows in the secondary adjacency tables."""

@@ -188,6 +188,113 @@ class TestRowFnFallback:
         assert sorted(agg.rows()) == [(1, 12), (2, 6)]
 
 
+class _SmallBlocks(op.Operator):
+    """Feed fixed rows as several small blocks, one with a selection."""
+
+    batch_native = True
+
+    def __init__(self, rows, width, size):
+        self.source_rows, self.size = rows, size
+        self.columns = [(None, f"c{i}") for i in range(width)]
+
+    def rows_impl(self):
+        return iter(self.source_rows)
+
+    def batches_impl(self):
+        rows = self.source_rows
+        blocks = list(batches_from_rows(iter(rows), len(self.columns),
+                                        self.size))
+        if blocks:
+            # re-express the first block through a selection vector
+            first = blocks[0]
+            padded = [column + column for column in first.columns]
+            blocks[0] = ColumnBatch(
+                padded, 2 * first.length, list(range(first.length))
+            )
+        return iter(blocks)
+
+
+class TestColumnAggregateKernel:
+    """The column-loop kernel against the row executor's per-row
+    accumulators: same rows, same order, same float bits."""
+
+    SPECS = [
+        ("count_star", None, False),
+        ("count", 2, False),
+        ("count", 2, True),
+        ("sum", 1, False),
+        ("sum", 1, True),
+        ("avg", 1, False),
+        ("avg", 1, True),
+        ("min", 2, False),
+        ("max", 2, False),
+        ("min", 1, False),
+        ("max", 1, True),
+    ]
+
+    def rows(self, seed, count):
+        rng = __import__("random").Random(seed)
+        keys = [None, 1, 1.0, True, "k", [1, 2], {"a": [1]}, (1, 2), 2]
+        numbers = [None, 0.1, 0.2, 0.3, 1, 2, 1e16, -1e16, 7]
+        mixed = [None, 3, 2.5, "s", "t", True, False, [1], {"z": 1}, 3.0]
+        return [
+            (rng.choice(keys), rng.choice(numbers), rng.choice(mixed))
+            for __ in range(count)
+        ]
+
+    def aggregate(self, rows, group_positions):
+        source = _SmallBlocks(rows, 3, size=7)
+        specs = [
+            (kind, None if p is None else (lambda row, _p=p: row[_p]), d)
+            for kind, p, d in self.SPECS
+        ]
+        columns = [(None, f"o{i}")
+                   for i in range(len(group_positions) + len(specs))]
+        return op.AggregateOp(
+            source,
+            [lambda row, _p=p: row[_p] for p in group_positions],
+            specs, columns,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("groups", [(), (0,), (0, 2)])
+    def test_matches_row_accumulators_exactly(self, seed, groups):
+        rows = self.rows(seed, 60)
+        agg = self.aggregate(rows, groups)
+        old = batch_mod.set_enabled(True)
+        try:
+            vectorized = list(agg.rows())
+        finally:
+            batch_mod.set_enabled(old)
+        with row_mode():
+            oracle = list(agg.rows())
+        assert [repr(row) for row in vectorized] == [
+            repr(row) for row in oracle
+        ]
+
+    @pytest.mark.parametrize("groups", [(), (0,)])
+    def test_empty_input(self, vectorized_on, groups):
+        agg = self.aggregate([], groups)
+        got = list(agg.rows())
+        if groups:
+            assert got == []
+        else:
+            assert got == [
+                (0, 0, 0, None, None, None, None, None, None, None, None)
+            ]
+
+    def test_unknown_kind_is_a_bind_error(self, vectorized_on):
+        from repro.relational.errors import BindError
+
+        source = _SmallBlocks([(1, 2, 3)], 3, size=7)
+        agg = op.AggregateOp(
+            source, [], [("median", lambda row: row[1], False)],
+            [(None, "m")],
+        )
+        with pytest.raises(BindError):
+            list(agg.rows())
+
+
 def _make_db():
     database = Database()
     database.execute(
