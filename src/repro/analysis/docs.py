@@ -18,9 +18,8 @@ are caught across the repo-root and ``docs/`` markdown files:
    to the renderer without documenting it fails the docs job.
 5. **Benchmark-number sync** — every string in the ``summary`` block of
    a committed benchmark record must appear verbatim in its handbook
-   (``BENCH_vectorized.json`` ↔ ``docs/EXECUTION.md``,
-   ``BENCH_optimizer.json`` ↔ ``docs/OPTIMIZER.md``,
-   ``BENCH_analytics.json`` ↔ ``docs/ANALYTICS.md``), so the handbook's
+   (``BENCH_analytics.json`` ↔ ``docs/ANALYTICS.md``,
+   ``BENCH_sharding.json`` ↔ ``docs/SHARDING.md``), so the handbook's
    measured numbers cannot drift from the committed benchmark record
    (re-recording the benchmark means updating the handbook in the same
    commit).
@@ -64,10 +63,6 @@ ANNOTATION_FIELDS_PATTERN = re.compile(
 #: (source of truth, document that must stay in sync)
 STATS_SOURCE = "src/repro/obs/stats.py"
 OBSERVABILITY_DOC = "docs/OBSERVABILITY.md"
-BENCH_VECTORIZED_JSON = "benchmarks/results/BENCH_vectorized.json"
-EXECUTION_DOC = "docs/EXECUTION.md"
-BENCH_OPTIMIZER_JSON = "benchmarks/results/BENCH_optimizer.json"
-OPTIMIZER_DOC = "docs/OPTIMIZER.md"
 BENCH_ANALYTICS_JSON = "benchmarks/results/BENCH_analytics.json"
 ANALYTICS_DOC = "docs/ANALYTICS.md"
 BENCH_SHARDING_JSON = "benchmarks/results/BENCH_sharding.json"
@@ -75,18 +70,21 @@ SHARDING_DOC = "docs/SHARDING.md"
 
 #: every committed benchmark record and the handbook that quotes it
 BENCHMARK_SYNC_PAIRS = (
-    (BENCH_VECTORIZED_JSON, EXECUTION_DOC),
-    (BENCH_OPTIMIZER_JSON, OPTIMIZER_DOC),
     (BENCH_ANALYTICS_JSON, ANALYTICS_DOC),
     (BENCH_SHARDING_JSON, SHARDING_DOC),
 )
+
+
+#: the per-PR ticket: it names the files it asks to be deleted, so its
+#: references are allowed to dangle once the work is done
+TICKET = "ISSUE.md"
 
 
 def markdown_files(root):
     files = []
     for pattern in MARKDOWN_GLOBS:
         files.extend(sorted(pathlib.Path(root).glob(pattern)))
-    return files
+    return [path for path in files if path.name != TICKET]
 
 
 def cli_commands(root):

@@ -374,9 +374,6 @@ def _cache_lines(store):
         ("translation cache", store.translation_cache),
     ):
         counters = cache.stats()
-        if not cache.enabled:
-            lines.append(f"{label}: disabled")
-            continue
         lines.append(
             f"{label}: {counters['hits']} hits, {counters['misses']} misses, "
             f"{counters['invalidations']} invalidations, "

@@ -32,7 +32,7 @@ from repro.gremlin.errors import GremlinError
 from repro.gremlin.parser import parse_gremlin
 from repro.obs import context as obs_context
 from repro.obs.stats import ExecutionStats, QueryStats
-from repro.relational.cache import LRUCache, resolve_capacity
+from repro.relational.cache import LRUCache
 from repro.relational.database import Database
 
 
@@ -57,10 +57,6 @@ class SQLGraphStore(GraphInterface):
     :param slow_query_threshold: seconds; Gremlin queries whose total
         (translate + execute) time meets the threshold are appended to
         :attr:`slow_query_log` as structured dicts.  ``None`` disables.
-    :param plan_cache_size: prepared-statement cache capacity for the
-        underlying database (0 disables; ``None`` = environment default).
-    :param translation_cache_size: Gremlin template cache capacity
-        (0 disables; ``None`` = environment default).
     :param path: directory for durable storage (``None`` = in-memory).
         Reopening a path restores the loaded graph, colorings, attribute
         indexes and id counters from the recovered database.
@@ -77,20 +73,15 @@ class SQLGraphStore(GraphInterface):
 
     def __init__(self, buffer_pool_pages=None, max_columns=None, client=None,
                  planner_options=None, slow_query_threshold=None,
-                 plan_cache_size=None, translation_cache_size=None,
                  path=None, wal_fsync=None, wal_group_window_ms=None,
                  wal_checkpoint_every=None):
         self.database = Database(
-            buffer_pool_pages, planner_options=planner_options,
-            plan_cache_size=plan_cache_size, path=path,
+            buffer_pool_pages, planner_options=planner_options, path=path,
             wal_fsync=wal_fsync, wal_group_window_ms=wal_group_window_ms,
             wal_checkpoint_every=wal_checkpoint_every,
         )
         #: Gremlin template -> translated SQL + parameter binding recipe
-        self.translation_cache = LRUCache(
-            resolve_capacity(translation_cache_size),
-            metrics_prefix="translation_cache",
-        )
+        self.translation_cache = LRUCache(metrics_prefix="translation_cache")
         self.max_columns = max_columns
         self.client = client
         self.schema = None
@@ -377,16 +368,11 @@ class SQLGraphStore(GraphInterface):
     def _compile(self, gremlin_text):
         """Gremlin text → ``(sql, params, trace, translation_cache_hit)``.
 
-        Warm path: parse the pipeline, extract its literals into a
-        parameter vector, and look up the translated SQL by template shape
-        — only a miss pays for translation.  With the cache disabled the
-        legacy literal translation runs unchanged.
+        Parse the pipeline, extract its literals into a parameter vector,
+        and look up the translated SQL by template shape — only a miss
+        (the first sight of a template) pays for translation.
         """
         query = parse_gremlin(gremlin_text)
-        if not self.translation_cache.enabled:
-            sql = self.translator.translate(query)
-            self._count_translation()
-            return sql, None, self.translator.last_trace, False
         template, values, key = parameterize_query(query)
         epoch = self.database.schema_epoch
         entry = self.translation_cache.get(key, epoch=epoch)

@@ -2,26 +2,23 @@
 
 This module is deliberately ignorant of the relational engine's classes —
 it works against the small structural interface every physical operator
-exposes (``rows()``/``batches()``, ``uses_batches()``, ``describe()``,
-``children_ops()``, ``est_rows``), so ``repro.obs`` stays dependency-free
-and the engine can import it without cycles.
+exposes (``batches()``, ``describe()``, ``children_ops()``,
+``est_rows``), so ``repro.obs`` stays dependency-free and the engine can
+import it without cycles.
 
 The central idea: instrumentation is **opt-in per plan**.  A plan runs
 untouched unless :func:`instrument_plan` wraps it first, so the disabled
-path adds zero per-row work.  Wrapping replaces each operator's *native*
-iterator — ``batches`` when the operator reports ``uses_batches()``,
-``rows`` otherwise — with a generator that counts output and accumulates
+path adds zero per-row work.  Wrapping replaces each operator's
+``batches`` iterator with a generator that counts output and accumulates
 *inclusive* wall time (time spent inside this operator's iterator,
 children included — the same convention as PostgreSQL's ``EXPLAIN
-ANALYZE`` actual time).  Only the native method is wrapped, and the
-engine's row↔batch shims route through the instrumented instance
-attribute, so nothing is ever counted twice.
+ANALYZE`` actual time).  ``Operator.rows()`` reads the instrumented
+instance attribute, so nothing is ever counted twice.
 
-Under batch execution, ``rows_out`` stays **exact**: the wrapper adds
-each batch's ``selected_count()`` — the number of positions live in its
-selection vector — never the physical batch size, so EXPLAIN ANALYZE
-actual-row counts are identical in both executor modes.  ``batches_out``
-additionally reports how many blocks flowed out of the operator.
+``rows_out`` is **exact**: the wrapper adds each batch's
+``selected_count()`` — the number of positions live in its selection
+vector — never the physical batch size.  ``batches_out`` additionally
+reports how many blocks flowed out of the operator.
 """
 
 from __future__ import annotations
@@ -147,46 +144,26 @@ def instrument_plan(plan, stats):
         entry.est_rows = getattr(operator, "est_rows", None)
         stats.operators[id(operator)] = entry
 
-        uses_batches = getattr(operator, "uses_batches", None)
-        if uses_batches is not None and uses_batches():
-            original = operator.batches
+        original = operator.batches
 
-            def counted_batches(_original=original, _entry=entry):
-                _entry.started = True
-                iterator = iter(_original())
-                while True:
-                    start = perf_counter()
-                    try:
-                        block = next(iterator)
-                    except StopIteration:
-                        _entry.time_s += perf_counter() - start
-                        return
+        def counted_batches(_original=original, _entry=entry):
+            _entry.started = True
+            iterator = iter(_original())
+            while True:
+                start = perf_counter()
+                try:
+                    block = next(iterator)
+                except StopIteration:
                     _entry.time_s += perf_counter() - start
-                    # exact actual rows: count selected positions, never
-                    # the physical batch size
-                    _entry.rows_out += block.selected_count()
-                    _entry.batches_out += 1
-                    yield block
+                    return
+                _entry.time_s += perf_counter() - start
+                # exact actual rows: count selected positions, never
+                # the physical batch size
+                _entry.rows_out += block.selected_count()
+                _entry.batches_out += 1
+                yield block
 
-            operator.batches = counted_batches
-        else:
-            original = operator.rows
-
-            def counted_rows(_original=original, _entry=entry):
-                _entry.started = True
-                iterator = iter(_original())
-                while True:
-                    start = perf_counter()
-                    try:
-                        row = next(iterator)
-                    except StopIteration:
-                        _entry.time_s += perf_counter() - start
-                        return
-                    _entry.time_s += perf_counter() - start
-                    _entry.rows_out += 1
-                    yield row
-
-            operator.rows = counted_rows
+        operator.batches = counted_batches
         for child in operator.children_ops():
             wrap(child)
 
@@ -198,8 +175,8 @@ def render_analyzed_plan(plan, stats, indent=0):
     """Render an executed plan tree with actual row counts and timings.
 
     Mirrors the static ``explain_plan`` layout, adding ``actual_rows``,
-    ``batches`` (for operators that executed vectorized) and inclusive
-    ``time``; operators that never started (e.g. the probe side of a
+    ``batches`` (once a block has flowed out) and inclusive ``time``;
+    operators that never started (e.g. the probe side of a
     short-circuited join) render as ``never executed``.
     """
     entry = stats.operator_stats(plan)

@@ -1,69 +1,39 @@
-"""Columnar execution blocks: :class:`ColumnBatch` and the vectorized knob.
+"""Columnar execution blocks: :class:`ColumnBatch` and its helpers.
 
-The executor's hot path moves data *batch-at-a-time* instead of
-row-at-a-time (see ``docs/EXECUTION.md``).  A batch is a small set of
-parallel Python lists — one per output column — plus an optional
-*selection vector* of live positions, so filters and DISTINCT narrow a
-batch without copying any values.  Operators hand batches to each other
-through ``Operator.batches()``; the classic ``Operator.rows()`` iterator
-remains as the row-compatibility shim for consumers that want tuples
-(ResultSet materialization, Gremlin result unwrapping, sorts, the
-recursive-CTE dedup loop).
+The executor moves data *batch-at-a-time* (see ``docs/EXECUTION.md``).  A
+batch is a small set of parallel Python lists — one per output column —
+plus an optional *selection vector* of live positions, so filters and
+DISTINCT narrow a batch without copying any values.  Operators hand
+batches to each other through ``Operator.batches()``, the engine's only
+execution contract; ``Operator.rows()`` flattens the same blocks into
+tuples for consumers that want rows (ResultSet materialization, scalar
+subqueries, the recursive-CTE dedup loop).
 
 Batches are **immutable once yielded**: downstream operators may alias
 the column lists (zero-copy projection/filter/distinct) but must never
 mutate them; narrowing happens by replacing the selection vector only.
 
-The ``REPRO_VECTORIZED`` environment variable (default on; ``0``
-disables) selects the executor at plan time.  With vectorization off,
-every operator runs its legacy row-at-a-time implementation — the exact
-pre-batch code path — which the differential suite uses as the oracle.
+No block an operator yields, and none a :class:`MaterializedRelation`
+serves, holds more than :data:`BATCH_SIZE` rows: a join key or an UNNEST
+that fans one input row out to many is emitted as several blocks, so no
+downstream operator ever sizes its working lists by a fan-out.
 """
 
 from __future__ import annotations
 
-import os
-
-#: rows per batch produced by scans and the row→batch shim.  Large enough
-#: to amortize per-batch overhead, small enough to keep selection vectors
-#: and value lists cache-friendly.
+#: upper bound on the rows of any block.  Large enough to amortize
+#: per-batch overhead, small enough to keep selection vectors and value
+#: lists cache-friendly.
 BATCH_SIZE = 1024
-
-_ENABLED = os.environ.get("REPRO_VECTORIZED", "1") != "0"
-
-
-def enabled():
-    """Is batch-at-a-time execution on for newly executed plans?"""
-    return _ENABLED
-
-
-def set_enabled(flag):
-    """Force the executor mode (tests / benchmarks).  Returns the old value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-class row_mode:
-    """Context manager running the block with vectorization forced off."""
-
-    def __enter__(self):
-        self._previous = set_enabled(False)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        set_enabled(self._previous)
-        return False
 
 
 class BatchRow:
     """A lazy row view over one batch position.
 
     Compiled row closures only ever index the row (``row[position]``), so
-    a :class:`BatchRow` lets an unvectorized expression evaluate against a
-    batch without materializing a tuple per row.  Reused across positions:
-    set :attr:`i` and call the closure.
+    a :class:`BatchRow` lets one evaluate against a batch without
+    materializing a tuple per row.  Reused across positions: set
+    :attr:`i` and call the closure.
     """
 
     __slots__ = ("columns", "i")
@@ -77,6 +47,23 @@ class BatchRow:
 
     def __len__(self):
         return len(self.columns)
+
+
+def row_kernel(fn):
+    """Lift a ``row -> value`` closure to a batch kernel
+    ``(columns, positions) -> list``, evaluating it once per live position
+    through a reused :class:`BatchRow` view."""
+
+    def kernel(columns, positions):
+        row = BatchRow(columns)
+        out = []
+        append = out.append
+        for i in positions:
+            row.i = i
+            append(fn(row))
+        return out
+
+    return kernel
 
 
 class ColumnBatch:
@@ -121,7 +108,7 @@ class ColumnBatch:
         return range(self.length)
 
     def iter_rows(self):
-        """Yield live rows as tuples, in position order (the row shim)."""
+        """Yield live rows as tuples, in position order."""
         columns = self.columns
         if not columns:
             for __ in range(self.selected_count()):
@@ -151,7 +138,7 @@ class ColumnBatch:
 
 
 def batches_from_rows(row_iter, width, batch_size=BATCH_SIZE):
-    """Wrap a row iterator into dense batches (the row→batch shim)."""
+    """Pack a row iterator into dense batches of at most *batch_size*."""
     buffer = []
     append = buffer.append
     for row in row_iter:
@@ -164,46 +151,38 @@ def batches_from_rows(row_iter, width, batch_size=BATCH_SIZE):
         yield ColumnBatch.from_rows(buffer, width)
 
 
+def dense_batches(columns, length):
+    """Serve *length* rows held in parallel *columns* as dense batches of
+    at most :data:`BATCH_SIZE` (zero-copy when they fit in one)."""
+    if length <= BATCH_SIZE:
+        if length:
+            yield ColumnBatch(columns, length)
+        return
+    for start in range(0, length, BATCH_SIZE):
+        stop = min(start + BATCH_SIZE, length)
+        yield ColumnBatch(
+            [column[start:stop] for column in columns], stop - start
+        )
+
+
 class MaterializedRelation:
-    """A materialized intermediate result (CTE / FROM-subquery body).
+    """A materialized intermediate result (CTE / FROM-subquery body),
+    stored as the dense blocks its plan produced so that re-scanning it
+    never transposes."""
 
-    Stores either a list of row tuples (row mode, recursive CTEs) or a
-    list of dense :class:`ColumnBatch` objects (batch mode), and serves
-    both access styles so :class:`~repro.relational.operators.
-    MaterializedScan` never transposes on the hot path.
-    """
+    __slots__ = ("_batches", "_count")
 
-    __slots__ = ("_rows", "_batches", "width", "_count")
-
-    def __init__(self, width, rows=None, batches=None):
-        self.width = width
-        self._rows = rows
+    def __init__(self, batches):
         self._batches = batches
-        if rows is not None:
-            self._count = len(rows)
-        else:
-            self._count = sum(batch.selected_count() for batch in batches)
+        self._count = sum(batch.selected_count() for batch in batches)
 
     @classmethod
     def from_plan(cls, plan):
-        """Materialize *plan* in the executor's current mode."""
-        width = len(plan.columns)
-        if enabled():
-            return cls(
-                width, batches=[batch.compact() for batch in plan.batches()]
-            )
-        return cls(width, rows=list(plan.rows()))
+        """Run *plan* to completion and keep its output."""
+        return cls([batch.compact() for batch in plan.batches()])
 
     def row_count(self):
         return self._count
 
-    def iter_rows(self):
-        if self._rows is not None:
-            return iter(self._rows)
-        return (row for batch in self._batches for row in batch.iter_rows())
-
     def iter_batches(self):
-        if self._batches is not None:
-            yield from self._batches
-        else:
-            yield from batches_from_rows(self._rows, self.width)
+        return iter(self._batches)

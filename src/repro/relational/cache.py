@@ -14,12 +14,8 @@ the epoch, so a lookup that finds an entry from an older epoch drops it and
 reports a miss.  This keeps cached plans honest without the caches having to
 know *what* changed.
 
-Capacity knobs (also see :func:`resolve_capacity`):
-
-* ``REPRO_PLAN_CACHE=0`` disables both caches (every lookup misses and
-  nothing is stored) — used by CI to keep the uncached path honest.
-* ``REPRO_PLAN_CACHE_SIZE=<n>`` bounds each cache to *n* entries
-  (default 256); least-recently-used entries are evicted.
+Both hold at most :data:`DEFAULT_CAPACITY` entries; least-recently-used
+entries are evicted.
 
 Each cache keeps always-on integer counters (``hits``/``misses``/
 ``invalidations``) and mirrors them into :data:`repro.obs.metrics.ENGINE_METRICS`
@@ -28,7 +24,6 @@ under ``<prefix>.hits`` etc. when the registry is enabled.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -36,36 +31,11 @@ from repro.obs.metrics import ENGINE_METRICS
 
 DEFAULT_CAPACITY = 256
 
-_FALSEY = {"0", "false", "off", "no"}
-
-
-def cache_enabled():
-    """False when ``REPRO_PLAN_CACHE`` disables the compiled-query caches."""
-    return os.environ.get("REPRO_PLAN_CACHE", "1").strip().lower() not in _FALSEY
-
-
-def resolve_capacity(explicit=None):
-    """Resolve a cache capacity from an explicit value or the environment.
-
-    ``explicit`` wins when given (0 disables).  Otherwise the environment
-    decides: ``REPRO_PLAN_CACHE=0`` yields 0, else ``REPRO_PLAN_CACHE_SIZE``
-    (default :data:`DEFAULT_CAPACITY`).
-    """
-    if explicit is not None:
-        return max(0, int(explicit))
-    if not cache_enabled():
-        return 0
-    raw = os.environ.get("REPRO_PLAN_CACHE_SIZE", "")
-    try:
-        return max(0, int(raw)) if raw.strip() else DEFAULT_CAPACITY
-    except ValueError:
-        return DEFAULT_CAPACITY
-
 
 class LRUCache:
     """Thread-safe bounded LRU map with epoch validation and counters.
 
-    ``capacity`` of 0 disables the cache entirely; ``None`` means unbounded.
+    ``capacity`` bounds the entry count; ``None`` means unbounded.
     ``get``/``put`` take an optional ``epoch``: entries stored under a
     different epoch are treated as invalidated on lookup.
     """
@@ -78,10 +48,6 @@ class LRUCache:
         self.invalidations = 0
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-
-    @property
-    def enabled(self):
-        return self.capacity != 0
 
     def __len__(self):
         return len(self._entries)
@@ -104,8 +70,6 @@ class LRUCache:
             return entry[1]
 
     def put(self, key, value, epoch=None):
-        if self.capacity == 0:
-            return
         with self._lock:
             self._entries[key] = (epoch, value)
             self._entries.move_to_end(key)

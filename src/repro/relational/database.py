@@ -23,7 +23,7 @@ from repro.obs.metrics import ENGINE_METRICS
 from repro.obs.stats import ExecutionStats, instrument_plan, render_analyzed_plan
 from repro.relational import expressions as ex
 from repro.relational import operators as op
-from repro.relational.cache import LRUCache, resolve_capacity
+from repro.relational.cache import LRUCache
 from repro.relational.errors import BindError, CatalogError, TransactionError
 from repro.relational.index import (
     HashIndex,
@@ -131,22 +131,15 @@ class ResultSet:
 
 
 def _materialize_rows(plan):
-    """Collect a plan's output as a list of row tuples.
-
-    When the root operator runs vectorized, consume its blocks and
-    transpose each one wholesale (``zip`` at C speed) instead of paying
-    the per-row generator hop through the row-compat shim.  Reads the
-    ``batches``/``rows`` instance attributes, so EXPLAIN ANALYZE
-    instrumentation still counts the traffic.
-    """
-    uses_batches = getattr(plan, "uses_batches", None)
-    if uses_batches is not None and uses_batches():
-        rows = []
-        extend = rows.extend
-        for block in plan.batches():
-            extend(block.iter_rows())
-        return rows
-    return list(plan.rows())
+    """Collect a plan's output as a list of row tuples, transposing each
+    block wholesale (``zip`` at C speed) instead of paying a generator hop
+    per row.  Reads the ``batches`` instance attribute, so EXPLAIN ANALYZE
+    instrumentation still counts the traffic."""
+    rows = []
+    extend = rows.extend
+    for block in plan.batches():
+        extend(block.iter_rows())
+    return rows
 
 
 class Catalog:
@@ -309,8 +302,6 @@ class Database:
         (``None`` = unbounded).
     :param lock_timeout: seconds to wait for a table lock (``None`` =
         ``REPRO_LOCK_TIMEOUT_MS`` env, default 30s).
-    :param plan_cache_size: prepared-statement cache capacity (0 disables;
-        ``None`` = ``REPRO_PLAN_CACHE``/``REPRO_PLAN_CACHE_SIZE`` env).
     :param path: directory for durable storage.  ``None`` (the default)
         keeps the database purely in memory; a path enables write-ahead
         logging, checkpoints and crash recovery on open.
@@ -324,7 +315,7 @@ class Database:
     """
 
     def __init__(self, buffer_pool_pages=None, lock_timeout=None,
-                 planner_options=None, plan_cache_size=None, path=None,
+                 planner_options=None, path=None,
                  wal_fsync=None, wal_group_window_ms=None,
                  wal_checkpoint_every=None, auto_analyze=None,
                  auto_analyze_drift=None):
@@ -335,7 +326,7 @@ class Database:
         self.locks = LockManager(lock_timeout)
         self.planner_options = validate_planner_options(planner_options)
         #: ANALYZE statistics (see repro.relational.stats); consulted by
-        #: every planner when REPRO_COSTED is on
+        #: every planner
         self.statistics = StatisticsRegistry()
         #: auto-ANALYZE knobs (REPRO_AUTO_ANALYZE / _DRIFT; off by default)
         self.auto_analyze = resolve_auto_analyze(auto_analyze)
@@ -348,9 +339,7 @@ class Database:
         #: monotonic counter bumped by every DDL statement; prepared plans
         #: cached under an older epoch are invalid.
         self.schema_epoch = 0
-        self.plan_cache = LRUCache(
-            resolve_capacity(plan_cache_size), metrics_prefix="plan_cache"
-        )
+        self.plan_cache = LRUCache(metrics_prefix="plan_cache")
         #: when True, every SELECT is executed with operator instrumentation
         #: and the resulting :class:`~repro.obs.stats.ExecutionStats` lands in
         #: :attr:`last_statement_stats` (EXPLAIN ANALYZE sets this per call).

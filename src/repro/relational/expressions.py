@@ -10,8 +10,8 @@ conditions and index definitions.  Each node supports:
   per-column lists, *positions* the live positions to evaluate (a ``range``
   when the whole batch is live), and the result is a list of values aligned
   with *positions*.  Nodes without a specialized kernel inherit a generic
-  fallback that drives the row closure over a reusable
-  :class:`~repro.relational.batch.BatchRow` view — correctness never
+  fallback that drives the row closure over each live position
+  (:func:`~repro.relational.batch.row_kernel`) — correctness never
   depends on a node being vectorized;
 * ``references()`` — the set of ``(qualifier, column)`` pairs it reads,
   used by the planner for pushdown and join analysis;
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 
-from repro.relational.batch import BatchRow
+from repro.relational.batch import row_kernel
 from repro.relational.errors import BindError, TypeMismatchError
 from repro.relational.index import total_order_key
 from repro.relational.schema import ColumnType, coerce_value
@@ -65,23 +65,12 @@ class Expression:
         """Vectorized compilation: ``(columns, positions) -> list[value]``.
 
         The generic fallback evaluates the row closure once per live
-        position through a reusable :class:`BatchRow` view, so stateful
+        position (:func:`~repro.relational.batch.row_kernel`), so stateful
         nodes (subqueries) and rarely-hot nodes stay correct without a
         dedicated kernel.  Subclasses on the hot path override this with
         elementwise loops over the input column lists.
         """
-        fn = self.compile(ctx)
-
-        def evaluate(columns, positions, _fn=fn):
-            row = BatchRow(columns)
-            out = []
-            append = out.append
-            for i in positions:
-                row.i = i
-                append(_fn(row))
-            return out
-
-        return evaluate
+        return row_kernel(self.compile(ctx))
 
     def references(self):
         return set()

@@ -11,40 +11,38 @@ Each operator exposes:
 
 * ``columns`` — output schema as a list of ``(qualifier, name)`` pairs,
 * ``est_rows`` — the planner's cardinality estimate,
-* ``rows()`` — an iterator of output tuples (the row-compatibility shim),
 * ``batches()`` — an iterator of :class:`~repro.relational.batch.
-  ColumnBatch` blocks (the vectorized path; see ``docs/EXECUTION.md``),
+  ColumnBatch` blocks of at most ``BATCH_SIZE`` rows: the one execution
+  contract every operator implements (see ``docs/EXECUTION.md``),
+* ``rows()`` — the same output flattened to tuples by the base class, for
+  consumers that want rows,
 * ``children_ops()`` / ``describe()`` — plan-tree introspection, used by
   EXPLAIN and by ``repro.obs.stats.instrument_plan`` for EXPLAIN ANALYZE.
 
-Batch-native operators (``batch_native = True``) implement
-``batches_impl()`` and keep their pre-vectorization row loop verbatim in
-``rows_impl()``; the base class routes ``rows()``/``batches()`` through
-whichever implementation the ``REPRO_VECTORIZED`` knob selects, inserting
-the row↔batch shims at the boundary.  Row-native operators (sort, set
-ops, generic nested-loop join) only implement ``rows_impl()`` and get
-batches through the shim.  Either way both access styles always work, so
-consumers never care which side of the migration an operator is on.
+An operator receives each expression it evaluates as one batch kernel
+``(columns, positions) -> list`` (``Expression.compile_batch``;
+``batch.row_kernel`` lifts a plain row closure).  Join residuals, theta
+conditions and sort keys are row closures instead: they run on assembled
+tuples.
 
 Streaming operators (scan, filter, project, unnest, union-all, limit) are
 generators; blocking operators (hash join build side, sort, distinct,
 aggregate, set ops) materialize what they must.  Instrumentation shadows
-the operator's *native* method (``batches`` when vectorized,
-``rows`` otherwise) with an instance attribute on the plan being
-analyzed, so the uninstrumented path pays nothing and nothing is counted
-twice.
+``batches`` with an instance attribute on the plan being analyzed, so the
+uninstrumented path pays nothing and nothing is counted twice.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, chain, islice, repeat
 
-from repro.relational import batch as batch_mod
 from repro.relational.batch import (
-    BatchRow,
+    BATCH_SIZE,
     ColumnBatch,
     MaterializedRelation,
     batches_from_rows,
+    dense_batches,
 )
 from repro.relational.errors import BindError
 from repro.relational.index import total_order_key
@@ -94,113 +92,56 @@ def hashable_row(row):
     return tuple(make_hashable(value) for value in row)
 
 
-def _eval_row_fns(columns, positions, fns):
-    """Evaluate row closures over batch *positions* via a reused
-    :class:`BatchRow` view; returns one value list per closure.  This is
-    the fallback batch kernel for operators constructed without
-    planner-supplied vectorized callables (tests build operators by hand
-    with plain row lambdas)."""
-    row = BatchRow(columns)
-    lists = [[] for __ in fns]
-    for i in positions:
-        row.i = i
-        for out, fn in zip(lists, fns):
-            out.append(fn(row))
-    return lists
+def _filtered(blocks, predicate):
+    """Narrow each of *blocks* to the positions where the batch kernel
+    *predicate* is true (``None`` filters nothing).  A block that loses no
+    row passes through unchanged, one that loses every row is dropped, and
+    any other shares its column lists under a narrower selection vector.
+    """
+    if predicate is None:
+        yield from blocks
+        return
+    for block in blocks:
+        positions = block.positions()
+        values = predicate(block.columns, positions)
+        sel = [i for i, value in zip(positions, values) if value]
+        if len(sel) == len(positions):
+            yield block
+        elif sel:
+            yield ColumnBatch(block.columns, block.length, sel)
 
 
-def _rid_batches(table, rids, width, batch_size=None):
+def _rid_batches(table, rids, width):
     """Fetch *rids* in chunks via ``table.get_many`` and yield the live
-    rows as dense blocks.  Index scans and probes go through this so the
-    buffer pool is touched once per page per chunk, not once per RID."""
-    if batch_size is None:
-        batch_size = batch_mod.BATCH_SIZE
-    chunk = []
-    for rid in rids:
-        chunk.append(rid)
-        if len(chunk) >= batch_size:
-            live = [row for row in table.get_many(chunk) if row is not None]
-            if live:
-                yield ColumnBatch.from_rows(live, width)
-            chunk = []
-    if chunk:
+    rows as dense blocks.  Index scans go through this so the buffer pool
+    is touched once per page per chunk, not once per RID."""
+    rids = iter(rids)
+    while chunk := list(islice(rids, BATCH_SIZE)):
         live = [row for row in table.get_many(chunk) if row is not None]
         if live:
             yield ColumnBatch.from_rows(live, width)
 
 
-def _filter_block(block, predicate_batch, predicate):
-    """Narrow *block* to the positions satisfying the predicate.
-
-    Prefers the vectorized *predicate_batch* kernel; otherwise drives the
-    row closure through a :class:`BatchRow`.  Returns the input block
-    unchanged when nothing is filtered (zero-copy), ``None`` when nothing
-    survives, or a new block sharing the column lists with a narrowed
-    selection vector.
-    """
-    positions = block.positions()
-    if predicate_batch is not None:
-        values = predicate_batch(block.columns, positions)
-        sel = [i for i, value in zip(positions, values) if value]
-    else:
-        row = BatchRow(block.columns)
-        sel = []
-        append = sel.append
-        for i in positions:
-            row.i = i
-            if predicate(row):
-                append(i)
-    if len(sel) == block.selected_count():
-        return block
-    if not sel:
-        return None
-    return ColumnBatch(block.columns, block.length, sel)
-
-
 class Operator:
     """Base of all physical operators.
 
-    Batch contract: ``batches()`` yields :class:`ColumnBatch` blocks whose
-    selection vectors must be honored by consumers; ``rows()`` yields the
-    same rows as tuples, in the same order.  The two views are always
-    consistent — each subclass implements one natively and inherits the
-    shim for the other.
+    The contract is :meth:`batches`: an iterator of :class:`ColumnBatch`
+    blocks of at most ``BATCH_SIZE`` rows whose selection vectors
+    consumers must honor.  :meth:`rows` is the same output as tuples, in
+    the same order.
     """
 
     columns = ()
     est_rows = 0
-    #: True when the class implements ``batches_impl`` natively; the
-    #: ``REPRO_VECTORIZED`` knob then selects which implementation runs.
-    batch_native = False
-
-    def uses_batches(self):
-        """Is the vectorized implementation the native path right now?"""
-        return self.batch_native and batch_mod.enabled()
-
-    def rows(self):
-        """Yield output rows as tuples (row-compatibility shim)."""
-        if self.uses_batches():
-            # route through self.batches so EXPLAIN ANALYZE's instance-
-            # attribute instrumentation sees the traffic exactly once
-            for block in self.batches():
-                yield from block.iter_rows()
-        else:
-            yield from self.rows_impl()
 
     def batches(self):
         """Yield output :class:`ColumnBatch` blocks."""
-        if self.uses_batches():
-            yield from self.batches_impl()
-        else:
-            yield from batches_from_rows(self.rows(), len(self.columns))
-
-    def rows_impl(self):
-        """Row-at-a-time implementation (the pre-vectorization loop)."""
         raise NotImplementedError
 
-    def batches_impl(self):
-        """Batch-at-a-time implementation (batch-native operators only)."""
-        raise NotImplementedError
+    def rows(self):
+        """Yield output rows as tuples, for consumers that want them."""
+        for block in self.batches():
+            yield from block.iter_rows()
 
     def children_ops(self):
         """Child operators, for plan inspection / EXPLAIN."""
@@ -219,7 +160,7 @@ class Operator:
         return type(self).__name__
 
     # ------------------------------------------------------------------
-    # cost interface (consumed by the statistics-driven planner)
+    # cost interface (consumed by the planner when statistics exist)
     # ------------------------------------------------------------------
     #: ANALYZE-derived ``{fingerprint: ndv}`` the planner attaches to base
     #: accesses; ``distinct_values`` consults it before asking children
@@ -265,19 +206,15 @@ def explain_plan(plan, indent=0):
 class SeqScan(Operator):
     """Full scan of a heap table, optionally with a pushed-down predicate.
 
-    Batch contract: emits the table's pages as dense blocks via
+    Emits the table's pages as dense blocks via
     :meth:`HeapTable.scan_batches`; a pushed predicate narrows each block
     to a selection vector in place (column lists are never copied).
     """
 
-    batch_native = True
-
-    def __init__(self, table, qualifier, predicate=None, est_rows=None,
-                 predicate_batch=None):
+    def __init__(self, table, qualifier, predicate=None, est_rows=None):
         self.table = table
         self.qualifier = qualifier
         self.predicate = predicate
-        self.predicate_batch = predicate_batch
         self.columns = [(qualifier, name) for name in table.schema.column_names]
         self.est_rows = est_rows if est_rows is not None else table.live_rows
 
@@ -288,44 +225,23 @@ class SeqScan(Operator):
     def blocks_accessed(self):
         return self.table.page_count
 
-    def rows_impl(self):
-        predicate = self.predicate
-        if predicate is None:
-            yield from self.table.scan_rows()
-            return
-        for row in self.table.scan_rows():
-            if predicate(row):
-                yield row
-
-    def batches_impl(self):
-        predicate = self.predicate
-        if predicate is None:
-            yield from self.table.scan_batches()
-            return
-        predicate_batch = self.predicate_batch
-        for block in self.table.scan_batches():
-            filtered = _filter_block(block, predicate_batch, predicate)
-            if filtered is not None:
-                yield filtered
+    def batches(self):
+        return _filtered(self.table.scan_batches(), self.predicate)
 
 
 class IndexEqScan(Operator):
     """Equality lookup through a hash or sorted index with constant keys.
 
-    Batch contract: fetched rows are packed into dense blocks in probe
-    order; a residual predicate narrows each block's selection vector.
+    Fetched rows are packed into dense blocks in probe order; a residual
+    predicate narrows each block's selection vector.
     """
 
-    batch_native = True
-
-    def __init__(self, table, qualifier, index, keys, predicate=None, est_rows=1,
-                 predicate_batch=None):
+    def __init__(self, table, qualifier, index, keys, predicate=None, est_rows=1):
         self.table = table
         self.qualifier = qualifier
         self.index = index
         self.keys = keys  # list of constant keys to probe
         self.predicate = predicate
-        self.predicate_batch = predicate_batch
         self.columns = [(qualifier, name) for name in table.schema.column_names]
         self.est_rows = est_rows
 
@@ -339,47 +255,21 @@ class IndexEqScan(Operator):
         # each probed row may land on its own page (worst case)
         return max(self.est_rows, 1)
 
-    def _fetch(self):
-        table = self.table
-        for key in self.keys:
-            for rid in self.index.lookup(key):
-                row = table.get(rid)
-                if row is not None:
-                    yield row
-
-    def rows_impl(self):
-        predicate = self.predicate
-        for row in self._fetch():
-            if predicate is None or predicate(row):
-                yield row
-
-    def batches_impl(self):
-        predicate = self.predicate
-        predicate_batch = self.predicate_batch
+    def batches(self):
         rids = (
             rid for key in self.keys for rid in self.index.lookup(key)
         )
-        for block in _rid_batches(self.table, rids, len(self.columns)):
-            if predicate is None:
-                yield block
-                continue
-            filtered = _filter_block(block, predicate_batch, predicate)
-            if filtered is not None:
-                yield filtered
+        return _filtered(
+            _rid_batches(self.table, rids, len(self.columns)), self.predicate
+        )
 
 
 class IndexRangeScan(Operator):
-    """Range scan through a sorted index.
-
-    Batch contract: same as :class:`IndexEqScan` — dense blocks in index
-    order, residual predicate applied per block.
-    """
-
-    batch_native = True
+    """Range scan through a sorted index: dense blocks in index order, a
+    residual predicate applied per block."""
 
     def __init__(self, table, qualifier, index, low, high, low_inclusive,
-                 high_inclusive, predicate=None, est_rows=1,
-                 predicate_batch=None):
+                 high_inclusive, predicate=None, est_rows=1):
         self.table = table
         self.qualifier = qualifier
         self.index = index
@@ -388,7 +278,6 @@ class IndexRangeScan(Operator):
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
         self.predicate = predicate
-        self.predicate_batch = predicate_batch
         self.columns = [(qualifier, name) for name in table.schema.column_names]
         self.est_rows = est_rows
 
@@ -401,54 +290,27 @@ class IndexRangeScan(Operator):
     def blocks_accessed(self):
         return max(self.est_rows, 1)
 
-    def _fetch(self):
-        table = self.table
-        for rid in self.index.range_scan(
-            self.low, self.high, self.low_inclusive, self.high_inclusive
-        ):
-            row = table.get(rid)
-            if row is not None:
-                yield row
-
-    def rows_impl(self):
-        predicate = self.predicate
-        for row in self._fetch():
-            if predicate is None or predicate(row):
-                yield row
-
-    def batches_impl(self):
-        predicate = self.predicate
-        predicate_batch = self.predicate_batch
+    def batches(self):
         rids = self.index.range_scan(
             self.low, self.high, self.low_inclusive, self.high_inclusive
         )
-        for block in _rid_batches(self.table, rids, len(self.columns)):
-            if predicate is None:
-                yield block
-                continue
-            filtered = _filter_block(block, predicate_batch, predicate)
-            if filtered is not None:
-                yield filtered
+        return _filtered(
+            _rid_batches(self.table, rids, len(self.columns)), self.predicate
+        )
 
 
 class MaterializedScan(Operator):
     """Scan over a materialized result (CTE bodies, VALUES, subqueries).
 
     *source* is either a plain list of row tuples or a
-    :class:`MaterializedRelation` (which a vectorized CTE materialization
-    stores as dense column batches, so re-scanning it never transposes).
-
-    Batch contract: emits the stored blocks as-is (zero-copy for a
-    columnar source); a predicate narrows selection vectors per block.
+    :class:`MaterializedRelation`, whose stored blocks are emitted as-is
+    (zero-copy); a predicate narrows selection vectors per block.
     """
 
-    batch_native = True
-
-    def __init__(self, source, columns, predicate=None, predicate_batch=None):
+    def __init__(self, source, columns, predicate=None):
         self.source = source
         self.columns = list(columns)
         self.predicate = predicate
-        self.predicate_batch = predicate_batch
         if isinstance(source, MaterializedRelation):
             self.est_rows = source.row_count()
         else:
@@ -460,134 +322,127 @@ class MaterializedScan(Operator):
     def blocks_accessed(self):
         return 0  # already resident in memory
 
-    def _source_rows(self):
-        if isinstance(self.source, MaterializedRelation):
-            return self.source.iter_rows()
-        return iter(self.source)
-
-    def rows_impl(self):
-        if self.predicate is None:
-            return self._source_rows()
-        predicate = self.predicate
-        return (row for row in self._source_rows() if predicate(row))
-
-    def batches_impl(self):
+    def batches(self):
         if isinstance(self.source, MaterializedRelation):
             blocks = self.source.iter_batches()
         else:
-            blocks = batches_from_rows(iter(self.source), len(self.columns))
-        predicate = self.predicate
-        if predicate is None:
-            yield from blocks
-            return
-        predicate_batch = self.predicate_batch
-        for block in blocks:
-            filtered = _filter_block(block, predicate_batch, predicate)
-            if filtered is not None:
-                yield filtered
+            blocks = batches_from_rows(self.source, len(self.columns))
+        return _filtered(blocks, self.predicate)
 
 
 class FilterOp(Operator):
-    """Apply a predicate, keeping rows where it evaluates true.
+    """Keep the rows where the *predicate* kernel evaluates true.
 
-    Batch contract: consumes child blocks and narrows each block's
-    selection vector — column lists pass through untouched (zero-copy).
-    The vectorized ``predicate_batch`` kernel evaluates the predicate for
-    a whole block at once; without one, the row closure runs per position.
+    Narrows each child block's selection vector — column lists pass
+    through untouched (zero-copy).
     """
 
-    batch_native = True
-
-    def __init__(self, child, predicate, est_rows=None, predicate_batch=None):
+    def __init__(self, child, predicate, est_rows=None):
         self.child = child
         self.predicate = predicate
-        self.predicate_batch = predicate_batch
         self.columns = child.columns
         self.est_rows = est_rows if est_rows is not None else max(
             1, child.est_rows // 3
         )
 
-    def rows_impl(self):
-        predicate = self.predicate
-        for row in self.child.rows():
-            if predicate(row):
-                yield row
-
-    def batches_impl(self):
-        predicate = self.predicate
-        predicate_batch = self.predicate_batch
-        for block in self.child.batches():
-            filtered = _filter_block(block, predicate_batch, predicate)
-            if filtered is not None:
-                yield filtered
+    def batches(self):
+        return _filtered(self.child.batches(), self.predicate)
 
 
 class ProjectOp(Operator):
     """Compute the SELECT list.
 
-    Batch contract: consumes child blocks and emits dense blocks of
-    evaluated expressions; with vectorized ``batch_fns`` each output
-    column is produced by one kernel call per block (a bare column
-    reference aliases the input column list — zero-copy), otherwise the
-    row closures run per position.
+    Emits one dense block per child block, each output column produced by
+    one ``value_fns`` kernel call (a bare column reference aliases the
+    input column list — zero-copy).
     """
 
-    batch_native = True
-
-    def __init__(self, child, value_fns, columns, batch_fns=None):
+    def __init__(self, child, value_fns, columns):
         self.child = child
         self.value_fns = value_fns
-        self.batch_fns = batch_fns
         self.columns = list(columns)
         self.est_rows = child.est_rows
 
-    def rows_impl(self):
-        fns = self.value_fns
-        for row in self.child.rows():
-            yield tuple(fn(row) for fn in fns)
-
-    def batches_impl(self):
-        batch_fns = self.batch_fns
+    def batches(self):
+        value_fns = self.value_fns
         for block in self.child.batches():
             positions = block.positions()
-            count = len(positions)
-            if count == 0:
-                continue
-            if batch_fns is not None:
-                out_columns = [fn(block.columns, positions) for fn in batch_fns]
-            else:
-                out_columns = _eval_row_fns(
-                    block.columns, positions, self.value_fns
+            if len(positions):
+                yield ColumnBatch(
+                    [fn(block.columns, positions) for fn in value_fns],
+                    len(positions),
                 )
-            yield ColumnBatch(out_columns, count)
+
+
+def _join_keys(columns, positions, key_fns):
+    """One join key per live position: the bare value of a single key
+    expression, a tuple of several — or ``None`` when any part is NULL
+    (NULL never joins)."""
+    lists = [fn(columns, positions) for fn in key_fns]
+    if len(lists) == 1:
+        return lists[0]
+    return [None if None in key else key for key in zip(*lists)]
+
+
+def _stitch(block, rows, counts, residual, pad):
+    """Join one probe-side *block* to its candidate matches.
+
+    *rows* is the flat list of candidate inner rows, ``counts[k]`` of them
+    for the block's k-th live position, in order.  *residual*, a closure
+    over the assembled probe + inner tuple, drops pairs; a probe row left
+    without a pair is emitted beside *pad* when one is given (left outer).
+    Output blocks gather the probe columns by position and transpose the
+    inner rows, at most ``BATCH_SIZE`` rows at a time, so a key that fans
+    out past it never builds one oversized block.
+    """
+    if residual is not None or (pad is not None and 0 in counts):
+        # regroup per probe row: filter its candidates, pad if none is left
+        probe_rows = block.iter_rows() if residual is not None else repeat(())
+        candidates = rows
+        rows = []
+        kept = []
+        for probe_row, n, end in zip(probe_rows, counts, accumulate(counts)):
+            matches = candidates[end - n:end] if n else ()
+            if matches and residual is not None:
+                matches = [
+                    row for row in matches if residual(probe_row + row)
+                ]
+            if not matches and pad is not None:
+                matches = (pad,)
+            rows.extend(matches)
+            kept.append(len(matches))
+        counts = kept
+    out_positions = list(chain.from_iterable(
+        map(repeat, block.positions(), counts)
+    ))
+    columns = block.columns
+    for start in range(0, len(rows), BATCH_SIZE):
+        picks = out_positions[start:start + BATCH_SIZE]
+        chunk = rows[start:start + BATCH_SIZE]
+        gathered = [[column[i] for i in picks] for column in columns]
+        gathered.extend(map(list, zip(*chunk)))
+        yield ColumnBatch(gathered, len(chunk))
+
+
+def _left_pad(kind, width):
+    return (None,) * width if kind == "left" else None
 
 
 class HashJoinOp(Operator):
     """Equi hash join; builds on the right child.
 
-    ``kind`` is ``'inner'`` or ``'left'`` (left outer: unmatched left rows are
-    padded with NULLs).  ``residual`` is an optional extra predicate over the
-    combined row.
-
-    Batch contract: build and probe both consume child blocks; join keys
-    come from vectorized kernels (``*_key_batch_fns``) or the
-    :class:`BatchRow` fallback.  Output blocks gather probe-side columns
-    by position and transpose the matching build rows.  A residual is a
-    combined-row closure, so that case keeps the row loop and re-batches
-    its output.
+    ``kind`` is ``'inner'`` or ``'left'`` (left outer: unmatched left rows
+    are padded with NULLs).  The key functions are batch kernels;
+    ``residual`` is an optional extra predicate over the combined row,
+    applied inside the probe loop.
     """
 
-    batch_native = True
-
     def __init__(self, left, right, left_key_fns, right_key_fns, kind="inner",
-                 residual=None, est_rows=None, left_key_batch_fns=None,
-                 right_key_batch_fns=None):
+                 residual=None, est_rows=None):
         self.left = left
         self.right = right
         self.left_key_fns = left_key_fns
         self.right_key_fns = right_key_fns
-        self.left_key_batch_fns = left_key_batch_fns
-        self.right_key_batch_fns = right_key_batch_fns
         self.kind = kind
         self.residual = residual
         self.columns = list(left.columns) + list(right.columns)
@@ -598,139 +453,47 @@ class HashJoinOp(Operator):
     def describe(self):
         return f"HashJoin[{self.kind}]"
 
-    def rows_impl(self):
-        build = {}
-        right_keys = self.right_key_fns
-        for row in self.right.rows():
-            key = tuple(make_hashable(fn(row)) for fn in right_keys)
-            if any(part is None for part in key):
-                continue  # NULL never joins
-            build.setdefault(key, []).append(row)
-        left_keys = self.left_key_fns
-        residual = self.residual
-        pad = (None,) * len(self.right.columns)
-        left_outer = self.kind == "left"
-        for left_row in self.left.rows():
-            key = tuple(make_hashable(fn(left_row)) for fn in left_keys)
-            matches = build.get(key) if not any(part is None for part in key) else None
-            matched = False
-            if matches:
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if residual is None or residual(combined):
-                        matched = True
-                        yield combined
-            if left_outer and not matched:
-                yield left_row + pad
-
-    def _key_lists(self, block, positions, batch_fns, row_fns):
-        if batch_fns is not None:
-            return [fn(block.columns, positions) for fn in batch_fns]
-        return _eval_row_fns(block.columns, positions, row_fns)
-
-    def batches_impl(self):
-        if self.residual is not None:
-            # residuals are combined-row closures; keep the row loop and
-            # re-batch its output
-            yield from batches_from_rows(self.rows_impl(), len(self.columns))
-            return
-        # build side: key each right row, normalizing via make_hashable
-        # only when the raw key is unhashable (same trick as DistinctOp)
+    def batches(self):
+        # keys are hashed raw; make_hashable runs only for a key that turns
+        # out unhashable (same trick as DistinctOp)
         build = {}
         for block in self.right.batches():
-            positions = block.positions()
-            if len(positions) == 0:
-                continue
-            key_lists = self._key_lists(
-                block, positions, self.right_key_batch_fns,
-                self.right_key_fns,
+            keys = _join_keys(
+                block.columns, block.positions(), self.right_key_fns
             )
-            rows_iter = block.iter_rows()
-            if len(key_lists) == 1:
-                for key, row in zip(key_lists[0], rows_iter):
-                    if key is None:
-                        continue  # NULL never joins
-                    try:
-                        bucket = build.get(key)
-                    except TypeError:
-                        key = make_hashable(key)
-                        bucket = build.get(key)
-                    if bucket is None:
-                        build[key] = [row]
-                    else:
-                        bucket.append(row)
-            else:
-                for key, row in zip(zip(*key_lists), rows_iter):
-                    if any(part is None for part in key):
-                        continue
-                    try:
-                        bucket = build.get(key)
-                    except TypeError:
-                        key = tuple(make_hashable(part) for part in key)
-                        bucket = build.get(key)
-                    if bucket is None:
-                        build[key] = [row]
-                    else:
-                        bucket.append(row)
-        pad = (None,) * len(self.right.columns)
-        left_outer = self.kind == "left"
-        lookup = build.get
-        for block in self.left.batches():
-            positions = block.positions()
-            if len(positions) == 0:
-                continue
-            key_lists = self._key_lists(
-                block, positions, self.left_key_batch_fns,
-                self.left_key_fns,
-            )
-            single = len(key_lists) == 1
-            probe_keys = (
-                key_lists[0] if single else zip(*key_lists)
-            )
-            out_positions = []  # left position per output row
-            append_pos = out_positions.append
-            right_rows = []
-            append_row = right_rows.append
-            for i, key in zip(positions, probe_keys):
-                if single:
-                    null_key = key is None
+            for key, row in zip(keys, block.iter_rows()):
+                if key is None:
+                    continue
+                try:
+                    bucket = build.get(key)
+                except TypeError:
+                    key = make_hashable(key)
+                    bucket = build.get(key)
+                if bucket is None:
+                    build[key] = [row]
                 else:
-                    null_key = any(part is None for part in key)
-                matches = None
-                if not null_key:
-                    try:
-                        matches = lookup(key)
-                    except TypeError:
-                        if single:
-                            matches = lookup(make_hashable(key))
-                        else:
-                            matches = lookup(
-                                tuple(make_hashable(part) for part in key)
-                            )
-                if matches:
-                    for right_row in matches:
-                        append_pos(i)
-                        append_row(right_row)
-                elif left_outer:
-                    append_pos(i)
-                    append_row(pad)
-            if not right_rows:
-                continue
-            left_columns = [
-                [column[i] for i in out_positions]
-                for column in block.columns
-            ]
-            right_columns = [list(col) for col in zip(*right_rows)]
-            yield ColumnBatch(
-                left_columns + right_columns, len(right_rows)
+                    bucket.append(row)
+
+        pad = _left_pad(self.kind, len(self.right.columns))
+        for block in self.left.batches():
+            keys = _join_keys(
+                block.columns, block.positions(), self.left_key_fns
+            )
+            try:  # a NULL key finds nothing: none was ever built
+                buckets = list(map(build.get, keys, repeat(())))
+            except TypeError:
+                buckets = [build.get(make_hashable(key), ()) for key in keys]
+            yield from _stitch(
+                block, list(chain.from_iterable(buckets)),
+                list(map(len, buckets)), self.residual, pad,
             )
 
 
 class NestedLoopJoinOp(Operator):
     """Fallback join for non-equi conditions; right side is materialized.
 
-    Batch contract: row-native — the arbitrary join condition is a row
-    closure; batches come from the base-class shim.
+    Every right row is a candidate for every left row; ``condition`` is a
+    closure over the combined row (``None`` for a cross product).
     """
 
     def __init__(self, left, right, condition=None, kind="inner", est_rows=None):
@@ -743,45 +506,38 @@ class NestedLoopJoinOp(Operator):
             est_rows = max(1, left.est_rows * max(right.est_rows, 1))
         self.est_rows = est_rows
 
-    def rows_impl(self):
+    def batches(self):
         right_rows = list(self.right.rows())
-        condition = self.condition
-        pad = (None,) * len(self.right.columns)
-        left_outer = self.kind == "left"
-        for left_row in self.left.rows():
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if condition is None or condition(combined):
-                    matched = True
-                    yield combined
-            if left_outer and not matched:
-                yield left_row + pad
+        pad = _left_pad(self.kind, len(self.right.columns))
+        # a few left rows at a time: each pairs with every right row
+        step = max(1, BATCH_SIZE // max(1, len(right_rows)))
+        for block in self.left.batches():
+            positions = block.positions()
+            for start in range(0, len(positions), step):
+                sel = list(positions[start:start + step])
+                yield from _stitch(
+                    ColumnBatch(block.columns, block.length, sel),
+                    right_rows * len(sel), [len(right_rows)] * len(sel),
+                    self.condition, pad,
+                )
 
 
 class IndexNLJoinOp(Operator):
     """Index nested-loop join: probe an index of the inner base table with a
     key computed from each outer row.
 
-    Batch contract: consumes outer blocks, computes probe keys per block
-    (vectorized via ``outer_key_batch_fns`` when the planner supplies
-    them), probes the index per key, and emits one block per input block
-    — outer columns gathered by position, inner rows transposed.  A
-    residual predicate forces the row implementation through the shim
-    (residuals are row-shaped combined-tuple closures).
+    Per outer block: one ``outer_key_fns`` kernel call per key part, one
+    index probe per key, one batched heap fetch for every candidate RID,
+    then the shared stitch (residual, left-outer padding, bounded blocks).
     """
 
-    batch_native = True
-
     def __init__(self, outer, table, qualifier, index, outer_key_fns,
-                 residual=None, kind="inner", est_rows=None,
-                 outer_key_batch_fns=None):
+                 residual=None, kind="inner", est_rows=None):
         self.outer = outer
         self.table = table
         self.qualifier = qualifier
         self.index = index
         self.outer_key_fns = outer_key_fns
-        self.outer_key_batch_fns = outer_key_batch_fns
         self.residual = residual
         self.kind = kind
         inner_columns = [(qualifier, name) for name in table.schema.column_names]
@@ -799,112 +555,31 @@ class IndexNLJoinOp(Operator):
         # drive the outer once, then roughly one probe page per outer row
         return self.outer.blocks_accessed() + max(self.outer.records_output(), 1)
 
-    def rows_impl(self):
+    def batches(self):
         table = self.table
-        index = self.index
-        key_fns = self.outer_key_fns
-        residual = self.residual
-        pad = (None,) * self._inner_width
-        left_outer = self.kind == "left"
-        single = len(key_fns) == 1
-        for outer_row in self.outer.rows():
-            if single:
-                key = key_fns[0](outer_row)
-                null_key = key is None
-            else:
-                key = tuple(fn(outer_row) for fn in key_fns)
-                null_key = any(part is None for part in key)
-            matched = False
-            if not null_key:
-                for rid in index.lookup(key):
-                    inner_row = table.get(rid)
-                    if inner_row is None:
-                        continue
-                    combined = outer_row + inner_row
-                    if residual is None or residual(combined):
-                        matched = True
-                        yield combined
-            if left_outer and not matched:
-                yield outer_row + pad
-
-    def batches_impl(self):
-        if self.residual is not None:
-            # residuals are combined-row closures; keep the row loop and
-            # re-batch its output
-            yield from batches_from_rows(self.rows_impl(), len(self.columns))
-            return
-        table = self.table
-        index = self.index
-        key_batch_fns = self.outer_key_batch_fns
-        key_fns = self.outer_key_fns
-        pad = (None,) * self._inner_width
-        left_outer = self.kind == "left"
+        lookup = self.index.lookup
+        pad = _left_pad(self.kind, self._inner_width)
         for block in self.outer.batches():
-            positions = block.positions()
-            if len(positions) == 0:
-                continue
-            if key_batch_fns is not None:
-                key_lists = [
-                    fn(block.columns, positions) for fn in key_batch_fns
-                ]
-            else:
-                key_lists = _eval_row_fns(block.columns, positions, key_fns)
-            # pass 1: probe the index for every live position, collecting
-            # candidate RIDs so the heap fetch can be batched per page
-            lookup = index.lookup
-            flat_rids = []
-            extend_rids = flat_rids.extend
-            counts = []  # candidate RIDs per position
-            append_count = counts.append
-            if len(key_lists) == 1:
-                for key in key_lists[0]:
-                    if key is None:
-                        append_count(0)
-                        continue
-                    rids = lookup(key)
-                    extend_rids(rids)
-                    append_count(len(rids))
-            else:
-                for key in zip(*key_lists):
-                    if any(part is None for part in key):
-                        append_count(0)
-                        continue
-                    rids = lookup(key)
-                    extend_rids(rids)
-                    append_count(len(rids))
-            inner_fetched = table.get_many(flat_rids) if flat_rids else []
-            # pass 2: stitch fetched rows back to their outer positions
-            out_positions = []  # outer position per output row
-            append_pos = out_positions.append
-            inner_rows = []
-            append_row = inner_rows.append
-            cursor = 0
-            for i, n in zip(positions, counts):
-                if n:
-                    matched = False
-                    for j in range(cursor, cursor + n):
-                        inner_row = inner_fetched[j]
-                        if inner_row is None:
-                            continue
-                        matched = True
-                        append_pos(i)
-                        append_row(inner_row)
-                    cursor += n
-                    if matched:
-                        continue
-                if left_outer:
-                    append_pos(i)
-                    append_row(pad)
-            if not inner_rows:
-                continue
-            outer_columns = [
-                [column[i] for i in out_positions]
-                for column in block.columns
-            ]
-            inner_columns = [list(col) for col in zip(*inner_rows)]
-            yield ColumnBatch(
-                outer_columns + inner_columns, len(inner_rows)
+            keys = _join_keys(
+                block.columns, block.positions(), self.outer_key_fns
             )
+            # probe the index for every live position first, so the heap
+            # fetch of all candidate RIDs is batched per page
+            flat_rids = []
+            counts = []  # candidate RIDs per position
+            for key in keys:
+                rids = lookup(key) if key is not None else ()
+                flat_rids.extend(rids)
+                counts.append(len(rids))
+            fetched = table.get_many(flat_rids) if flat_rids else []
+            if None in fetched:  # a RID whose row has been deleted
+                slots = iter(fetched)
+                counts = [
+                    sum(row is not None for row in islice(slots, n))
+                    for n in counts
+                ]
+                fetched = [row for row in fetched if row is not None]
+            yield from _stitch(block, fetched, counts, self.residual, pad)
 
 
 class LateralUnnestOp(Operator):
@@ -915,34 +590,22 @@ class LateralUnnestOp(Operator):
     is how OPA/IPA adjacency triads (``lbl0,eid0,val0`` …) explode into
     one row per stored edge (paper §3.2).
 
-    Batch contract: consumes child blocks and emits one dense block per
-    input block with ``len(rows_of_fns)`` output rows per live input row,
-    interleaved in input-row-major order.  Child column values are
-    repeated per VALUES row; each VALUES cell is computed by one kernel
-    call per block (``rows_of_batch_fns``) and written with a strided
-    slice assignment — the triad columns are gathered without building a
-    single row tuple.
+    Each child block yields ``len(rows_of_fns)`` output rows per live
+    input row, interleaved in input-row-major order.  Child column values
+    are repeated per VALUES row; each VALUES cell is computed by one
+    kernel call per block and written with a strided slice assignment —
+    the triad columns are gathered without building a single row tuple.
     """
 
-    batch_native = True
-
-    def __init__(self, child, rows_of_fns, columns, rows_of_batch_fns=None):
+    def __init__(self, child, rows_of_fns, columns):
         self.child = child
         self.rows_of_fns = rows_of_fns
-        self.rows_of_batch_fns = rows_of_batch_fns
         self.columns = list(child.columns) + list(columns)
         self.est_rows = child.est_rows * max(1, len(rows_of_fns))
         self._value_width = len(columns)
 
-    def rows_impl(self):
+    def batches(self):
         rows_of_fns = self.rows_of_fns
-        for row in self.child.rows():
-            for fns in rows_of_fns:
-                yield row + tuple(fn(row) for fn in fns)
-
-    def batches_impl(self):
-        rows_of_fns = self.rows_of_fns
-        rows_of_batch_fns = self.rows_of_batch_fns
         value_rows = len(rows_of_fns)
         value_width = self._value_width
         if value_rows == 0:
@@ -958,48 +621,28 @@ class LateralUnnestOp(Operator):
             for column in block.columns:
                 gathered = column if dense else [column[i] for i in positions]
                 if value_rows == 1:
-                    out_columns.append(
-                        list(gathered) if gathered is column else gathered
-                    )
+                    out_columns.append(gathered)
                 else:
                     out_columns.append(
                         [value for value in gathered for __ in range(value_rows)]
                     )
             value_columns = [[None] * total for __ in range(value_width)]
-            for j in range(value_rows):
-                if rows_of_batch_fns is not None:
-                    value_lists = [
-                        fn(block.columns, positions)
-                        for fn in rows_of_batch_fns[j]
-                    ]
-                else:
-                    value_lists = _eval_row_fns(
-                        block.columns, positions, rows_of_fns[j]
-                    )
-                for out, values in zip(value_columns, value_lists):
-                    out[j::value_rows] = values
-            yield ColumnBatch(out_columns + value_columns, total)
+            for j, fns in enumerate(rows_of_fns):
+                for out, fn in zip(value_columns, fns):
+                    out[j::value_rows] = fn(block.columns, positions)
+            yield from dense_batches(out_columns + value_columns, total)
 
 
 class UnionAllOp(Operator):
-    """Concatenate children, preserving duplicates and child order.
-
-    Batch contract: passes each child's blocks through unchanged
-    (zero-copy).
-    """
-
-    batch_native = True
+    """Concatenate children, preserving duplicates and child order; each
+    child's blocks pass through unchanged (zero-copy)."""
 
     def __init__(self, children):
         self.children = children
         self.columns = list(children[0].columns)
         self.est_rows = sum(child.est_rows for child in children)
 
-    def rows_impl(self):
-        for child in self.children:
-            yield from child.rows()
-
-    def batches_impl(self):
+    def batches(self):
         for child in self.children:
             yield from child.batches()
 
@@ -1007,8 +650,8 @@ class UnionAllOp(Operator):
 class SetOpOp(Operator):
     """UNION / INTERSECT / EXCEPT with SQL set (distinct) semantics.
 
-    Batch contract: row-native — dedup works on hashable row tuples;
-    batches come from the base-class shim.
+    Dedup works on hashable row tuples, so the child blocks are consumed
+    as rows and the survivors re-packed into dense blocks.
     """
 
     def __init__(self, op, left, right):
@@ -1018,7 +661,10 @@ class SetOpOp(Operator):
         self.columns = list(left.columns)
         self.est_rows = max(left.est_rows, right.est_rows)
 
-    def rows_impl(self):
+    def batches(self):
+        return batches_from_rows(self._distinct_rows(), len(self.columns))
+
+    def _distinct_rows(self):
         if self.op == "union":
             seen = set()
             for child in (self.left, self.right):
@@ -1049,28 +695,17 @@ class SetOpOp(Operator):
 class DistinctOp(Operator):
     """Drop duplicate rows, keeping first occurrences in order.
 
-    Batch contract: consumes child blocks and narrows each block's
-    selection vector to first-seen rows — column lists pass through
-    untouched (zero-copy); dedup keys are built straight from the column
-    lists without materializing row tuples.
+    Narrows each child block's selection vector to first-seen rows —
+    column lists pass through untouched (zero-copy); dedup keys are built
+    straight from the column lists without materializing row tuples.
     """
-
-    batch_native = True
 
     def __init__(self, child):
         self.child = child
         self.columns = child.columns
         self.est_rows = max(1, child.est_rows // 2)
 
-    def rows_impl(self):
-        seen = set()
-        for row in self.child.rows():
-            key = hashable_row(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
-
-    def batches_impl(self):
+    def batches(self):
         seen = set()
         add = seen.add
         for block in self.child.batches():
@@ -1120,116 +755,31 @@ class DistinctOp(Operator):
                 yield ColumnBatch(columns, block.length, sel)
 
 
-class _AggState:
-    """Accumulator for one aggregate call within one group."""
-
-    __slots__ = ("kind", "distinct", "count", "total", "minimum", "maximum", "seen")
-
-    def __init__(self, kind, distinct):
-        self.kind = kind
-        self.distinct = distinct
-        self.count = 0
-        self.total = None
-        self.minimum = None
-        self.maximum = None
-        self.seen = set() if distinct else None
-
-    def add(self, value):
-        if self.kind == "count_star":
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct:
-            key = make_hashable(value)
-            if key in self.seen:
-                return
-            self.seen.add(key)
-        self.count += 1
-        if self.kind in ("sum", "avg"):
-            self.total = value if self.total is None else self.total + value
-        elif self.kind == "min":
-            if self.minimum is None or total_order_key(value) < total_order_key(
-                self.minimum
-            ):
-                self.minimum = value
-        elif self.kind == "max":
-            if self.maximum is None or total_order_key(self.maximum) < total_order_key(
-                value
-            ):
-                self.maximum = value
-
-    def result(self):
-        if self.kind in ("count", "count_star"):
-            return self.count
-        if self.kind == "sum":
-            return self.total
-        if self.kind == "avg":
-            return None if self.count == 0 else self.total / self.count
-        if self.kind == "min":
-            return self.minimum
-        if self.kind == "max":
-            return self.maximum
-        raise BindError(f"unknown aggregate {self.kind!r}")
-
-
 class AggregateOp(Operator):
     """Hash aggregation.
 
     Output row layout: group-by values first, then one column per aggregate
-    spec.  ``agg_specs`` is a list of ``(kind, value_fn_or_None, distinct)``;
-    ``kind == 'count_star'`` needs no value function.
+    spec.  ``group_fns`` are batch kernels; ``agg_specs`` is a list of
+    ``(kind, value_kernel_or_None, distinct)`` — ``kind == 'count_star'``
+    needs no value kernel.
 
-    Batch contract: consumes child blocks, evaluating group keys and
-    aggregate inputs per block (vectorized via ``group_batch_fns`` /
-    ``agg_batch_fns`` — the latter aligned with ``agg_specs``, ``None``
-    entries for ``count_star``); emits one dense block of result rows.
-    Group order is first-occurrence, identical to the row path.
+    Group keys and aggregate inputs are evaluated once per child block;
+    the result rows come out in first-occurrence group order.
     """
 
-    batch_native = True
-
-    def __init__(self, child, group_fns, agg_specs, columns,
-                 group_batch_fns=None, agg_batch_fns=None):
+    def __init__(self, child, group_fns, agg_specs, columns):
         self.child = child
         self.group_fns = group_fns
         self.agg_specs = agg_specs
-        self.group_batch_fns = group_batch_fns
-        self.agg_batch_fns = agg_batch_fns
         self.columns = list(columns)
         self.est_rows = max(1, child.est_rows // 10) if group_fns else 1
 
-    def rows_impl(self):
-        groups = {}
+    def batches(self):
         group_fns = self.group_fns
-        specs = self.agg_specs
-        for row in self.child.rows():
-            key = tuple(make_hashable(fn(row)) for fn in group_fns)
-            state = groups.get(key)
-            if state is None:
-                group_values = tuple(fn(row) for fn in group_fns)
-                state = (
-                    group_values,
-                    [_AggState(kind, distinct) for kind, __, distinct in specs],
-                )
-                groups[key] = state
-            for (kind, value_fn, __), acc in zip(specs, state[1]):
-                acc.add(None if value_fn is None else value_fn(row))
-        if not groups and not group_fns:
-            # global aggregate over empty input still yields one row
-            accs = [_AggState(kind, distinct) for kind, __, distinct in specs]
-            yield tuple(acc.result() for acc in accs)
-            return
-        for group_values, accs in groups.values():
-            yield group_values + tuple(acc.result() for acc in accs)
-
-    def batches_impl(self):
-        group_fns = self.group_fns
-        specs = self.agg_specs
-        group_batch_fns = self.group_batch_fns
-        agg_batch_fns = self.agg_batch_fns
-        row_fns = [value_fn for __, value_fn, __d in specs]
-        accs = [_ColumnAgg(kind, distinct) for kind, __, distinct in specs]
+        value_fns = [value_fn for __, value_fn, __d in self.agg_specs]
+        accs = [
+            _ColumnAgg(kind, distinct) for kind, __, distinct in self.agg_specs
+        ]
         #: hashable group key -> dense group id, in first-occurrence order
         group_ids = {}
         #: group id -> raw group values, kept only where the key had to be
@@ -1244,29 +794,10 @@ class AggregateOp(Operator):
                 group_ids[()] = 0
                 gids = [0] * count
             else:
-                if group_batch_fns is not None:
-                    group_lists = [
-                        fn(block.columns, positions) for fn in group_batch_fns
-                    ]
-                else:
-                    group_lists = _eval_row_fns(
-                        block.columns, positions, group_fns
-                    )
+                group_lists = [fn(block.columns, positions) for fn in group_fns]
                 gids = _assign_group_ids(group_lists, group_ids, raw_values)
-            if agg_batch_fns is not None:
-                value_lists = [
-                    None if fn is None else fn(block.columns, positions)
-                    for fn in agg_batch_fns
-                ]
-            else:
-                evaluated = iter(_eval_row_fns(
-                    block.columns, positions,
-                    [fn for fn in row_fns if fn is not None],
-                ))
-                value_lists = [
-                    None if fn is None else next(evaluated) for fn in row_fns
-                ]
-            for acc, values in zip(accs, value_lists):
+            for acc, fn in zip(accs, value_fns):
+                values = None if fn is None else fn(block.columns, positions)
                 acc.add_block(gids, values, len(group_ids))
         if not group_ids:
             if group_fns:
@@ -1277,7 +808,7 @@ class AggregateOp(Operator):
         ]
         columns = [list(column) for column in zip(*group_rows)]
         columns.extend(acc.results(len(group_ids)) for acc in accs)
-        yield ColumnBatch(columns, len(group_ids))
+        yield from dense_batches(columns, len(group_ids))
 
 
 def _assign_group_ids(group_lists, group_ids, raw_values):
@@ -1310,7 +841,7 @@ class _ColumnAgg:
     """One aggregate call over every group at once: dense per-group arrays
     indexed by group id, fed a block of ``(group id, value)`` columns at a
     time — one tight loop per block, chosen by kind outside the loop.
-    Semantics (and float summation order) match :class:`_AggState`."""
+    Floats are summed in input order."""
 
     __slots__ = ("kind", "seen", "counts", "values", "numeric")
 
@@ -1409,11 +940,9 @@ class _ColumnAgg:
 
 
 class SortOp(Operator):
-    """Stable multi-key sort.
-
-    Batch contract: row-native — sorting materializes row tuples anyway;
-    batches come from the base-class shim.
-    """
+    """Stable multi-key sort.  Sorting compares whole rows, so the child
+    blocks are materialized as tuples (``key_fns`` are row closures) and
+    the sorted rows re-packed into dense blocks."""
 
     def __init__(self, child, key_fns, descending_flags):
         self.child = child
@@ -1422,26 +951,23 @@ class SortOp(Operator):
         self.columns = child.columns
         self.est_rows = child.est_rows
 
-    def rows_impl(self):
+    def batches(self):
         materialized = list(self.child.rows())
         # stable multi-key sort: apply keys right-to-left
         for fn, descending in reversed(list(zip(self.key_fns, self.descending_flags))):
             materialized.sort(
                 key=lambda row, _fn=fn: total_order_key(_fn(row)), reverse=descending
             )
-        return iter(materialized)
+        return batches_from_rows(materialized, len(self.columns))
 
 
 class LimitOp(Operator):
     """LIMIT / OFFSET over the child's output order.
 
-    Batch contract: consumes child blocks, slicing each block's selection
-    vector to honor the offset and remaining limit (zero-copy — column
-    lists pass through), and stops pulling from the child once the limit
-    is exhausted.
+    Slices each child block's selection vector to honor the offset and
+    remaining limit (zero-copy — column lists pass through), and stops
+    pulling from the child once the limit is exhausted.
     """
-
-    batch_native = True
 
     def __init__(self, child, limit=None, offset=None):
         self.child = child
@@ -1452,20 +978,7 @@ class LimitOp(Operator):
             child.est_rows
         )
 
-    def rows_impl(self):
-        remaining = self.limit
-        to_skip = self.offset
-        for row in self.child.rows():
-            if to_skip > 0:
-                to_skip -= 1
-                continue
-            if remaining is not None:
-                if remaining <= 0:
-                    return
-                remaining -= 1
-            yield row
-
-    def batches_impl(self):
+    def batches(self):
         remaining = self.limit
         if remaining is not None and remaining <= 0:
             return

@@ -35,55 +35,33 @@ from __future__ import annotations
 
 import copy
 
-from repro.relational import batch as batch_mod
 from repro.relational import expressions as ex
 from repro.relational import operators as op
-from repro.relational import stats as stats_mod
 from repro.relational.batch import MaterializedRelation
 from repro.relational.errors import BindError
 from repro.relational.sql import ast_nodes as ast
 
 MAX_RECURSION_ROUNDS = 100_000
 
-# no-statistics fallback constants: exact pre-ANALYZE planner behavior,
-# also what REPRO_COSTED=0 pins the planner to
+# no-statistics fallback constants: what the planner estimates with for
+# a table ANALYZE has not covered
 DEFAULT_NDV = 20
 EQ_FALLBACK_SELECTIVITY = 0.05
 RANGE_SELECTIVITY = 0.3
 LIKE_SELECTIVITY = 0.1
 NOTNULL_SELECTIVITY = 0.9
 #: cost of re-evaluating one pushed-down conjunct per index-NL-probed row
-#: (relative to a sequentially scanned row); only charged in costed mode
+#: (relative to a sequentially scanned row); only charged when the join
+#: is ordered from statistics
 RESIDUAL_EVAL_COST = 0.5
-
-
-def _lazy_batch(expression, ctx):
-    """Batch kernel for *expression* that compiles on first use.
-
-    Row closures are always compiled eagerly (they surface bind errors at
-    plan time and serve as the fallback), so compiling the batch kernel
-    too would double the plan-time expression work — measurable on point
-    queries, where planning dominates.  Deferring to the first block means
-    operators that never execute, or that run in row mode, pay nothing.
-    """
-    compiled = None
-
-    def kernel(columns, positions):
-        nonlocal compiled
-        if compiled is None:
-            compiled = expression.compile_batch(ctx)
-        return compiled(columns, positions)
-
-    return kernel
 
 
 class Runtime:
     """Per-statement execution environment: the visible CTE results.
 
     ``ctes`` maps each name to ``(column_names, source)`` where *source*
-    is a :class:`MaterializedRelation` (vectorized materialization) or a
-    plain row list (row mode, recursive CTEs) — ``MaterializedScan``
-    accepts either.
+    is a :class:`MaterializedRelation` or a plain row list (recursive
+    CTEs) — ``MaterializedScan`` accepts either.
     """
 
     def __init__(self, database):
@@ -130,9 +108,6 @@ class Planner:
         self.params = params
         #: optional ExecutionStats; when set, CTE sub-plans are instrumented
         self.stats = None
-        #: statistics-driven costing (REPRO_COSTED); snapshotted per plan so
-        #: a knob flip mid-statement cannot mix estimation regimes
-        self.costed = stats_mod.costed_enabled()
         #: validated planner option, read once per plan (not per join step)
         self._probe_cost = database.planner_option("index_probe_cost", 1.0)
         self._stats_cache = {}  # table name -> TableStats or None
@@ -155,14 +130,6 @@ class Planner:
             resolver, self.database.functions, self._execute_subquery,
             params=self.params,
         )
-
-    @staticmethod
-    def _batch_fn(expression, ctx):
-        """Vectorized kernel for *expression*, or ``None`` when batch
-        execution is off (the legacy plan path then pays nothing)."""
-        if not batch_mod.enabled():
-            return None
-        return _lazy_batch(expression, ctx)
 
     def const_value(self, expression):
         """Evaluate an expression that must not reference any column."""
@@ -249,16 +216,17 @@ class Planner:
         # some keys live beneath the projection: sort the child, mapping
         # output-level keys through the projection's value functions
         child_fns = []
+        value_fns = None  # the projection as row closures, built on demand
         for i, fn in enumerate(key_fns):
             if i in child_key_indices:
                 child_fns.append(fn)
             else:
-                child_fns.append(_through_projection(project.value_fns, fn))
+                if value_fns is None:
+                    ctx = self._ctx(project.child.columns)
+                    value_fns = [expr.compile(ctx) for expr in project.exprs]
+                child_fns.append(_through_projection(value_fns, fn))
         sorted_child = op.SortOp(project.child, child_fns, descending)
-        return op.ProjectOp(
-            sorted_child, project.value_fns, project.columns,
-            batch_fns=project.batch_fns,
-        )
+        return op.ProjectOp(sorted_child, project.value_fns, project.columns)
 
     # ------------------------------------------------------------------
     # CTE materialization
@@ -308,18 +276,7 @@ class Planner:
 
             instrument_plan(plan, self.stats)
             self.stats.cte_plans.append((name, plan))
-        if batch_mod.enabled() and plan.est_rows <= 1:
-            # point-query fast path: a plan-time CTE expected to yield a
-            # single row (the Gremlin seed lookup) is materialized through
-            # the row path — building ColumnBatch blocks and compiling
-            # batch kernels costs more than the one row they would carry
-            with batch_mod.row_mode():
-                self.runtime.ctes[name] = (
-                    columns, MaterializedRelation.from_plan(plan)
-                )
-            return
-        # vectorized: keep the CTE body columnar so every re-scan of it is
-        # zero-copy; row mode stores the classic row list
+        # keep the CTE body columnar so every re-scan of it is zero-copy
         self.runtime.ctes[name] = (columns, MaterializedRelation.from_plan(plan))
 
     def _materialize_recursive_cte(self, cte):
@@ -402,12 +359,8 @@ class Planner:
         conjuncts = split_conjuncts(select.where)
         plan = self._plan_from_clause(select.from_items, conjuncts)
         if conjuncts:
-            ctx = self._ctx(plan.columns)
-            expression = ex.And(conjuncts) if len(conjuncts) > 1 else conjuncts[0]
             plan = op.FilterOp(
-                plan,
-                expression.compile(ctx),
-                predicate_batch=self._batch_fn(expression, ctx),
+                plan, self._conjunction_kernel(conjuncts, self._ctx(plan.columns))
             )
         plan = self._apply_projection(plan, select)
         if select.distinct:
@@ -444,13 +397,17 @@ class Planner:
         )
         if has_aggregate:
             return self._apply_aggregation(plan, select, items)
-        ctx = self._ctx(plan.columns)
-        value_fns = [item.expr.compile(ctx) for item in items]
-        batch_fns = None
-        if batch_mod.enabled():
-            batch_fns = [_lazy_batch(item.expr, ctx) for item in items]
         columns = [(None, self._output_name(item, i)) for i, item in enumerate(items)]
-        return op.ProjectOp(plan, value_fns, columns, batch_fns=batch_fns)
+        return self._project(plan, [item.expr for item in items], columns)
+
+    def _project(self, plan, exprs, columns):
+        ctx = self._ctx(plan.columns)
+        project = op.ProjectOp(
+            plan, [expr.compile_batch(ctx) for expr in exprs], columns
+        )
+        # ORDER BY may need the projection as row closures to sort beneath it
+        project.exprs = exprs
+        return project
 
     @staticmethod
     def _output_name(item, position):
@@ -462,18 +419,10 @@ class Planner:
 
     def _apply_aggregation(self, plan, select, items):
         child_ctx = self._ctx(plan.columns)
-        vectorize = batch_mod.enabled()
-        group_fns = []
-        group_batch_fns = [] if vectorize else None
-        group_fingerprints = []
-        for group_expr in select.group_by:
-            group_fns.append(group_expr.compile(child_ctx))
-            if vectorize:
-                group_batch_fns.append(_lazy_batch(group_expr, child_ctx))
-            group_fingerprints.append(safe_fingerprint(group_expr))
+        group_fns = [expr.compile_batch(child_ctx) for expr in select.group_by]
+        group_fingerprints = [safe_fingerprint(expr) for expr in select.group_by]
 
-        agg_specs = []  # (kind, value_fn_or_None, distinct)
-        agg_batch_fns = [] if vectorize else None  # aligned with agg_specs
+        agg_specs = []  # (kind, value_kernel_or_None, distinct)
         agg_keys = {}  # fingerprint -> agg index, for dedup
 
         def rewrite(expression):
@@ -488,7 +437,6 @@ class Planner:
                 if kind == "count" and getattr(expression, "star", False):
                     kind = "count_star"
                     value_fn = None
-                    value_batch_fn = None
                     key = ("count_star", False)
                 else:
                     if len(expression.args) != 1:
@@ -497,19 +445,12 @@ class Planner:
                         )
                     arg_fp = safe_fingerprint(expression.args[0])
                     key = (kind, expression.distinct, arg_fp)
-                    value_fn = expression.args[0].compile(child_ctx)
-                    value_batch_fn = (
-                        _lazy_batch(expression.args[0], child_ctx)
-                        if vectorize
-                        else None
-                    )
+                    value_fn = expression.args[0].compile_batch(child_ctx)
                 if key in agg_keys and key[-1] is not None:
                     position = agg_keys[key]
                 else:
                     position = len(agg_specs)
                     agg_specs.append((kind, value_fn, expression.distinct))
-                    if vectorize:
-                        agg_batch_fns.append(value_batch_fn)
                     agg_keys[key] = position
                 return ex.ColumnRef(None, f"$agg{position}")
             rebuilt = self._rebuild_with_children(expression, rewrite)
@@ -523,29 +464,19 @@ class Planner:
         inner_columns = [(None, f"$grp{i}") for i in range(len(group_fns))] + [
             (None, f"$agg{i}") for i in range(len(agg_specs))
         ]
-        agg_plan = op.AggregateOp(
-            plan, group_fns, agg_specs, inner_columns,
-            group_batch_fns=group_batch_fns, agg_batch_fns=agg_batch_fns,
-        )
-        inner_ctx = self._ctx(inner_columns)
+        agg_plan = op.AggregateOp(plan, group_fns, agg_specs, inner_columns)
         if having_rewritten is not None:
             agg_plan = op.FilterOp(
                 agg_plan,
-                having_rewritten.compile(inner_ctx),
-                predicate_batch=self._batch_fn(having_rewritten, inner_ctx),
+                having_rewritten.compile_batch(self._ctx(inner_columns)),
             )
-            inner_ctx = self._ctx(inner_columns)
-        value_fns = [expr.compile(inner_ctx) for expr, __ in rewritten_items]
-        batch_fns = None
-        if vectorize:
-            batch_fns = [
-                _lazy_batch(expr, inner_ctx) for expr, __ in rewritten_items
-            ]
         out_columns = [
             (None, self._output_name(item, i))
             for i, (__, item) in enumerate(rewritten_items)
         ]
-        return op.ProjectOp(agg_plan, value_fns, out_columns, batch_fns=batch_fns)
+        return self._project(
+            agg_plan, [expr for expr, __ in rewritten_items], out_columns
+        )
 
     def _rebuild_with_children(self, expression, transform):
         """Return a copy of *expression* with *transform* applied to child
@@ -631,10 +562,8 @@ class Planner:
     # statistics access
     # ------------------------------------------------------------------
     def _table_stats(self, table):
-        """ANALYZE statistics for *table*, or ``None`` (absent, invalidated
-        by a schema change, or costing disabled)."""
-        if not self.costed:
-            return None
+        """ANALYZE statistics for *table*, or ``None`` (absent, or
+        invalidated by a schema change)."""
         name = table.name
         if name in self._stats_cache:
             return self._stats_cache[name]
@@ -660,26 +589,18 @@ class Planner:
 
     def _apply_unnest(self, child, unnest):
         ctx = self._ctx(child.columns)
-        vectorize = batch_mod.enabled()
         width = len(unnest.columns)
         rows_of_fns = []
-        rows_of_batch_fns = [] if vectorize else None
         for row_exprs in unnest.rows:
             if len(row_exprs) != width:
                 raise BindError(
                     f"VALUES row has {len(row_exprs)} expressions, alias declares "
                     f"{width} columns"
                 )
-            rows_of_fns.append([expr.compile(ctx) for expr in row_exprs])
-            if vectorize:
-                rows_of_batch_fns.append(
-                    [_lazy_batch(expr, ctx) for expr in row_exprs]
-                )
+            rows_of_fns.append([expr.compile_batch(ctx) for expr in row_exprs])
         alias = unnest.alias.lower()
         columns = [(alias, col.lower()) for col in unnest.columns]
-        return op.LateralUnnestOp(
-            child, rows_of_fns, columns, rows_of_batch_fns=rows_of_batch_fns
-        )
+        return op.LateralUnnestOp(child, rows_of_fns, columns)
 
     def _plan_left_join(self, left_plan, join):
         if isinstance(join.right, ast.TableRef):
@@ -697,18 +618,14 @@ class Planner:
         combined_columns = list(left_plan.columns) + list(right_leaf.columns)
         residual_fn = None
         if residual:
-            ctx = self._ctx(combined_columns)
-            residual_fn = ex.And(residual).compile(ctx) if len(residual) > 1 else (
-                residual[0].compile(ctx)
+            residual_fn = self._conjunction_fn(
+                residual, self._ctx(combined_columns)
             )
         if equi_pairs:
             left_ctx = self._ctx(left_plan.columns)
-            left_key_fns = [pair[0].compile(left_ctx) for pair in equi_pairs]
-            left_key_batch_fns = None
-            if batch_mod.enabled():
-                left_key_batch_fns = [
-                    _lazy_batch(pair[0], left_ctx) for pair in equi_pairs
-                ]
+            left_key_fns = [
+                pair[0].compile_batch(left_ctx) for pair in equi_pairs
+            ]
             # prefer an index nested-loop when the right side is a base table
             # with an index on exactly the join key
             if isinstance(right_leaf, op.SeqScan) and len(equi_pairs) == 1:
@@ -723,26 +640,16 @@ class Planner:
                         left_key_fns,
                         residual=residual_fn,
                         kind="left",
-                        outer_key_batch_fns=left_key_batch_fns,
                     )
             right_ctx = self._ctx(right_leaf.columns)
-            right_key_fns = [pair[1].compile(right_ctx) for pair in equi_pairs]
-            right_key_batch_fns = None
-            if batch_mod.enabled():
-                right_key_batch_fns = [
-                    _lazy_batch(pair[1], right_ctx) for pair in equi_pairs
-                ]
+            right_key_fns = [
+                pair[1].compile_batch(right_ctx) for pair in equi_pairs
+            ]
             return op.HashJoinOp(
                 left_plan, right_leaf, left_key_fns, right_key_fns, "left",
                 residual_fn,
-                left_key_batch_fns=left_key_batch_fns,
-                right_key_batch_fns=right_key_batch_fns,
             )
-        condition_fn = None
-        if condition_conjuncts:
-            ctx = self._ctx(combined_columns)
-            condition_fn = ex.And(condition_conjuncts).compile(ctx)
-        return op.NestedLoopJoinOp(left_plan, right_leaf, condition_fn, "left")
+        return op.NestedLoopJoinOp(left_plan, right_leaf, residual_fn, "left")
 
     def _extract_equi_pairs(self, conjuncts, left_cols, right_cols):
         """Split conjuncts into (left_expr, right_expr) equi pairs + residual."""
@@ -800,12 +707,10 @@ class Planner:
         if len(prepared) == 1:
             return prepared[0]
 
-        # cost-based ordering only engages when ANALYZE has run on at least
-        # one participating base table — without statistics the greedy
-        # heuristic below is byte-identical to the pre-statistics planner
-        use_cost = self.costed and any(
-            getattr(leaf, "stats_ndv", None) for leaf in prepared
-        )
+        # cost-based ordering engages when ANALYZE has run on at least one
+        # participating base table; without statistics the greedy
+        # smallest-leaf-first order below is the fallback
+        use_cost = any(getattr(leaf, "stats_ndv", None) for leaf in prepared)
         remaining = list(prepared)
         remaining.sort(key=lambda leaf: leaf.est_rows)
         if use_cost and len(remaining) > 1:
@@ -956,19 +861,13 @@ class Planner:
         )
         residual_fn = None
         if residual:
-            ctx = self._ctx(combined_columns)
-            residual_fn = ex.And(residual).compile(ctx) if len(residual) > 1 else (
-                residual[0].compile(ctx)
+            residual_fn = self._conjunction_fn(
+                residual, self._ctx(combined_columns)
             )
         if not pairs:
             return op.NestedLoopJoinOp(current, candidate, residual_fn, "inner")
         left_ctx = self._ctx(current.columns)
-        outer_key_fns = [pair[0].compile(left_ctx) for pair in pairs]
-        outer_key_batch_fns = None
-        if batch_mod.enabled():
-            outer_key_batch_fns = [
-                _lazy_batch(pair[0], left_ctx) for pair in pairs
-            ]
+        outer_key_fns = [pair[0].compile_batch(left_ctx) for pair in pairs]
         # index nested loop into a base table when probing is cheap; the
         # candidate's pushed-down conjuncts (recorded by _apply_access_path)
         # are re-applied as join residuals since the index bypasses its
@@ -1017,11 +916,9 @@ class Planner:
                 all_residuals = list(residual) + list(candidate.pushed_conjuncts)
                 combined_fn = None
                 if all_residuals:
-                    ctx = self._ctx(list(current.columns) + inner_columns)
-                    combined_fn = (
-                        ex.And(all_residuals).compile(ctx)
-                        if len(all_residuals) > 1
-                        else all_residuals[0].compile(ctx)
+                    combined_fn = self._conjunction_fn(
+                        all_residuals,
+                        self._ctx(list(current.columns) + inner_columns),
                     )
                 join_op = op.IndexNLJoinOp(
                     current,
@@ -1034,19 +931,13 @@ class Planner:
                         est_hint if est_hint is not None
                         else max(current.est_rows, candidate.est_rows)
                     ),
-                    outer_key_batch_fns=outer_key_batch_fns,
                 )
                 # inner-table NDVs for downstream join-cardinality questions
                 # (the inner side is a raw table, not a child operator)
                 self._attach_table_ndv(join_op, base_table)
                 return join_op
         right_ctx = self._ctx(candidate.columns)
-        inner_key_fns = [pair[1].compile(right_ctx) for pair in pairs]
-        inner_key_batch_fns = None
-        if batch_mod.enabled():
-            inner_key_batch_fns = [
-                _lazy_batch(pair[1], right_ctx) for pair in pairs
-            ]
+        inner_key_fns = [pair[1].compile_batch(right_ctx) for pair in pairs]
         est = (
             est_hint if est_hint is not None
             else max(current.est_rows, candidate.est_rows)
@@ -1055,25 +946,21 @@ class Planner:
             return op.HashJoinOp(
                 current, candidate, outer_key_fns, inner_key_fns, "inner",
                 residual_fn, est,
-                left_key_batch_fns=outer_key_batch_fns,
-                right_key_batch_fns=inner_key_batch_fns,
             )
         # build on the smaller (current) side by swapping children
         swapped = op.HashJoinOp(
             candidate, current, inner_key_fns, outer_key_fns, "inner", None,
             est,
-            left_key_batch_fns=inner_key_batch_fns,
-            right_key_batch_fns=outer_key_batch_fns,
         )
         if residual_fn is None:
             return swapped
-        ctx = self._ctx(swapped.columns)
-        # residual was compiled against [current, candidate] order; recompile
-        residual_conjuncts = residual
-        predicate = ex.And(residual_conjuncts).compile(ctx) if len(
-            residual_conjuncts
-        ) > 1 else residual_conjuncts[0].compile(ctx)
-        return op.FilterOp(swapped, predicate, est)
+        # residual_fn reads [current, candidate] order; filter the swapped
+        # output with the residual compiled against its own columns
+        return op.FilterOp(
+            swapped,
+            self._conjunction_kernel(residual, self._ctx(swapped.columns)),
+            est,
+        )
 
     # ------------------------------------------------------------------
     # access-path selection for one leaf
@@ -1081,53 +968,43 @@ class Planner:
     def _apply_access_path(self, leaf, local_conjuncts):
         if not local_conjuncts:
             return leaf
+        ctx = self._ctx(leaf.columns)
         if not isinstance(leaf, op.SeqScan):
-            ctx = self._ctx(leaf.columns)
-            predicate = self._conjunction_fn(local_conjuncts, ctx)
             return op.FilterOp(
-                leaf, predicate, max(1, leaf.est_rows // 3),
-                predicate_batch=self._conjunction_batch_fn(local_conjuncts, ctx),
+                leaf, self._conjunction_kernel(local_conjuncts, ctx),
+                max(1, leaf.est_rows // 3),
             )
 
         table = leaf.table
         qualifier = leaf.qualifier
-        chosen = None  # (operator_factory, consumed_conjunct, est_rows)
+        chosen = None  # (operator_factory, est_rows, exact, conjunct)
 
         for conjunct in local_conjuncts:
             access = self._match_index_access(table, qualifier, conjunct)
             if access is None:
                 continue
             if chosen is None or access[1] < chosen[1]:
-                chosen = (access[0], access[1], conjunct)
+                chosen = access + (conjunct,)
         if chosen is None:
-            ctx = self._ctx(leaf.columns)
-            predicate = self._conjunction_fn(local_conjuncts, ctx)
             est = self._estimate_filtered(
                 table.live_rows, local_conjuncts, self._table_stats(table)
             )
             scan = op.SeqScan(
-                table, qualifier, predicate, est,
-                predicate_batch=self._conjunction_batch_fn(local_conjuncts, ctx),
+                table, qualifier,
+                self._conjunction_kernel(local_conjuncts, ctx), est,
             )
             self._mark_base(scan, table, qualifier, local_conjuncts)
             return scan
-        factory, est, consumed = chosen
+        factory, est, exact, consumed = chosen
         rest = [conjunct for conjunct in local_conjuncts if conjunct is not consumed]
-        predicate = None
-        predicate_batch = None
         if rest:
-            ctx = self._ctx(leaf.columns)
-            predicate = self._conjunction_fn(rest, ctx)
-            predicate_batch = self._conjunction_batch_fn(rest, ctx)
             est = self._estimate_filtered(est, rest, self._table_stats(table))
+        if not exact:
+            # the index only narrowed the conjunct (a LIKE beyond its
+            # prefix): re-check it on the fetched rows
+            rest.insert(0, consumed)
+        predicate = self._conjunction_kernel(rest, ctx) if rest else None
         scan = factory(predicate, max(1, int(est)))
-        # only attach the vectorized residual when the factory installed the
-        # row predicate unchanged (the prefix-LIKE factory wraps it with an
-        # extra row closure the batch kernel would not include)
-        if predicate_batch is not None and (
-            getattr(scan, "predicate", None) is predicate
-        ):
-            scan.predicate_batch = predicate_batch
         self._mark_base(scan, table, qualifier, local_conjuncts)
         return scan
 
@@ -1139,18 +1016,17 @@ class Planner:
         self._attach_table_ndv(scan, table)
 
     def _conjunction_fn(self, conjuncts, ctx):
+        """Row closure for AND-ed *conjuncts* (join residuals run on
+        assembled tuples)."""
         if len(conjuncts) == 1:
             return conjuncts[0].compile(ctx)
         return ex.And(list(conjuncts)).compile(ctx)
 
-    def _conjunction_batch_fn(self, conjuncts, ctx):
-        """Vectorized counterpart of :meth:`_conjunction_fn` (``None`` when
-        batch execution is off)."""
-        if not batch_mod.enabled():
-            return None
+    def _conjunction_kernel(self, conjuncts, ctx):
+        """Batch kernel for AND-ed *conjuncts*."""
         if len(conjuncts) == 1:
-            return _lazy_batch(conjuncts[0], ctx)
-        return _lazy_batch(ex.And(list(conjuncts)), ctx)
+            return conjuncts[0].compile_batch(ctx)
+        return ex.And(list(conjuncts)).compile_batch(ctx)
 
     def _estimate_filtered(self, base_rows, conjuncts, tstats=None):
         estimate = base_rows
@@ -1259,7 +1135,9 @@ class Planner:
         return fallback_est
 
     def _match_index_access(self, table, qualifier, conjunct):
-        """Try to satisfy *conjunct* with an index; returns (factory, est)."""
+        """Try to satisfy *conjunct* with an index; returns ``(factory,
+        est_rows, exact)`` — *exact* is False when the index only narrows
+        the conjunct, which must then stay in the scan's predicate."""
         if isinstance(conjunct, ex.Comparison):
             return self._match_comparison_index(table, qualifier, conjunct)
         if isinstance(conjunct, ex.IsNull) and conjunct.negated:
@@ -1277,7 +1155,7 @@ class Planner:
                     predicate, est_rows,
                 )
 
-            return factory, est
+            return factory, est, True
         if isinstance(conjunct, ex.Like) and not conjunct.negated:
             if not isinstance(conjunct.pattern, ex.Literal):
                 return None
@@ -1299,26 +1177,14 @@ class Planner:
                 max(1, int(table.live_rows * LIKE_SELECTIVITY)),
             )
             high = prefix + "￿"
-            full_predicate_needed = prefix != pattern
 
-            def factory(predicate, est_rows, _index=index, _conjunct=conjunct):
-                combined = predicate
-                if full_predicate_needed:
-                    ctx = self._ctx(
-                        [(qualifier, name) for name in table.schema.column_names]
-                    )
-                    like_fn = _conjunct.compile(ctx)
-                    if predicate is None:
-                        combined = like_fn
-                    else:
-                        previous = predicate
-                        combined = lambda row: like_fn(row) and previous(row)
+            def factory(predicate, est_rows, _index=index):
                 return op.IndexRangeScan(
                     table, qualifier, _index, prefix, high, True, True,
-                    combined, est_rows,
+                    predicate, est_rows,
                 )
 
-            return factory, est
+            return factory, est, prefix == pattern
         if isinstance(conjunct, ex.InList) and not conjunct.negated:
             # any constant item works (literals and bound parameters alike)
             if not all(self._is_const(item) for item in conjunct.items):
@@ -1337,7 +1203,7 @@ class Planner:
                     table, qualifier, _index, _keys, predicate, est_rows
                 )
 
-            return factory, est
+            return factory, est, True
         return None
 
     def _match_comparison_index(self, table, qualifier, conjunct):
@@ -1369,7 +1235,7 @@ class Planner:
                         table, qualifier, _index, [_key], predicate, est_rows
                     )
 
-                return factory, est
+                return factory, est, True
             if conjunct.op in ("<", "<=", ">", ">="):
                 index = table.find_index(fingerprint, kind="sorted")
                 if index is None:
@@ -1401,7 +1267,7 @@ class Planner:
                         predicate, est_rows,
                     )
 
-                return factory, est
+                return factory, est, True
         return None
 
     @staticmethod

@@ -26,16 +26,14 @@ mutation_drift`).  Statistics are invalidated by the schema epoch
 (any DDL) and persisted through the WAL meta channel — they survive
 checkpoints and crash recovery without a recovery-format change.
 
-The ``REPRO_COSTED`` environment variable (default on; ``0`` disables)
-selects whether the planner consults statistics at all.  With the knob
-off the planner is the exact pre-statistics heuristic — the differential
-oracle, mirroring ``REPRO_VECTORIZED``.
+Nothing but their presence selects how the planner estimates: a table
+with current statistics is costed from them, one without falls back to
+the planner's fixed selectivity constants.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import threading
 
 from repro.relational.index import total_order_key
@@ -51,34 +49,6 @@ MCV_SLOTS = 8
 
 #: meta key the registry persists under (see Database.put_meta)
 META_STATS_KEY = "table_stats"
-
-_ENABLED = os.environ.get("REPRO_COSTED", "1") != "0"
-
-
-def costed_enabled():
-    """Is the statistics-driven cost model on for newly planned statements?"""
-    return _ENABLED
-
-
-def set_costed(flag):
-    """Force the planner mode (tests / benchmarks).  Returns the old value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-class heuristic_mode:
-    """Context manager running the block with the cost model forced off."""
-
-    def __enter__(self):
-        self._previous = set_costed(False)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        set_costed(self._previous)
-        return False
-
 
 def _is_composite(fingerprint):
     """True for multi-expression index fingerprints.

@@ -349,29 +349,26 @@ class HeapTable:
                 if row is not None:
                     yield row
 
-    def scan_batches(self, batch_size=None):
+    def scan_batches(self):
         """Yield live rows as dense :class:`~repro.relational.batch.
-        ColumnBatch` blocks, in heap order.
+        ColumnBatch` blocks of at most ``BATCH_SIZE`` rows, in heap order.
 
         Each page's live rows are transposed with ``zip(*rows)`` (C speed)
-        and accumulated until *batch_size* rows are buffered; tombstoned
-        slots are filtered out before transposing, so emitted batches are
-        always dense (``sel is None``).
+        and accumulated until the next page would overflow the block;
+        tombstoned slots are filtered out before transposing, so emitted
+        batches are always dense (``sel is None``).
         """
         from repro.relational.batch import BATCH_SIZE, ColumnBatch
 
-        if batch_size is None:
-            batch_size = BATCH_SIZE
         width = len(self.schema.columns)
         buffered = []
         for page_no in range(self._page_count):
             page = self._pool.fetch(self, page_no)
             live = [row for row in page if row is not None]
-            if live:
-                buffered.extend(live)
-            if len(buffered) >= batch_size:
+            if len(buffered) + len(live) > BATCH_SIZE:
                 yield ColumnBatch.from_rows(buffered, width)
                 buffered = []
+            buffered.extend(live)
         if buffered:
             yield ColumnBatch.from_rows(buffered, width)
 

@@ -1,18 +1,17 @@
-"""Differential testing: cost-based planner vs the heuristic planner.
+"""Differential testing: planning from statistics vs the no-statistics
+fallback.
 
-The heuristic planner (``REPRO_COSTED=0``) is the reference: it is the
-pre-statistics code path, still taken verbatim whenever no statistics
-exist.  With statistics ANALYZEd in, the costed planner may pick
-different join orders and access paths — but it must return the same
-*multiset* of rows for every query.  Results are compared unordered
-(canonicalized by ``repr``) because a different join order legitimately
-permutes output rows; queries with ORDER BY additionally assert the
-exact ordered result.
+Every query runs on two identical stores: one whose tables were ANALYZEd
+and one that never ran ANALYZE, so its planner estimates with the
+fallback constants.  With statistics the planner may pick different join
+orders and access paths — but it must return the same *multiset* of rows
+for every query.  Results are compared unordered (canonicalized by
+``repr``) because a different join order legitimately permutes output
+rows; queries with ORDER BY additionally assert the exact ordered result.
 
 Corpus: the paper's Table 8 pipe matrix and Figure 7 examples over the
 TinkerPop classic graph, and a pool of SQL shapes over a relational
-fixture — all with every table ANALYZEd so the cost model is actually
-exercised on the costed side.
+fixture.
 """
 
 import pytest
@@ -21,19 +20,13 @@ from repro.analysis.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
 from repro.relational import Database
-from repro.relational import stats as stats_mod
 
 
-def run_both_modes(run):
-    """Call *run()* costed and in heuristic mode; return both results."""
-    old = stats_mod.set_costed(True)
-    try:
-        costed = run()
-        stats_mod.set_costed(False)
-        heuristic = run()
-    finally:
-        stats_mod.set_costed(old)
-    return costed, heuristic
+def run_both(pair, run):
+    """Call *run* on the ANALYZEd member of *pair* and on the one without
+    statistics; return both results."""
+    analyzed, plain = pair
+    return run(analyzed), run(plain)
 
 
 def canon(result):
@@ -41,27 +34,32 @@ def canon(result):
     return sorted(repr(item) for item in result)
 
 
-@pytest.fixture(scope="module")
-def classic_store():
+def _classic_store():
     store = SQLGraphStore()
     store.load_graph(tinkerpop_classic())
     store.create_attribute_index("vertex", "lang")
-    store.analyze_tables()
     return store
 
 
+@pytest.fixture(scope="module")
+def classic_stores():
+    analyzed, plain = _classic_store(), _classic_store()
+    analyzed.analyze_tables()
+    return analyzed, plain
+
+
 @pytest.mark.parametrize("pipe_name", sorted(TABLE8_MATRIX))
-def test_table8_pipes_agree(classic_store, pipe_name):
+def test_table8_pipes_agree(classic_stores, pipe_name):
     text = TABLE8_MATRIX[pipe_name]
-    costed, heuristic = run_both_modes(lambda: classic_store.run(text))
-    assert canon(costed) == canon(heuristic), text
+    costed, fallback = run_both(classic_stores, lambda store: store.run(text))
+    assert canon(costed) == canon(fallback), text
 
 
 @pytest.mark.parametrize("example", sorted(FIGURE7_EXAMPLES))
-def test_figure7_examples_agree(classic_store, example):
+def test_figure7_examples_agree(classic_stores, example):
     text = FIGURE7_EXAMPLES[example]
-    costed, heuristic = run_both_modes(lambda: classic_store.run(text))
-    assert canon(costed) == canon(heuristic), text
+    costed, fallback = run_both(classic_stores, lambda store: store.run(text))
+    assert canon(costed) == canon(fallback), text
 
 
 SQL_POOL = [
@@ -102,8 +100,7 @@ ORDERED_POOL = [
 ]
 
 
-@pytest.fixture(scope="module")
-def sql_db():
+def _sql_db():
     database = Database()
     database.execute(
         "CREATE TABLE people (id INTEGER PRIMARY KEY, name STRING, "
@@ -149,34 +146,42 @@ def sql_db():
         database.execute(
             "INSERT INTO shipments VALUES (?, ?, ?)", list(row)
         )
-    database.execute("ANALYZE")
     return database
 
 
+@pytest.fixture(scope="module")
+def sql_dbs():
+    analyzed, plain = _sql_db(), _sql_db()
+    analyzed.execute("ANALYZE")
+    return analyzed, plain
+
+
 @pytest.mark.parametrize("sql", SQL_POOL)
-def test_sql_shapes_agree(sql_db, sql):
-    costed, heuristic = run_both_modes(lambda: sql_db.execute(sql).rows)
-    assert canon(costed) == canon(heuristic), sql
+def test_sql_shapes_agree(sql_dbs, sql):
+    costed, fallback = run_both(sql_dbs, lambda db: db.execute(sql).rows)
+    assert canon(costed) == canon(fallback), sql
 
 
 @pytest.mark.parametrize("sql", ORDERED_POOL)
-def test_ordered_sql_shapes_agree_exactly(sql_db, sql):
-    costed, heuristic = run_both_modes(lambda: sql_db.execute(sql).rows)
-    assert costed == heuristic, sql
+def test_ordered_sql_shapes_agree_exactly(sql_dbs, sql):
+    costed, fallback = run_both(sql_dbs, lambda db: db.execute(sql).rows)
+    assert costed == fallback, sql
 
 
-def test_stats_actually_engage(sql_db):
-    """Sanity check on the corpus itself: the costed side must not be
+def test_stats_actually_engage(sql_dbs):
+    """Sanity check on the corpus itself: the two sides must not be
     silently identical because statistics failed to load."""
-    assert sql_db.statistics.get(
-        "people", sql_db.schema_epoch
+    analyzed, plain = sql_dbs
+    assert analyzed.statistics.get(
+        "people", analyzed.schema_epoch
     ) is not None
+    assert plain.statistics.get("people", plain.schema_epoch) is None
     import re
 
-    def first_est(sql):
-        text = sql_db.execute("EXPLAIN " + sql).rows[0][0]
+    def first_est(database):
+        sql = "EXPLAIN SELECT * FROM people WHERE city = 'paris'"
+        text = database.execute(sql).rows[0][0]
         return int(re.search(r"est_rows=(\d+)", text).group(1))
 
-    sql = "SELECT * FROM people WHERE city = 'paris'"
-    costed, heuristic = run_both_modes(lambda: first_est(sql))
-    assert costed != heuristic
+    costed, fallback = run_both(sql_dbs, first_est)
+    assert costed != fallback

@@ -108,11 +108,11 @@ def _plant_benchmark(root, summary, doc_text):
     results = root / "benchmarks" / "results"
     results.mkdir(parents=True)
     import json
-    (results / "BENCH_vectorized.json").write_text(
+    (results / "BENCH_analytics.json").write_text(
         json.dumps({"summary": summary})
     )
     (root / "docs").mkdir(exist_ok=True)
-    (root / "docs" / "EXECUTION.md").write_text(doc_text)
+    (root / "docs" / "ANALYTICS.md").write_text(doc_text)
 
 
 def test_benchmark_summary_in_sync_passes(tmp_path):
@@ -133,11 +133,11 @@ def test_stale_benchmark_summary_flagged(tmp_path):
     problems = docs_mod.check_benchmark_sync(tmp_path)
     assert len(problems) == 1
     assert "3.0x on the warm path" in problems[0][2]
-    assert problems[0][0] == "docs/EXECUTION.md"
+    assert problems[0][0] == "docs/ANALYTICS.md"
 
 
 def test_missing_benchmark_record_is_not_a_finding(tmp_path):
-    # no committed BENCH_vectorized.json -> nothing to sync against
+    # no committed benchmark record -> nothing to sync against
     assert docs_mod.check_benchmark_sync(tmp_path) == []
 
 

@@ -7,6 +7,7 @@ writer contention, and the retryable ``LOCK_TIMEOUT`` wire error a remote
 client sees for the same situation.
 """
 
+import sys
 import threading
 import time
 
@@ -158,6 +159,44 @@ class TestContentionStress:
         # lock released; the same thread can write again
         database.execute("INSERT INTO t VALUES (?)", [3])
         assert len(database.execute("SELECT id FROM t").rows) == 2
+
+
+class TestNoGlobalExecutorMode:
+    """Regression: planning a one-row CTE used to flip a process-global
+    executor switch with a non-atomic save/restore, so concurrent point
+    reads could leave every session's planner in row mode for good."""
+
+    def test_concurrent_point_reads_leave_no_mode_behind(self):
+        store = build_store("tinker")
+        query = "g.v(1).out('knows').name"
+        expected = store.run(query)
+        results = {}
+
+        def reader(slot):
+            results[slot] = [store.run(query) for __ in range(3000)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(slot,))
+                for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for slot in range(4):
+            assert all(got == expected for got in results[slot]), slot
+        plan = "\n".join(
+            row[0] for row in store.database.execute(
+                "EXPLAIN ANALYZE SELECT vid FROM va "
+                "WHERE JSON_VAL(attr, 'age') > 28"
+            ).rows
+        )
+        assert "batches=" in plan
 
 
 class TestWireLockTimeout:

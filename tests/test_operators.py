@@ -1,6 +1,7 @@
 """Direct unit tests for physical operators (below the SQL surface)."""
 
 from repro.relational import operators as op
+from repro.relational.batch import row_kernel
 
 
 def mat(rows, names, qualifier=None):
@@ -8,6 +9,12 @@ def mat(rows, names, qualifier=None):
 
 
 def col(position):
+    """Batch kernel reading one column (what the planner hands operators)."""
+    return row_kernel(lambda row: row[position])
+
+
+def row_col(position):
+    """Row closure reading one column (sort keys run on assembled tuples)."""
     return lambda row: row[position]
 
 
@@ -48,6 +55,41 @@ class TestHashJoin:
         right = mat([([1, 2], "x")], ["k", "w"])
         join = op.HashJoinOp(left, right, [col(0)], [col(0)])
         assert len(list(join.rows())) == 1
+
+
+class TestIndexNLJoin:
+    def _indexed(self):
+        from repro.relational import Database
+
+        database = Database()
+        database.execute("CREATE TABLE u (k INTEGER, w STRING)")
+        database.execute("CREATE INDEX u_k ON u (k)")
+        database.execute(
+            "INSERT INTO u VALUES (1, 'x'), (1, 'y'), (2, 'z'), (3, 'q')"
+        )
+        table = database.table("u")
+        return table, table.find_index("col(k)")
+
+    def test_residual_then_left_padding(self):
+        table, index = self._indexed()
+        outer = mat([(1,), (2,), (9,), (None,)], ["k"])
+        join = op.IndexNLJoinOp(
+            outer, table, "u", index, [col(0)], kind="left",
+            residual=lambda row: row[2] != "x" and row[2] != "z",
+        )
+        assert list(join.rows()) == [
+            (1, 1, "y"), (2, None, None), (9, None, None),
+            (None, None, None),
+        ]
+
+    def test_rid_of_a_deleted_row_is_skipped(self):
+        table, index = self._indexed()
+        # tombstone (1, 'x') behind the index's back
+        page = table._pool.fetch(table, 0, for_write=True)
+        page[page.index((1, "x"))] = None
+        outer = mat([(1,), (3,)], ["k"])
+        join = op.IndexNLJoinOp(outer, table, "u", index, [col(0)])
+        assert list(join.rows()) == [(1, 1, "y"), (3, 3, "q")]
 
 
 class TestNestedLoopJoin:
@@ -159,12 +201,12 @@ class TestAggregate:
 class TestSortLimit:
     def test_multi_key_sort(self):
         child = mat([(2, "b"), (1, "z"), (2, "a")], ["n", "s"])
-        sort = op.SortOp(child, [col(0), col(1)], [False, True])
+        sort = op.SortOp(child, [row_col(0), row_col(1)], [False, True])
         assert list(sort.rows()) == [(1, "z"), (2, "b"), (2, "a")]
 
     def test_sort_with_nulls(self):
         child = mat([(2,), (None,), (1,)], ["n"])
-        sort = op.SortOp(child, [col(0)], [False])
+        sort = op.SortOp(child, [row_col(0)], [False])
         assert list(sort.rows()) == [(None,), (1,), (2,)]
 
     def test_limit_offset(self):

@@ -14,15 +14,13 @@ from repro.datasets.tinker import paper_figure_graph
 from repro.gremlin.errors import GremlinError
 from repro.gremlin.parser import parse_gremlin
 from repro.relational import Database
-from repro.relational.cache import LRUCache, resolve_capacity
+from repro.relational.cache import LRUCache
 from repro.relational.errors import BindError
 
 
 @pytest.fixture
 def store():
-    # explicit sizes so these tests still exercise the caches when the
-    # suite runs under REPRO_PLAN_CACHE=0 (the CI uncached job)
-    instance = SQLGraphStore(plan_cache_size=64, translation_cache_size=64)
+    instance = SQLGraphStore()
     instance.load_graph(paper_figure_graph())
     return instance
 
@@ -69,29 +67,11 @@ class TestLRUCache:
         assert cache.stats()["invalidations"] == 2
         assert len(cache) == 0
 
-    def test_capacity_zero_disables(self):
-        cache = LRUCache(capacity=0)
-        assert not cache.enabled
-        cache.put("k", 1)
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
     def test_unbounded_capacity(self):
         cache = LRUCache(capacity=None)
         for i in range(500):
             cache.put(i, i)
         assert len(cache) == 500
-
-    def test_resolve_capacity_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLAN_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_PLAN_CACHE_SIZE", raising=False)
-        assert resolve_capacity() == 256
-        assert resolve_capacity(17) == 17
-        assert resolve_capacity(0) == 0
-        monkeypatch.setenv("REPRO_PLAN_CACHE_SIZE", "31")
-        assert resolve_capacity() == 31
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        assert resolve_capacity() == 0
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +79,7 @@ class TestLRUCache:
 # ----------------------------------------------------------------------
 class TestStatementCache:
     def _db(self):
-        db = Database(plan_cache_size=32)  # force-on under REPRO_PLAN_CACHE=0
+        db = Database()
         db.execute("CREATE TABLE t (a INTEGER, b STRING)")
         for a, b in [(1, "x"), (2, "y"), (3, "z")]:
             db.execute("INSERT INTO t VALUES (?, ?)", [a, b])
@@ -205,15 +185,6 @@ class TestStatementCache:
         ]
         assert any(line.startswith("Plan cache: hit") for line in lines)
 
-    def test_cache_disabled_still_correct(self):
-        db = Database(plan_cache_size=0)
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.execute("INSERT INTO t VALUES (?)", [7])
-        assert db.execute("SELECT a FROM t WHERE a = ?", [7]).rows == [(7,)]
-        assert db.execute("SELECT a FROM t WHERE a = ?", [7]).rows == [(7,)]
-        assert not db.last_statement_cache_hit
-        assert db.plan_cache.stats()["size"] == 0
-
 
 # ----------------------------------------------------------------------
 # Gremlin template parameterization
@@ -303,12 +274,7 @@ class TestStoreCache:
         assert sorted(cold) == sorted(warm)
         assert store.last_query_stats.translation_cache_hit
 
-    def test_warm_results_match_uncached_store(self):
-        graph = paper_figure_graph()
-        cached = SQLGraphStore(plan_cache_size=64, translation_cache_size=64)
-        cached.load_graph(graph)
-        uncached = SQLGraphStore(plan_cache_size=0, translation_cache_size=0)
-        uncached.load_graph(graph)
+    def test_warm_results_match_first_run(self, store):
         queries = [
             "g.V.has('age', T.gt, 28).name",
             "g.v(1).out.out.name",
@@ -317,9 +283,10 @@ class TestStoreCache:
             "g.V.ifThenElse{it.age != null}{it.age}{-1}",
         ]
         for text in queries:
-            expected = sorted(map(repr, uncached.run(text)))
-            assert sorted(map(repr, cached.run(text))) == expected, text
-            assert sorted(map(repr, cached.run(text))) == expected, text
+            cold = sorted(map(repr, store.run(text)))
+            assert not store.last_query_stats.translation_cache_hit
+            assert sorted(map(repr, store.run(text))) == cold, text
+            assert store.last_query_stats.translation_cache_hit
 
     def test_create_attribute_index_invalidates(self, store):
         query = "g.V.has('age', T.gt, 28).name"
@@ -345,25 +312,6 @@ class TestStoreCache:
         # DML does not invalidate plans; re-execution must see the change
         assert store.run("g.V.count()")[0] == before - 1
         assert store.last_query_stats.translation_cache_hit
-
-    def test_disabled_cache_path(self):
-        store = SQLGraphStore(plan_cache_size=0, translation_cache_size=0)
-        store.load_graph(paper_figure_graph())
-        assert store.run("g.V.count()") == store.run("g.V.count()")
-        stats = store.last_query_stats
-        assert not stats.translation_cache_hit
-        assert not stats.plan_cache_hit
-        assert store.translation_cache.stats()["size"] == 0
-
-    def test_env_var_disables_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        store = SQLGraphStore()
-        store.load_graph(paper_figure_graph())
-        store.run("g.V.count()")
-        store.run("g.V.count()")
-        assert not store.last_query_stats.plan_cache_hit
-        assert not store.translation_cache.enabled
-        assert not store.database.plan_cache.enabled
 
     def test_last_query_stats_surface_cache_counters(self, store):
         store.run("g.V.name")

@@ -10,11 +10,10 @@ Covers the optimizer-statistics subsystem end to end:
 * incremental maintenance: selectivities are fractions applied to the
   *live* row count, so estimates track post-ANALYZE inserts/deletes
   within drift bounds;
-* schema-epoch invalidation (any DDL drops back to the heuristic
+* schema-epoch invalidation (any DDL drops back to the fallback
   constants until the next ANALYZE);
 * survival across checkpoint and crash recovery (via ``crashkit``);
-* the ``planner_options`` validating accessor and the ``REPRO_COSTED``
-  knob.
+* the ``planner_options`` validating accessor.
 """
 
 import re
@@ -26,7 +25,6 @@ from repro.cli import execute_line
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
 from repro.relational import Database
-from repro.relational import stats as stats_mod
 from repro.relational.errors import BindError, SqlSyntaxError
 from repro.relational.sql.parser import parse_statement
 from repro.relational.stats import (
@@ -34,19 +32,7 @@ from repro.relational.stats import (
     META_STATS_KEY,
     StatisticsRegistry,
     TableStats,
-    heuristic_mode,
-    set_costed,
 )
-
-
-@pytest.fixture(autouse=True)
-def _costed_planner():
-    """Pin the costed planner on: these tests assert statistics-driven
-    estimates and must pass under a ``REPRO_COSTED=0`` environment too
-    (the knob tests below flip it themselves, relative to this)."""
-    previous = set_costed(True)
-    yield
-    set_costed(previous)
 
 
 def first_est(database, sql):
@@ -161,6 +147,28 @@ def test_analyze_improves_range_estimate(skewed_db):
     skewed_db.execute("ANALYZE")
     est = first_est(skewed_db, sql)
     assert 50 <= est <= 150  # histogram: ~10%
+
+
+def test_analyze_changes_join_driver_on_tied_estimates(skewed_db):
+    """Without statistics both label filters estimate rows/ndv — a tie —
+    and the join keeps its syntactic order, driving the index nested loop
+    from the 950-row side; the MCV frequencies break the tie and drive
+    from the 50-row side."""
+    sql = (
+        "SELECT COUNT(*) FROM ev e1, ev e2 "
+        "WHERE e1.lbl = 'common' AND e2.lbl = 'rare' AND e1.v = e2.id"
+    )
+
+    def plan():
+        return "\n".join(
+            row[0] for row in skewed_db.execute("EXPLAIN " + sql).rows
+        )
+
+    before = skewed_db.execute(sql).rows
+    assert "IndexNLJoin[inner](ev as e2 via ev_pk)" in plan()
+    skewed_db.execute("ANALYZE ev")
+    assert "IndexNLJoin[inner](ev as e1 via ev_v)" in plan()
+    assert skewed_db.execute(sql).rows == before
 
 
 def test_analyze_bare_covers_all_tables(skewed_db):
@@ -351,30 +359,6 @@ def test_planner_options_reject_unknown_key():
 def test_planner_options_reject_bad_values(bad):
     with pytest.raises(ValueError):
         Database(planner_options={"index_probe_cost": bad})
-
-
-# ----------------------------------------------------------------------
-# REPRO_COSTED knob
-# ----------------------------------------------------------------------
-def test_costed_knob_disables_statistics(skewed_db):
-    skewed_db.execute("ANALYZE ev")
-    sql = "SELECT * FROM ev WHERE lbl = 'rare'"
-    assert first_est(skewed_db, sql) == 50
-    old = set_costed(False)
-    try:
-        assert first_est(skewed_db, sql) == 500
-    finally:
-        set_costed(old)
-    assert first_est(skewed_db, sql) == 50
-
-
-def test_heuristic_mode_context_manager(skewed_db):
-    skewed_db.execute("ANALYZE ev")
-    sql = "SELECT * FROM ev WHERE lbl = 'rare'"
-    with heuristic_mode():
-        assert not stats_mod.costed_enabled()
-        assert first_est(skewed_db, sql) == 500
-    assert stats_mod.costed_enabled()
 
 
 # ----------------------------------------------------------------------

@@ -1,37 +1,26 @@
-"""Unit and regression tests for the vectorized (batch-at-a-time) executor.
+"""Unit and regression tests for the batch-at-a-time executor.
 
-Covers the :mod:`repro.relational.batch` primitives, the
-``REPRO_VECTORIZED`` knob, the row-compat shims, and the EXPLAIN ANALYZE
-guarantee that ``actual_rows`` counts *selected* positions exactly —
-never physical batch sizes — so observability output is identical in
-both executor modes.
+Covers the :mod:`repro.relational.batch` primitives, the bound on block
+size, the column-loop aggregate kernel, and the EXPLAIN ANALYZE guarantee
+that ``actual_rows`` counts *selected* positions exactly — never physical
+batch sizes.
 """
 
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
 from repro.relational import Database
-from repro.relational import batch as batch_mod
 from repro.relational import operators as op
 from repro.relational.batch import (
+    BATCH_SIZE,
     BatchRow,
     ColumnBatch,
     MaterializedRelation,
     batches_from_rows,
-    row_mode,
+    row_kernel,
 )
-
-
-@pytest.fixture
-def vectorized_on():
-    """Force vectorized execution for one test, restoring the old mode."""
-    old = batch_mod.set_enabled(True)
-    yield
-    batch_mod.set_enabled(old)
+from repro.relational.index import total_order_key
 
 
 class TestColumnBatch:
@@ -94,43 +83,6 @@ class TestColumnBatch:
         assert view[0] == 3 and view[1] == "z"
 
 
-class TestKnob:
-    def test_default_follows_env(self):
-        # default on, but the whole suite also runs under the
-        # REPRO_VECTORIZED=0 CI leg — assert against the environment
-        expected = os.environ.get("REPRO_VECTORIZED", "1") != "0"
-        assert batch_mod.enabled() == expected
-
-    def test_set_enabled_returns_previous(self):
-        old = batch_mod.set_enabled(False)
-        try:
-            assert not batch_mod.enabled()
-        finally:
-            batch_mod.set_enabled(old)
-
-    def test_row_mode_context_manager(self, vectorized_on):
-        assert batch_mod.enabled()
-        with row_mode():
-            assert not batch_mod.enabled()
-        assert batch_mod.enabled()
-
-    def test_env_knob_disables_vectorization(self):
-        # the env var is read at import time, so probe a fresh interpreter
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.relational import batch; print(batch.enabled())"],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "REPRO_VECTORIZED": "0"},
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_operators_report_mode(self):
-        scan = op.MaterializedScan([(1,), (2,)], [(None, "x")])
-        with row_mode():
-            assert not scan.uses_batches()
-        assert scan.uses_batches() == batch_mod.enabled()
-
-
 class TestMaterializedRelation:
     class _FakePlan:
         columns = [(None, "a"), (None, "b")]
@@ -138,69 +90,137 @@ class TestMaterializedRelation:
         def __init__(self, rows):
             self._rows = rows
 
-        def rows(self):
-            return iter(self._rows)
-
         def batches(self):
             return batches_from_rows(iter(self._rows), 2, batch_size=2)
 
-    def test_round_trip_both_modes(self):
+    def test_round_trip(self):
         rows = [(1, "a"), (2, "b"), (3, "c")]
-        for flag in (True, False):
-            old = batch_mod.set_enabled(flag)
-            try:
-                relation = MaterializedRelation.from_plan(self._FakePlan(rows))
-                assert relation.row_count() == 3
-                assert list(relation.iter_rows()) == rows
-                got = [
-                    r for b in relation.iter_batches() for r in b.iter_rows()
-                ]
-                assert got == rows
-            finally:
-                batch_mod.set_enabled(old)
+        relation = MaterializedRelation.from_plan(self._FakePlan(rows))
+        assert relation.row_count() == 3
+        assert [
+            r for b in relation.iter_batches() for r in b.iter_rows()
+        ] == rows
 
 
-class TestRowFnFallback:
-    """Operators built by hand with plain row closures (no planner batch
-    kernels) must still execute vectorized via the BatchRow fallback."""
+class TestRowKernel:
+    """Operators built by hand take plain row closures lifted with
+    :func:`row_kernel` — the same helper behind the expression nodes
+    that have no dedicated batch kernel."""
 
-    def test_filter_project_with_row_fns(self, vectorized_on):
+    def test_filter_project_with_row_fns(self):
         source = op.MaterializedScan(
             [(i, i * 10) for i in range(7)], [(None, "a"), (None, "b")]
         )
-        filtered = op.FilterOp(source, lambda row: row[0] % 2 == 0)
-        project = op.ProjectOp(
-            filtered, [lambda row: row[1] + 1], [(None, "c")]
+        filtered = op.FilterOp(
+            source, row_kernel(lambda row: row[0] % 2 == 0)
         )
-        assert project.uses_batches()
+        project = op.ProjectOp(
+            filtered, [row_kernel(lambda row: row[1] + 1)], [(None, "c")]
+        )
         assert list(project.rows()) == [(1,), (21,), (41,), (61,)]
 
-    def test_aggregate_with_row_fns(self, vectorized_on):
+    def test_aggregate_with_row_fns(self):
         source = op.MaterializedScan(
             [(1, 5), (2, 6), (1, 7)], [(None, "g"), (None, "v")]
         )
         agg = op.AggregateOp(
             source,
-            [lambda row: row[0]],
-            [("sum", lambda row: row[1], False)],
+            [row_kernel(lambda row: row[0])],
+            [("sum", row_kernel(lambda row: row[1]), False)],
             [(None, "g"), (None, "s")],
         )
         assert sorted(agg.rows()) == [(1, 12), (2, 6)]
 
 
+def _max_block(blocks):
+    return max(max(b.length, b.selected_count()) for b in blocks)
+
+
+class TestBlockBound:
+    """No operator hands a block of more than BATCH_SIZE rows downstream,
+    however far one input row fans out — and chunking never reorders."""
+
+    FANOUT = 5000
+
+    def _fanout_db(self, index):
+        database = Database()
+        database.execute("CREATE TABLE seed (k INTEGER)")
+        database.execute("CREATE TABLE wide (k INTEGER, n INTEGER)")
+        database.execute("INSERT INTO seed VALUES (7)")
+        database.execute(
+            "INSERT INTO wide VALUES "
+            + ", ".join(f"(7, {n})" for n in range(self.FANOUT))
+        )
+        if index:
+            database.execute("CREATE INDEX wide_k ON wide (k)")
+        return database
+
+    def _plan(self, database, sql):
+        from repro.relational.planner import Planner, Runtime
+        from repro.relational.sql.parser import parse_statement
+
+        planner = Planner(database, Runtime(database))
+        return planner.plan_select_statement(parse_statement(sql))
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_one_row_outer_to_many_match_inner(self, index):
+        database = self._fanout_db(index)
+        plan = self._plan(
+            database,
+            "SELECT w.n FROM seed s, wide w WHERE s.k = w.k",
+        )
+        join = op.IndexNLJoinOp if index else op.HashJoinOp
+        assert any(isinstance(node, join) for node in _walk(plan))
+        blocks = list(plan.batches())
+        assert _max_block(blocks) <= BATCH_SIZE
+        assert [r for b in blocks for r in b.iter_rows()] == [
+            (n,) for n in range(self.FANOUT)
+        ]
+        # ... and the same bound holds for what a CTE materializes
+        relation = MaterializedRelation.from_plan(plan)
+        assert _max_block(list(relation.iter_batches())) <= BATCH_SIZE
+
+    def test_unnest_of_wide_values_list(self):
+        width = 3 * BATCH_SIZE + 17
+        database = self._fanout_db(index=False)
+        values = ", ".join(f"(s.k + {n})" for n in range(width))
+        plan = self._plan(
+            database,
+            f"SELECT t.val FROM seed s, TABLE(VALUES {values}) AS t(val)",
+        )
+        blocks = list(plan.batches())
+        assert _max_block(blocks) <= BATCH_SIZE
+        assert [r for b in blocks for r in b.iter_rows()] == [
+            (7 + n,) for n in range(width)
+        ]
+
+    def test_blocking_operators_chunk_their_output(self):
+        database = self._fanout_db(index=False)
+        for sql in (
+            "SELECT n, COUNT(*) FROM wide GROUP BY n",
+            "SELECT n FROM wide ORDER BY n DESC",
+            "SELECT n FROM wide EXCEPT SELECT k FROM seed",
+            "SELECT w.n FROM seed s, wide w WHERE s.k <> w.n",
+        ):
+            blocks = list(self._plan(database, sql).batches())
+            assert sum(b.selected_count() for b in blocks) >= self.FANOUT - 1
+            assert _max_block(blocks) <= BATCH_SIZE, sql
+
+
+def _walk(plan):
+    yield plan
+    for child in plan.children_ops():
+        yield from _walk(child)
+
+
 class _SmallBlocks(op.Operator):
     """Feed fixed rows as several small blocks, one with a selection."""
-
-    batch_native = True
 
     def __init__(self, rows, width, size):
         self.source_rows, self.size = rows, size
         self.columns = [(None, f"c{i}") for i in range(width)]
 
-    def rows_impl(self):
-        return iter(self.source_rows)
-
-    def batches_impl(self):
+    def batches(self):
         rows = self.source_rows
         blocks = list(batches_from_rows(iter(rows), len(self.columns),
                                         self.size))
@@ -214,9 +234,51 @@ class _SmallBlocks(op.Operator):
         return iter(blocks)
 
 
+def _fold(rows, group_positions, specs):
+    """Plain-Python reference for a grouped aggregate: one pass per group
+    over its rows in input order, groups in first-occurrence order."""
+    groups = {}
+    for row in rows:
+        values = tuple(row[p] for p in group_positions)
+        groups.setdefault(op.hashable_row(values), (values, []))[1].append(row)
+    if not groups and not group_positions:
+        groups[()] = ((), [])
+    out = []
+    for values, members in groups.values():
+        cells = []
+        for kind, position, distinct in specs:
+            if kind == "count_star":
+                cells.append(len(members))
+                continue
+            inputs = [r[position] for r in members if r[position] is not None]
+            if distinct:
+                first = {}
+                for value in inputs:
+                    first.setdefault(op.make_hashable(value), value)
+                inputs = list(first.values())
+            if kind == "count":
+                cells.append(len(inputs))
+            elif not inputs:
+                cells.append(None)
+            elif kind in ("sum", "avg"):
+                total = inputs[0]
+                for value in inputs[1:]:
+                    total = total + value
+                cells.append(total if kind == "sum" else total / len(inputs))
+            else:
+                best = inputs[0]
+                for value in inputs[1:]:
+                    low, high = total_order_key(value), total_order_key(best)
+                    if low < high if kind == "min" else high < low:
+                        best = value
+                cells.append(best)
+        out.append(values + tuple(cells))
+    return out
+
+
 class TestColumnAggregateKernel:
-    """The column-loop kernel against the row executor's per-row
-    accumulators: same rows, same order, same float bits."""
+    """The column-loop kernel against a plain-Python fold: same rows, same
+    order, same float bits."""
 
     SPECS = [
         ("count_star", None, False),
@@ -245,35 +307,29 @@ class TestColumnAggregateKernel:
     def aggregate(self, rows, group_positions):
         source = _SmallBlocks(rows, 3, size=7)
         specs = [
-            (kind, None if p is None else (lambda row, _p=p: row[_p]), d)
+            (kind,
+             None if p is None else row_kernel(lambda row, _p=p: row[_p]), d)
             for kind, p, d in self.SPECS
         ]
         columns = [(None, f"o{i}")
                    for i in range(len(group_positions) + len(specs))]
         return op.AggregateOp(
             source,
-            [lambda row, _p=p: row[_p] for p in group_positions],
+            [row_kernel(lambda row, _p=p: row[_p]) for p in group_positions],
             specs, columns,
         )
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("groups", [(), (0,), (0, 2)])
-    def test_matches_row_accumulators_exactly(self, seed, groups):
+    def test_matches_plain_fold_exactly(self, seed, groups):
         rows = self.rows(seed, 60)
-        agg = self.aggregate(rows, groups)
-        old = batch_mod.set_enabled(True)
-        try:
-            vectorized = list(agg.rows())
-        finally:
-            batch_mod.set_enabled(old)
-        with row_mode():
-            oracle = list(agg.rows())
-        assert [repr(row) for row in vectorized] == [
-            repr(row) for row in oracle
+        got = list(self.aggregate(rows, groups).rows())
+        assert [repr(row) for row in got] == [
+            repr(row) for row in _fold(rows, groups, self.SPECS)
         ]
 
     @pytest.mark.parametrize("groups", [(), (0,)])
-    def test_empty_input(self, vectorized_on, groups):
+    def test_empty_input(self, groups):
         agg = self.aggregate([], groups)
         got = list(agg.rows())
         if groups:
@@ -283,12 +339,12 @@ class TestColumnAggregateKernel:
                 (0, 0, 0, None, None, None, None, None, None, None, None)
             ]
 
-    def test_unknown_kind_is_a_bind_error(self, vectorized_on):
+    def test_unknown_kind_is_a_bind_error(self):
         from repro.relational.errors import BindError
 
         source = _SmallBlocks([(1, 2, 3)], 3, size=7)
         agg = op.AggregateOp(
-            source, [], [("median", lambda row: row[1], False)],
+            source, [], [("median", row_kernel(lambda row: row[1]), False)],
             [(None, "m")],
         )
         with pytest.raises(BindError):
@@ -317,52 +373,29 @@ def _actual_rows(text):
 
 class TestExplainAnalyzeExactness:
     """Regression: per-operator actual-row counts must count selected
-    positions, not batch sizes, so they match row mode exactly."""
+    positions, not batch sizes."""
 
     SQL = "SELECT v, COUNT(*) FROM t WHERE v < 3 GROUP BY v"
 
-    def test_counts_identical_across_modes(self):
-        database = _make_db()
-        old = batch_mod.set_enabled(True)
-        try:
-            vec = _analyze(database, self.SQL)
-            batch_mod.set_enabled(False)
-            row = _analyze(database, self.SQL)
-        finally:
-            batch_mod.set_enabled(old)
-        assert _actual_rows(vec) == _actual_rows(row)
-        # a 50-row scan filtered to v<3 leaves exactly 30 selected rows
-        assert 30 in _actual_rows(vec)
+    def test_counts_are_selected_rows(self):
+        text = _analyze(_make_db(), self.SQL)
+        # project, aggregate, then a 50-row scan filtered to v<3: exactly
+        # 30 selected rows
+        assert _actual_rows(text) == [3, 3, 30]
 
-    def test_batches_annotation_only_when_vectorized(self):
-        database = _make_db()
-        old = batch_mod.set_enabled(True)
-        try:
-            vec = _analyze(database, self.SQL)
-            batch_mod.set_enabled(False)
-            row = _analyze(database, self.SQL)
-        finally:
-            batch_mod.set_enabled(old)
-        assert re.search(r"batches=\d+", vec)
-        assert not re.search(r"batches=", row)
+    def test_every_executed_operator_reports_batches(self):
+        text = _analyze(_make_db(), self.SQL)
+        annotated = [line for line in text.splitlines() if "actual_rows=" in line]
+        assert annotated
+        assert all(re.search(r"batches=\d+", line) for line in annotated)
 
     def test_filtered_scan_counts_survivors_only(self):
-        database = _make_db()
-        old = batch_mod.set_enabled(True)
-        try:
-            text = _analyze(database, "SELECT id FROM t WHERE v = 0")
-        finally:
-            batch_mod.set_enabled(old)
+        text = _analyze(_make_db(), "SELECT id FROM t WHERE v = 0")
         # the scan emits physical blocks of 50 rows but only 10 selected
         # positions; the annotation must report the 10
         counts = _actual_rows(text)
         assert counts and all(c == 10 for c in counts)
 
     def test_limit_counts_are_exact(self):
-        database = _make_db()
-        old = batch_mod.set_enabled(True)
-        try:
-            text = _analyze(database, "SELECT id FROM t LIMIT 7")
-        finally:
-            batch_mod.set_enabled(old)
+        text = _analyze(_make_db(), "SELECT id FROM t LIMIT 7")
         assert 7 in _actual_rows(text)
