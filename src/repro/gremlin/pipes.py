@@ -32,8 +32,8 @@ class Pipe:
     #: sharding metadata: ``True`` when evaluating the pipe never leaves
     #: the shard that owns its input elements (pure filters, property
     #: access, side effects over already-materialized traversers).
-    #: Adjacency hops and pipes that embed sub-pipelines are ``False`` —
-    #: the scatter-gather router must take over for those.
+    #: Adjacency hops (except ``outE``) and pipes that embed sub-pipelines
+    #: are ``False`` — the scatter-gather router must take over for those.
     shard_local = True
 
 
@@ -88,7 +88,12 @@ class IncidentEdges(Pipe):
     labels: tuple = ()
     category = TRANSFORM
     extends_path = True
-    shard_local = False
+
+    @property
+    def shard_local(self):
+        # an edge is stored on the shard owning its source vertex
+        # (repro.sharding.partition), so out-edges never leave it
+        return self.direction == "out"
 
 
 @dataclass

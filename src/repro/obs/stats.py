@@ -131,8 +131,10 @@ class ExecutionStats:
 def instrument_plan(plan, stats):
     """Wrap every operator of *plan* so execution records into *stats*.
 
-    Mutates the plan in place (plans are per-statement throwaways).  Safe
-    to call once per plan; wrapping an operator twice would double-count.
+    Mutates the plan in place, so it must be a private plan, never one the
+    plan cache re-opens (EXPLAIN ANALYZE and ``collect_stats`` plan their
+    own).  Safe to call once per plan; wrapping an operator twice would
+    double-count.
     """
     seen = set()
 
@@ -203,6 +205,39 @@ def render_analyzed_plan(plan, stats, indent=0):
             render_analyzed_plan(child, stats, indent + 1).splitlines()
         )
     return "\n".join(lines)
+
+
+def render_explain_analyze(plan, stats):
+    """The ``EXPLAIN ANALYZE`` report of an executed statement, as lines:
+    each CTE's tree, the body's tree, then the statement-level counters."""
+    lines = []
+    for cte_name, cte_plan in stats.cte_plans:
+        lines.append(f"CTE {cte_name}:")
+        lines.extend(render_analyzed_plan(cte_plan, stats, 1).splitlines())
+    lines.extend(render_analyzed_plan(plan, stats).splitlines())
+    lines.append(
+        f"Execution: {stats.rows_returned} rows in "
+        f"{stats.elapsed_s * 1000:.3f}ms"
+    )
+    lines.append(
+        f"Buffer pool: {stats.page_hits} hits, {stats.page_misses} "
+        f"misses, {stats.page_evictions} evictions"
+    )
+    lines.append(
+        f"Indexes: {stats.index_probes} probes, "
+        f"{stats.index_range_scans} range scans"
+    )
+    lines.append(f"Locks: {stats.lock_wait_s * 1000:.3f}ms wait")
+    median = stats.median_q_error()
+    if median is not None:
+        lines.append(
+            f"Estimates: median q_err {median:.2f} over "
+            f"{len(stats.operator_q_errors())} operators"
+        )
+    if stats.session_id is not None:
+        peer = f" ({stats.connection})" if stats.connection else ""
+        lines.append(f"Session: {stats.session_id}{peer}")
+    return lines
 
 
 class TranslationTrace:

@@ -11,7 +11,9 @@ This package is the substrate the SQLGraph store runs on.  It provides:
   ``TABLE(VALUES ...)`` unnesting, set operations, aggregates and DML
   (:mod:`repro.relational.sql`),
 * a statistics-driven planner with predicate pushdown, index selection and
-  greedy join ordering (:mod:`repro.relational.planner`),
+  greedy join ordering (:mod:`repro.relational.planner`), whose plans are
+  cached per statement and re-opened with new parameters
+  (:mod:`repro.relational.plan`),
 * a :class:`~repro.relational.database.Database` facade with table-level
   reader/writer locking and undo-based transactions.
 

@@ -78,6 +78,11 @@ class LRUCache:
                     self._entries.popitem(last=False)
             self._mirror_size()
 
+    def values(self):
+        """A snapshot of the cached values, least recently used first."""
+        with self._lock:
+            return [value for __, value in self._entries.values()]
+
     def invalidate_all(self):
         """Drop every entry (counted as invalidations)."""
         with self._lock:

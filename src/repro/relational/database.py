@@ -14,13 +14,18 @@ committed state (see :mod:`repro.relational.wal` and
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from time import perf_counter
 
 from repro.obs import context as obs_context
 from repro.obs.metrics import ENGINE_METRICS
-from repro.obs.stats import ExecutionStats, instrument_plan, render_analyzed_plan
+from repro.obs.stats import (
+    ExecutionStats,
+    instrument_plan,
+    render_explain_analyze,
+)
 from repro.relational import expressions as ex
 from repro.relational import operators as op
 from repro.relational.cache import LRUCache
@@ -32,7 +37,8 @@ from repro.relational.index import (
 )
 from repro.relational.locks import LockManager
 from repro.relational.pages import BufferPool
-from repro.relational.planner import Planner, Runtime
+from repro.relational.plan import PlanPool, Runtime
+from repro.relational.planner import Planner, split_conjuncts
 from repro.relational.schema import (
     Column,
     ColumnType,
@@ -128,18 +134,6 @@ class ResultSet:
 
     def __len__(self):
         return len(self.rows)
-
-
-def _materialize_rows(plan):
-    """Collect a plan's output as a list of row tuples, transposing each
-    block wholesale (``zip`` at C speed) instead of paying a generator hop
-    per row.  Reads the ``batches`` instance attribute, so EXPLAIN ANALYZE
-    instrumentation still counts the traffic."""
-    rows = []
-    extend = rows.extend
-    for block in plan.batches():
-        extend(block.iter_rows())
-    return rows
 
 
 class Catalog:
@@ -273,26 +267,18 @@ class Transaction:
 
 
 class PreparedStatement:
-    """A compiled statement ready for repeated execution.
+    """A plan-cache entry: the parsed statement (immutable once cached;
+    the planner is copy-on-write), its lock sets, and the
+    :class:`~repro.relational.plan.PlanPool` of cached physical plans its
+    SELECT (or INSERT … SELECT) is re-opened from."""
 
-    CTEs in this engine are materialized during planning, so "the plan" for
-    a fresh execution is data as much as structure — what can be shared
-    across executions is the parsed AST (immutable once cached; the planner
-    is copy-on-write) plus the precomputed lock sets.  :meth:`plan` is the
-    operator-tree factory: it re-binds the current parameter vector and
-    produces a fresh tree without re-lexing, re-parsing or re-analyzing.
-    """
-
-    __slots__ = ("statement", "read_tables", "write_tables")
+    __slots__ = ("statement", "read_tables", "write_tables", "plans")
 
     def __init__(self, statement, read_tables, write_tables):
         self.statement = statement
         self.read_tables = read_tables
         self.write_tables = write_tables
-
-    def plan(self, database, params=None):
-        """Build an executable operator tree for one parameter binding."""
-        return database._planner(params).plan_select_statement(self.statement)
+        self.plans = PlanPool()
 
 
 class Database:
@@ -450,13 +436,13 @@ class Database:
             transaction.lock_tokens.append(token)
             held.update({name: "w" for name in writes})
             held.update({name: "r" for name in reads})
-            return self._dispatch(statement, transaction, params)
+            return self._dispatch(prepared, transaction, params)
         token = self.locks.acquire(read_tables, write_tables)
         try:
             # the commit point below covers every statement kind that
             # appends; the only dispatches skipping it (SELECT/EXPLAIN)
             # log nothing
-            result = self._dispatch(statement, transaction, params)  # reprolint: disable=wal-commit-reachability -- commit point below
+            result = self._dispatch(prepared, transaction, params)  # reprolint: disable=wal-commit-reachability -- commit point below
         finally:
             LockManager.release(token)
         # Autocommit: the statement is the transaction, so its WAL records
@@ -501,8 +487,16 @@ class Database:
         return prepared
 
     def _planner(self, params=None):
-        """The one place planners are built (plan-cache re-bind hook)."""
-        return Planner(self, Runtime(self), params=params)
+        """The one place planners are built."""
+        return Planner(self, Runtime(self, params))
+
+    def _plan(self, query, params=None, stats=None):
+        """Plan a SELECT into a fresh :class:`Plan`: the one planning path
+        of a plan-cache miss, and of EXPLAIN and instrumented runs, which
+        keep theirs private so instrumentation never wraps a cached plan."""
+        planner = self._planner(params)
+        planner.stats = stats
+        return planner.plan(query)
 
     def planner_option(self, name, default=None):
         """Validated read of one planner option (see PLANNER_OPTION_SPECS)."""
@@ -585,8 +579,14 @@ class Database:
             and not wal.closed
             and self._wal_checkpoint_every
             and wal.records_since_checkpoint >= self._wal_checkpoint_every
+            and self.checkpoint()
         ):
-            self.checkpoint()
+            # The interpreter runs full garbage collections by allocation
+            # count, and a warm request re-opening cached plans allocates
+            # little: cyclic garbage (a graph built, loaded and dropped)
+            # can then stay resident for a long time.  The periodic
+            # checkpoint is the store's housekeeping point; collect there.
+            gc.collect()
 
     def checkpoint(self):
         """Snapshot the catalog and truncate the log (durable mode only).
@@ -740,13 +740,14 @@ class Database:
     # ------------------------------------------------------------------
     # statement dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, statement, transaction, params=None):
+    def _dispatch(self, prepared, transaction, params=None):
+        statement = prepared.statement
         if isinstance(statement, ast.ExplainStatement):
             return self._run_explain(statement, params)
         if isinstance(statement, ast.SelectStatement):
-            return self._run_select(statement, params)
+            return self._run_select(prepared.plans, statement, params)
         if isinstance(statement, ast.InsertStatement):
-            return self._run_insert(statement, transaction, params)
+            return self._run_insert(prepared, transaction, params)
         if isinstance(statement, ast.UpdateStatement):
             return self._run_update(statement, transaction, params)
         if isinstance(statement, ast.DeleteStatement):
@@ -780,6 +781,8 @@ class Database:
             )
             rows.append((name, entry.row_count, entry.sample_size))
         self.put_meta(META_STATS_KEY, self.statistics.to_meta())
+        # cached plans were costed on the old statistics
+        self.plan_cache.invalidate_all()
         return ResultSet(
             ["table_name", "row_count", "sample_size"], rows,
             rowcount=len(rows),
@@ -831,26 +834,28 @@ class Database:
                 self.auto_analyzed += len(analyzed)
         return analyzed
 
-    def _run_select(self, statement, params=None):
+    def _run_select(self, plans, statement, params=None):
+        """Run a SELECT through a cached plan from *plans*."""
         if self.collect_stats:
             __, rows, columns, __stats = self._run_instrumented(
                 statement, params
             )
-            return ResultSet(columns, rows)
-        plan = self._planner(params).plan_select_statement(statement)
-        columns = [name for __, name in plan.columns]
-        return ResultSet(columns, _materialize_rows(plan))
+        else:
+            columns, rows = plans.execute(
+                params, lambda: self._plan(statement, params)
+            )
+        return ResultSet(columns, rows)
 
     def _run_instrumented(self, statement, params=None, sql_text=None):
-        """Plan and execute a SELECT with full observability.
+        """Plan and execute a SELECT with full observability, on a private
+        plan.
 
-        Returns ``(plan, rows, columns, stats)``.  CTE materialization
-        happens during planning in this engine, so the planner is handed
-        the stats object *before* planning — each CTE's sub-plan is
-        instrumented and recorded in ``stats.cte_plans`` as it runs.
-        Engine metrics are force-enabled for the duration so index-probe
-        and lock-wait counters are populated even when the global registry
-        is off.
+        Returns ``(plan, rows, columns, stats)``.  The planner runs each
+        CTE as it plans it, so it is handed the stats object *before*
+        planning — each CTE's sub-plan is instrumented and recorded in
+        ``stats.cte_plans`` as it runs.  Engine metrics are force-enabled
+        for the duration so index-probe and lock-wait counters are
+        populated even when the global registry is off.
         """
         stats = ExecutionStats(sql_text)
         pool = self.buffer_pool
@@ -862,11 +867,9 @@ class Database:
         waits0 = ENGINE_METRICS.value("lock.wait_seconds")
         start = perf_counter()
         try:
-            planner = self._planner(params)
-            planner.stats = stats
-            plan = planner.plan_select_statement(statement)
-            instrument_plan(plan, stats)
-            rows = _materialize_rows(plan)
+            plan = self._plan(statement, params, stats)
+            instrument_plan(plan.body, stats)
+            rows = plan.execute(params)
         finally:
             ENGINE_METRICS.enabled = was_enabled
         stats.elapsed_s = perf_counter() - start
@@ -882,8 +885,7 @@ class Database:
         stats.session_id = obs_context.current_session_id()
         stats.connection = obs_context.current_connection()
         self.last_statement_stats = stats
-        columns = [name for __, name in plan.columns]
-        return plan, rows, columns, stats
+        return plan.body, rows, plan.columns, stats
 
     def _run_explain(self, statement, params=None):
         inner = statement.statement
@@ -894,39 +896,10 @@ class Database:
                 else "EXPLAIN supports SELECT statements only"
             )
         if not statement.analyze:
-            plan = self._planner(params).plan_select_statement(inner)
-            text = op.explain_plan(plan)
+            text = op.explain_plan(self._plan(inner, params).body)
             return ResultSet(["plan"], [(line,) for line in text.splitlines()])
         plan, __rows, __columns, stats = self._run_instrumented(inner, params)
-        lines = []
-        for cte_name, cte_plan in stats.cte_plans:
-            lines.append(f"CTE {cte_name}:")
-            lines.extend(
-                render_analyzed_plan(cte_plan, stats, 1).splitlines()
-            )
-        lines.extend(render_analyzed_plan(plan, stats).splitlines())
-        lines.append(
-            f"Execution: {stats.rows_returned} rows in "
-            f"{stats.elapsed_s * 1000:.3f}ms"
-        )
-        lines.append(
-            f"Buffer pool: {stats.page_hits} hits, {stats.page_misses} "
-            f"misses, {stats.page_evictions} evictions"
-        )
-        lines.append(
-            f"Indexes: {stats.index_probes} probes, "
-            f"{stats.index_range_scans} range scans"
-        )
-        lines.append(f"Locks: {stats.lock_wait_s * 1000:.3f}ms wait")
-        median = stats.median_q_error()
-        if median is not None:
-            lines.append(
-                f"Estimates: median q_err {median:.2f} over "
-                f"{len(stats.operator_q_errors())} operators"
-            )
-        if stats.session_id is not None:
-            peer = f" ({stats.connection})" if stats.connection else ""
-            lines.append(f"Session: {stats.session_id}{peer}")
+        lines = render_explain_analyze(plan, stats)
         cache = self.plan_cache.stats()
         lines.append(
             f"Plan cache: "
@@ -937,7 +910,8 @@ class Database:
         )
         return ResultSet(["plan"], [(line,) for line in lines])
 
-    def _run_insert(self, statement, transaction, params=None):
+    def _run_insert(self, prepared, transaction, params=None):
+        statement = prepared.statement
         table = self.catalog.get_table(statement.table)
         if statement.rows is not None:
             planner = self._planner(params)
@@ -946,7 +920,7 @@ class Database:
                 for row_exprs in statement.rows
             ]
         else:
-            rows = self._run_select(statement.query, params).rows
+            rows = self._run_select(prepared.plans, statement.query, params).rows
         if statement.columns is not None:
             rows = self._arrange_insert_rows(table, statement.columns, rows)
         # one call: the statement is all-or-nothing, and undo is recorded
@@ -978,17 +952,18 @@ class Database:
             *[listed.get(column.name, nulls) for column in schema.columns]
         ))
 
-    def _where_matches(self, table, where, params=None):
-        """RIDs of rows matching *where* (index-assisted when possible)."""
-        planner = self._planner(params)
-        columns = [(table.name, name) for name in table.schema.column_names]
-        if where is None:
-            return [(rid, row) for rid, row in table.scan()]
-        # try a single-conjunct index probe for the common point lookup
-        ctx = planner._ctx(columns)
-        predicate = where.compile(ctx)
-        from repro.relational.planner import split_conjuncts
+    def _table_ctx(self, table, params):
+        """Compile context over *table*'s rows (UPDATE / DELETE)."""
+        return self._planner(params)._ctx(
+            [(table.name, name) for name in table.schema.column_names]
+        )
 
+    def _where_matches(self, table, where, ctx):
+        """RIDs of rows matching *where* (index-assisted when possible)."""
+        if where is None:
+            return list(table.scan())
+        predicate = where.compile(ctx)
+        # try a single-conjunct index probe for the common point lookup
         for conjunct in split_conjuncts(where):
             if isinstance(conjunct, ex.Comparison) and conjunct.op == "=":
                 for key_side, value_side in (
@@ -1003,7 +978,7 @@ class Database:
                         continue
                     if index is None:
                         continue
-                    key = planner.const_value(value_side)
+                    key = value_side.compile(ctx)(None)
                     matches = []
                     for rid in index.lookup(key):
                         row = table.get(rid)
@@ -1014,10 +989,8 @@ class Database:
 
     def _run_update(self, statement, transaction, params=None):
         table = self.catalog.get_table(statement.table)
-        matches = self._where_matches(table, statement.where, params)
-        planner = self._planner(params)
-        columns = [(table.name, name) for name in table.schema.column_names]
-        ctx = planner._ctx(columns)
+        ctx = self._table_ctx(table, params)
+        matches = self._where_matches(table, statement.where, ctx)
         assignment_fns = [
             (table.schema.position(column), expression.compile(ctx))
             for column, expression in statement.assignments
@@ -1035,7 +1008,9 @@ class Database:
         table = self.catalog.get_table(statement.table)
         if statement.where is None:
             return ResultSet(rowcount=table.truncate())
-        matches = self._where_matches(table, statement.where, params)
+        matches = self._where_matches(
+            table, statement.where, self._table_ctx(table, params)
+        )
         count = 0
         for rid, __row in matches:
             if table.delete(rid) is not None:
@@ -1116,6 +1091,8 @@ class Database:
             raise BindError(f"unknown table {statement.name!r}")
         if dropped:
             self.statistics.forget(statement.name.lower())
+            for prepared in self.plan_cache.values():
+                prepared.plans.forget_table(statement.name.lower())
             self._ddl_epoch(statement.name)
             self._log_ddl()
         return ResultSet()

@@ -40,11 +40,13 @@ class CompileContext:
     :param resolver: callable ``(qualifier, column) -> position`` mapping a
         column reference to its offset in the row tuple.
     :param functions: scalar function registry ``name -> callable``.
-    :param subquery_executor: callable ``plan -> list[row]`` used by IN/EXISTS
-        subqueries (installed by the planner).
-    :param params: positional parameter values for this execution; ``?``
-        placeholders bind against this vector at compile time, which lets a
-        cached (shared) AST be re-planned with fresh constants.
+    :param subquery_executor: callable ``(plan, derive) -> derive(rows)``
+        used by IN/EXISTS/scalar subqueries (installed by the planner); it
+        runs *plan* at most once per execution and remembers the derived
+        answer until the next one.
+    :param params: the list of ``?`` values a compiled closure reads when
+        it is *evaluated*, never copied at compile time: a cached plan is
+        re-bound by overwriting this list in place.
     """
 
     def __init__(self, resolver, functions=None, subquery_executor=None,
@@ -107,27 +109,27 @@ class Literal(Expression):
 
 
 class Parameter(Expression):
-    """A ``?`` placeholder, bound from ``CompileContext.params`` at compile
-    time.  The AST itself is never mutated, so prepared statements can be
-    re-executed with different parameter vectors."""
+    """A ``?`` placeholder.  Compiling checks that ``CompileContext.params``
+    has a value for it; the closure reads that list each time it runs, so
+    a cached plan answers for whatever binding it was last opened with.
+    The AST itself is never mutated."""
 
     def __init__(self, index):
         self.index = index
 
     def compile(self, ctx):
         params = ctx.params
-        if params is None or self.index >= len(params):
+        index = self.index
+        if params is None or index >= len(params):
             have = 0 if params is None else len(params)
             raise BindError(
-                f"statement requires parameter {self.index + 1}, got {have}"
+                f"statement requires parameter {index + 1}, got {have}"
             )
-        value = params[self.index]
-        return lambda row: value
+        return lambda row: params[index]
 
     def compile_batch(self, ctx):
         fn = self.compile(ctx)  # validates the parameter vector
-        value = fn(None)
-        return lambda columns, positions: [value] * len(positions)
+        return lambda columns, positions: [fn(None)] * len(positions)
 
     def fingerprint(self):
         # parameters are per-execution constants; an identity fingerprint
@@ -316,15 +318,16 @@ class Comparison(Expression):
             (self.left, self.right),
             (self.right, self.left),
         ):
-            bound, constant = _constant_of(const_side, ctx)
-            if bound and op in ("=", "<>"):
+            constant = _constant_getter(const_side, ctx)
+            if constant is not None and op in ("=", "<>"):
                 values_fn = value_side.compile_batch(ctx)
                 negate = op == "<>"
 
                 def evaluate(columns, positions, _values=values_fn,
-                             _const=constant, _negate=negate):
+                             _constant=constant, _negate=negate):
                     values = _values(columns, positions)
-                    if _const is None:
+                    const = _constant()
+                    if const is None:
                         return [None] * len(values)
                     out = []
                     append = out.append
@@ -332,7 +335,7 @@ class Comparison(Expression):
                         if value is None:
                             append(None)
                         else:
-                            equal = _sql_equal(value, _const)
+                            equal = _sql_equal(value, const)
                             append((not equal) if _negate else equal)
                     return out
 
@@ -354,18 +357,20 @@ class Comparison(Expression):
         return f"({self.left.fingerprint()}{self.op}{self.right.fingerprint()})"
 
 
-def _constant_of(node, ctx):
-    """``(True, value)`` when *node* is a plan-time constant, else
-    ``(False, None)``.  Used by batch kernels to bind one comparison side
-    up front."""
+def _constant_getter(node, ctx):
+    """A zero-argument callable returning the value of *node* when it is a
+    literal or a ``?`` placeholder, else ``None``.  Batch kernels call it
+    once per block, so a re-bound parameter is seen without recompiling."""
     if isinstance(node, Literal):
-        return True, node.value
+        value = node.value
+        return lambda: value
     if isinstance(node, Parameter):
         params = ctx.params
         if params is None or node.index >= len(params):
-            return False, None  # let compile() raise the precise BindError
-        return True, params[node.index]
-    return False, None
+            return None  # let compile() raise the precise BindError
+        index = node.index
+        return lambda: params[index]
+    return None
 
 
 class And(Expression):
@@ -656,8 +661,39 @@ class InList(Expression):
         return f"{word}({self.operand.fingerprint()},[{inner}])"
 
 
+def _subquery_executor(ctx):
+    executor = ctx.subquery_executor
+    if executor is None:
+        raise BindError("subquery used in a context without an executor")
+    return executor
+
+
+def _value_set(rows):
+    """The non-NULL first-column values of *rows*, and whether a NULL
+    was among them (``x IN (...)`` answers NULL rather than false then)."""
+    values = set()
+    saw_null = False
+    for subrow in rows:
+        if subrow[0] is None:
+            saw_null = True
+        else:
+            values.add(subrow[0])
+    return values, saw_null
+
+
+def _has_rows(rows):
+    return any(True for __ in rows)
+
+
+def _first_value(rows):
+    for row in rows:
+        return row[0]
+    return None
+
+
 class InSubquery(Expression):
-    """``x IN (SELECT ...)`` — the subquery plan is evaluated lazily once."""
+    """``x IN (SELECT ...)`` — the subquery runs lazily, once per
+    execution."""
 
     def __init__(self, operand, plan, negated=False):
         self.operand = operand
@@ -670,29 +706,17 @@ class InSubquery(Expression):
     def compile(self, ctx):
         operand = self.operand.compile(ctx)
         negated = self.negated
-        executor = ctx.subquery_executor
-        if executor is None:
-            raise BindError("subquery used in a context without an executor")
+        executor = _subquery_executor(ctx)
         plan = self.plan
-        state = {}
 
         def evaluate(row):
-            if "values" not in state:
-                values = set()
-                saw_null = False
-                for subrow in executor(plan):
-                    if subrow[0] is None:
-                        saw_null = True
-                    else:
-                        values.add(subrow[0])
-                state["values"] = values
-                state["saw_null"] = saw_null
+            values, saw_null = executor(plan, _value_set)
             value = operand(row)
             if value is None:
                 return None
-            if value in state["values"]:
+            if value in values:
                 return not negated
-            if state["saw_null"]:
+            if saw_null:
                 return None
             return negated
 
@@ -710,17 +734,13 @@ class Exists(Expression):
         self.negated = negated
 
     def compile(self, ctx):
-        executor = ctx.subquery_executor
-        if executor is None:
-            raise BindError("subquery used in a context without an executor")
+        executor = _subquery_executor(ctx)
         plan = self.plan
         negated = self.negated
-        state = {}
 
         def evaluate(row):
-            if "result" not in state:
-                state["result"] = any(True for __ in executor(plan))
-            return (not state["result"]) if negated else state["result"]
+            found = executor(plan, _has_rows)
+            return (not found) if negated else found
 
         return evaluate
 
@@ -816,19 +836,9 @@ class ScalarSubquery(Expression):
         self.plan = plan
 
     def compile(self, ctx):
-        executor = ctx.subquery_executor
-        if executor is None:
-            raise BindError("subquery used in a context without an executor")
+        executor = _subquery_executor(ctx)
         plan = self.plan
-        state = {}
-
-        def evaluate(row):
-            if "value" not in state:
-                rows = list(executor(plan))
-                state["value"] = rows[0][0] if rows else None
-            return state["value"]
-
-        return evaluate
+        return lambda row: executor(plan, _first_value)
 
 
 class FuncCall(Expression):

@@ -119,7 +119,12 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality index: dict from key to the set of matching RIDs.
+    """Equality index: dict from key to the matching RIDs.
+
+    A key held by one row maps to that RID itself; only a key held by
+    several maps to a list of them.  Most keys (every primary key) hold
+    one row, and a one-element list per key would cost more memory than
+    the RID it wraps.
 
     ``None`` keys are indexed too (lookups for them are used by ``IS NULL``
     style predicates only when explicitly requested by the planner).
@@ -129,20 +134,25 @@ class HashIndex(Index):
 
     def __init__(self, name, table_name, key_function, fingerprint, unique=False):
         super().__init__(name, table_name, key_function, fingerprint, unique)
-        self._buckets: dict[object, list] = {}
+        self._buckets: dict[object, object] = {}  # key -> RID | [RID, ...]
 
     def __len__(self):
-        return sum(len(rids) for rids in self._buckets.values())
+        return sum(
+            len(rids) if type(rids) is list else 1
+            for rids in self._buckets.values()
+        )
 
     def insert(self, rid, row):
         key = self.key_of(row)
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = [rid]
-            return
-        if self.unique and key is not None:
+            self._buckets[key] = rid
+        elif self.unique and key is not None:
             raise self._violation(key)
-        bucket.append(rid)
+        elif type(bucket) is list:
+            bucket.append(rid)
+        else:
+            self._buckets[key] = [bucket, rid]
 
     def insert_many(self, rids, rows):
         if len(rids) == 1:  # one row is all-or-nothing as it stands
@@ -157,11 +167,13 @@ class HashIndex(Index):
             for key, rid in zip(keys, rids):
                 bucket = get(key)
                 if bucket is None:
-                    buckets[key] = [rid]
+                    buckets[key] = rid
                 elif unique and key is not None:
                     raise self._violation(key)
-                else:
+                elif type(bucket) is list:
                     bucket.append(rid)
+                else:
+                    buckets[key] = [bucket, rid]
                 done += 1
         except Exception:
             for key, rid in zip(keys[:done], rids):
@@ -178,19 +190,23 @@ class HashIndex(Index):
 
     def _remove(self, key, rid):
         bucket = self._buckets.get(key)
-        if not bucket:
-            return
-        try:
-            bucket.remove(rid)
-        except ValueError:
-            return
-        if not bucket:
+        if type(bucket) is list:
+            try:
+                bucket.remove(rid)
+            except ValueError:
+                return
+            if len(bucket) == 1:
+                self._buckets[key] = bucket[0]
+        elif bucket is not None and bucket == rid:
             del self._buckets[key]
 
     def lookup(self, key):
         if ENGINE_METRICS.enabled:
             _PROBES.inc()
-        return self._buckets.get(key, ())
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return ()
+        return bucket if type(bucket) is list else (bucket,)
 
     def distinct_keys(self):
         return len(self._buckets)

@@ -25,6 +25,11 @@ An operator receives each expression it evaluates as one batch kernel
 conditions and sort keys are row closures instead: they run on assembled
 tuples.
 
+A plan is cached and re-opened by later executions
+(:mod:`repro.relational.plan`), so an operator keeps no per-execution
+data: ``?`` values, CTE rows and the like are read when ``batches()``
+runs, and its working state lives in that call's locals.
+
 Streaming operators (scan, filter, project, unnest, union-all, limit) are
 generators; blocking operators (hash join build side, sort, distinct,
 aggregate, set ops) materialize what they must.  Instrumentation shadows
@@ -109,6 +114,13 @@ def _filtered(blocks, predicate):
             yield block
         elif sel:
             yield ColumnBatch(block.columns, block.length, sel)
+
+
+def _opened(value):
+    """The value of an operator argument for the execution opening it: a
+    zero-argument callable (a bound ``?``) is called, anything else is
+    already the value."""
+    return value() if callable(value) else value
 
 
 def _rid_batches(table, rids, width):
@@ -232,15 +244,19 @@ class SeqScan(Operator):
 class IndexEqScan(Operator):
     """Equality lookup through a hash or sorted index with constant keys.
 
-    Fetched rows are packed into dense blocks in probe order; a residual
-    predicate narrows each block's selection vector.
+    *key_fns* are zero-argument callables, one per key to probe, called
+    each time the scan is opened: a key bound from a ``?`` reads the
+    current execution's value.  Fetched rows are packed into dense blocks
+    in probe order; a residual predicate narrows each block's selection
+    vector.
     """
 
-    def __init__(self, table, qualifier, index, keys, predicate=None, est_rows=1):
+    def __init__(self, table, qualifier, index, key_fns, predicate=None,
+                 est_rows=1):
         self.table = table
         self.qualifier = qualifier
         self.index = index
-        self.keys = keys  # list of constant keys to probe
+        self.key_fns = key_fns
         self.predicate = predicate
         self.columns = [(qualifier, name) for name in table.schema.column_names]
         self.est_rows = est_rows
@@ -256,9 +272,8 @@ class IndexEqScan(Operator):
         return max(self.est_rows, 1)
 
     def batches(self):
-        rids = (
-            rid for key in self.keys for rid in self.index.lookup(key)
-        )
+        lookup = self.index.lookup
+        rids = (rid for fn in self.key_fns for rid in lookup(fn()))
         return _filtered(
             _rid_batches(self.table, rids, len(self.columns)), self.predicate
         )
@@ -266,7 +281,9 @@ class IndexEqScan(Operator):
 
 class IndexRangeScan(Operator):
     """Range scan through a sorted index: dense blocks in index order, a
-    residual predicate applied per block."""
+    residual predicate applied per block.  *low* / *high* are ``None``
+    (unbounded), a value, or a zero-argument callable read when the scan
+    is opened, like :class:`IndexEqScan`'s keys."""
 
     def __init__(self, table, qualifier, index, low, high, low_inclusive,
                  high_inclusive, predicate=None, est_rows=1):
@@ -292,7 +309,8 @@ class IndexRangeScan(Operator):
 
     def batches(self):
         rids = self.index.range_scan(
-            self.low, self.high, self.low_inclusive, self.high_inclusive
+            _opened(self.low), _opened(self.high),
+            self.low_inclusive, self.high_inclusive,
         )
         return _filtered(
             _rid_batches(self.table, rids, len(self.columns)), self.predicate
@@ -304,17 +322,27 @@ class MaterializedScan(Operator):
 
     *source* is either a plain list of row tuples or a
     :class:`MaterializedRelation`, whose stored blocks are emitted as-is
-    (zero-copy); a predicate narrows selection vectors per block.
+    (zero-copy); a predicate narrows selection vectors per block.  Given
+    a *runtime*, *source* is instead the name of a CTE or FROM-subquery
+    result, looked up in ``runtime.ctes`` each time the scan is opened,
+    so a cached plan reads the current execution's rows.
     """
 
-    def __init__(self, source, columns, predicate=None):
+    def __init__(self, source, columns, predicate=None, runtime=None):
         self.source = source
+        self.runtime = runtime
         self.columns = list(columns)
         self.predicate = predicate
-        if isinstance(source, MaterializedRelation):
-            self.est_rows = source.row_count()
+        relation = self._relation()
+        if isinstance(relation, MaterializedRelation):
+            self.est_rows = relation.row_count()
         else:
-            self.est_rows = len(source)
+            self.est_rows = len(relation)
+
+    def _relation(self):
+        if self.runtime is None:
+            return self.source
+        return self.runtime.ctes[self.source][1]
 
     def describe(self):
         return f"MaterializedScan({self.est_rows} rows)"
@@ -323,10 +351,11 @@ class MaterializedScan(Operator):
         return 0  # already resident in memory
 
     def batches(self):
-        if isinstance(self.source, MaterializedRelation):
-            blocks = self.source.iter_batches()
+        relation = self._relation()
+        if isinstance(relation, MaterializedRelation):
+            blocks = relation.iter_batches()
         else:
-            blocks = batches_from_rows(self.source, len(self.columns))
+            blocks = batches_from_rows(relation, len(self.columns))
         return _filtered(blocks, self.predicate)
 
 
@@ -966,23 +995,26 @@ class LimitOp(Operator):
 
     Slices each child block's selection vector to honor the offset and
     remaining limit (zero-copy — column lists pass through), and stops
-    pulling from the child once the limit is exhausted.
+    pulling from the child once the limit is exhausted.  *limit* and
+    *offset* are ints, ``None``, or zero-argument callables read when the
+    operator is opened (a ``LIMIT ?``).
     """
 
     def __init__(self, child, limit=None, offset=None):
         self.child = child
         self.limit = limit
-        self.offset = offset or 0
+        self.offset = offset
         self.columns = child.columns
+        limit = _opened(limit)
         self.est_rows = min(child.est_rows, limit) if limit is not None else (
             child.est_rows
         )
 
     def batches(self):
-        remaining = self.limit
+        remaining = _opened(self.limit)
         if remaining is not None and remaining <= 0:
             return
-        to_skip = self.offset
+        to_skip = _opened(self.offset) or 0
         for block in self.child.batches():
             count = block.selected_count()
             if count == 0:

@@ -133,13 +133,22 @@ class BufferPool:
     def flush_all(self):
         """Write back every dirty page, keeping all pages resident.
 
-        Checkpoints use this so the snapshot sees current page blobs
-        without paying the re-deserialization cost :meth:`clear` would.
+        Checkpoints of a bounded pool use this so the snapshot sees
+        current page blobs without paying the re-deserialization cost
+        :meth:`clear` would.
         """
         for key, frame in self._frames.items():
             if frame.dirty:
                 self._write_back(key, frame)
                 frame.dirty = False
+
+    def page_image(self, table, page_no):
+        """The serialized current content of one page of *table*: its
+        stored blob, or a pickle of the resident page when that is newer."""
+        frame = self._frames.get((table.name, page_no))
+        if frame is not None and frame.dirty:
+            return pickle.dumps(frame.rows, protocol=5)
+        return table.page_blob(page_no)
 
     def _maybe_evict(self):
         if self.capacity_pages is None:

@@ -17,18 +17,22 @@ The planner is statistics-driven but deliberately simple:
   index nested-loop joins into base tables when the probe side is small and
   hash joins otherwise (the ``index_probe_cost`` planner option moves the
   crossover, modelling the paper's RAM vs. disk regimes of Figure 8);
-* CTEs are materialized once, in definition order; ``WITH RECURSIVE`` is
-  evaluated semi-naively with set semantics and an iteration guard (the
-  translator's recursive-loop fallback, §4.3).
+* CTEs become steps of a :class:`~repro.relational.plan.Query`, run in
+  definition order; ``WITH RECURSIVE`` plans its terms once and re-opens
+  them semi-naively each round (the translator's recursive-loop
+  fallback, §4.3).  Planning runs each step as soon as it is planned, so
+  what follows it is planned from its real row count; the resulting plan
+  is re-opened by later executions without planning again.
 
 Observability: when :attr:`Planner.stats` is set to an
 :class:`repro.obs.stats.ExecutionStats`, every non-recursive CTE sub-plan
-is instrumented before materialization and recorded in ``stats.cte_plans``
+is instrumented before it first runs and recorded in ``stats.cte_plans``
 — this is how ``EXPLAIN ANALYZE`` sees inside the translator's CTE
-pipelines even though CTEs run at plan time in this engine.
+pipelines.
 
 Correlated subqueries are not supported (the Gremlin translator never emits
-them); IN/EXISTS/scalar subqueries are evaluated once, lazily.
+them); IN/EXISTS/scalar subqueries are planned once and run lazily, at most
+once per execution.
 """
 
 from __future__ import annotations
@@ -37,15 +41,18 @@ import copy
 
 from repro.relational import expressions as ex
 from repro.relational import operators as op
-from repro.relational.batch import MaterializedRelation
 from repro.relational.errors import BindError
+from repro.relational.plan import (
+    CteStep,
+    Plan,
+    Query,
+    RecursiveCteStep,
+    Runtime,
+)
 from repro.relational.sql import ast_nodes as ast
-
-MAX_RECURSION_ROUNDS = 100_000
 
 # no-statistics fallback constants: what the planner estimates with for
 # a table ANALYZE has not covered
-DEFAULT_NDV = 20
 EQ_FALLBACK_SELECTIVITY = 0.05
 RANGE_SELECTIVITY = 0.3
 LIKE_SELECTIVITY = 0.1
@@ -54,19 +61,6 @@ NOTNULL_SELECTIVITY = 0.9
 #: (relative to a sequentially scanned row); only charged when the join
 #: is ordered from statistics
 RESIDUAL_EVAL_COST = 0.5
-
-
-class Runtime:
-    """Per-statement execution environment: the visible CTE results.
-
-    ``ctes`` maps each name to ``(column_names, source)`` where *source*
-    is a :class:`MaterializedRelation` or a plain row list (recursive
-    CTEs) — ``MaterializedScan`` accepts either.
-    """
-
-    def __init__(self, database):
-        self.database = database
-        self.ctes = {}  # name -> (column_names, rows or MaterializedRelation)
 
 
 def split_conjuncts(expression):
@@ -90,6 +84,10 @@ def _through_projection(value_fns, output_key_fn):
     return key
 
 
+def _no_columns(qualifier, name):
+    raise BindError(f"column {name!r} not allowed here")
+
+
 def safe_fingerprint(expression):
     try:
         return expression.fingerprint()
@@ -97,65 +95,112 @@ def safe_fingerprint(expression):
         return None
 
 
-class Planner:
-    """Plans one statement against a database + runtime."""
+#: a comparison read with its sides swapped (``5 < x`` is ``x > 5``)
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
-    def __init__(self, database, runtime=None, params=None):
+
+def _like_prefix(conjunct):
+    """The text before the first wildcard of a ``LIKE`` with a literal
+    pattern, or ``None`` when there is none to range-scan for."""
+    pattern = conjunct.pattern
+    if not isinstance(pattern, ex.Literal) or not isinstance(
+        pattern.value, str
+    ):
+        return None
+    text = pattern.value
+    end = min((text.index(ch) for ch in "%_" if ch in text),
+              default=len(text))
+    return text[:end] or None
+
+
+class Planner:
+    """Plans one statement against a database + runtime.
+
+    The runtime's parameter list is what every compiled ``?`` reads, and
+    the plan's steps and the tables it resolves are recorded on the way.
+    """
+
+    def __init__(self, database, runtime=None):
         self.database = database
         self.runtime = runtime if runtime is not None else Runtime(database)
-        #: positional parameter values for this execution (bound at
-        #: expression-compile time; the AST is shared and never mutated)
-        self.params = params
+        self.params = self.runtime.params
+        #: steps of the query being planned, in the order they must run
+        self.steps = []
         #: optional ExecutionStats; when set, CTE sub-plans are instrumented
         self.stats = None
         #: validated planner option, read once per plan (not per join step)
         self._probe_cost = database.planner_option("index_probe_cost", 1.0)
         self._stats_cache = {}  # table name -> TableStats or None
+        self._subqueries = {}  # id(statement AST) -> planned Query
 
     # ------------------------------------------------------------------
     # expression compilation helpers
     # ------------------------------------------------------------------
-    def _ctx(self, columns):
-        resolver = op.make_resolver(columns)
+    def _ctx(self, columns=None):
+        """Compile context over *columns*; ``None`` for an expression that
+        must not reference any."""
         return ex.CompileContext(
-            resolver, self.database.functions, self._execute_subquery,
-            params=self.params,
-        )
-
-    def _const_ctx(self):
-        def resolver(qualifier, name):
-            raise BindError(f"column {name!r} not allowed here")
-
-        return ex.CompileContext(
-            resolver, self.database.functions, self._execute_subquery,
+            _no_columns if columns is None else op.make_resolver(columns),
+            self.database.functions, self._execute_subquery,
             params=self.params,
         )
 
     def const_value(self, expression):
         """Evaluate an expression that must not reference any column."""
-        return expression.compile(self._const_ctx())(None)
+        return expression.compile(self._ctx())(None)
+
+    def _const_fn(self, expression, convert=None):
+        """A zero-argument callable evaluating a column-free expression
+        when called: an operator argument re-read on every opening."""
+        fn = expression.compile(self._ctx())
+        if convert is None:
+            return lambda: fn(None)
+        return lambda: convert(fn(None))
 
     def _is_const(self, expression):
         return not expression.references()
 
-    def _execute_subquery(self, statement_ast):
-        child = Planner(self.database, self.runtime, params=self.params)
-        plan = child.plan_select_statement(statement_ast)
-        return list(plan.rows())
+    def _execute_subquery(self, statement_ast, derive):
+        """``derive(rows)`` of an uncorrelated subquery, computed at most
+        once per execution; the subquery itself is planned only once."""
+        key = (id(statement_ast), derive)
+        memo = self.runtime.memo
+        if key not in memo:
+            query = self._subqueries.get(id(statement_ast))
+            if query is None:
+                query = Planner(self.database, self.runtime).plan(
+                    statement_ast
+                )
+                self._subqueries[id(statement_ast)] = query
+            memo[key] = derive(query.rows())
+        return memo[key]
 
     # ------------------------------------------------------------------
     # statement entry point
     # ------------------------------------------------------------------
+    def plan(self, stmt):
+        """Plan *stmt* into a re-openable :class:`Plan` whose steps have
+        already run for the runtime's current binding."""
+        self.steps = []
+        body = self.plan_select_statement(stmt)
+        return self._primed(Plan(self.runtime, self.steps, body))
+
+    def _primed(self, query):
+        self.runtime.primed.add(query)
+        return query
+
     def plan_select_statement(self, stmt):
+        """The body operator tree of *stmt*; its CTEs are planned and run
+        into :attr:`steps` on the way."""
         for cte in stmt.ctes:
             self._materialize_cte(cte, stmt.recursive)
         plan = self.plan_query_expr(stmt.body)
         if stmt.order_by:
             plan = self._apply_order_by(plan, stmt.order_by, stmt.body)
         if stmt.limit is not None or stmt.offset is not None:
-            limit = None if stmt.limit is None else int(self.const_value(stmt.limit))
+            limit = None if stmt.limit is None else self._const_fn(stmt.limit, int)
             offset = (
-                None if stmt.offset is None else int(self.const_value(stmt.offset))
+                None if stmt.offset is None else self._const_fn(stmt.offset, int)
             )
             plan = op.LimitOp(plan, limit, offset)
         return plan
@@ -276,8 +321,24 @@ class Planner:
 
             instrument_plan(plan, self.stats)
             self.stats.cte_plans.append((name, plan))
-        # keep the CTE body columnar so every re-scan of it is zero-copy
-        self.runtime.ctes[name] = (columns, MaterializedRelation.from_plan(plan))
+        self._add_step(CteStep(self.runtime, name, columns, plan))
+
+    def _add_step(self, step):
+        """Run *step* now, so what follows is planned from its real size,
+        and keep it for later executions."""
+        step.run()
+        self.steps.append(step)
+
+    def _plan_term(self, node):
+        """Plan one recursive-CTE term as its own query: any steps it
+        needs re-run each time the term is re-opened."""
+        outer, self.steps = self.steps, []
+        try:
+            return self._primed(
+                Query(self.runtime, self.steps, self.plan_query_expr(node))
+            )
+        finally:
+            self.steps = outer
 
     def _materialize_recursive_cte(self, cte):
         name = cte.name.lower()
@@ -298,37 +359,18 @@ class Planner:
         if not base_terms:
             raise BindError(f"recursive CTE {name!r} has no base term")
 
-        all_rows = []
-        seen = set()
-        columns = None
-        for term in base_terms:
-            plan = self.plan_query_expr(term)
-            if columns is None:
-                columns = cte.columns or [col for __, col in plan.columns]
-                columns = [col.lower() for col in columns]
-            for row in plan.rows():
-                key = op.hashable_row(row)
-                if key not in seen:
-                    seen.add(key)
-                    all_rows.append(row)
-        delta = list(all_rows)
-        rounds = 0
-        while delta:
-            rounds += 1
-            if rounds > MAX_RECURSION_ROUNDS:
-                raise BindError(f"recursive CTE {name!r} exceeded iteration limit")
-            self.runtime.ctes[name] = (columns, delta)
-            new_delta = []
-            for term in recursive_terms:
-                plan = self.plan_query_expr(term)
-                for row in plan.rows():
-                    key = op.hashable_row(row)
-                    if key not in seen:
-                        seen.add(key)
-                        new_delta.append(row)
-                        all_rows.append(row)
-            delta = new_delta
-        self.runtime.ctes[name] = (columns, all_rows)
+        base = [self._plan_term(term) for term in base_terms]
+        columns = cte.columns or [col for __, col in base[0].body.columns]
+        step = RecursiveCteStep(
+            self.runtime, name, [col.lower() for col in columns], base
+        )
+        seen, rows = step.seed()
+        # planned against the base rows as the first round's delta
+        step.recursive_terms = [
+            self._plan_term(term) for term in recursive_terms
+        ]
+        step.iterate(seen, rows)
+        self.steps.append(step)
 
     # ------------------------------------------------------------------
     # query expressions
@@ -481,7 +523,8 @@ class Planner:
     def _rebuild_with_children(self, expression, transform):
         """Return a copy of *expression* with *transform* applied to child
         expressions.  Copy-on-write (never mutate): the AST may live in the
-        prepared-statement cache and be re-planned for later executions."""
+        prepared-statement cache and be planned again (another pooled plan,
+        EXPLAIN)."""
         clone = None
 
         def target():
@@ -550,10 +593,13 @@ class Planner:
     def _table_leaf(self, ref):
         name = ref.name.lower()
         alias = (ref.alias or ref.name).lower()
-        if name in self.runtime.ctes:
-            columns, rows = self.runtime.ctes[name]
-            return op.MaterializedScan(rows, [(alias, col) for col in columns])
-        table = self.database.catalog.get_table(name)
+        runtime = self.runtime
+        if name in runtime.ctes:
+            columns = runtime.ctes[name][0]
+            return op.MaterializedScan(
+                name, [(alias, col) for col in columns], runtime=runtime
+            )
+        table = runtime.tables[name] = self.database.catalog.get_table(name)
         scan = op.SeqScan(table, alias)
         self._attach_table_ndv(scan, table)
         return scan
@@ -581,11 +627,16 @@ class Planner:
             plan.stats_ndv = tstats.ndv_map()
 
     def _subquery_leaf(self, source):
-        child = Planner(self.database, self.runtime, params=self.params)
-        plan = child.plan_query_expr(source.query)
+        """A FROM subquery is a step under a name of its own, so the
+        join above it is planned from its real size."""
+        plan = self.plan_query_expr(source.query)
+        name = f"$subquery{id(source)}"
+        self._add_step(CteStep(
+            self.runtime, name, [col for __, col in plan.columns], plan
+        ))
         alias = source.alias.lower()
-        columns = [(alias, name) for __, name in plan.columns]
-        return op.MaterializedScan(MaterializedRelation.from_plan(plan), columns)
+        columns = [(alias, col) for __, col in plan.columns]
+        return op.MaterializedScan(name, columns, runtime=self.runtime)
 
     def _apply_unnest(self, child, unnest):
         ctx = self._ctx(child.columns)
@@ -658,8 +709,8 @@ class Planner:
         for conjunct in conjuncts:
             pair = None
             if isinstance(conjunct, ex.Comparison) and conjunct.op == "=":
-                left_refs = self._column_set(conjunct.left)
-                right_refs = self._column_set(conjunct.right)
+                left_refs = conjunct.left.references()
+                right_refs = conjunct.right.references()
                 if left_refs and right_refs:
                     if left_refs <= left_cols and right_refs <= right_cols:
                         pair = (conjunct.left, conjunct.right)
@@ -670,11 +721,6 @@ class Planner:
             else:
                 residual.append(conjunct)
         return pairs, residual
-
-    @staticmethod
-    def _column_set(expression):
-        """References of *expression* as a set (qualifier may be None)."""
-        return set(expression.references())
 
     def _refs_resolvable(self, expression, columns):
         """Can every reference in *expression* be resolved against *columns*?"""
@@ -1070,12 +1116,8 @@ class Planner:
                     continue
                 value = self.const_value(value_side)
                 operator = conjunct.op
-                if key_side is conjunct.right and operator in (
-                    "<", "<=", ">", ">=",
-                ):
-                    operator = {
-                        "<": ">", "<=": ">=", ">": "<", ">=": "<=",
-                    }[operator]
+                if key_side is conjunct.right:
+                    operator = _MIRRORED.get(operator, operator)
                 if operator == "=":
                     return column.eq_selectivity(value)
                 if operator in ("<>", "!="):
@@ -1100,17 +1142,8 @@ class Planner:
                 [self.const_value(item) for item in conjunct.items]
             )
         if isinstance(conjunct, ex.Like) and not conjunct.negated:
-            if not isinstance(conjunct.pattern, ex.Literal):
-                return None
-            pattern = conjunct.pattern.value
-            if not isinstance(pattern, str) or not pattern:
-                return None
-            prefix_end = min(
-                (pattern.index(ch) for ch in "%_" if ch in pattern),
-                default=len(pattern),
-            )
-            prefix = pattern[:prefix_end]
-            if not prefix:
+            prefix = _like_prefix(conjunct)
+            if prefix is None:
                 return None
             column = tstats.column(safe_fingerprint(conjunct.operand))
             if column is None:
@@ -1157,17 +1190,8 @@ class Planner:
 
             return factory, est, True
         if isinstance(conjunct, ex.Like) and not conjunct.negated:
-            if not isinstance(conjunct.pattern, ex.Literal):
-                return None
-            pattern = conjunct.pattern.value
-            if not isinstance(pattern, str) or not pattern:
-                return None
-            prefix_end = min(
-                (pattern.index(ch) for ch in "%_" if ch in pattern),
-                default=len(pattern),
-            )
-            prefix = pattern[:prefix_end]
-            if not prefix:
+            prefix = _like_prefix(conjunct)
+            if prefix is None:
                 return None
             index = table.find_index(conjunct.operand.fingerprint(), kind="sorted")
             if index is None:
@@ -1184,7 +1208,7 @@ class Planner:
                     predicate, est_rows,
                 )
 
-            return factory, est, prefix == pattern
+            return factory, est, prefix == conjunct.pattern.value
         if isinstance(conjunct, ex.InList) and not conjunct.negated:
             # any constant item works (literals and bound parameters alike)
             if not all(self._is_const(item) for item in conjunct.items):
@@ -1192,15 +1216,15 @@ class Planner:
             index = table.find_index(conjunct.operand.fingerprint())
             if index is None:
                 return None
-            keys = [self.const_value(item) for item in conjunct.items]
-            ndv = max(self._index_ndv(index), 1)
+            key_fns = [self._const_fn(item) for item in conjunct.items]
+            ndv = max(index.distinct_keys(), 1)
             est = self._index_access_est(
-                table, conjunct, max(1, len(keys) * table.live_rows // ndv)
+                table, conjunct, max(1, len(key_fns) * table.live_rows // ndv)
             )
 
-            def factory(predicate, est_rows, _index=index, _keys=keys):
+            def factory(predicate, est_rows, _index=index, _key_fns=key_fns):
                 return op.IndexEqScan(
-                    table, qualifier, _index, _keys, predicate, est_rows
+                    table, qualifier, _index, _key_fns, predicate, est_rows
                 )
 
             return factory, est, True
@@ -1224,13 +1248,13 @@ class Planner:
                 index = table.find_index(fingerprint)
                 if index is None:
                     continue
-                key = self.const_value(value_side)
-                ndv = max(self._index_ndv(index), 1)
+                key_fn = self._const_fn(value_side)
+                ndv = max(index.distinct_keys(), 1)
                 est = self._index_access_est(
                     table, conjunct, max(1, table.live_rows // ndv)
                 )
 
-                def factory(predicate, est_rows, _index=index, _key=key):
+                def factory(predicate, est_rows, _index=index, _key=key_fn):
                     return op.IndexEqScan(
                         table, qualifier, _index, [_key], predicate, est_rows
                     )
@@ -1240,11 +1264,11 @@ class Planner:
                 index = table.find_index(fingerprint, kind="sorted")
                 if index is None:
                     continue
-                bound = self.const_value(value_side)
+                bound = self._const_fn(value_side)
                 # normalize so the key side is on the left
                 operator = conjunct.op
                 if key_side is conjunct.right:
-                    operator = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[operator]
+                    operator = _MIRRORED[operator]
                 low = high = None
                 low_inc = high_inc = True
                 if operator in ("<", "<="):
@@ -1269,10 +1293,3 @@ class Planner:
 
                 return factory, est, True
         return None
-
-    @staticmethod
-    def _index_ndv(index):
-        try:
-            return index.distinct_keys()
-        except AttributeError:
-            return DEFAULT_NDV

@@ -61,7 +61,15 @@ def wal_path(directory):
 # ----------------------------------------------------------------------
 def write_snapshot(database, directory):
     """Serialize the full catalog state atomically to ``snapshot.pkl``."""
-    database.buffer_pool.flush_all()
+    pool = database.buffer_pool
+    if pool.capacity_pages is not None:
+        # a bounded pool keeps blobs to evict to anyway: write dirty pages
+        # back once, so later checkpoints need not serialize them again.
+        # An unbounded pool never evicts, and a blob beside each resident
+        # page would double its memory: page_image serializes dirty pages
+        # for the snapshot without keeping the result (so they stay dirty
+        # and the next checkpoint serializes them again).
+        pool.flush_all()
     tables = []
     for table in database.catalog._tables.values():
         if table.schema.name.startswith(SCRATCH_TABLE_PREFIX):
@@ -69,7 +77,10 @@ def write_snapshot(database, directory):
         tables.append(
             {
                 "schema": table.schema.describe(),
-                "blobs": list(table._blobs),
+                "blobs": [
+                    pool.page_image(table, page_no)
+                    for page_no in range(table.page_count)
+                ],
                 "page_count": table._page_count,
                 "last_page_size": table._last_page_size,
                 "live_rows": table.live_rows,

@@ -351,6 +351,7 @@ class ShardedGraph:
     def __init__(self, router):
         self.router = router
         self._vertex_cache = {}  # vid -> RemoteVertex | None
+        self._edge_cache = {}  # eid -> RemoteEdge | None
         self._hop_cache = {}  # (token, labels) -> {vid: [ea_row, ...]}
         #: scatter-gather accounting for QueryStats.sharding
         self.hops = 0
@@ -371,6 +372,18 @@ class ShardedGraph:
             self._vertex_cache[vid] = (
                 RemoteVertex(vid, attr) if attr is not None else None
             )
+
+    def prefetch_edges(self, eids):
+        """Resolve every eid not yet cached in one broadcast."""
+        missing = [e for e in set(eids)
+                   if isinstance(e, int) and e not in self._edge_cache]
+        if not missing:
+            return
+        found = self.router.fetch_edges(missing)
+        self.requests += 1
+        for eid in missing:
+            row = found.get(eid)
+            self._edge_cache[eid] = RemoteEdge(*row) if row else None
 
     def _hop_bucket(self, token, labels):
         return self._hop_cache.setdefault((token, tuple(labels)), {})
@@ -416,10 +429,9 @@ class ShardedGraph:
         return self._vertex_cache.get(vertex_id)
 
     def get_edge(self, edge_id):
-        found = self.router.fetch_edges([edge_id])
-        self.requests += 1
-        row = found.get(edge_id)
-        return RemoteEdge(*row) if row else None
+        if edge_id not in self._edge_cache:
+            self.prefetch_edges([edge_id])
+        return self._edge_cache.get(edge_id)
 
     def vertices(self):
         rows = self.router.all_vertices()
@@ -499,7 +511,12 @@ class ShardedInterpreter(GremlinInterpreter):
     """
 
     def _eval_pipe(self, pipe, traversers, env):
-        if traversers:
+        # a start pipe runs on the one empty root traverser
+        if isinstance(pipe, p.StartVertices) and pipe.ids:
+            self.graph.prefetch_vertices(pipe.ids)
+        elif isinstance(pipe, p.StartEdges) and pipe.ids:
+            self.graph.prefetch_edges(pipe.ids)
+        elif traversers:
             if isinstance(pipe, (p.Adjacent, p.IncidentEdges)):
                 frontier = [
                     t.obj.id for t in traversers
@@ -522,8 +539,6 @@ class ShardedInterpreter(GremlinInterpreter):
                         if pipe.direction in ("in", "both"):
                             endpoints.append(traverser.obj.inv)
                 self.graph.prefetch_vertices(endpoints)
-        elif isinstance(pipe, p.StartVertices) and pipe.ids:
-            self.graph.prefetch_vertices(pipe.ids)
         return super()._eval_pipe(pipe, traversers, env)
 
 

@@ -228,8 +228,8 @@ def _index_keys(index):
     buckets = getattr(index, "_buckets", None)
     if buckets is not None:
         keys = []
-        for key, rids in buckets.items():
-            keys.extend([key] * len(rids))
+        for key in buckets:
+            keys.extend([key] * len(index.lookup(key)))
         return keys
     return [key for __order, __rid, key in index._entries]
 

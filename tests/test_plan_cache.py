@@ -1,5 +1,9 @@
-"""Compiled-query cache: LRU mechanics, prepared statements, Gremlin
-templates, and schema-epoch invalidation."""
+"""Compiled-query cache: LRU mechanics, prepared statements, cached
+physical plans, Gremlin templates, and schema-epoch invalidation."""
+
+import re
+import sys
+import threading
 
 import pytest
 
@@ -108,6 +112,12 @@ class TestStatementCache:
             db.execute("SELECT b FROM t WHERE a = ?")
         with pytest.raises(BindError, match="requires parameter 2, got 1"):
             db.execute("SELECT b FROM t WHERE a = ? AND b = ?", [1])
+        # ... and a cached plan handed too few values says so too
+        sql = "SELECT b FROM t WHERE a = ? AND b = ?"
+        assert db.execute(sql, [1, "x"]).rows == [("x",)]
+        with pytest.raises(BindError, match="requires parameter 2, got 1"):
+            db.execute(sql, [1])
+        assert db.execute(sql, [2, "y", "extra"]).rows == [("y",)]
 
     def test_aggregate_statement_reusable(self):
         # regression: the aggregate rewrite must not mutate the cached AST
@@ -184,6 +194,209 @@ class TestStatementCache:
             for row in db.execute("EXPLAIN ANALYZE SELECT a FROM t").rows
         ]
         assert any(line.startswith("Plan cache: hit") for line in lines)
+
+
+# ----------------------------------------------------------------------
+# cached physical plans: re-opened, never shared, never stale
+# ----------------------------------------------------------------------
+def count_plans(monkeypatch):
+    """Count every query planning (cache miss, EXPLAIN, instrumented)."""
+    counter = {"plans": 0}
+    original = Database._plan
+
+    def counting(self, *args, **kwargs):
+        counter["plans"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Database, "_plan", counting)
+    return counter
+
+
+def actual_rows(lines):
+    return [re.findall(r"actual_rows=(\d+)", line) for line in lines]
+
+
+class TestPlanReuse:
+    def _db(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, "
+                   "v INTEGER)")
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i % 50}, {i * 3})" for i in range(1000)
+        ))
+        db.execute("CREATE INDEX t_grp ON t (grp)")
+        return db
+
+    CTE_SQL = (
+        "WITH a AS (SELECT id, v FROM t WHERE grp = ?), "
+        "b AS (SELECT a.id, a.v FROM a WHERE a.v > ?) "
+        "SELECT COUNT(*), SUM(v), MIN(id) FROM b"
+    )
+
+    def test_warm_execution_does_not_plan(self, monkeypatch):
+        db = self._db()
+        counter = count_plans(monkeypatch)
+        for grp in range(5):
+            assert db.execute(self.CTE_SQL, [grp, -1]).rows == [(
+                20, sum(i * 3 for i in range(grp, 1000, 50)), grp
+            )]
+        assert counter["plans"] == 1
+
+    def test_concurrent_executions_match_serial_answers(self):
+        db = self._db()
+        bindings = [[grp, grp * 40] for grp in range(50)]
+        expected = [db.execute(self.CTE_SQL, b).rows for b in bindings]
+        errors = []
+        start = threading.Barrier(4)
+
+        def worker(offset):
+            start.wait()
+            for i in range(2000):
+                k = (i * 7 + offset) % len(bindings)
+                rows = db.execute(self.CTE_SQL, bindings[k]).rows
+                if rows != expected[k]:
+                    errors.append((bindings[k], rows, expected[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_recreated_scratch_table_is_read_afresh(self):
+        db = Database()
+        db.execute("CREATE TABLE scratch_plan_t (a INTEGER, b STRING)")
+        db.execute("CREATE INDEX scratch_plan_t_a ON scratch_plan_t (a)")
+        db.execute("INSERT INTO scratch_plan_t VALUES (1, 'old'), (2, 'old')")
+        sql = "SELECT b FROM scratch_plan_t WHERE a = ?"
+        assert db.execute(sql, [1]).rows == [("old",)]
+        assert db.execute(sql, [2]).rows == [("old",)]
+        epoch = db.schema_epoch
+        db.execute("DROP TABLE scratch_plan_t")
+        db.execute("CREATE TABLE scratch_plan_t (a INTEGER, b STRING)")
+        db.execute("INSERT INTO scratch_plan_t VALUES (1, 'new'), (1, 'newer')")
+        assert db.schema_epoch == epoch  # scratch DDL leaves plans cached
+        assert sorted(db.execute(sql, [1]).rows) == [("new",), ("newer",)]
+        assert db.last_statement_cache_hit
+        db.execute("DROP TABLE scratch_plan_t")
+        with pytest.raises(BindError, match="unknown table"):
+            db.execute(sql, [1])
+
+    def test_analyze_forces_a_replan(self, monkeypatch):
+        db = self._db()
+        counter = count_plans(monkeypatch)
+        db.execute(self.CTE_SQL, [1, 0])
+        db.execute(self.CTE_SQL, [2, 0])
+        assert counter["plans"] == 1
+        db.execute("ANALYZE t")
+        assert db.execute(self.CTE_SQL, [3, 0]).scalar() == 20
+        assert counter["plans"] == 2
+
+    def test_auto_analyze_forces_a_replan(self, monkeypatch):
+        db = Database(auto_analyze=True)
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        sql = "SELECT COUNT(*) FROM t WHERE v = ?"
+        counter = count_plans(monkeypatch)
+        assert db.execute(sql, [1]).scalar() == 0
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i % 4})" for i in range(100)
+        ))  # past AUTO_ANALYZE_MIN_ROWS: analyzed on the way out
+        assert db.auto_analyzed == 1
+        assert db.execute(sql, [1]).scalar() == 25
+        assert counter["plans"] == 2
+
+    def test_attribute_index_forces_a_replan(self, store, monkeypatch):
+        query = "g.V.has('age', T.gt, 28).name"
+        counter = count_plans(monkeypatch)
+        cold = sorted(store.run(query))
+        assert sorted(store.run(query)) == cold
+        assert counter["plans"] == 1
+        store.create_attribute_index("vertex", "age", sorted_index=True)
+        assert sorted(store.run(query)) == cold
+        assert counter["plans"] == 2
+        plan = "\n".join(store.database.execute(
+            "EXPLAIN SELECT vid FROM va WHERE JSON_VAL(attr, 'age') > 28"
+        ).column())
+        assert "IndexRangeScan" in plan
+
+    def test_plan_from_tiny_seed_serves_a_wide_fanout(self):
+        def build():
+            db = Database()
+            db.execute("CREATE TABLE seed (k INTEGER)")
+            db.execute("CREATE TABLE wide (k INTEGER, n INTEGER)")
+            db.execute("INSERT INTO seed VALUES (1), (7)")
+            db.execute("INSERT INTO wide VALUES (1, -1), " + ", ".join(
+                f"(7, {n})" for n in range(1500)
+            ))
+            db.execute("CREATE INDEX wide_k ON wide (k)")
+            return db
+
+        sql = (
+            "WITH s AS (SELECT k FROM seed WHERE k = ?), "
+            "w AS (SELECT w.n AS n FROM s, wide w WHERE s.k = w.k) "
+            "SELECT n FROM w"
+        )
+        warm = build()
+        assert warm.execute(sql, [1]).rows == [(-1,)]  # planned on 1 row
+        wide = warm.execute(sql, [7]).rows
+        assert warm.last_statement_cache_hit
+        assert len(wide) == 1500
+        assert sorted(wide) == sorted(build().execute(sql, [7]).rows)
+
+    def test_explain_analyze_between_executions(self):
+        db = self._db()
+        first = db.execute(self.CTE_SQL, [3, 100]).rows
+        explained = db.execute("EXPLAIN ANALYZE " + self.CTE_SQL, [3, 100])
+        assert db.execute(self.CTE_SQL, [3, 100]).rows == first
+        again = db.execute("EXPLAIN ANALYZE " + self.CTE_SQL, [3, 100])
+        assert db.execute(self.CTE_SQL, [3, 100]).rows == first
+        counts = actual_rows(explained.column())
+        assert any(counts)
+        assert actual_rows(again.column()) == counts
+
+    def test_recursive_cte_stable_over_ten_executions(self):
+        db = Database()
+        db.execute("CREATE TABLE e (src INTEGER, dst INTEGER)")
+        db.execute("INSERT INTO e VALUES " + ", ".join(
+            f"({i}, {(i * 3 + 1) % 40})" for i in range(40)
+        ) + ", (5, 6), (6, 5)")
+        sql = (
+            "WITH RECURSIVE r(n) AS (SELECT ? UNION ALL "
+            "SELECT x.dst FROM r, (SELECT src, dst FROM e WHERE dst >= 0) x "
+            "WHERE r.n = x.src) SELECT n FROM r"
+        )
+        first = sorted(db.execute(sql, [0]).rows)
+        other = sorted(db.execute(sql, [5]).rows)
+        assert first != other
+        for __ in range(9):
+            assert sorted(db.execute(sql, [0]).rows) == first
+        assert sorted(db.execute(sql, [5]).rows) == other
+
+    def test_gremlin_loop_stable_over_ten_executions(self, store):
+        query = "g.v(1).out.loop(1){it.loops < 3}.name"
+        first = sorted(store.run(query))
+        for __ in range(9):
+            assert sorted(store.run(query)) == first
+        assert store.last_query_stats.plan_cache_hit
+
+    def test_cached_plan_keeps_no_rows(self):
+        db = self._db()
+        db.execute(self.CTE_SQL, [1, 0])
+        (prepared,) = [
+            entry for __, entry in db.plan_cache._entries.values()
+            if getattr(entry.statement, "ctes", None)
+        ]
+        (plan,) = prepared.plans._idle
+        runtime = plan.runtime
+        assert not runtime.ctes and not runtime.memo and not runtime.primed
 
 
 # ----------------------------------------------------------------------

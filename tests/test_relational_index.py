@@ -64,6 +64,34 @@ class TestHashIndex:
             index.insert((0, i), (key,))
         assert index.distinct_keys() == 3
 
+    def test_key_grows_past_one_row_and_back(self):
+        # a lone RID is stored bare, several as a list: every transition
+        # between the two must keep lookups, deletes and len() exact
+        index = make_hash()
+        index.insert_many([(0, 0), (0, 1)], [("x",), ("y",)])
+        assert list(index.lookup("x")) == [(0, 0)]
+        index.insert((0, 2), ("x",))
+        index.insert_many([(0, 3), (0, 4)], [("x",), ("y",)])
+        assert sorted(index.lookup("x")) == [(0, 0), (0, 2), (0, 3)]
+        assert len(index) == 5
+        for rid in [(0, 0), (0, 3)]:
+            index.delete(rid, ("x",))
+        assert list(index.lookup("x")) == [(0, 2)]
+        index.delete((0, 9), ("x",))  # not there: a no-op
+        index.delete((0, 2), ("x",))
+        assert index.lookup("x") == ()
+        assert sorted(index.lookup("y")) == [(0, 1), (0, 4)]
+        assert len(index) == 2 and index.distinct_keys() == 1
+
+    def test_failed_bulk_insert_restores_lone_rids(self):
+        index = make_hash(unique=True)
+        index.insert((0, 0), ("x",))
+        with pytest.raises(ConstraintError):
+            index.insert_many([(0, 1), (0, 2)], [("y",), ("x",)])
+        assert list(index.lookup("x")) == [(0, 0)]
+        assert index.lookup("y") == ()
+        assert len(index) == 1
+
 
 class TestSortedIndex:
     def test_lookup(self):

@@ -135,7 +135,10 @@ class TestRouting:
         ("g.v(1).has('age', T.gt, 10).age", True),
         ("g.v(1).id", True),
         ("g.v(1).out.name", False),       # adjacency leaves the shard
-        ("g.v(1).outE.label", False),
+        ("g.v(1).outE.label", True),      # out-edges live with their source
+        ("g.v(1).outE('knows').count()", True),
+        ("g.v(1).inE", False),            # in-edges may live on any shard
+        ("g.v(1).outE.inV.name", False),  # the head vertex may not
         ("g.V.name", False),              # whole-graph scan
         ("g.v(1).out.loop(1){it.loops < 2}", False),
     ])
@@ -171,6 +174,17 @@ class TestRouting:
             assert stats["target_shard"] is None
             assert stats["hops"] == 2
             assert stats["requests"] >= stats["hops"]
+
+    def test_edge_ids_fetched_in_one_broadcast(self):
+        oracle = SQLGraphStore()
+        oracle.load_graph(paper_figure_graph())
+        with cluster(paper_figure_graph(), 2) as sharded:
+            # sources on both shards, plus an id that matches nothing
+            for query in ("g.e(7, 10, 11)", "g.e(11, 7, 99).label"):
+                assert_matches_oracle(oracle, sharded, query)
+                stats = sharded.last_query_stats.sharding
+                assert stats["mode"] == "scatter"
+                assert stats["requests"] == 1
 
 
 # ---------------------------------------------------------------------------

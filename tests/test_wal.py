@@ -244,6 +244,31 @@ class TestAutoCheckpoint:
         reopened.close()
         database.close()
 
+    def test_unbounded_pool_snapshot_keeps_no_page_blobs(self, tmp_path):
+        # an unbounded pool never evicts: a checkpoint serializes its
+        # dirty pages into the snapshot without keeping a copy beside them
+        path = str(tmp_path / "db")
+        database = Database(path=path, wal_fsync="off")
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v STRING)")
+        database.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, 'v{i}')" for i in range(600)
+        ))
+        assert database.checkpoint()
+        table = database.table("t")
+        assert [table.page_blob(n) for n in range(table.page_count)] == [
+            None
+        ] * table.page_count
+        # a page changed after one checkpoint reaches the next snapshot
+        database.execute("UPDATE t SET v = 'changed' WHERE id = 7")
+        assert database.checkpoint()
+        database.wal.close()
+        reopened = Database(path=path, wal_fsync="off")
+        assert reopened.execute("SELECT COUNT(*) FROM t").scalar() == 600
+        assert reopened.execute("SELECT v FROM t WHERE id = 7").scalar() == (
+            "changed"
+        )
+        reopened.close()
+
     def test_frame_struct_is_eight_bytes(self):
         assert FRAME.size == 8
         assert FRAME.pack(1, 2) == struct.pack("<II", 1, 2)
