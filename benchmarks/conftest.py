@@ -9,10 +9,10 @@ Environment knobs:
 
 * ``REPRO_BENCH_RUNS``  — warm-cache repetitions (default 5; paper used 10)
 * ``REPRO_BENCH_SCALE`` — multiplier for dataset sizes (default 1.0)
-* ``REPRO_BENCH_METRICS`` — set to ``1`` to enable the engine metrics
-  registry for the whole session and write an ``engine_metrics`` table to
-  ``benchmarks/results/`` at the end.  Off by default: the timing numbers
-  in the paper-shape tables should stay instrumentation-free.
+
+Engine counters (buffer pool, indexes, caches, WAL) are always on and
+live on the objects that count; a benchmark that wants them reads them
+there (see docs/OBSERVABILITY.md).
 """
 
 import os
@@ -21,14 +21,11 @@ import pathlib
 import pytest
 
 from repro.baselines import ClientServerLink, KVGraphStore, NativeGraphStore
-from repro.bench.reporting import format_metrics
 from repro.core import SQLGraphStore
 from repro.datasets import dbpedia
-from repro.obs.metrics import ENGINE_METRICS
 
 RUNS = int(os.environ.get("REPRO_BENCH_RUNS", "5"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-METRICS = os.environ.get("REPRO_BENCH_METRICS", "") == "1"
 
 # client/server cost model (see EXPERIMENTS.md "Simulation parameters"):
 # pipe-at-a-time stores pay one primitive-protocol round trip per Blueprints
@@ -48,21 +45,6 @@ def record(name, text):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print("\n" + text)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def engine_metrics():
-    """Optionally record engine counters across the benchmark session."""
-    if not METRICS:
-        yield None
-        return
-    ENGINE_METRICS.reset()
-    ENGINE_METRICS.enable()
-    try:
-        yield ENGINE_METRICS
-    finally:
-        ENGINE_METRICS.disable()
-        record("engine_metrics", format_metrics(ENGINE_METRICS.snapshot()))
 
 
 @pytest.fixture(scope="session")

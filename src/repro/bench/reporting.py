@@ -34,19 +34,6 @@ def _cell(value):
     return str(value)
 
 
-def format_metrics(snapshot, title="engine metrics"):
-    """Render an ``ENGINE_METRICS.snapshot()`` flat dict as a table.
-
-    The snapshot is already flat (histograms expand into ``.count`` /
-    ``.total_s`` / ``.mean_s`` / ``.max_s`` entries), so this just sorts
-    and aligns it.
-    """
-    rows = [[name, snapshot[name]] for name in sorted(snapshot)]
-    if not rows:
-        rows.append(["(no metrics recorded)", ""])
-    return format_table(["metric", "value"], rows, title=title)
-
-
 def ratio(numerator, denominator):
     """Safe speedup ratio (None when the denominator is zero)."""
     if not denominator:

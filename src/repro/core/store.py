@@ -81,7 +81,7 @@ class SQLGraphStore(GraphInterface):
             wal_checkpoint_every=wal_checkpoint_every,
         )
         #: Gremlin template -> translated SQL + parameter binding recipe
-        self.translation_cache = LRUCache(metrics_prefix="translation_cache")
+        self.translation_cache = LRUCache()
         self.max_columns = max_columns
         self.client = client
         self.schema = None
@@ -316,9 +316,8 @@ class SQLGraphStore(GraphInterface):
         """Run a Gremlin query; returns the engine ResultSet.
 
         Each call refreshes :attr:`last_query_stats` with the translation
-        trace, wall times, and buffer-pool deltas.  Per-operator actuals
-        are included when ``self.database.collect_stats`` is on (the same
-        switch EXPLAIN ANALYZE uses).  Queries at or above
+        trace, wall times, cache hit flags and buffer-pool deltas
+        (per-operator actuals come from EXPLAIN ANALYZE).  Queries at or above
         :attr:`slow_query_threshold` seconds land in :attr:`slow_query_log`.
         """
         started = perf_counter()
@@ -334,23 +333,15 @@ class SQLGraphStore(GraphInterface):
         hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
         result = self.database.execute(sql, params)
         stats.plan_cache_hit = self.database.last_statement_cache_hit
-        stats.cache_stats = {
-            "plan_cache": self.database.plan_cache.stats(),
-            "translation_cache": self.translation_cache.stats(),
-        }
-        stats.wal = self.database.wal_stats()
         stats.elapsed_s = perf_counter() - started
         stats.rows_returned = len(result.rows)
-        if self.database.collect_stats and self.database.last_statement_stats:
-            stats.execution = self.database.last_statement_stats
-        else:
-            execution = ExecutionStats(sql)
-            execution.elapsed_s = stats.elapsed_s - stats.translate_s
-            execution.rows_returned = stats.rows_returned
-            execution.page_hits = pool.hits - hits0
-            execution.page_misses = pool.misses - misses0
-            execution.page_evictions = pool.evictions - evictions0
-            stats.execution = execution
+        execution = ExecutionStats(sql)
+        execution.elapsed_s = stats.elapsed_s - stats.translate_s
+        execution.rows_returned = stats.rows_returned
+        execution.page_hits = pool.hits - hits0
+        execution.page_misses = pool.misses - misses0
+        execution.page_evictions = pool.evictions - evictions0
+        stats.execution = execution
         self.last_query_stats = stats
         threshold = self.slow_query_threshold
         if threshold is not None and stats.elapsed_s >= threshold:

@@ -1,18 +1,17 @@
-"""Observability for the query path: metrics, per-query stats, plan analysis.
+"""Observability for the query path: per-query stats, plan analysis.
 
-Two layers, both dependency-free:
+Dependency-free, and holding no counters of its own: each engine counter
+is a plain integer on the object that counts (``BufferPool.hits``,
+``Index.probes``, ``LRUCache.misses``, the WAL's ``records``...).
 
-* :mod:`repro.obs.metrics` — a process-global :data:`ENGINE_METRICS`
-  registry of counters / gauges / timing histograms that the relational
-  engine reports into (page cache, index probes, lock waits).  Disabled by
-  default; the disabled path costs one branch per event.
 * :mod:`repro.obs.stats` — per-query :class:`ExecutionStats` (operator
   actual rows + inclusive wall time via :func:`instrument_plan`), the
-  translator's :class:`TranslationTrace`, and the store-level
+  translator's :class:`TranslationTrace`, the store-level
   :class:`QueryStats` that ties a Gremlin query to its SQL, trace and
-  execution counters.
+  execution counters, and the server's :class:`TimingHistogram`.
+* :mod:`repro.obs.context` — the serving session a thread works for.
 
-See ``docs/OBSERVABILITY.md`` for metric names and output formats.
+See ``docs/OBSERVABILITY.md`` for the counters and output formats.
 """
 
 from repro.obs.context import (
@@ -22,18 +21,12 @@ from repro.obs.context import (
     session_scope,
     set_session,
 )
-from repro.obs.metrics import (
-    Counter,
-    ENGINE_METRICS,
-    Gauge,
-    MetricsRegistry,
-    TimingHistogram,
-)
 from repro.obs.stats import (
     AnalyticsStats,
     ExecutionStats,
     OperatorStats,
     QueryStats,
+    TimingHistogram,
     TranslationTrace,
     instrument_plan,
     render_analyzed_plan,
@@ -41,16 +34,12 @@ from repro.obs.stats import (
 
 __all__ = [
     "AnalyticsStats",
-    "Counter",
-    "ENGINE_METRICS",
     "clear_session",
     "current_connection",
     "current_session_id",
     "session_scope",
     "set_session",
     "ExecutionStats",
-    "Gauge",
-    "MetricsRegistry",
     "OperatorStats",
     "QueryStats",
     "TimingHistogram",

@@ -1,4 +1,5 @@
-"""Per-query execution statistics: operator counters, plan annotation.
+"""Per-query execution statistics: operator counters, plan annotation,
+and the server's request-latency histogram.
 
 This module is deliberately ignorant of the relational engine's classes —
 it works against the small structural interface every physical operator
@@ -23,6 +24,8 @@ reports how many blocks flowed out of the operator.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from time import perf_counter
 
 #: annotation fields EXPLAIN ANALYZE can emit per operator; the reprolint
@@ -132,8 +135,7 @@ def instrument_plan(plan, stats):
     """Wrap every operator of *plan* so execution records into *stats*.
 
     Mutates the plan in place, so it must be a private plan, never one the
-    plan cache re-opens (EXPLAIN ANALYZE and ``collect_stats`` plan their
-    own).  Safe to call once per plan; wrapping an operator twice would
+    plan cache re-opens (EXPLAIN ANALYZE plans its own).  Safe to call once per plan; wrapping an operator twice would
     double-count.
     """
     seen = set()
@@ -304,12 +306,6 @@ class QueryStats:
         self.translation_cache_hit = False
         #: did the engine reuse a cached prepared statement?
         self.plan_cache_hit = False
-        #: point-in-time counter snapshots of both compiled-query caches
-        #: ({"plan_cache": {...}, "translation_cache": {...}})
-        self.cache_stats = None
-        #: WAL counter snapshot (``Database.wal_stats()``); ``None`` for an
-        #: in-memory store
-        self.wal = None
         #: serving-layer attribution (``None`` outside a server session)
         self.session_id = None
         self.connection = None
@@ -329,12 +325,56 @@ class QueryStats:
             "rows_returned": self.rows_returned,
             "translation_cache_hit": self.translation_cache_hit,
             "plan_cache_hit": self.plan_cache_hit,
-            "cache_stats": self.cache_stats,
-            "wal": self.wal,
             "sharding": self.sharding,
             "trace": self.trace.as_dict() if self.trace else None,
             "execution": self.execution.as_dict() if self.execution else None,
         }
+
+
+class TimingHistogram:
+    """Wall-time observations bucketed by power-of-two microseconds.
+
+    Tracks count / total / min / max exactly; the bucket array answers
+    coarse percentile questions (:meth:`quantile`).
+    """
+
+    __slots__ = ("name", "count", "total", "minimum", "maximum", "buckets")
+
+    #: bucket upper bounds in seconds: 1us, 2us, 4us, ... ~8.4s, +inf
+    BOUNDS = tuple(1e-6 * 2 ** i for i in range(24)) + (math.inf,)
+
+    def __init__(self, name):
+        self.name = name
+        self.count = 0
+        self.total = 0.0
+        self.minimum = None
+        self.maximum = None
+        self.buckets = [0] * len(self.BOUNDS)
+
+    def observe(self, seconds):
+        self.count += 1
+        self.total += seconds
+        if self.minimum is None or seconds < self.minimum:
+            self.minimum = seconds
+        if self.maximum is None or seconds > self.maximum:
+            self.maximum = seconds
+        # bucket k holds BOUNDS[k-1] < seconds <= BOUNDS[k]
+        self.buckets[bisect_left(self.BOUNDS, seconds)] += 1
+
+    def mean(self):
+        return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q):
+        """Upper bound of the bucket holding the q-quantile observation."""
+        if not self.count:
+            return 0.0
+        target = max(1, math.ceil(q * self.count))
+        running = 0
+        for i, bound in enumerate(self.BOUNDS):
+            running += self.buckets[i]
+            if running >= target:
+                return bound
+        return self.BOUNDS[-1]
 
 
 class AnalyticsStats:

@@ -18,16 +18,13 @@ Both hold at most :data:`DEFAULT_CAPACITY` entries; least-recently-used
 entries are evicted.
 
 Each cache keeps always-on integer counters (``hits``/``misses``/
-``invalidations``) and mirrors them into :data:`repro.obs.metrics.ENGINE_METRICS`
-under ``<prefix>.hits`` etc. when the registry is enabled.
+``invalidations``); :meth:`LRUCache.stats` reads them with the size.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-
-from repro.obs.metrics import ENGINE_METRICS
 
 DEFAULT_CAPACITY = 256
 
@@ -40,9 +37,8 @@ class LRUCache:
     different epoch are treated as invalidated on lookup.
     """
 
-    def __init__(self, capacity=DEFAULT_CAPACITY, metrics_prefix=None):
+    def __init__(self, capacity=DEFAULT_CAPACITY):
         self.capacity = capacity
-        self.metrics_prefix = metrics_prefix
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -62,11 +58,9 @@ class LRUCache:
                 entry = None
             if entry is None:
                 self.misses += 1
-                self._mirror("misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self._mirror("hits")
             return entry[1]
 
     def put(self, key, value, epoch=None):
@@ -76,7 +70,6 @@ class LRUCache:
             if self.capacity is not None:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
-            self._mirror_size()
 
     def values(self):
         """A snapshot of the cached values, least recently used first."""
@@ -89,14 +82,7 @@ class LRUCache:
             dropped = len(self._entries)
             self._entries.clear()
             self.invalidations += dropped
-            if dropped:
-                self._mirror("invalidations", dropped)
-            self._mirror_size()
         return dropped
-
-    def reset_counters(self):
-        with self._lock:
-            self.hits = self.misses = self.invalidations = 0
 
     def stats(self):
         with self._lock:
@@ -107,13 +93,3 @@ class LRUCache:
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }
-
-    def _mirror(self, name, amount=1):
-        if self.metrics_prefix and ENGINE_METRICS.enabled:
-            ENGINE_METRICS.counter(f"{self.metrics_prefix}.{name}").inc(amount)
-
-    def _mirror_size(self):
-        if self.metrics_prefix and ENGINE_METRICS.enabled:
-            ENGINE_METRICS.gauge(f"{self.metrics_prefix}.size").set(
-                len(self._entries)
-            )

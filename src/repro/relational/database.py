@@ -20,7 +20,6 @@ import threading
 from time import perf_counter
 
 from repro.obs import context as obs_context
-from repro.obs.metrics import ENGINE_METRICS
 from repro.obs.stats import (
     ExecutionStats,
     instrument_plan,
@@ -176,6 +175,14 @@ class Catalog:
     def table_names(self):
         return sorted(self._tables)
 
+    def indexes(self):
+        """Every index of every table, as a list taken now."""
+        return [
+            index
+            for table in list(self._tables.values())
+            for index in list(table.indexes.values())
+        ]
+
 
 class Transaction:
     """Undo log + held locks for an explicit transaction."""
@@ -325,11 +332,7 @@ class Database:
         #: monotonic counter bumped by every DDL statement; prepared plans
         #: cached under an older epoch are invalid.
         self.schema_epoch = 0
-        self.plan_cache = LRUCache(metrics_prefix="plan_cache")
-        #: when True, every SELECT is executed with operator instrumentation
-        #: and the resulting :class:`~repro.obs.stats.ExecutionStats` lands in
-        #: :attr:`last_statement_stats` (EXPLAIN ANALYZE sets this per call).
-        self.collect_stats = False
+        self.plan_cache = LRUCache()
         #: durable key/value side-store (see :meth:`put_meta`); snapshotted
         #: at checkpoints and carried through recovery
         self.meta = {}
@@ -836,56 +839,47 @@ class Database:
 
     def _run_select(self, plans, statement, params=None):
         """Run a SELECT through a cached plan from *plans*."""
-        if self.collect_stats:
-            __, rows, columns, __stats = self._run_instrumented(
-                statement, params
-            )
-        else:
-            columns, rows = plans.execute(
-                params, lambda: self._plan(statement, params)
-            )
+        columns, rows = plans.execute(
+            params, lambda: self._plan(statement, params)
+        )
         return ResultSet(columns, rows)
 
-    def _run_instrumented(self, statement, params=None, sql_text=None):
+    def _run_instrumented(self, statement, params=None):
         """Plan and execute a SELECT with full observability, on a private
         plan.
 
-        Returns ``(plan, rows, columns, stats)``.  The planner runs each
-        CTE as it plans it, so it is handed the stats object *before*
-        planning — each CTE's sub-plan is instrumented and recorded in
-        ``stats.cte_plans`` as it runs.  Engine metrics are force-enabled
-        for the duration so index-probe and lock-wait counters are
-        populated even when the global registry is off.
+        Returns ``(plan, stats)``.  The planner runs each CTE as it plans
+        it, so it is handed the stats object *before* planning — each
+        CTE's sub-plan is instrumented and recorded in
+        ``stats.cte_plans`` as it runs.  Buffer-pool and index counts are
+        deltas of shared counters, so they include concurrent sessions'
+        work; the lock wait is this thread's own, taken by
+        :meth:`execute` before the statement ran.
         """
-        stats = ExecutionStats(sql_text)
+        stats = ExecutionStats()
         pool = self.buffer_pool
-        was_enabled = ENGINE_METRICS.enabled
-        ENGINE_METRICS.enabled = True
+        indexes = self.catalog.indexes()
         hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
-        probes0 = ENGINE_METRICS.value("index.probes")
-        ranges0 = ENGINE_METRICS.value("index.range_scans")
-        waits0 = ENGINE_METRICS.value("lock.wait_seconds")
+        probes0 = sum(index.probes for index in indexes)
+        ranges0 = sum(index.range_scans for index in indexes)
         start = perf_counter()
-        try:
-            plan = self._plan(statement, params, stats)
-            instrument_plan(plan.body, stats)
-            rows = plan.execute(params)
-        finally:
-            ENGINE_METRICS.enabled = was_enabled
+        plan = self._plan(statement, params, stats)
+        instrument_plan(plan.body, stats)
+        rows = plan.execute(params)
         stats.elapsed_s = perf_counter() - start
         stats.rows_returned = len(rows)
         stats.page_hits = pool.hits - hits0
         stats.page_misses = pool.misses - misses0
         stats.page_evictions = pool.evictions - evictions0
-        stats.index_probes = ENGINE_METRICS.value("index.probes") - probes0
+        stats.index_probes = sum(index.probes for index in indexes) - probes0
         stats.index_range_scans = (
-            ENGINE_METRICS.value("index.range_scans") - ranges0
+            sum(index.range_scans for index in indexes) - ranges0
         )
-        stats.lock_wait_s = ENGINE_METRICS.value("lock.wait_seconds") - waits0
+        stats.lock_wait_s = self.locks.last_wait()
         stats.session_id = obs_context.current_session_id()
         stats.connection = obs_context.current_connection()
         self.last_statement_stats = stats
-        return plan.body, rows, plan.columns, stats
+        return plan.body, stats
 
     def _run_explain(self, statement, params=None):
         inner = statement.statement
@@ -898,7 +892,7 @@ class Database:
         if not statement.analyze:
             text = op.explain_plan(self._plan(inner, params).body)
             return ResultSet(["plan"], [(line,) for line in text.splitlines()])
-        plan, __rows, __columns, stats = self._run_instrumented(inner, params)
+        plan, stats = self._run_instrumented(inner, params)
         lines = render_explain_analyze(plan, stats)
         cache = self.plan_cache.stats()
         lines.append(

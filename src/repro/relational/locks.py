@@ -13,13 +13,7 @@ import os
 import threading
 from time import perf_counter
 
-from repro.obs.metrics import ENGINE_METRICS
 from repro.relational.errors import LockTimeoutError
-
-# lock contention counters (only touched when ENGINE_METRICS is enabled)
-_WAIT_SECONDS = ENGINE_METRICS.counter("lock.wait_seconds")
-_ACQUISITIONS = ENGINE_METRICS.counter("lock.acquisitions")
-_TIMEOUTS = ENGINE_METRICS.counter("lock.timeouts")
 
 #: default lock-wait budget when neither the constructor nor the
 #: environment says otherwise, in seconds
@@ -53,21 +47,25 @@ class ReadWriteLock:
         self._writer = False  # guarded-by: _condition
         self._waiting_writers = 0  # guarded-by: _condition
 
+    def _wait(self, ready, timeout, mode):  # holds: _condition
+        """Block until *ready()*; returns the seconds waited.  The clock is
+        read only when the lock is not free at once."""
+        if ready():
+            return 0.0
+        started = perf_counter()
+        if not self._condition.wait_for(ready, timeout=timeout):
+            raise LockTimeoutError(f"{mode} lock timeout on {self.name!r}")
+        return perf_counter() - started
+
     def acquire_read(self, timeout=None):
+        """Take the lock shared; returns the seconds spent waiting."""
         with self._condition:
-            started = perf_counter() if ENGINE_METRICS.enabled else None
-            ok = self._condition.wait_for(
+            waited = self._wait(
                 lambda: not self._writer and self._waiting_writers == 0,
-                timeout=timeout,
+                timeout, "read",
             )
-            if started is not None:
-                _WAIT_SECONDS.inc(perf_counter() - started)
-                _ACQUISITIONS.inc()
-            if not ok:
-                if started is not None:
-                    _TIMEOUTS.inc()
-                raise LockTimeoutError(f"read lock timeout on {self.name!r}")
             self._readers += 1
+            return waited
 
     def release_read(self):
         with self._condition:
@@ -76,22 +74,16 @@ class ReadWriteLock:
                 self._condition.notify_all()
 
     def acquire_write(self, timeout=None):
+        """Take the lock exclusive; returns the seconds spent waiting."""
         with self._condition:
             self._waiting_writers += 1
-            started = perf_counter() if ENGINE_METRICS.enabled else None
             try:
-                ok = self._condition.wait_for(
+                waited = self._wait(
                     lambda: not self._writer and self._readers == 0,
-                    timeout=timeout,
+                    timeout, "write",
                 )
-                if started is not None:
-                    _WAIT_SECONDS.inc(perf_counter() - started)
-                    _ACQUISITIONS.inc()
-                if not ok:
-                    if started is not None:
-                        _TIMEOUTS.inc()
-                    raise LockTimeoutError(f"write lock timeout on {self.name!r}")
                 self._writer = True
+                return waited
             finally:
                 self._waiting_writers -= 1
 
@@ -138,6 +130,11 @@ class LockManager:
 
         return _Capped()
 
+    def last_wait(self):
+        """Seconds this thread's most recent :meth:`acquire` waited — the
+        ``Locks:`` line of EXPLAIN ANALYZE, whose locks are taken first."""
+        return getattr(self._local, "wait_s", 0.0)
+
     def effective_timeout(self):
         """The manager timeout, tightened by any per-thread cap."""
         cap = getattr(self._local, "cap", None)
@@ -165,17 +162,19 @@ class LockManager:
         )
         timeout = self.effective_timeout()
         acquired = []
+        waited = 0.0
         try:
             for name, mode in plan:
                 lock = self.lock_for(name)
                 if mode == "w":
-                    lock.acquire_write(timeout)
+                    waited += lock.acquire_write(timeout)
                 else:
-                    lock.acquire_read(timeout)
+                    waited += lock.acquire_read(timeout)
                 acquired.append((lock, mode))
         except Exception:
             self.release(acquired)
             raise
+        self._local.wait_s = waited
         return acquired
 
     @staticmethod

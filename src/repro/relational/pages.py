@@ -16,18 +16,8 @@ from __future__ import annotations
 import pickle
 from collections import OrderedDict
 
-from repro.obs.metrics import ENGINE_METRICS
-
 PAGE_CAPACITY = 256
 """Number of row slots per page."""
-
-# Global mirrors of the per-pool counters (see docs/OBSERVABILITY.md).
-# Per-pool ``hits``/``misses``/``evictions`` stay always-on (they are plain
-# int adds and per-query stats snapshot them); the registry mirror is only
-# touched when metrics are enabled.
-_HITS = ENGINE_METRICS.counter("pages.hits")
-_MISSES = ENGINE_METRICS.counter("pages.misses")
-_EVICTIONS = ENGINE_METRICS.counter("pages.evictions")
 
 
 class PageFrame:
@@ -82,12 +72,8 @@ class BufferPool:
         if frame is not None:
             self._frames.move_to_end(key)
             self.hits += 1
-            if ENGINE_METRICS.enabled:
-                _HITS.inc()
         else:
             self.misses += 1
-            if ENGINE_METRICS.enabled:
-                _MISSES.inc()
             blob = table.page_blob(page_no)
             rows = pickle.loads(blob) if blob is not None else []
             frame = PageFrame(rows)
@@ -159,8 +145,6 @@ class BufferPool:
     def _evict_one(self):
         key, frame = self._frames.popitem(last=False)
         self.evictions += 1
-        if ENGINE_METRICS.enabled:
-            _EVICTIONS.inc()
         self._write_back(key, frame)
 
     def _write_back(self, key, frame):

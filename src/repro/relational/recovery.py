@@ -191,7 +191,7 @@ def recover(database, directory):
     records, valid_end, torn = scan_log(wal_path(directory))
     applied = replay_records(database, records, start_lsn)
     wal = database.wal
-    wal.note_replayed(applied)
+    wal.replayed += applied
     if torn is not None:
         wal.torn_dropped += 1
     max_lsn = max(

@@ -68,8 +68,6 @@ import threading
 import zlib
 from time import monotonic, sleep
 
-from repro.obs.metrics import ENGINE_METRICS
-
 #: frame header: payload length + CRC32 of the payload, little-endian u32s
 FRAME = struct.Struct("<II")
 
@@ -77,12 +75,6 @@ FSYNC_ALWAYS = "always"
 FSYNC_GROUP = "group"
 FSYNC_OFF = "off"
 FSYNC_MODES = (FSYNC_ALWAYS, FSYNC_GROUP, FSYNC_OFF)
-
-# registry mirrors of the per-log counters (see docs/OBSERVABILITY.md)
-_RECORDS = ENGINE_METRICS.counter("wal.records")
-_FSYNCS = ENGINE_METRICS.counter("wal.fsyncs")
-_REPLAYED = ENGINE_METRICS.counter("wal.replayed")
-_CHECKPOINTS = ENGINE_METRICS.counter("wal.checkpoints")
 
 
 def resolve_fsync_mode(explicit=None):
@@ -207,9 +199,9 @@ class WriteAheadLog:
         self._last_fsync = 0.0  # guarded-by: _lock
         self._unsynced = False  # guarded-by: _lock
         self.last_lsn = 0  # guarded-by: _lock
-        # always-on counters (registry mirrors only touched when enabled);
-        # replayed/torn_dropped are only written during single-threaded
-        # recovery, so they stay outside the lock discipline
+        # counters (see docs/OBSERVABILITY.md); replayed/torn_dropped are
+        # only written during single-threaded recovery, so they stay
+        # outside the lock discipline
         self.records = 0  # guarded-by: _lock
         self.fsyncs = 0  # guarded-by: _lock
         self.replayed = 0
@@ -301,8 +293,6 @@ class WriteAheadLog:
             self._unsynced = True
             self.records += 1
             self.records_since_checkpoint += 1
-            if ENGINE_METRICS.enabled:
-                _RECORDS.inc()
         return lsn
 
     def log_op(self, kind, table_name, rid, *images):
@@ -355,8 +345,6 @@ class WriteAheadLog:
         self._last_fsync = monotonic()
         self._unsynced = False
         self.fsyncs += 1
-        if ENGINE_METRICS.enabled:
-            _FSYNCS.inc()
 
     # ------------------------------------------------------------------
     # checkpoint support
@@ -373,15 +361,8 @@ class WriteAheadLog:
             self._file.truncate(0)
             self.checkpoints += 1
             self.records_since_checkpoint = 0
-            if ENGINE_METRICS.enabled:
-                _CHECKPOINTS.inc()
         self.append("checkpoint", {"snapshot_lsn": snapshot_lsn}, txid=0)
         self.sync()
-
-    def note_replayed(self, count):
-        self.replayed += count
-        if ENGINE_METRICS.enabled:
-            _REPLAYED.inc(count)
 
     # ------------------------------------------------------------------
     # introspection

@@ -34,7 +34,7 @@ from time import monotonic, perf_counter
 
 from repro.graph.analytics import AnalyticsTimeoutError
 from repro.obs import context as obs_context
-from repro.obs.metrics import ENGINE_METRICS, TimingHistogram
+from repro.obs.stats import TimingHistogram
 from repro.relational.database import Transaction
 from repro.relational.errors import LockTimeoutError, TransactionError
 from repro.server import protocol
@@ -107,11 +107,10 @@ class SQLGraphServer:
         self._stopped = threading.Event()
         self._drain_deadline = None
 
-        # always-on serving counters; mirrored into ENGINE_METRICS (the
-        # PR 1 registry) when it is enabled, like the WAL/cache counters.
-        # _count() bumps them via getattr/setattr under the guard, which
-        # the guarded-by checker cannot see through — direct accesses are
-        # what the annotations police.
+        # serving counters (the ``stats`` op reads them).  _count() bumps
+        # them via getattr/setattr under the guard, which the guarded-by
+        # checker cannot see through — direct accesses are what the
+        # annotations police.
         self._counters_guard = threading.Lock()
         self.requests_served = 0  # guarded-by: _counters_guard
         self.errors_returned = 0  # guarded-by: _counters_guard
@@ -212,7 +211,6 @@ class SQLGraphServer:
                 continue
             try:
                 self._pending.put_nowait((conn, addr))
-                self._mirror_gauge("server.queue_depth", self._pending.qsize())
             except queue.Full:
                 self._reject(
                     conn, SERVER_BUSY,
@@ -251,7 +249,6 @@ class SQLGraphServer:
                 if self._draining.is_set():
                     return
                 continue
-            self._mirror_gauge("server.queue_depth", self._pending.qsize())
             if self._draining.is_set():
                 self._reject(conn, SHUTTING_DOWN, "server is shutting down")
                 continue
@@ -321,9 +318,7 @@ class SQLGraphServer:
         session.client_name = message.get("client")
         with self._sessions_guard:
             self._sessions[session_id] = (session, conn)
-            active = len(self._sessions)
         self._count("sessions_opened")
-        self._mirror_gauge("server.active_sessions", active)
         self._send(conn, {
             "op": "hello",
             "protocol": PROTOCOL_VERSION,
@@ -417,8 +412,6 @@ class SQLGraphServer:
         session.transaction = None
         with self._sessions_guard:
             self._sessions.pop(session.session_id, None)
-            active = len(self._sessions)
-        self._mirror_gauge("server.active_sessions", active)
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -466,9 +459,6 @@ class SQLGraphServer:
         with self._counters_guard:
             self.requests_served += 1
             self.request_latency.observe(elapsed)
-        if ENGINE_METRICS.enabled:
-            ENGINE_METRICS.counter("server.requests").inc()
-            ENGINE_METRICS.histogram("server.request_seconds").observe(elapsed)
         return response
 
     def _error_response(self, session, request_id, code, message,
@@ -828,12 +818,6 @@ class SQLGraphServer:
     def _count(self, name):
         with self._counters_guard:
             setattr(self, name, getattr(self, name) + 1)
-        if ENGINE_METRICS.enabled:
-            ENGINE_METRICS.counter(f"server.{name}").inc()
-
-    def _mirror_gauge(self, name, value):
-        if ENGINE_METRICS.enabled:
-            ENGINE_METRICS.gauge(name).set(value)
 
     def active_sessions(self):
         with self._sessions_guard:

@@ -1,5 +1,8 @@
 """Tests for EXPLAIN and planner regime options."""
 
+import threading
+import time
+
 import pytest
 
 from repro.relational import Database
@@ -136,13 +139,31 @@ class TestExplainAnalyze:
         with pytest.raises(BindError, match="SELECT statements only"):
             database.execute("EXPLAIN ANALYZE DELETE FROM t")
 
-    def test_metrics_toggle_restored(self):
-        from repro.obs.metrics import ENGINE_METRICS
-
+    def test_locks_line_reports_own_wait(self):
+        """The statement's locks are taken before it runs, so its wait
+        must be read from this thread's last acquire, not a counter
+        snapshotted afterwards."""
         database = make_db()
-        assert ENGINE_METRICS.enabled is False
-        database.execute("EXPLAIN ANALYZE SELECT v FROM t WHERE id = 5")
-        assert ENGINE_METRICS.enabled is False
+        locked = threading.Event()
+
+        def holder():
+            with database.transaction():
+                database.execute("INSERT INTO t VALUES (?, ?)", [1000, 0])
+                locked.set()
+                time.sleep(0.2)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert locked.wait(timeout=5)
+            text = self._plan_text(database, "SELECT v FROM t")
+        finally:
+            thread.join(timeout=10)
+        line = next(
+            line for line in text.splitlines() if line.startswith("Locks:")
+        )
+        waited_ms = float(line.split()[1].removesuffix("ms"))
+        assert waited_ms >= 150
 
 
 class TestPlannerOptions:

@@ -199,6 +199,45 @@ class TestNoGlobalExecutorMode:
         assert "batches=" in plan
 
 
+class TestConcurrentExplainAnalyze:
+    """EXPLAIN ANALYZE flips nothing process-wide: concurrent reports each
+    describe their own statement."""
+
+    def test_every_report_is_whole(self):
+        database = Database()
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        for i in range(20):
+            database.execute("INSERT INTO t VALUES (?, ?)", [i, i])
+        sql = "EXPLAIN ANALYZE SELECT v FROM t WHERE id = 5"
+        summary = ("Execution:", "Buffer pool:", "Indexes:", "Locks:",
+                   "Estimates:", "Plan cache:")
+        bad = []
+
+        def explainer():
+            for __ in range(500):
+                lines = [row[0] for row in database.execute(sql).rows]
+                scans = [line for line in lines if "IndexEqScan" in line]
+                if not (
+                    len(scans) == 1
+                    and "actual_rows=1 " in scans[0]
+                    and all(any(line.startswith(prefix) for line in lines)
+                            for prefix in summary)
+                ):
+                    bad.append(lines)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=explainer) for __ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+
+
 class TestWireLockTimeout:
     @pytest.fixture
     def server(self):

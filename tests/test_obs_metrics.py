@@ -1,28 +1,13 @@
-"""Tests for the observability layer: metrics registry, execution stats,
-page-cache accounting, translation traces, and store-level query stats."""
+"""Tests for the observability layer: always-on engine counters,
+execution stats, page-cache accounting, translation traces, and
+store-level query stats."""
 
 import pytest
 
 from repro.graph.model import PropertyGraph
 from repro.core.store import SQLGraphStore
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    TimingHistogram,
-    ENGINE_METRICS,
-)
+from repro.obs.stats import TimingHistogram
 from repro.relational import Database
-
-
-@pytest.fixture(autouse=True)
-def clean_engine_metrics():
-    """Keep the process-global registry disabled and zeroed around tests."""
-    ENGINE_METRICS.disable()
-    ENGINE_METRICS.reset()
-    yield
-    ENGINE_METRICS.disable()
-    ENGINE_METRICS.reset()
 
 
 def small_store(**kwargs):
@@ -35,64 +20,6 @@ def small_store(**kwargs):
     store = SQLGraphStore(**kwargs)
     store.load_graph(graph)
     return store
-
-
-class TestRegistry:
-    def test_counter_inc_and_reset(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("x")
-        counter.inc()
-        counter.inc(4)
-        assert registry.value("x") == 5
-        registry.reset()
-        assert registry.value("x") == 0
-
-    def test_counter_float_increments(self):
-        counter = Counter("t")
-        counter.inc(0.25)
-        counter.inc(0.25)
-        assert counter.value == 0.5
-
-    def test_gauge_last_write_wins(self):
-        gauge = Gauge("g")
-        gauge.set(7)
-        gauge.set(3)
-        assert gauge.value == 3
-
-    def test_same_name_same_object(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-
-    def test_name_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-
-    def test_value_of_unknown_metric_is_zero(self):
-        assert MetricsRegistry().value("nope") == 0
-
-    def test_snapshot_flat(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("c").inc(2)
-        histogram = registry.histogram("h")
-        histogram.observe(0.001)
-        snapshot = registry.snapshot()
-        assert snapshot["c"] == 2
-        assert snapshot["h.count"] == 1
-        assert snapshot["h.total_s"] == pytest.approx(0.001)
-
-    def test_timer_disabled_observes_nothing(self):
-        registry = MetricsRegistry(enabled=False)
-        with registry.time("stage"):
-            pass
-        assert registry.histogram("stage").count == 0
-
-    def test_timer_enabled_observes(self):
-        registry = MetricsRegistry(enabled=True)
-        with registry.time("stage"):
-            pass
-        assert registry.histogram("stage").count == 1
 
 
 class TestHistogram:
@@ -115,26 +42,32 @@ class TestHistogram:
     def test_empty_quantile(self):
         assert TimingHistogram("h").quantile(0.5) == 0.0
 
+    def test_bucket_boundaries(self):
+        bounds = TimingHistogram.BOUNDS
+        for k in (0, 5, len(bounds) - 2):
+            histogram = TimingHistogram("h")
+            histogram.observe(bounds[k])
+            histogram.observe(bounds[k] * 1.000001)
+            assert histogram.buckets[k] == 1
+            assert histogram.buckets[k + 1] == 1
 
-class TestDisabledFastPath:
-    def test_disabled_engine_records_nothing(self):
+
+def explain_analyze(database, sql):
+    """Run EXPLAIN ANALYZE and return its ExecutionStats."""
+    database.execute("EXPLAIN ANALYZE " + sql)
+    return database.last_statement_stats
+
+
+class TestEngineCounters:
+    def test_point_select_counts_hits_and_probes(self):
         database = Database()
         database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
         database.execute("INSERT INTO t VALUES (1)")
+        index = database.catalog.indexes()[0]
+        hits0, probes0 = database.buffer_pool.hits, index.probes
         database.execute("SELECT * FROM t WHERE id = 1")
-        assert ENGINE_METRICS.value("pages.hits") == 0
-        assert ENGINE_METRICS.value("index.probes") == 0
-        assert ENGINE_METRICS.value("lock.acquisitions") == 0
-
-    def test_enabled_engine_records(self):
-        database = Database()
-        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
-        database.execute("INSERT INTO t VALUES (1)")
-        ENGINE_METRICS.enable()
-        database.execute("SELECT * FROM t WHERE id = 1")
-        assert ENGINE_METRICS.value("pages.hits") > 0
-        assert ENGINE_METRICS.value("index.probes") >= 1
-        assert ENGINE_METRICS.value("lock.acquisitions") >= 1
+        assert database.buffer_pool.hits > hits0
+        assert index.probes == probes0 + 1
 
 
 class TestPageCacheAccounting:
@@ -144,9 +77,7 @@ class TestPageCacheAccounting:
         database.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
         for i in range(600):
             database.execute("INSERT INTO t VALUES (?, ?)", [i, i])
-        database.collect_stats = True
-        database.execute("SELECT COUNT(*) FROM t")
-        stats = database.last_statement_stats
+        stats = explain_analyze(database, "SELECT COUNT(*) FROM t")
         assert stats.page_hits + stats.page_misses > 0
         assert stats.page_misses > 0  # 1-page pool can't hold the table
         # pool-level counters and per-query deltas agree in kind
@@ -157,9 +88,7 @@ class TestPageCacheAccounting:
         database.execute("CREATE TABLE t (id INTEGER)")
         database.execute("INSERT INTO t VALUES (1)")
         database.execute("SELECT * FROM t")  # warm
-        database.collect_stats = True
-        database.execute("SELECT * FROM t")
-        stats = database.last_statement_stats
+        stats = explain_analyze(database, "SELECT * FROM t")
         assert stats.page_misses == 0
         assert stats.page_hits > 0
 
@@ -170,10 +99,7 @@ class TestExecutionStats:
         database.execute("CREATE TABLE t (id INTEGER)")
         for i in range(7):
             database.execute("INSERT INTO t VALUES (?)", [i])
-        database.collect_stats = True
-        result = database.execute("SELECT id FROM t")
-        assert len(result.rows) == 7
-        stats = database.last_statement_stats
+        stats = explain_analyze(database, "SELECT id FROM t")
         assert stats.rows_returned == 7
         # root ProjectOp emitted exactly the returned rows
         assert any(
@@ -184,9 +110,7 @@ class TestExecutionStats:
     def test_as_dict_round_trip(self):
         database = Database()
         database.execute("CREATE TABLE t (id INTEGER)")
-        database.collect_stats = True
-        database.execute("SELECT * FROM t")
-        payload = database.last_statement_stats.as_dict()
+        payload = explain_analyze(database, "SELECT * FROM t").as_dict()
         assert payload["rows_returned"] == 0
         assert set(payload) >= {
             "elapsed_s", "page_hits", "page_misses", "index_probes",
@@ -233,7 +157,7 @@ class TestStoreQueryStats:
         assert stats.trace is not None
         assert stats.execution.page_hits + stats.execution.page_misses > 0
 
-    def test_page_cache_deltas_without_collect_stats(self):
+    def test_page_cache_deltas_per_query(self):
         store = small_store()
         store.run("g.V.name")  # warm
         store.run("g.V.name")
@@ -241,11 +165,10 @@ class TestStoreQueryStats:
         assert execution.page_misses == 0
         assert execution.page_hits > 0
 
-    def test_operator_stats_adopted_when_collecting(self):
+    def test_explain_analyze_of_translated_query(self):
         store = small_store()
-        store.database.collect_stats = True
-        store.run("g.V.out('knows').name")
-        execution = store.last_query_stats.execution
+        sql = store.translate("g.V.out('knows').name")
+        execution = explain_analyze(store.database, sql)
         assert execution.operators  # per-operator actuals present
         assert execution.cte_plans  # translated query ran through CTEs
 

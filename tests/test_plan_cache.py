@@ -531,9 +531,13 @@ class TestStoreCache:
         entry = store.last_query_stats.as_dict()
         assert entry["translation_cache_hit"] is False
         assert entry["plan_cache_hit"] is False
-        for section in ("plan_cache", "translation_cache"):
-            counters = entry["cache_stats"][section]
+        store.run("g.V.name")
+        assert store.last_query_stats.translation_cache_hit is True
+        assert store.last_query_stats.plan_cache_hit is True
+        for cache in (store.database.plan_cache, store.translation_cache):
+            counters = cache.stats()
             assert {"hits", "misses", "invalidations", "size"} <= set(counters)
+            assert counters["hits"] >= 1 and counters["misses"] >= 1
 
     def test_run_without_val_column_raises_friendly_error(
         self, store, monkeypatch
