@@ -18,7 +18,7 @@ and tribal knowledge.  This package machine-checks them:
   parser (CTE well-formedness, parameter-slot bookkeeping, ``VID >= 0``
   lazy-delete filters, adjacency column budget);
 * :mod:`repro.analysis.docs` — the markdown docs link/reference checker
-  (formerly ``tools/check_docs_links.py``).
+  (``python tools/reprolint.py --select docs-links``).
 
 PR 10 grew a flow-sensitive engine — :mod:`repro.analysis.cfg` builds
 per-function control-flow graphs (branches, loops, ``with``,

@@ -1,8 +1,8 @@
 """Markdown docs drift checker (rule ``docs-links``).
 
-Formerly the standalone ``tools/check_docs_links.py``; folded into
-reprolint so there is one analysis entry point.  Three kinds of drift
-are caught across the repo-root and ``docs/`` markdown files:
+Run it alone with ``python tools/reprolint.py --select docs-links``.
+Four kinds of drift are caught across the repo-root and ``docs/``
+markdown files:
 
 1. **Markdown links** — ``[text](path)`` whose relative target does not
    exist (external ``http(s)://`` / ``mailto:`` and pure ``#anchor``
@@ -15,23 +15,12 @@ are caught across the repo-root and ``docs/`` markdown files:
 4. **EXPLAIN ANALYZE vocabulary** — every annotation field in
    ``EXPLAIN_ANNOTATION_FIELDS`` (``src/repro/obs/stats.py``) must be
    documented, backticked, in ``docs/OBSERVABILITY.md``; adding a field
-   to the renderer without documenting it fails the docs job.
-5. **Benchmark-number sync** — every string in the ``summary`` block of
-   a committed benchmark record must appear verbatim in its handbook
-   (``BENCH_analytics.json`` ↔ ``docs/ANALYTICS.md``,
-   ``BENCH_sharding.json`` ↔ ``docs/SHARDING.md``), so the handbook's
-   measured numbers cannot drift from the committed benchmark record
-   (re-recording the benchmark means updating the handbook in the same
-   commit).
-
-``tools/check_docs_links.py`` remains as a thin wrapper over
-:func:`run` for back-compatibility with ``tests/test_docs_links.py``.
+   to the renderer without documenting it fails the analysis job.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import pathlib
 import re
 
@@ -63,28 +52,17 @@ ANNOTATION_FIELDS_PATTERN = re.compile(
 #: (source of truth, document that must stay in sync)
 STATS_SOURCE = "src/repro/obs/stats.py"
 OBSERVABILITY_DOC = "docs/OBSERVABILITY.md"
-BENCH_ANALYTICS_JSON = "benchmarks/results/BENCH_analytics.json"
-ANALYTICS_DOC = "docs/ANALYTICS.md"
-BENCH_SHARDING_JSON = "benchmarks/results/BENCH_sharding.json"
-SHARDING_DOC = "docs/SHARDING.md"
 
-#: every committed benchmark record and the handbook that quotes it
-BENCHMARK_SYNC_PAIRS = (
-    (BENCH_ANALYTICS_JSON, ANALYTICS_DOC),
-    (BENCH_SHARDING_JSON, SHARDING_DOC),
-)
-
-
-#: the per-PR ticket: it names the files it asks to be deleted, so its
-#: references are allowed to dangle once the work is done
-TICKET = "ISSUE.md"
+#: the per-PR ticket names the files it asks to be deleted and the
+#: changelog records deleted files, so references in either may dangle
+HISTORY_FILES = ("ISSUE.md", "CHANGES.md")
 
 
 def markdown_files(root):
     files = []
     for pattern in MARKDOWN_GLOBS:
         files.extend(sorted(pathlib.Path(root).glob(pattern)))
-    return [path for path in files if path.name != TICKET]
+    return [path for path in files if path.name not in HISTORY_FILES]
 
 
 def cli_commands(root):
@@ -175,77 +153,15 @@ def check_annotation_fields(root):
     return problems
 
 
-def check_benchmark_sync(root):
-    """``(doc, line, problem)`` for handbook/benchmark number drift.
-
-    For every ``(record, handbook)`` pair in BENCHMARK_SYNC_PAIRS, each
-    string value in the record's ``summary`` object must appear verbatim
-    in the handbook.  Checked against the committed files only — no
-    benchmark is re-run.
-    """
-    root = pathlib.Path(root)
-    problems = []
-    for json_name, doc_name in BENCHMARK_SYNC_PAIRS:
-        json_path = root / json_name
-        if not json_path.exists():
-            continue
-        try:
-            summary = json.loads(json_path.read_text()).get("summary", {})
-        except (ValueError, AttributeError):
-            problems.append((json_name, 1,
-                             f"unparseable benchmark record: {json_name}"))
-            continue
-        doc_path = root / doc_name
-        if not doc_path.exists():
-            problems.append((doc_name, 1,
-                             f"missing document: {doc_name} must quote the "
-                             f"{json_name} summary strings"))
-            continue
-        text = doc_path.read_text()
-        for key, value in sorted(summary.items()):
-            if isinstance(value, str) and value not in text:
-                problems.append((
-                    doc_name, 1,
-                    f"stale benchmark reference: summary[{key!r}] of "
-                    f"{json_name} ({value!r}) does not appear "
-                    f"verbatim in {doc_name}",
-                ))
-    return problems
-
-
-def sync_problems(root):
-    """All cross-file sync problems as ``(doc, line, problem)`` triples."""
-    return check_annotation_fields(root) + check_benchmark_sync(root)
-
-
-def run(root):
-    """Check every markdown file; returns ``{relative_path: [problems]}``.
-
-    The legacy report shape (problem strings without line numbers), kept
-    for ``tools/check_docs_links.py`` and its test.
-    """
-    root = pathlib.Path(root)
-    commands = cli_commands(root)
-    report = {}
-    for path in markdown_files(root):
-        problems = [p for _line, p in check_file(root, path, commands)]
-        if problems:
-            report[str(path.relative_to(root))] = problems
-    for doc, _line, problem in sync_problems(root):
-        report.setdefault(doc, []).append(problem)
-    return report
-
-
 @rule(
     "docs-links",
     scope="project",
     description="markdown docs must not reference dead links, missing "
     "files, or CLI commands the shell no longer dispatches; "
     "docs/OBSERVABILITY.md must document every EXPLAIN ANALYZE "
-    "annotation field and each benchmark handbook must quote its "
-    "committed BENCH_*.json summary verbatim",
+    "annotation field",
 )
-def check_docs_links(context):
+def docs_links(context):
     root = context.root
     commands = cli_commands(root)
     findings = []
@@ -256,7 +172,7 @@ def check_docs_links(context):
                 "docs-links", relative, line, problem,
                 symbol=problem,
             ))
-    for doc, line, problem in sync_problems(root):
+    for doc, line, problem in check_annotation_fields(root):
         findings.append(Finding(
             "docs-links", doc, line, problem,
             symbol=problem,

@@ -34,12 +34,5 @@ def _cell(value):
     return str(value)
 
 
-def ratio(numerator, denominator):
-    """Safe speedup ratio (None when the denominator is zero)."""
-    if not denominator:
-        return None
-    return numerator / denominator
-
-
 def milliseconds(seconds):
     return seconds * 1000.0

@@ -2,8 +2,7 @@
 
 The paper (§3.2): "we ran each query 10 times, discarded the first run, and
 report the mean query time".  :func:`warm_cache_time` implements exactly
-that protocol (with a configurable run count so the full suite stays fast);
-:func:`median_time` is a cheaper variant for smoke benchmarks.
+that protocol (with a configurable run count so the full suite stays fast).
 """
 
 from __future__ import annotations
@@ -26,31 +25,3 @@ def warm_cache_time(fn, runs=10, discard_first=True):
     kept = samples[1:] if discard_first and len(samples) > 1 else samples
     return statistics.fmean(kept), samples
 
-
-def median_time(fn, runs=5):
-    """Median wall-clock seconds of *fn* over *runs* runs."""
-    samples = []
-    for __ in range(runs):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
-
-
-class StopWatch:
-    """Accumulates named wall-clock measurements."""
-
-    def __init__(self):
-        self.samples: dict[str, list[float]] = {}
-
-    def measure(self, name, fn):
-        start = time.perf_counter()
-        result = fn()
-        self.samples.setdefault(name, []).append(time.perf_counter() - start)
-        return result
-
-    def mean(self, name):
-        return statistics.fmean(self.samples[name])
-
-    def maximum(self, name):
-        return max(self.samples[name])

@@ -47,8 +47,8 @@ def random_property_graph(seed=0, n_vertices=30, n_edges=60,
 
 
 # ----------------------------------------------------------------------
-# analytics graph cases (shared by tests/test_analytics_property.py and
-# benchmarks/test_analytics.py so both drive the same distribution)
+# analytics graph cases (shared by the tests and the perf ledger's
+# analytics workload so both drive the same distribution)
 # ----------------------------------------------------------------------
 #: hand-picked degenerate structures every analytics algorithm must
 #: survive; cases 5+ are seeded random graphs

@@ -44,6 +44,7 @@ from repro.relational.schema import (
     SCRATCH_TABLE_PREFIX,
     TableSchema,
 )
+from repro.relational.settings import env_number
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse_statement
 from repro.relational.stats import META_STATS_KEY, StatisticsRegistry
@@ -78,7 +79,7 @@ def resolve_auto_analyze_drift(threshold=None):
     a re-ANALYZE (default 0.5 — half the table churned since ANALYZE)."""
     if threshold is not None:
         return float(threshold)
-    return float(os.environ.get("REPRO_AUTO_ANALYZE_DRIFT", "0.5"))
+    return env_number("REPRO_AUTO_ANALYZE_DRIFT", 0.5)
 
 
 #: auto-ANALYZE ignores tables smaller than this when they have no

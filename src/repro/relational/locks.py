@@ -9,11 +9,11 @@ lock sets and for transactions that pre-declare their tables.
 
 from __future__ import annotations
 
-import os
 import threading
 from time import perf_counter
 
 from repro.relational.errors import LockTimeoutError
+from repro.relational.settings import env_number
 
 #: default lock-wait budget when neither the constructor nor the
 #: environment says otherwise, in seconds
@@ -24,17 +24,15 @@ def resolve_lock_timeout(explicit=None):
     """Lock-wait timeout in seconds.
 
     ``explicit`` (seconds) wins when given; otherwise the
-    ``REPRO_LOCK_TIMEOUT_MS`` environment variable decides (milliseconds),
-    falling back to :data:`DEFAULT_LOCK_TIMEOUT_S`.
+    ``REPRO_LOCK_TIMEOUT_MS`` environment variable decides (milliseconds;
+    a malformed or negative value raises ``ValueError``), falling back to
+    :data:`DEFAULT_LOCK_TIMEOUT_S`.
     """
     if explicit is not None:
         return max(0.0, float(explicit))
-    raw = os.environ.get("REPRO_LOCK_TIMEOUT_MS", "")
-    try:
-        return max(0.0, float(raw)) / 1000.0 if raw.strip() \
-            else DEFAULT_LOCK_TIMEOUT_S
-    except ValueError:
-        return DEFAULT_LOCK_TIMEOUT_S
+    return env_number(
+        "REPRO_LOCK_TIMEOUT_MS", DEFAULT_LOCK_TIMEOUT_S * 1000.0
+    ) / 1000.0
 
 
 class ReadWriteLock:

@@ -49,14 +49,9 @@ Durability knobs (environment, mirrored by constructor kwargs)
     group-commit batching window in milliseconds (default 5).
 ``REPRO_WAL_CHECKPOINT_EVERY``
     records between automatic checkpoints (default 10000; 0 disables).
-``REPRO_WAL_FSYNC_LATENCY_MS``
-    simulated log-device latency added to every fsync (default 0 = off).
-    Benchmarks use it the same way the client/server suites use
-    ``ClientServerLink`` round-trip sleeps (see EXPERIMENTS.md): CI
-    filesystems acknowledge fsync in ~0.1ms, so commit-path effects that
-    dominate on production devices (and in the paper's era of disks)
-    vanish; the sleep restores a realistic serialization point per log
-    file while leaving correctness paths untouched.
+
+A value of either number that does not parse, or is negative, raises
+``ValueError`` naming the variable, as an unknown fsync mode does.
 """
 
 from __future__ import annotations
@@ -66,7 +61,9 @@ import pickle
 import struct
 import threading
 import zlib
-from time import monotonic, sleep
+from time import monotonic
+
+from repro.relational.settings import env_number
 
 #: frame header: payload length + CRC32 of the payload, little-endian u32s
 FRAME = struct.Struct("<II")
@@ -92,33 +89,14 @@ def resolve_group_window(explicit=None):
     """Group-commit window in seconds (``REPRO_WAL_GROUP_WINDOW_MS``)."""
     if explicit is not None:
         return max(0.0, float(explicit)) / 1000.0
-    raw = os.environ.get("REPRO_WAL_GROUP_WINDOW_MS", "")
-    try:
-        return max(0.0, float(raw)) / 1000.0 if raw else 0.005
-    except ValueError:
-        return 0.005
-
-
-def resolve_fsync_latency(explicit=None):
-    """Simulated fsync latency in seconds (``REPRO_WAL_FSYNC_LATENCY_MS``)."""
-    if explicit is not None:
-        return max(0.0, float(explicit)) / 1000.0
-    raw = os.environ.get("REPRO_WAL_FSYNC_LATENCY_MS", "")
-    try:
-        return max(0.0, float(raw)) / 1000.0 if raw else 0.0
-    except ValueError:
-        return 0.0
+    return env_number("REPRO_WAL_GROUP_WINDOW_MS", 5.0) / 1000.0
 
 
 def resolve_checkpoint_every(explicit=None):
     """Auto-checkpoint record threshold (``REPRO_WAL_CHECKPOINT_EVERY``)."""
     if explicit is not None:
         return max(0, int(explicit))
-    raw = os.environ.get("REPRO_WAL_CHECKPOINT_EVERY", "")
-    try:
-        return max(0, int(raw)) if raw else 10_000
-    except ValueError:
-        return 10_000
+    return env_number("REPRO_WAL_CHECKPOINT_EVERY", 10_000, parse=int)
 
 
 class TornTail:
@@ -187,12 +165,10 @@ class WriteAheadLog:
     transaction commit boundary.
     """
 
-    def __init__(self, path, fsync=None, group_window_ms=None,
-                 fsync_latency_ms=None):
+    def __init__(self, path, fsync=None, group_window_ms=None):
         self.path = path
         self.fsync_mode = resolve_fsync_mode(fsync)
         self.group_window_s = resolve_group_window(group_window_ms)
-        self.fsync_latency_s = resolve_fsync_latency(fsync_latency_ms)
         self._file = None
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -337,11 +313,6 @@ class WriteAheadLog:
         if self._file is None:
             return
         os.fsync(self._file.fileno())
-        if self.fsync_latency_s:
-            # simulated log-device latency (see module docstring): the
-            # sleep happens with the lock held because a real device
-            # serializes flushes of one log file the same way
-            sleep(self.fsync_latency_s)
         self._last_fsync = monotonic()
         self._unsynced = False
         self.fsyncs += 1

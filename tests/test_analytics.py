@@ -17,6 +17,7 @@ from repro.client import SQLGraphClient
 from repro.core import SQLGraphStore
 from repro.datasets.random_graphs import (
     analytics_case_graph,
+    analytics_scale_graph,
     random_property_graph,
 )
 from repro.datasets.tinker import paper_figure_graph
@@ -187,6 +188,27 @@ def test_concurrent_runs_use_distinct_scratch_names():
     assert first == second
     # token monotonicity is what keeps parallel sessions collision-free
     assert _scratch_tables(store) == []
+
+
+def test_warm_rerun_compiles_nothing():
+    # changing values are bound ``?`` parameters and a finished run hands
+    # its scratch-name token back, so every statement shape of a second
+    # run is already in the prepared-statement cache
+    store = _loaded_store(analytics_scale_graph(60, 240, seed=13))
+    cache = store.database.plan_cache
+    runs = {
+        "pagerank": lambda: store.pagerank(tolerance=0.0, max_iterations=3),
+        "components": store.connected_components,
+        "labelprop": lambda: store.label_propagation(max_iterations=3),
+        "sssp": lambda: store.shortest_paths(1, weight_key="weight"),
+    }
+    for name, run in runs.items():
+        run()  # cold
+        before = dict(cache.stats())
+        run()  # warm
+        after = cache.stats()
+        assert after["misses"] == before["misses"], name
+        assert after["hits"] > before["hits"], name
 
 
 # ----------------------------------------------------------------------

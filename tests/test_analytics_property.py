@@ -1,8 +1,7 @@
 """Differential tests: SQL analytics drivers vs pure-python oracles.
 
 Every case loads one graph from the shared deterministic generator
-(:func:`repro.datasets.random_graphs.analytics_case_graph` — the same
-distribution ``benchmarks/test_analytics.py`` scales up) into a fresh
+(:func:`repro.datasets.random_graphs.analytics_case_graph`) into a fresh
 store and checks all four algorithms against :mod:`tests.analytics_oracle`:
 
 * **components** / **label propagation** — exact equality, including the

@@ -4,8 +4,8 @@ import itertools
 import time
 
 from repro.bench.concurrency import run_throughput
-from repro.bench.reporting import format_table, milliseconds, ratio
-from repro.bench.runner import StopWatch, median_time, warm_cache_time
+from repro.bench.reporting import format_table, milliseconds
+from repro.bench.runner import warm_cache_time
 
 
 class TestTimingProtocol:
@@ -31,16 +31,6 @@ class TestTimingProtocol:
         mean, samples = warm_cache_time(fn, runs=4)
         assert samples[0] >= 0.05
         assert mean < 0.05
-
-    def test_median_time(self):
-        assert median_time(lambda: None, runs=3) >= 0
-
-    def test_stopwatch(self):
-        watch = StopWatch()
-        watch.measure("op", lambda: time.sleep(0.01))
-        watch.measure("op", lambda: None)
-        assert watch.maximum("op") >= 0.01
-        assert watch.mean("op") >= 0
 
 
 class _CountingAdapter:
@@ -100,10 +90,6 @@ class TestReporting:
         assert lines[0] == "T"
         assert "name" in lines[1]
         assert len(lines) == 5
-
-    def test_ratio(self):
-        assert ratio(10, 2) == 5
-        assert ratio(10, 0) is None
 
     def test_milliseconds(self):
         assert milliseconds(0.25) == 250.0

@@ -1,22 +1,27 @@
-"""The docs-link checker passes on the repo and catches planted drift."""
+"""The docs-links rule passes on the repo and catches planted drift."""
 
 import pathlib
 import subprocess
 import sys
 
-TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
-sys.path.insert(0, str(TOOLS))
+from repro.analysis import docs as docs_mod
+from repro.analysis import lint_paths
 
-import check_docs_links  # noqa: E402
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _problems(doc, commands):
+    return [problem for _line, problem in
+            docs_mod.check_file(doc.parent, doc, commands)]
 
 
 def test_repo_docs_are_clean():
-    report = check_docs_links.run()
-    assert report == {}, f"dead doc references: {report}"
+    report = lint_paths(ROOT, [], select=["docs-links"])
+    assert report.findings == [], report.render_text()
 
 
 def test_cli_commands_extracted():
-    commands = check_docs_links.cli_commands()
+    commands = docs_mod.cli_commands(ROOT)
     assert {":translate", ":explain", ":analyze", ":sql", ":stats",
             ":help", ":quit"} <= commands
 
@@ -24,21 +29,21 @@ def test_cli_commands_extracted():
 def test_detects_dead_markdown_link(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("see [here](no/such/file.py) for details\n")
-    problems = check_docs_links.check_file(doc, set())
-    assert problems == ["dead link: (no/such/file.py)"]
+    assert _problems(doc, set()) == ["dead link: (no/such/file.py)"]
 
 
 def test_detects_missing_file_reference(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("look at `src/repro/nonexistent.py` sometime\n")
-    problems = check_docs_links.check_file(doc, set())
-    assert problems == ["missing file reference: `src/repro/nonexistent.py`"]
+    assert _problems(doc, set()) == [
+        "missing file reference: `src/repro/nonexistent.py`"
+    ]
 
 
 def test_detects_unknown_cli_command(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text("type `:frobnicate` in the shell\n")
-    problems = check_docs_links.check_file(doc, {":stats"})
+    problems = _problems(doc, {":stats"})
     assert len(problems) == 1
     assert ":frobnicate" in problems[0]
 
@@ -49,12 +54,24 @@ def test_known_cli_command_and_external_links_ok(tmp_path):
         "type `:stats` — docs at [site](https://example.com) "
         "and [anchor](#section)\n"
     )
-    assert check_docs_links.check_file(doc, {":stats"}) == []
+    assert _problems(doc, {":stats"}) == []
+
+
+def test_only_ticket_and_changelog_are_skipped(tmp_path):
+    dead = "see [here](no/such/file.py)\n"
+    (tmp_path / "ISSUE.md").write_text("- [ ] delete it\n" + dead)
+    (tmp_path / "CHANGES.md").write_text(dead)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "PLAN.md").write_text("- [ ] a task\n" + dead)
+    report = lint_paths(tmp_path, [], select=["docs-links"])
+    assert [(finding.path, finding.message) for finding in report.findings] \
+        == [("docs/PLAN.md", "dead link: (no/such/file.py)")]
 
 
 def test_command_line_entry_point():
     result = subprocess.run(
-        [sys.executable, str(TOOLS / "check_docs_links.py")],
+        [sys.executable, str(ROOT / "tools" / "reprolint.py"),
+         "--select", "docs-links"],
         capture_output=True,
         text=True,
     )
@@ -62,9 +79,7 @@ def test_command_line_entry_point():
     assert "OK" in result.stdout
 
 
-# --- cross-file sync checks (EXPLAIN ANALYZE fields, benchmark numbers) ---
-
-from repro.analysis import docs as docs_mod  # noqa: E402
+# --- EXPLAIN ANALYZE vocabulary sync ---
 
 
 def _plant_stats(root, fields='("actual_rows", "batches", "time")'):
@@ -104,43 +119,5 @@ def test_undocumented_annotation_field_flagged(tmp_path):
     assert "`batches`" in problems[0][2]
 
 
-def _plant_benchmark(root, summary, doc_text):
-    results = root / "benchmarks" / "results"
-    results.mkdir(parents=True)
-    import json
-    (results / "BENCH_analytics.json").write_text(
-        json.dumps({"summary": summary})
-    )
-    (root / "docs").mkdir(exist_ok=True)
-    (root / "docs" / "ANALYTICS.md").write_text(doc_text)
-
-
-def test_benchmark_summary_in_sync_passes(tmp_path):
-    _plant_benchmark(
-        tmp_path,
-        {"fig8": "2.1x on the warm path", "command": "pytest -q"},
-        "The executor wins 2.1x on the warm path; rerun via `pytest -q`.\n",
-    )
-    assert docs_mod.check_benchmark_sync(tmp_path) == []
-
-
-def test_stale_benchmark_summary_flagged(tmp_path):
-    _plant_benchmark(
-        tmp_path,
-        {"fig8": "3.0x on the warm path"},
-        "The handbook still says 2.1x on the warm path.\n",
-    )
-    problems = docs_mod.check_benchmark_sync(tmp_path)
-    assert len(problems) == 1
-    assert "3.0x on the warm path" in problems[0][2]
-    assert problems[0][0] == "docs/ANALYTICS.md"
-
-
-def test_missing_benchmark_record_is_not_a_finding(tmp_path):
-    # no committed benchmark record -> nothing to sync against
-    assert docs_mod.check_benchmark_sync(tmp_path) == []
-
-
 def test_repo_sync_checks_are_clean():
-    root = TOOLS.parent
-    assert docs_mod.sync_problems(root) == []
+    assert docs_mod.check_annotation_fields(ROOT) == []

@@ -39,9 +39,11 @@ class TestTimeoutResolution:
         monkeypatch.setenv("REPRO_LOCK_TIMEOUT_MS", "1500")
         assert resolve_lock_timeout(0.2) == 0.2
 
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCK_TIMEOUT_MS", "soon")
-        assert resolve_lock_timeout() == DEFAULT_LOCK_TIMEOUT_S
+    @pytest.mark.parametrize("raw", ["soon", "2s", "-1", "nan"])
+    def test_malformed_env_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_LOCK_TIMEOUT_MS", raw)
+        with pytest.raises(ValueError, match=f"REPRO_LOCK_TIMEOUT_MS={raw!r}"):
+            resolve_lock_timeout()
 
     def test_lock_manager_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LOCK_TIMEOUT_MS", "250")

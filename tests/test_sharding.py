@@ -10,6 +10,7 @@ full wire path runs without subprocess cost.
 """
 
 import contextlib
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,9 @@ class TestPartition:
         # shard (plain vid % n would, for strided id ranges)
         owners = {shard_of(vid, 4) for vid in range(1, 9)}
         assert len(owners) > 1
+        # and no shard owns more than half of a run of 600 ids
+        counts = Counter(shard_of(vid, 4) for vid in range(1, 601))
+        assert max(counts.values()) <= 300
 
     def test_owner_groups_dedups_and_keeps_first_seen_order(self):
         vids = [10, 3, 10, 7, 3, 21]

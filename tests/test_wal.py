@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro.relational.database import Database
+from repro.relational.database import Database, resolve_auto_analyze_drift
 from repro.relational.wal import (
     FRAME,
     FSYNC_ALWAYS,
@@ -216,6 +216,20 @@ class TestKnobResolution:
         assert resolve_checkpoint_every(0) == 0
         monkeypatch.setenv("REPRO_WAL_CHECKPOINT_EVERY", "25")
         assert resolve_checkpoint_every() == 25
+
+    @pytest.mark.parametrize("name, resolve, raw", [
+        ("REPRO_WAL_GROUP_WINDOW_MS", resolve_group_window, "5ms"),
+        ("REPRO_WAL_GROUP_WINDOW_MS", resolve_group_window, "-1"),
+        ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "-1"),
+        ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "2.5"),
+        ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "often"),
+        ("REPRO_AUTO_ANALYZE_DRIFT", resolve_auto_analyze_drift, "-0.5"),
+        ("REPRO_AUTO_ANALYZE_DRIFT", resolve_auto_analyze_drift, "nan"),
+    ])
+    def test_malformed_env_raises(self, monkeypatch, name, resolve, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name}={raw!r}"):
+            resolve()
 
     def test_env_knobs_reach_database(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WAL_FSYNC", "always")
