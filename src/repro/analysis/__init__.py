@@ -1,64 +1,62 @@
-"""reprolint: static analysis enforcing SQLGraph's cross-layer invariants.
+"""reprolint: static checks of SQLGraph's locking and durability invariants.
 
-PRs 2-4 layered a plan cache, a WAL and a thread-per-session server over
-the paper's hybrid schema; each added invariants that live in comments
-and tribal knowledge.  This package machine-checks them:
+Six checks, each a function from the parsed files to findings:
 
-* :mod:`repro.analysis.concurrency` — the ``# guarded-by: <lock>``
-  annotation convention and its checker (fields read/written outside a
-  ``with <lock>`` scope are findings);
-* :mod:`repro.analysis.lockgraph` — a lock-acquisition-graph extractor
-  with static deadlock (lock-order cycle) detection;
-* :mod:`repro.analysis.hygiene` — durability/hygiene rules: physical
-  table mutation outside the recovery layer, WAL appends ordered after a
-  commit point, broad exception handlers that swallow errors, mutable
-  default arguments;
-* :mod:`repro.analysis.sqlcheck` — the SQL/translation invariant checker
-  running every Table-8 golden translation through the in-repo SQL
-  parser (CTE well-formedness, parameter-slot bookkeeping, ``VID >= 0``
-  lazy-delete filters, adjacency column budget);
-* :mod:`repro.analysis.docs` — the markdown docs link/reference checker
-  (``python tools/reprolint.py --select docs-links``).
+* :mod:`repro.analysis.concurrency` — ``guarded-by`` (fields annotated
+  ``# guarded-by: <lock>`` are only touched under that lock) and
+  ``guarded-by-interproc`` (callers of ``# holds: <lock>`` helpers hold
+  the lock);
+* :mod:`repro.analysis.lockgraph` — ``lock-order``: the package-wide
+  lock-acquisition graph is acyclic;
+* :mod:`repro.analysis.release` — ``release-on-all-paths``: locks,
+  sockets and files acquired outside ``with`` are released on every
+  path, exception edges included;
+* :mod:`repro.analysis.walflow` — ``wal-commit-reachability``: every
+  autocommit WAL append reaches a commit point;
+* :mod:`repro.analysis.wirecheck` — ``error-code-conformance``: wire
+  error codes stay declared, classified and relayed intact.
 
-PR 10 grew a flow-sensitive engine — :mod:`repro.analysis.cfg` builds
-per-function control-flow graphs (branches, loops, ``with``,
-``try/except/finally``, return/raise edges) and
-:mod:`repro.analysis.dataflow` runs path queries and forward gen/kill
-analyses over them — plus the rule packs on top:
-
-* :mod:`repro.analysis.walflow` — WAL commit-point reachability (the
-  PR-9 stored-procedure durability bug, as a checked invariant);
-* :mod:`repro.analysis.release` — locks/sockets/files acquired outside
-  ``with`` must be released on every path, exception edges included;
-* :mod:`repro.analysis.wirecheck` — wire-protocol error-code
-  conformance: declared, classified retryable-or-not, no dead codes,
-  relays preserve the original code;
-* the interprocedural ``# holds:`` caller check lives with its
-  intra-class sibling in :mod:`repro.analysis.concurrency`.
-
-The framework (rule registry, suppressions, baseline, reports) lives in
-:mod:`repro.analysis.core`; ``tools/reprolint.py`` is the CLI driver and
-the single analysis entry point.  See docs/ANALYSIS.md for the rule
-catalog and annotation conventions.
+:mod:`repro.analysis.cfg` and :mod:`repro.analysis.dataflow` are the
+per-function control-flow graphs and path/dataflow queries the
+flow-sensitive checks run on.  ``tests/test_reprolint.py`` runs
+:func:`lint` over ``src/repro``; see docs/ANALYSIS.md.
 """
 
-from repro.analysis.core import (  # noqa: F401
-    Finding,
-    LintContext,
-    Report,
-    all_rules,
-    lint_paths,
-    load_baseline,
-    registered_rule,
-    rule,
+from repro.analysis.concurrency import (
+    check_guarded_by,
+    check_guarded_by_interproc,
+)
+from repro.analysis.core import Finding, collect_sources
+from repro.analysis.lockgraph import check_lock_order
+from repro.analysis.release import check_release_on_all_paths
+from repro.analysis.walflow import check_wal_commit_reachability
+from repro.analysis.wirecheck import check_error_code_conformance
+
+CHECKS = (
+    check_guarded_by,
+    check_guarded_by_interproc,
+    check_lock_order,
+    check_release_on_all_paths,
+    check_wal_commit_reachability,
+    check_error_code_conformance,
 )
 
-# importing the rule modules registers their rules
-from repro.analysis import concurrency  # noqa: F401,E402
-from repro.analysis import docs  # noqa: F401,E402
-from repro.analysis import hygiene  # noqa: F401,E402
-from repro.analysis import lockgraph  # noqa: F401,E402
-from repro.analysis import release  # noqa: F401,E402
-from repro.analysis import sqlcheck  # noqa: F401,E402
-from repro.analysis import walflow  # noqa: F401,E402
-from repro.analysis import wirecheck  # noqa: F401,E402
+__all__ = ["CHECKS", "Finding", "lint"]
+
+
+def lint(paths):
+    """Run every check over the ``.py`` files under *paths*.
+
+    Returns the unsuppressed findings sorted by location; an empty list
+    means the tree is clean.
+    """
+    files, findings = collect_sources(paths)
+    by_path = {source_file.relative: source_file for source_file in files}
+    for check in CHECKS:
+        for finding in check(files):
+            source_file = by_path.get(finding.path)
+            if source_file is None \
+                    or not source_file.suppressed(finding.rule, finding.line):
+                findings.append(finding)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings

@@ -41,7 +41,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.core import Finding, rule
+from repro.analysis.core import Finding
 
 GUARDED_BY = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 HOLDS = re.compile(r"#\s*holds:\s*([A-Za-z_][A-Za-z0-9_, ]*)")
@@ -107,40 +107,30 @@ def held_locks_declared(source_file, function_node):
     return {name.strip() for name in match.group(1).split(",") if name.strip()}
 
 
-@rule(
-    "guarded-by",
-    scope="file",
-    description="fields annotated '# guarded-by: <lock>' must be accessed "
-    "inside 'with self.<lock>:' (or a '# holds: <lock>' helper)",
-)
-def check_guarded_by(source_file):
+def check_guarded_by(files):
+    """Fields annotated ``# guarded-by: <lock>`` must be accessed inside
+    ``with self.<lock>:`` (or a ``# holds: <lock>`` helper)."""
     findings = []
-    for class_node in source_file.tree.body:
-        if not isinstance(class_node, ast.ClassDef):
-            continue
-        fields = guarded_fields(source_file, class_node)
-        if not fields:
-            continue
-        for method in class_node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for source_file in files:
+        for class_node in source_file.tree.body:
+            if not isinstance(class_node, ast.ClassDef):
                 continue
-            if method.name == "__init__":
+            fields = guarded_fields(source_file, class_node)
+            if not fields:
                 continue
-            declared = held_locks_declared(source_file, method)
-            findings.extend(
-                _check_method(source_file, class_node, method, fields, declared)
-            )
+            for method in class_node.body:
+                if not isinstance(method,
+                                  (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if method.name == "__init__":
+                    continue
+                declared = held_locks_declared(source_file, method)
+                findings.extend(_check_method(
+                    source_file, class_node, method, fields, declared))
     return findings
 
 
-@rule(
-    "guarded-by-interproc",
-    scope="file",
-    description="calling a '# holds: <lock>' helper requires actually "
-    "holding the lock at the call site (inferred through undeclared "
-    "intermediate helpers)",
-)
-def check_guarded_by_interproc(source_file):
+def check_guarded_by_interproc(files):
     """The caller side of the ``# holds:`` contract.
 
     :func:`check_guarded_by` trusts a ``# holds: <lock>`` declaration
@@ -156,9 +146,11 @@ def check_guarded_by_interproc(source_file):
     single-threaded).
     """
     findings = []
-    for class_node in source_file.tree.body:
-        if isinstance(class_node, ast.ClassDef):
-            findings.extend(_check_class_interproc(source_file, class_node))
+    for source_file in files:
+        for class_node in source_file.tree.body:
+            if isinstance(class_node, ast.ClassDef):
+                findings.extend(
+                    _check_class_interproc(source_file, class_node))
     return findings
 
 
@@ -256,7 +248,6 @@ def _check_class_interproc(source_file, class_node):
                     f"{class_node.name}.{caller} calls {callee} "
                     f"(# holds: {', '.join(sorted(required))}) without "
                     f"holding {', '.join(sorted(missing))}",
-                    symbol=f"{class_node.name}.{caller}->{callee}",
                 ))
     return findings
 
@@ -287,7 +278,6 @@ def _check_method(source_file, class_node, method, fields, held):
                     f"field '{name}' is guarded-by '{fields[name]}' but "
                     f"{class_node.name}.{method.name} accesses it without "
                     f"holding the lock",
-                    symbol=f"{class_node.name}.{method.name}:{name}",
                 ))
         for child in ast.iter_child_nodes(node):
             visit(child, held)

@@ -1,34 +1,16 @@
-"""The reprolint framework: rules, findings, suppressions, baselines.
+"""reprolint's framework: findings, parsed sources and suppressions.
 
-A *rule* is a named checker registered with the :func:`rule` decorator.
-Two shapes exist:
+Every check is a function from the parsed files to a list of
+:class:`Finding` objects; :func:`repro.analysis.lint` runs the fixed
+set of them.  A finding is silenced by a comment on the offending line
+(or any line the offending statement spans)::
 
-* **file rules** (``scope="file"``) get one parsed module at a time as a
-  :class:`SourceFile` and yield :class:`Finding` objects;
-* **project rules** (``scope="project"``) run once per invocation with
-  the whole :class:`LintContext` (every parsed file plus the repo root)
-  — the lock-order graph, the SQL invariant corpus and the docs checker
-  are project rules.
-
-Findings are filtered through two mechanisms:
-
-* **suppressions** — ``# reprolint: disable=RULE[,RULE...] [-- reason]``
-  on the offending line (or any line the offending statement spans)
-  silences those rules for that statement;
-* **baseline** — a JSON list of finding fingerprints (see
-  :meth:`Finding.fingerprint`); findings present in the baseline are
-  reported as *baselined* and do not affect the exit status.  The
-  driver's ``--write-baseline`` regenerates it, which is how a rule is
-  introduced over a codebase with pre-existing violations.
-
-Fingerprints intentionally omit line numbers so unrelated edits do not
-churn the baseline.
+    # reprolint: disable=RULE[,RULE...] [-- reason]
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import pathlib
 import re
 
@@ -37,73 +19,20 @@ SUPPRESSION = re.compile(
     r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\- ]+?)(?:\s*--.*)?$"
 )
 
-_RULES: dict[str, "Rule"] = {}
-
-
-class Rule:
-    """A registered checker: name, scope, description, callable."""
-
-    __slots__ = ("name", "scope", "description", "check")
-
-    def __init__(self, name, scope, description, check):
-        self.name = name
-        self.scope = scope  # 'file' | 'project'
-        self.description = description
-        self.check = check
-
-
-def rule(name, scope="file", description=""):
-    """Decorator registering a checker under *name*."""
-
-    def register(fn):
-        if name in _RULES:
-            raise ValueError(f"duplicate rule {name!r}")
-        _RULES[name] = Rule(name, scope, description or (fn.__doc__ or "").strip(),
-                            fn)
-        return fn
-
-    return register
-
-
-def all_rules():
-    """Registered rules by name (import repro.analysis to populate)."""
-    return dict(_RULES)
-
-
-def registered_rule(name):
-    return _RULES[name]
-
 
 class Finding:
-    """One diagnostic: rule, location, message, stable fingerprint."""
+    """One diagnostic: rule, location, message."""
 
-    __slots__ = ("rule", "path", "line", "message", "symbol", "baselined")
+    __slots__ = ("rule", "path", "line", "message")
 
-    def __init__(self, rule, path, line, message, symbol=None):
+    def __init__(self, rule, path, line, message):
         self.rule = rule
-        self.path = path  # repo-relative, posix separators
+        self.path = path  # cwd-relative when possible, posix separators
         self.line = line
         self.message = message
-        #: stable anchor for the fingerprint (e.g. ``Class.field``); falls
-        #: back to the message so every finding fingerprints somehow
-        self.symbol = symbol
-        self.baselined = False
-
-    def fingerprint(self):
-        return f"{self.rule}:{self.path}:{self.symbol or self.message}"
-
-    def as_dict(self):
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "baselined": self.baselined,
-        }
 
     def render(self):
-        mark = " [baselined]" if self.baselined else ""
-        return f"{self.path}:{self.line}: {self.rule}: {self.message}{mark}"
+        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
     def __repr__(self):
         return f"Finding({self.render()!r})"
@@ -112,10 +41,8 @@ class Finding:
 class SourceFile:
     """One parsed python module plus its suppression table."""
 
-    def __init__(self, path, relative, source):
-        self.path = path
-        self.relative = relative  # repo-relative posix string
-        self.source = source
+    def __init__(self, relative, source):
+        self.relative = relative
         self.lines = source.splitlines()
         self.tree = ast.parse(source)
         #: line number -> set of rule names disabled on that line
@@ -152,27 +79,13 @@ class SourceFile:
         return ""
 
 
-class LintContext:
-    """Everything a project rule can see: parsed files + repo root."""
-
-    def __init__(self, root, files):
-        self.root = pathlib.Path(root)
-        self.files = files  # list[SourceFile]
-
-    def file(self, relative):
-        for source_file in self.files:
-            if source_file.relative == relative:
-                return source_file
-        return None
-
-
-def collect_sources(root, paths):
+def collect_sources(paths):
     """Parse every ``.py`` file under *paths* into SourceFile objects.
 
     Files that fail to parse become synthetic ``parse-error`` findings
     rather than aborting the run.
     """
-    root = pathlib.Path(root).resolve()
+    cwd = pathlib.Path.cwd().resolve()
     seen = set()
     files = []
     errors = []
@@ -184,133 +97,15 @@ def collect_sources(root, paths):
                 continue
             seen.add(candidate)
             try:
-                relative = candidate.relative_to(root).as_posix()
+                relative = candidate.relative_to(cwd).as_posix()
             except ValueError:
                 relative = candidate.as_posix()
             source = candidate.read_text()
             try:
-                files.append(SourceFile(candidate, relative, source))
+                files.append(SourceFile(relative, source))
             except SyntaxError as exc:
                 errors.append(Finding(
                     "parse-error", relative, exc.lineno or 1,
                     f"file does not parse: {exc.msg}",
                 ))
     return files, errors
-
-
-class Report:
-    """The outcome of one lint run.
-
-    ``dead_baseline`` lists baseline fingerprints that no current
-    finding matches — stale entries that would silently mask a future
-    regression; they fail the run like new findings do (only populated
-    on full-tree runs, see :func:`lint_paths`).
-    """
-
-    def __init__(self, findings, rules_run, dead_baseline=()):
-        self.findings = findings
-        self.rules_run = rules_run
-        self.dead_baseline = sorted(dead_baseline)
-
-    @property
-    def new_findings(self):
-        return [finding for finding in self.findings if not finding.baselined]
-
-    @property
-    def exit_code(self):
-        return 1 if self.new_findings or self.dead_baseline else 0
-
-    def as_dict(self):
-        return {
-            "rules": sorted(self.rules_run),
-            "findings": [finding.as_dict() for finding in self.findings],
-            "new": len(self.new_findings),
-            "baselined": len(self.findings) - len(self.new_findings),
-            "dead_baseline": self.dead_baseline,
-        }
-
-    def render_text(self):
-        lines = [finding.render() for finding in self.findings]
-        for fingerprint in self.dead_baseline:
-            lines.append(
-                f"stale baseline entry (matches no finding): {fingerprint} "
-                f"— remove it from the baseline file"
-            )
-        new = len(self.new_findings)
-        baselined = len(self.findings) - new
-        summary = (
-            f"reprolint: {new} new finding(s), {baselined} baselined, "
-            f"{len(self.dead_baseline)} stale baseline entr(ies), "
-            f"{len(self.rules_run)} rule(s) run"
-        )
-        if not lines:
-            return f"reprolint OK — no findings ({len(self.rules_run)} rule(s) run)"
-        return "\n".join(lines + ["", summary])
-
-
-def load_baseline(path):
-    """Read a baseline file: a JSON list of fingerprints (or ``[]``)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return set()
-    data = json.loads(path.read_text() or "[]")
-    return set(data)
-
-
-def write_baseline(path, findings):
-    fingerprints = sorted({finding.fingerprint() for finding in findings})
-    pathlib.Path(path).write_text(json.dumps(fingerprints, indent=2) + "\n")
-    return fingerprints
-
-
-def lint_paths(root, paths, select=None, disable=None, baseline=None,
-               file_filter=None, check_baseline=False):
-    """Run the registered rules over *paths*; returns a :class:`Report`.
-
-    :param select: iterable of rule names to run (default: all).
-    :param disable: iterable of rule names to skip.
-    :param baseline: set of fingerprints treated as pre-existing.
-    :param file_filter: when given (a set of repo-relative paths), file
-        rules only check matching files; project rules still see the
-        whole tree (their invariants are cross-file by nature).
-    :param check_baseline: also report baseline fingerprints matching
-        no current finding (only sound on full, unfiltered runs).
-    """
-    rules = all_rules()
-    if select:
-        missing = set(select) - set(rules)
-        if missing:
-            raise KeyError(f"unknown rule(s): {', '.join(sorted(missing))}")
-        rules = {name: rules[name] for name in select}
-    for name in disable or ():
-        rules.pop(name, None)
-
-    files, findings = collect_sources(root, paths)
-    context = LintContext(root, files)
-    for checker in rules.values():
-        if checker.scope == "file":
-            for source_file in files:
-                if file_filter is not None \
-                        and source_file.relative not in file_filter:
-                    continue
-                for finding in checker.check(source_file):
-                    if not source_file.suppressed(
-                        checker.name, finding.line, finding.line
-                    ):
-                        findings.append(finding)
-        else:
-            for finding in checker.check(context):
-                source_file = context.file(finding.path)
-                if source_file is None or not source_file.suppressed(
-                    checker.name, finding.line, finding.line
-                ):
-                    findings.append(finding)
-
-    baseline = baseline or set()
-    for finding in findings:
-        finding.baselined = finding.fingerprint() in baseline
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    dead = ()
-    if check_baseline:
-        dead = baseline - {finding.fingerprint() for finding in findings}
-    return Report(findings, set(rules), dead_baseline=dead)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import Finding, rule
+from repro.analysis.concurrency import _self_attr
+from repro.analysis.core import Finding
 
 #: merged node for every LockManager-issued reader/writer lock
 TABLE_LOCKS = "<table-locks>"
@@ -84,17 +85,17 @@ class Package:
     the conservative name resolution described in the module docstring.
     """
 
-    def __init__(self, context):
+    def __init__(self, files):
         self.functions = {}        # key -> _Function
         self.class_locks = {}      # class name -> {attr -> lock node}
         self.class_methods = {}    # class name -> {method -> key}
         self.module_functions = {} # relpath -> {name -> key}
         self.attr_owner = {}       # attr/var name -> class name (unambiguous)
         self._ambiguous = set()
-        self._index(context)
+        self._index(files)
 
-    def _index(self, context):
-        for source_file in context.files:
+    def _index(self, files):
+        for source_file in files:
             module = self.module_functions.setdefault(source_file.relative, {})
             for node in source_file.tree.body:
                 if isinstance(node, ast.FunctionDef):
@@ -105,7 +106,7 @@ class Package:
                 elif isinstance(node, ast.ClassDef):
                     self._index_class(source_file, node)
         # second sweep: receiver map from every `x = ClassName(...)`
-        for source_file in context.files:
+        for source_file in files:
             for node in ast.walk(source_file.tree):
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     self._note_receiver(node.targets[0], node.value)
@@ -192,19 +193,6 @@ class Package:
         return None
 
 
-_Package = Package  # historical name, kept for callers predating the rename
-
-
-def _self_attr(node):
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _call_acquires(package, function, call):
     """Locks a call may acquire: table-lock entry points + callee summary."""
     acquired = set()
@@ -217,9 +205,9 @@ def _call_acquires(package, function, call):
     return acquired
 
 
-def build_graph(context):
+def build_graph(files):
     """``(package, edges)`` where edges maps (A, B) -> example (path, line)."""
-    package = _Package(context)
+    package = Package(files)
 
     # summaries: direct acquisitions + resolved calls, then a fixpoint
     for function in package.functions.values():
@@ -337,14 +325,9 @@ def _cycles(edges):
     return components
 
 
-@rule(
-    "lock-order",
-    scope="project",
-    description="the package-wide lock-acquisition graph must be acyclic "
-    "(cycles are potential deadlocks)",
-)
-def check_lock_order(context):
-    _, edges = build_graph(context)
+def check_lock_order(files):
+    """The lock-acquisition graph must be acyclic (a cycle may deadlock)."""
+    _, edges = build_graph(files)
     findings = []
     for component in _cycles(edges):
         members = set(component)
@@ -360,6 +343,5 @@ def check_lock_order(context):
             "lock-order", path, line,
             f"potential lock-order cycle among {{{', '.join(component)}}}: "
             f"{detail}",
-            symbol="<->".join(component),
         ))
     return findings

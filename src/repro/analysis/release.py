@@ -42,12 +42,31 @@ import ast
 
 from repro.analysis import cfg as cfglib
 from repro.analysis import dataflow
-from repro.analysis.core import Finding, rule
-from repro.analysis.hygiene import _qualnames
+from repro.analysis.core import Finding
 
 RULE = "release-on-all-paths"
 
 _RELEASE_ATTRS = {"close", "release", "__exit__"}
+
+
+def _qualnames(tree):
+    """node -> dotted name of the enclosing class/function scope."""
+    names = {}
+
+    def visit(node, stack):
+        label = stack[-1] if stack else "<module>"
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                qual = f"{stack[-1]}.{child.name}" if stack else child.name
+                visit(child, stack + [qual])
+            else:
+                names[child] = label
+                visit(child, stack)
+        names[node] = label
+
+    visit(tree, [])
+    return names
 
 
 def _proxy_acquirers(tree):
@@ -209,36 +228,30 @@ def _check_function(source_file, func, class_name, proxies):
             where = "an exception path (release in a finally, or use with)"
         if where is None:
             continue
-        label = res.name or f"{res.kind}@{res.line}"
         findings.append(Finding(
             RULE, source_file.relative, res.line,
             f"{owner} acquires a {res.kind} but {what} may not be "
             f"released on {where}",
-            symbol=f"{owner}:{label}",
         ))
     return findings
 
 
-@rule(
-    RULE,
-    scope="file",
-    description="locks/sockets/files acquired outside 'with' must reach a "
-    "release on every path out of the function, including exception edges",
-)
-def check_release_on_all_paths(source_file):
-    proxies = _proxy_acquirers(source_file.tree)
+def check_release_on_all_paths(files):
     findings = []
 
-    def visit(node, class_name):
+    def visit(source_file, proxies, node, class_name):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(_check_function(
                     source_file, child, class_name, proxies))
-                visit(child, None)  # nested defs have no class receiver
+                # nested defs have no class receiver
+                visit(source_file, proxies, child, None)
             elif isinstance(child, ast.ClassDef):
-                visit(child, child.name)
+                visit(source_file, proxies, child, child.name)
             else:
-                visit(child, class_name)
+                visit(source_file, proxies, child, class_name)
 
-    visit(source_file.tree, None)
+    for source_file in files:
+        tree = source_file.tree
+        visit(source_file, _proxy_acquirers(tree), tree, None)
     return findings

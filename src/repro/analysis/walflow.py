@@ -1,9 +1,10 @@
 """WAL commit-point reachability — the PR-9 durability bug, as a rule.
 
-The durability contract (docs/WAL.md): a WAL record is *promised* only
-once a commit point (``wal.commit_point()`` / ``wal.sync()``) follows
-it.  On an **autocommit** path — no explicit transaction open — the
-appending code itself must reach that commit point before returning;
+The durability contract (docs/ARCHITECTURE.md, "Durability &
+recovery"): a WAL record is *promised* only once a commit point
+(``wal.commit_point()`` / ``wal.sync()``) follows it.  On an
+**autocommit** path — no explicit transaction open — the appending
+code itself must reach that commit point before returning;
 inside an explicit transaction, ``Transaction._finish`` commits later.
 PR 9 fixed exactly this by hand: stored-procedure CRUD appended
 mutation records and returned, so acknowledged writes could die with
@@ -47,8 +48,7 @@ import ast
 
 from repro.analysis import cfg as cfglib
 from repro.analysis import dataflow
-from repro.analysis.core import Finding, rule
-from repro.analysis.hygiene import _receiver_tail
+from repro.analysis.core import Finding
 from repro.analysis.lockgraph import Package
 
 RULE = "wal-commit-reachability"
@@ -58,6 +58,19 @@ _APPEND_ATTRS = {"append", "log_op"}
 _COMMIT_ATTRS = {"commit_point", "sync"}
 _MUTATORS = {"insert", "update", "delete", "restore"}
 _TABLE_FACTORIES = {"table", "get_table"}
+
+
+def _receiver_tail(call):
+    """Last dotted component of a call's receiver (``a.b.wal`` -> ``wal``)."""
+    fn = call.func
+    if not isinstance(fn, ast.Attribute):
+        return None
+    receiver = fn.value
+    if isinstance(receiver, ast.Name):
+        return receiver.id
+    if isinstance(receiver, ast.Attribute):
+        return receiver.attr
+    return None
 
 
 def _is_append(call):
@@ -133,8 +146,8 @@ class _FuncFlow:
 
 
 class _Analysis:
-    def __init__(self, context):
-        self.package = Package(context)
+    def __init__(self, files):
+        self.package = Package(files)
         self.flows = {}
         for key, func in self.package.functions.items():
             exempt = "baselines/" in func.source_file.relative
@@ -316,7 +329,6 @@ class _Analysis:
                     RULE, flow.func.source_file.relative, line,
                     f"{key}: {self._describe(label)} may reach function exit "
                     f"on an autocommit path without a WAL commit point",
-                    symbol=f"{key}:{label}",
                 ))
         return findings
 
@@ -449,11 +461,5 @@ def _txn_branch(test, is_txn_expr):
     return None
 
 
-@rule(
-    RULE,
-    scope="project",
-    description="every WAL append on an autocommit path must reach a "
-    "commit point (wal.commit_point()/sync()) before function exit",
-)
-def check_wal_commit_reachability(context):
-    return _Analysis(context).run()
+def check_wal_commit_reachability(files):
+    return _Analysis(files).run()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import Finding, rule
+from repro.analysis.core import Finding
 
 RULE = "error-code-conformance"
 
@@ -111,15 +111,9 @@ def _first_code_arg(call):
     return None
 
 
-@rule(
-    RULE,
-    scope="project",
-    description="every error code emitted by server/sharding exists in "
-    "protocol.py and is classified retryable-or-not; relays keep the code",
-)
-def check_error_code_conformance(context):
+def check_error_code_conformance(files):
     protocol = None
-    for source_file in context.files:
+    for source_file in files:
         if source_file.relative.endswith("server/protocol.py"):
             protocol = source_file
             break
@@ -150,7 +144,6 @@ def check_error_code_conformance(context):
                 RULE, protocol.relative, 1,
                 f"protocol.py does not define {set_name} — every declared "
                 f"error code must be classified retryable or not",
-                symbol=f"missing:{set_name}",
             ))
     retryable = set(classification.get("RETRYABLE_CODES", ((), None))[0])
     non_retryable = set(
@@ -161,13 +154,11 @@ def check_error_code_conformance(context):
             findings.append(Finding(
                 RULE, protocol.relative, 1,
                 f"classification sets reference undeclared code {name}",
-                symbol=f"undeclared:{name}",
             ))
     for name in sorted(retryable & non_retryable):
         findings.append(Finding(
             RULE, protocol.relative, declared.get(name, ("", 1))[1],
             f"code {name} is classified both retryable and non-retryable",
-            symbol=f"overlap:{name}",
         ))
     if all(s in classification for s in _CLASSIFICATION_SETS):
         for name, (_value, line) in sorted(declared.items()):
@@ -176,10 +167,9 @@ def check_error_code_conformance(context):
                     RULE, protocol.relative, line,
                     f"declared code {name} is in neither RETRYABLE_CODES "
                     f"nor NON_RETRYABLE_CODES",
-                    symbol=f"unclassified:{name}",
                 ))
 
-    scope = [f for f in context.files if _in_scope(f.relative)]
+    scope = [f for f in files if _in_scope(f.relative)]
     wire = _wire_classes(scope)
     excluded_spans = [span for _members, span in classification.values()]
 
@@ -207,7 +197,6 @@ def check_error_code_conformance(context):
                 RULE, protocol.relative, line,
                 f"declared code {name} is never emitted or matched by any "
                 f"server/sharding/client module",
-                symbol=f"dead:{name}",
             ))
 
     declared_values = {value for value, _line in declared.values()}
@@ -233,7 +222,6 @@ def check_error_code_conformance(context):
                     RULE, source_file.relative, node.lineno,
                     f"error code {spelled!r} is not declared in "
                     f"server/protocol.py",
-                    symbol=f"unknown:{spelled}",
                 ))
 
         for handler in ast.walk(source_file.tree):
@@ -259,6 +247,5 @@ def check_error_code_conformance(context):
                     f"relay catches a wire error but raises "
                     f"{stmt.exc.func.id} with fixed code {code[1]} — "
                     f"propagate the original exc.code",
-                    symbol=f"relay:{stmt.exc.func.id}:{code[1]}",
                 ))
     return findings

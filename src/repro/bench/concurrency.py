@@ -54,7 +54,7 @@ def run_throughput(adapter, generator_factory, requesters=1, duration=1.0,
             start = time.perf_counter()
             try:
                 adapter.execute(operation)
-            except Exception:  # reprolint: disable=broad-except -- benchmark workers count failures instead of dying mid-measurement
+            except Exception:  # benchmark workers count failures instead of dying mid-measurement
                 errors[requester_id] += 1
                 continue
             counts[requester_id] += 1

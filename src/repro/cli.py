@@ -528,7 +528,7 @@ def main(argv=None):
                 output = execute_line(store, line)
             except SystemExit:
                 return 0
-            except Exception as exc:  # reprolint: disable=broad-except -- REPL top level: surface anything, keep the shell alive
+            except Exception as exc:  # REPL top level: surface anything, keep the shell alive
                 output = f"error: {type(exc).__name__}: {exc}"
             if output:
                 print(output)

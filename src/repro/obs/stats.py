@@ -28,8 +28,8 @@ import math
 from bisect import bisect_left
 from time import perf_counter
 
-#: annotation fields EXPLAIN ANALYZE can emit per operator; the reprolint
-#: docs-links rule keeps docs/OBSERVABILITY.md mentioning each of these.
+#: annotation fields EXPLAIN ANALYZE can emit per operator; the docs test
+#: (tests/test_docs_links.py) keeps docs/OBSERVABILITY.md mentioning each.
 EXPLAIN_ANNOTATION_FIELDS = (
     "est_rows", "actual_rows", "batches", "time", "q_err",
 )

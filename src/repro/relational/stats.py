@@ -284,7 +284,7 @@ class TableStats:
                 for row in sample:
                     try:
                         values.append(key_fn(row))
-                    except Exception:  # reprolint: disable=broad-except -- arbitrary index expressions may reject sampled rows; skip the value, keep analyzing
+                    except Exception:  # arbitrary index expressions may reject sampled rows; skip the value, keep analyzing
                         values.append(None)
             columns[fingerprint] = ColumnStats.build(values, row_count)
         return cls(

@@ -146,7 +146,7 @@ def scan_log(path):
             break
         try:
             lsn, kind, txid, data = pickle.loads(payload)
-        except Exception:  # reprolint: disable=broad-except -- torn-tail detection: any unpickling failure means a partial write, by design
+        except Exception:  # torn-tail detection: any unpickling failure means a partial write, by design
             torn = TornTail(offset, "undecodable payload")
             break
         records.append((lsn, kind, txid, data, end))

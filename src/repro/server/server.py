@@ -407,7 +407,7 @@ class SQLGraphServer:
         if transaction is not None and transaction.active:
             try:
                 transaction.rollback()
-            except Exception:  # reprolint: disable=broad-except -- best-effort rollback while tearing down a dead session; nothing to report to
+            except Exception:  # best-effort rollback while tearing down a dead session; nothing to report to
                 pass
         session.transaction = None
         with self._sessions_guard:
@@ -444,7 +444,7 @@ class SQLGraphServer:
             self._count("statement_timeouts")
             response = self._error_response(session, request_id,
                                             STATEMENT_TIMEOUT, str(exc))
-        except Exception as exc:  # reprolint: disable=broad-except -- wire boundary: every failure maps to a typed error frame, never a dropped connection
+        except Exception as exc:  # wire boundary: every failure maps to a typed error frame, never a dropped connection
             # a relayed WireError (e.g. a coordinator's per-request
             # SHARD_UNAVAILABLE) carries its own retryability verdict;
             # recomputing from the static table would flatten it

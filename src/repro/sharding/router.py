@@ -140,7 +140,7 @@ class ShardRouter:
         for index, future in futures.items():
             try:
                 results[index] = future.result()
-            except Exception as exc:  # reprolint: disable=broad-except -- every branch must finish before the first failure re-raises (no half-running leftovers touching the pools)
+            except Exception as exc:  # every branch must finish before the first failure re-raises (no half-running leftovers touching the pools)
                 if first_error is None:
                     first_error = exc
         if first_error is not None:

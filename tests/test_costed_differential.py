@@ -16,10 +16,10 @@ fixture.
 
 import pytest
 
-from repro.analysis.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
 from repro.relational import Database
+from tests.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 
 
 def run_both(pair, run):

@@ -1,33 +1,30 @@
-"""The reprolint framework and rules, driven over fixture snippets.
+"""The reprolint checks, driven over fixture snippets.
 
-Each rule gets a minimal offending snippet (finding expected) and a
-compliant twin (no finding); the framework tests cover suppressions,
-baselines, rule selection, and the self-run asserting the real tree is
-clean with zero unbaselined findings.
+Each check gets a minimal offending snippet (finding expected) and a
+compliant twin (no finding, from any check); the remaining tests cover
+suppressions, parse errors, and the self-run asserting the real tree is
+clean.  This module and ``tests/test_reprolint_regressions.py`` are the
+way to run the lint::
+
+    PYTHONPATH=src python -m pytest tests/test_reprolint.py \\
+        tests/test_reprolint_regressions.py
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import subprocess
-import sys
 import textwrap
 
-import pytest
-
-from repro.analysis import all_rules, lint_paths
-from repro.analysis.core import load_baseline, write_baseline
+from repro.analysis import lint
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def lint_snippet(tmp_path, source, select, name="snippet.py"):
-    """Lint one dedented snippet with the given rules; returns findings."""
-    path = tmp_path / name
+def lint_snippet(tmp_path, source):
+    """Lint one dedented snippet with every check; returns findings."""
+    path = tmp_path / "snippet.py"
     path.write_text(textwrap.dedent(source))
-    report = lint_paths(tmp_path, [path], select=select)
-    return report.findings
+    return lint([path])
 
 
 def rules_of(findings):
@@ -94,24 +91,24 @@ GUARDED_COMMENT_ABOVE = """
 
 
 def test_guarded_by_flags_unlocked_access(tmp_path):
-    findings = lint_snippet(tmp_path, GUARDED_BAD, ["guarded-by"])
+    findings = lint_snippet(tmp_path, GUARDED_BAD)
     assert rules_of(findings) == ["guarded-by"]
-    assert findings[0].symbol == "Store.bump:counter"
+    assert "Store.bump" in findings[0].message
     assert "_lock" in findings[0].message
 
 
 def test_guarded_by_accepts_with_block(tmp_path):
-    assert lint_snippet(tmp_path, GUARDED_GOOD, ["guarded-by"]) == []
+    assert lint_snippet(tmp_path, GUARDED_GOOD) == []
 
 
 def test_guarded_by_accepts_holds_helper(tmp_path):
-    assert lint_snippet(tmp_path, GUARDED_HOLDS, ["guarded-by"]) == []
+    assert lint_snippet(tmp_path, GUARDED_HOLDS) == []
 
 
 def test_guarded_by_reads_comment_above(tmp_path):
-    findings = lint_snippet(tmp_path, GUARDED_COMMENT_ABOVE, ["guarded-by"])
+    findings = lint_snippet(tmp_path, GUARDED_COMMENT_ABOVE)
     assert rules_of(findings) == ["guarded-by"]
-    assert findings[0].symbol == "Store.read:counter"
+    assert "Store.read" in findings[0].message
 
 
 def test_guarded_by_lambda_inherits_held_set(tmp_path):
@@ -127,7 +124,7 @@ def test_guarded_by_lambda_inherits_held_set(tmp_path):
                 with self._condition:
                     self._condition.wait_for(lambda: not self._writer)
     """
-    assert lint_snippet(tmp_path, snippet, ["guarded-by"]) == []
+    assert lint_snippet(tmp_path, snippet) == []
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +183,11 @@ LOCK_CHAIN_VIA_CALL = """
     class Db:
         def __init__(self):
             self._guard = threading.Lock()
-            self.wal = Wal()
+            self.log = Wal()
 
         def commit(self):
             with self._guard:
-                self.wal.append()
+                self.log.append()
 """
 
 LOCK_CYCLE_VIA_CALL = """
@@ -220,192 +217,50 @@ LOCK_CYCLE_VIA_CALL = """
 
 
 def test_lock_order_detects_cycle(tmp_path):
-    findings = lint_snippet(tmp_path, LOCK_CYCLE, ["lock-order"])
+    findings = lint_snippet(tmp_path, LOCK_CYCLE)
     assert rules_of(findings) == ["lock-order"]
     assert "A.lock_a" in findings[0].message
     assert "A.lock_b" in findings[0].message
 
 
 def test_lock_order_accepts_consistent_order(tmp_path):
-    assert lint_snippet(tmp_path, LOCK_ORDERED, ["lock-order"]) == []
+    assert lint_snippet(tmp_path, LOCK_ORDERED) == []
 
 
 def test_lock_order_follows_resolved_calls(tmp_path):
     # Db.commit holds _guard and calls Wal.append (receiver resolved via
-    # the `self.wal = Wal()` assignment): Db._guard -> Wal._lock, acyclic.
-    assert lint_snippet(tmp_path, LOCK_CHAIN_VIA_CALL, ["lock-order"]) == []
+    # the `self.log = Wal()` assignment): Db._guard -> Wal._lock, acyclic.
+    assert lint_snippet(tmp_path, LOCK_CHAIN_VIA_CALL) == []
     # Close the loop — Wal.append calls back into Db.commit while holding
     # Wal._lock — and the transitive cycle must fire.
-    findings = lint_snippet(tmp_path, LOCK_CYCLE_VIA_CALL, ["lock-order"])
+    findings = lint_snippet(tmp_path, LOCK_CYCLE_VIA_CALL)
     assert rules_of(findings) == ["lock-order"]
     assert "Wal._lock" in findings[0].message
     assert "Db._guard" in findings[0].message
 
 
 # ---------------------------------------------------------------------------
-# hygiene rules
-# ---------------------------------------------------------------------------
-
-def test_broad_except_flags_swallower(tmp_path):
-    snippet = """
-        def f():
-            try:
-                return 1
-            except Exception:
-                return None
-    """
-    findings = lint_snippet(tmp_path, snippet, ["broad-except"])
-    assert rules_of(findings) == ["broad-except"]
-
-
-def test_broad_except_accepts_reraise_and_narrow(tmp_path):
-    snippet = """
-        def f():
-            try:
-                return 1
-            except Exception:
-                raise
-
-        def g():
-            try:
-                return 1
-            except ValueError:
-                return None
-    """
-    assert lint_snippet(tmp_path, snippet, ["broad-except"]) == []
-
-
-def test_bare_except_flagged(tmp_path):
-    snippet = """
-        def f():
-            try:
-                return 1
-            except:
-                return None
-    """
-    findings = lint_snippet(tmp_path, snippet, ["broad-except"])
-    assert rules_of(findings) == ["broad-except"]
-
-
-def test_mutable_default_flagged(tmp_path):
-    snippet = """
-        def f(items=[], *, mapping={}, fine=None, n=3):
-            return items, mapping, fine, n
-    """
-    findings = lint_snippet(tmp_path, snippet, ["mutable-default"])
-    assert sorted(f.symbol for f in findings) == ["f:items", "f:mapping"]
-
-
-def test_raw_table_mutation_flagged_outside_physical_layer(tmp_path):
-    snippet = """
-        def sneak(table, rid, row):
-            table.apply_insert(rid, row)
-    """
-    findings = lint_snippet(tmp_path, snippet, ["raw-table-mutation"])
-    assert rules_of(findings) == ["raw-table-mutation"]
-    # the same code inside the recovery layer is the intended use
-    layer = tmp_path / "relational"
-    layer.mkdir()
-    path = layer / "recovery.py"
-    path.write_text(textwrap.dedent(snippet))
-    report = lint_paths(tmp_path, [path], select=["raw-table-mutation"])
-    assert report.findings == []
-
-
-def test_wal_order_flags_append_after_commit(tmp_path):
-    snippet = """
-        def finish(wal, record):
-            wal.commit_point()
-            wal.append(record)
-    """
-    findings = lint_snippet(tmp_path, snippet, ["wal-order"])
-    assert rules_of(findings) == ["wal-order"]
-
-
-def test_wal_order_accepts_append_before_commit(tmp_path):
-    snippet = """
-        def finish(wal, records):
-            for record in records:
-                wal.append(record)
-            wal.commit_point()
-
-        def unrelated(log):
-            log.commit_point() if hasattr(log, "commit_point") else None
-            items = []
-            items.append(1)
-    """
-    assert lint_snippet(tmp_path, snippet, ["wal-order"]) == []
-
-
-# ---------------------------------------------------------------------------
-# framework: suppressions, baseline, selection, parse errors
+# suppressions, parse errors
 # ---------------------------------------------------------------------------
 
 def test_suppression_silences_rule_on_line(tmp_path):
-    snippet = """
-        def f():
-            try:
-                return 1
-            except Exception:  # reprolint: disable=broad-except -- fixture
-                return None
-    """
-    assert lint_snippet(tmp_path, snippet, ["broad-except"]) == []
+    snippet = GUARDED_BAD.replace(
+        "self.counter += 1",
+        "self.counter += 1  # reprolint: disable=guarded-by -- fixture")
+    assert lint_snippet(tmp_path, snippet) == []
 
 
 def test_suppression_is_rule_specific(tmp_path):
-    snippet = """
-        def f():
-            try:
-                return 1
-            except Exception:  # reprolint: disable=mutable-default
-                return None
-    """
-    findings = lint_snippet(tmp_path, snippet, ["broad-except"])
-    assert rules_of(findings) == ["broad-except"]
-
-
-def test_baseline_downgrades_known_findings(tmp_path):
-    path = tmp_path / "snippet.py"
-    path.write_text(textwrap.dedent(GUARDED_BAD))
-    first = lint_paths(tmp_path, [path], select=["guarded-by"])
-    assert first.exit_code == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.findings)
-    baseline = load_baseline(baseline_path)
-    second = lint_paths(tmp_path, [path], select=["guarded-by"],
-                        baseline=baseline)
-    assert second.exit_code == 0
-    assert [f.baselined for f in second.findings] == [True]
-
-    # fingerprints ignore line numbers: shifting the file keeps the match
-    path.write_text("# a new leading comment\n"
-                    + textwrap.dedent(GUARDED_BAD))
-    third = lint_paths(tmp_path, [path], select=["guarded-by"],
-                       baseline=baseline)
-    assert third.exit_code == 0
-
-
-def test_unknown_rule_selection_raises(tmp_path):
-    path = tmp_path / "snippet.py"
-    path.write_text("x = 1\n")
-    with pytest.raises(KeyError):
-        lint_paths(tmp_path, [path], select=["no-such-rule"])
+    snippet = GUARDED_BAD.replace(
+        "self.counter += 1",
+        "self.counter += 1  # reprolint: disable=lock-order")
+    assert rules_of(lint_snippet(tmp_path, snippet)) == ["guarded-by"]
 
 
 def test_parse_error_is_a_finding(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def f(:\n")
-    report = lint_paths(tmp_path, [path], select=["broad-except"])
-    assert rules_of(report.findings) == ["parse-error"]
-    assert report.exit_code == 1
-
-
-def test_rule_registry_is_complete():
-    assert set(all_rules()) >= {
-        "guarded-by", "lock-order", "broad-except", "mutable-default",
-        "raw-table-mutation", "wal-order", "sql-invariants", "docs-links",
-    }
+    assert rules_of(lint([path])) == ["parse-error"]
 
 
 # ---------------------------------------------------------------------------
@@ -413,33 +268,13 @@ def test_rule_registry_is_complete():
 # ---------------------------------------------------------------------------
 
 def test_self_run_src_repro_is_clean():
-    """src/repro (+ docs + corpus) has zero unbaselined findings."""
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-         "--format", "json"],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    payload = json.loads(result.stdout)
-    assert payload["new"] == 0
-    assert payload["baselined"] == 0  # the baseline is empty; keep it so
-
-
-def test_driver_fails_on_injected_violation(tmp_path):
-    """The CLI exits nonzero and names the rule on a fresh violation."""
-    path = tmp_path / "bad.py"
-    path.write_text(textwrap.dedent(GUARDED_BAD))
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-         "--select", "guarded-by", str(path)],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-    )
-    assert result.returncode == 1
-    assert "guarded-by" in result.stdout
+    """src/repro has zero unsuppressed findings."""
+    findings = lint([REPO_ROOT / "src" / "repro"])
+    assert findings == [], "\n".join(f.render() for f in findings)
 
 
 # ---------------------------------------------------------------------------
-# wal-commit-reachability (flow-sensitive, PR 10)
+# wal-commit-reachability 
 # ---------------------------------------------------------------------------
 
 WALFLOW_BAD = """
@@ -491,26 +326,63 @@ WALFLOW_VIA_HELPER = """
 
 
 def test_walflow_flags_append_without_commit(tmp_path):
-    findings = lint_snippet(tmp_path, WALFLOW_BAD,
-                            ["wal-commit-reachability"])
+    findings = lint_snippet(tmp_path, WALFLOW_BAD)
     assert rules_of(findings) == ["wal-commit-reachability"]
     assert "Procedures.add_thing" in findings[0].message
 
 
 def test_walflow_accepts_unconditional_commit(tmp_path):
-    assert lint_snippet(tmp_path, WALFLOW_GOOD,
-                        ["wal-commit-reachability"]) == []
+    assert lint_snippet(tmp_path, WALFLOW_GOOD) == []
 
 
 def test_walflow_flags_commit_on_one_branch_only(tmp_path):
-    findings = lint_snippet(tmp_path, WALFLOW_CONDITIONAL,
-                            ["wal-commit-reachability"])
+    findings = lint_snippet(tmp_path, WALFLOW_CONDITIONAL)
     assert rules_of(findings) == ["wal-commit-reachability"]
 
 
 def test_walflow_follows_commit_through_helper(tmp_path):
-    assert lint_snippet(tmp_path, WALFLOW_VIA_HELPER,
-                        ["wal-commit-reachability"]) == []
+    assert lint_snippet(tmp_path, WALFLOW_VIA_HELPER) == []
+
+
+# an append logged after the commit point is also an append that reaches
+# exit without one: this check covers the append-after-commit ordering
+APPEND_AFTER_COMMIT = """
+    def finish(wal, record):
+        wal.commit_point()
+        wal.append(record)
+
+    class Log:
+        def __init__(self, wal):
+            self.wal = wal
+
+        def finish(self, record):
+            self.wal.commit_point()
+            self.wal.append(record)
+"""
+
+APPEND_BEFORE_COMMIT = """
+    def finish(wal, records):
+        for record in records:
+            wal.append(record)
+        wal.commit_point()
+
+    def unrelated(log):
+        log.commit_point() if hasattr(log, "commit_point") else None
+        items = []
+        items.append(1)
+"""
+
+
+def test_walflow_flags_append_after_commit_point(tmp_path):
+    findings = lint_snippet(tmp_path, APPEND_AFTER_COMMIT)
+    assert rules_of(findings) == ["wal-commit-reachability"]
+    # the free function and the method, each at its append
+    assert [f.line for f in findings] == [4, 12]
+    assert findings[1].message.startswith("Log.finish:")
+
+
+def test_walflow_accepts_append_before_commit(tmp_path):
+    assert lint_snippet(tmp_path, APPEND_BEFORE_COMMIT) == []
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +409,13 @@ RELEASE_GOOD = """
 
 
 def test_release_flags_leak_on_exception_path(tmp_path):
-    findings = lint_snippet(tmp_path, RELEASE_BAD, ["release-on-all-paths"])
+    findings = lint_snippet(tmp_path, RELEASE_BAD)
     assert rules_of(findings) == ["release-on-all-paths"]
     assert "token" in findings[0].message
 
 
 def test_release_accepts_try_finally(tmp_path):
-    assert lint_snippet(tmp_path, RELEASE_GOOD,
-                        ["release-on-all-paths"]) == []
+    assert lint_snippet(tmp_path, RELEASE_GOOD) == []
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +433,7 @@ def lint_protocol_tree(tmp_path, protocol_source, extra=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
         paths.append(path)
-    report = lint_paths(tmp_path, paths, select=["error-code-conformance"])
-    return report.findings
+    return lint(paths)
 
 
 WIRE_OK = """
@@ -649,8 +519,7 @@ def test_wirecheck_flags_dead_code_constant(tmp_path):
 
 def test_wirecheck_silent_without_protocol_module(tmp_path):
     # fixture trees (and this repo's tests/) have no server/protocol.py
-    findings = lint_snippet(tmp_path, "X = 1\n",
-                            ["error-code-conformance"])
+    findings = lint_snippet(tmp_path, "X = 1\n")
     assert findings == []
 
 
@@ -694,77 +563,11 @@ INTERPROC_GOOD = """
 
 
 def test_interproc_flags_unlocked_call_into_holds_method(tmp_path):
-    findings = lint_snippet(tmp_path, INTERPROC_BAD,
-                            ["guarded-by-interproc"])
+    findings = lint_snippet(tmp_path, INTERPROC_BAD)
     assert rules_of(findings) == ["guarded-by-interproc"]
     assert "Store.outer->Store._bump_locked" in findings[0].message \
         or "_bump_locked" in findings[0].message
 
 
 def test_interproc_infers_locks_through_undeclared_helper(tmp_path):
-    assert lint_snippet(tmp_path, INTERPROC_GOOD,
-                        ["guarded-by-interproc"]) == []
-
-
-# ---------------------------------------------------------------------------
-# --since and stale-baseline driver behavior
-# ---------------------------------------------------------------------------
-
-def _git(cwd, *argv):
-    subprocess.run(["git", *argv], cwd=cwd, check=True,
-                   capture_output=True, text=True)
-
-
-def test_since_limits_file_rules_to_changed_files(tmp_path):
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-         "commit", "-q", "--allow-empty", "-m", "seed")
-    clean = tmp_path / "clean.py"
-    clean.write_text(textwrap.dedent(GUARDED_BAD))  # pre-existing violation
-    _git(tmp_path, "add", "clean.py")
-    _git(tmp_path, "-c", "user.email=t@t", "-c", "user.name=t",
-         "commit", "-q", "-m", "baseline tree")
-    changed = tmp_path / "changed.py"
-    changed.write_text(textwrap.dedent(RELEASE_BAD))
-    _git(tmp_path, "add", "changed.py")  # git diff HEAD sees staged adds
-
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-         "--since", "HEAD", "--format", "json", str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path,
-    )
-    payload = json.loads(result.stdout)
-    flagged = {f["path"] for f in payload["findings"]}
-    assert result.returncode == 1
-    # only the uncommitted file is linted by file-scope rules
-    assert any(path.endswith("changed.py") for path in flagged)
-    assert not any(path.endswith("clean.py") for path in flagged)
-
-
-def test_since_with_bad_ref_fails_loudly(tmp_path):
-    _git(tmp_path, "init", "-q")
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-         "--since", "no-such-ref", str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path,
-    )
-    assert result.returncode == 2
-    assert "--since" in result.stderr
-
-
-def test_stale_baseline_entry_fails_full_run(tmp_path):
-    report = lint_paths(REPO_ROOT, [tmp_path], select=None,
-                        baseline={"ghost-rule:src/x.py:ghost"},
-                        check_baseline=True)
-    assert list(report.dead_baseline) == ["ghost-rule:src/x.py:ghost"]
-    assert report.exit_code == 1
-    assert "stale baseline entry" in report.render_text()
-    assert "ghost-rule" in report.render_text()
-
-
-def test_stale_baseline_ignored_on_partial_run(tmp_path):
-    report = lint_paths(REPO_ROOT, [tmp_path], select=None,
-                        baseline={"ghost-rule:src/x.py:ghost"},
-                        check_baseline=False)
-    assert list(report.dead_baseline) == []
-    assert report.exit_code == 0
+    assert lint_snippet(tmp_path, INTERPROC_GOOD) == []

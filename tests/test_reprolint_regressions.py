@@ -1,60 +1,45 @@
 """The analysis regression corpus: known-bug fixtures reprolint must flag.
 
 Each fixture under ``tests/fixtures/reprolint_regressions/`` freezes a
-real bug a rule was built to catch, next to a fixed twin the rule must
-stay silent on.  The CI analysis job runs this module, so a rule
-regression (the bug pattern no longer detected, or the fix pattern
-newly flagged) fails the build even though the live tree is clean.
+real bug a check was built to catch, next to a fixed twin the check must
+stay silent on.  A check regression (the bug pattern no longer
+detected, or the fix pattern newly flagged) fails tier-1 even though
+the live tree is clean.
 """
 
 from __future__ import annotations
 
 import pathlib
-import subprocess
-import sys
 
-from repro.analysis import lint_paths
+from repro.analysis import lint
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "reprolint_regressions"
-
-
-def _walflow_findings(path):
-    report = lint_paths(FIXTURES, [path], select=["wal-commit-reachability"])
-    return report.findings
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures" \
+    / "reprolint_regressions"
 
 
 class TestPr9MissingCommitPoint:
-    """The PR-9 GraphProcedures durability bug stays detected."""
+    """The stored-procedure durability bug stays detected."""
 
     def test_broken_twin_is_flagged(self):
-        findings = _walflow_findings(FIXTURES / "pr9_missing_commit.py")
-        flagged = {f.symbol.split(":", 1)[0] for f in findings}
+        findings = lint([FIXTURES / "pr9_missing_commit.py"])
+        flagged = {f.message.split(":", 1)[0] for f in findings}
         # both broken procedures, each at its mutation site
         assert "BrokenProcedures.add_vertex" in flagged
         assert "BrokenProcedures.update_vertex" in flagged
         assert all(f.rule == "wal-commit-reachability" for f in findings)
 
     def test_fixed_twin_is_clean(self):
-        assert _walflow_findings(FIXTURES / "pr9_fixed_commit.py") == []
+        assert lint([FIXTURES / "pr9_fixed_commit.py"]) == []
 
-    def test_driver_flags_broken_twin(self):
-        """The exact CI invocation: the CLI exits 1 and names the rule."""
-        result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-             "--select", "wal-commit-reachability",
-             str(FIXTURES / "pr9_missing_commit.py")],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "wal-commit-reachability" in result.stdout
-        assert "BrokenProcedures.add_vertex" in result.stdout
 
-    def test_driver_passes_fixed_twin(self):
-        result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "reprolint.py"),
-             "--select", "wal-commit-reachability",
-             str(FIXTURES / "pr9_fixed_commit.py")],
-            capture_output=True, text=True, cwd=REPO_ROOT,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
+class TestPr10ConnectLeak:
+    """The client handshake socket leak stays detected."""
+
+    def test_broken_twin_is_flagged(self):
+        findings = lint([FIXTURES / "pr10_connect_leak.py"])
+        assert [f.rule for f in findings] == ["release-on-all-paths"]
+        assert "BrokenClient.connect" in findings[0].message
+        assert "exception path" in findings[0].message
+
+    def test_fixed_twin_is_clean(self):
+        assert lint([FIXTURES / "pr10_connect_fixed.py"]) == []

@@ -14,7 +14,6 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.corpus import golden_corpus
 from repro.core import SQLGraphStore
 from repro.datasets.random_graphs import random_property_graph
 from repro.datasets.tinker import paper_figure_graph, tinkerpop_classic
@@ -23,6 +22,7 @@ from repro.server import SQLGraphServer
 from repro.sharding import ShardedStore, partition_graph, shard_of
 from repro.sharding.partition import owner_groups
 from repro.sharding.router import single_shard_index
+from tests.corpus import golden_corpus
 from tests.test_differential import QUERY_TEMPLATES
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX, golden_corpus
-from repro.analysis.sqlcheck import verify_sql, verify_translation
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
+from tests.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX, golden_corpus
+from tests.sqlcheck import verify_sql, verify_translation
 
 
 @pytest.fixture(scope="module")

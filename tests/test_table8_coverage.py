@@ -4,10 +4,10 @@ example produces the documented CTE structure."""
 
 import pytest
 
-from repro.analysis.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
 from repro.gremlin import GremlinInterpreter, parse_gremlin
+from tests.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 
 
 @pytest.fixture(scope="module")
