@@ -6,7 +6,7 @@ Convention
 A field that must only be touched while holding a lock is annotated on
 its ``__init__`` assignment::
 
-    self.slow_query_log = []  # guarded-by: _mutation_lock
+    self.queries_translated = 0  # guarded-by: _mutation_lock
 
 The named lock is another attribute of the same object (a
 ``threading.Lock`` / ``Condition`` or compatible context manager).  The
@@ -28,7 +28,7 @@ Scope and honesty
 
 The checker is intentionally *intra-class*: only ``self.<field>``
 accesses inside the defining class are checked.  Cross-object accesses
-(``store.slow_query_log`` from a test) and string-based access
+(``store.queries_translated`` from a test) and string-based access
 (``getattr``/``setattr``) are invisible to it — the annotation documents
 the locking contract; the checker enforces the contract where the AST
 can see it.  Nested functions and lambdas inherit the held-lock set of

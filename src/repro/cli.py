@@ -71,6 +71,7 @@ import sys
 from repro.core import SQLGraphStore
 from repro.datasets import dbpedia, linkbench
 from repro.gremlin.errors import GremlinError
+from repro.obs import context as obs_context
 from repro.relational.errors import EngineError
 from repro.datasets.tinker import paper_figure_graph, tinkerpop_classic
 
@@ -210,7 +211,7 @@ def _execute_command(store, line):
             )
         lines.extend(_cache_lines(store))
         lines.extend(_wal_lines(store))
-        lines.extend(_last_query_lines(store))
+        lines.extend(_last_query_lines())
         return "\n".join(lines)
     if command == ":pagerank":
         ranks = store.pagerank()
@@ -218,7 +219,7 @@ def _execute_command(store, line):
         lines = [f"v[{vid}]  {rank:.6f}" for vid, rank in top[:10]]
         if len(top) > 10:
             lines.append(f"... ({len(top)} vertices total)")
-        return "\n".join(lines + _analytics_lines(store)) or "(empty graph)"
+        return "\n".join(lines + _analytics_lines()) or "(empty graph)"
     if command == ":components":
         components = store.connected_components()
         sizes = {}
@@ -231,7 +232,7 @@ def _execute_command(store, line):
         ]
         if len(ordered) > 10:
             lines.append(f"... ({len(ordered)} components total)")
-        return "\n".join(lines + _analytics_lines(store)) or "(empty graph)"
+        return "\n".join(lines + _analytics_lines()) or "(empty graph)"
     if command == ":labelprop":
         labels = store.label_propagation()
         sizes = {}
@@ -244,7 +245,7 @@ def _execute_command(store, line):
         ]
         if len(ordered) > 10:
             lines.append(f"... ({len(ordered)} communities total)")
-        return "\n".join(lines + _analytics_lines(store)) or "(empty graph)"
+        return "\n".join(lines + _analytics_lines()) or "(empty graph)"
     if command == ":sssp":
         parts = argument.split()
         if not parts or not parts[0].lstrip("-").isdigit():
@@ -260,7 +261,7 @@ def _execute_command(store, line):
         lines = [f"v[{vid}]  {dist:g}" for vid, dist in ordered[:10]]
         if len(ordered) > 10:
             lines.append(f"... ({len(ordered)} reachable vertices total)")
-        return "\n".join(lines + _analytics_lines(store))
+        return "\n".join(lines + _analytics_lines())
     if command == ":checkpoint":
         if store.database.wal is None:
             return "not a durable store (start with --path)"
@@ -288,7 +289,7 @@ def _execute_sharded_command(store, command, argument):
             f"{vertices} vertices / {edges} edges",
         ]
         lines.extend(_shards_report(store).splitlines())
-        lines.extend(_last_query_lines_sharded(store))
+        lines.extend(_last_query_lines_sharded())
         return "\n".join(lines)
     if command == ":help":
         return __doc__.strip()
@@ -315,9 +316,9 @@ def _shards_report(store):
     return "\n".join(lines)
 
 
-def _last_query_lines_sharded(store):
+def _last_query_lines_sharded():
     """Render the last-query section of sharded :stats."""
-    stats = store.last_query_stats
+    stats = obs_context.current().query
     if stats is None or stats.sharding is None:
         return []
     sharding = stats.sharding
@@ -336,9 +337,9 @@ def _last_query_lines_sharded(store):
     ]
 
 
-def _analytics_lines(store):
+def _analytics_lines():
     """Render the per-run summary line after an analytics command."""
-    stats = store.last_analytics_stats
+    stats = obs_context.current().analytics
     if stats is None:
         return []
     state = "converged" if stats.converged else "iteration cap hit"
@@ -394,9 +395,10 @@ def _wal_lines(store):
     ]
 
 
-def _last_query_lines(store):
+def _last_query_lines():
     """Render the last-query section of :stats (empty if none ran)."""
-    stats = store.last_query_stats
+    record = obs_context.current()
+    stats = record.query
     if stats is None:
         return []
     lines = [
@@ -405,9 +407,9 @@ def _last_query_lines(store):
         f"  {stats.rows_returned} rows in {stats.elapsed_s * 1000:.3f}ms "
         f"(translation {stats.translate_s * 1000:.3f}ms)",
     ]
-    if stats.session_id is not None:
-        peer = f" ({stats.connection})" if stats.connection else ""
-        lines.append(f"  session: #{stats.session_id}{peer}")
+    if record.session_id is not None:
+        peer = f" ({record.connection})" if record.connection else ""
+        lines.append(f"  session: #{record.session_id}{peer}")
     lines += [
         f"  caches: translation "
         f"{'hit' if stats.translation_cache_hit else 'miss'}, "
@@ -422,8 +424,6 @@ def _last_query_lines(store):
             f"{execution.page_misses} misses, "
             f"{execution.page_evictions} evictions"
         )
-    if store.slow_query_log:
-        lines.append(f"  slow-query log: {len(store.slow_query_log)} entries")
     return lines
 
 

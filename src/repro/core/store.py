@@ -54,9 +54,6 @@ class SQLGraphStore(GraphInterface):
     :param max_columns: cap on adjacency column triads.
     :param client: optional latency model charged once per request
         (:class:`repro.baselines.latency.ClientServerLink`).
-    :param slow_query_threshold: seconds; Gremlin queries whose total
-        (translate + execute) time meets the threshold are appended to
-        :attr:`slow_query_log` as structured dicts.  ``None`` disables.
     :param path: directory for durable storage (``None`` = in-memory).
         Reopening a path restores the loaded graph, colorings, attribute
         indexes and id counters from the recovered database.
@@ -65,16 +62,12 @@ class SQLGraphStore(GraphInterface):
         Database` (see its docstring and ``REPRO_WAL_*`` env variables).
     """
 
-    #: slow_query_log keeps at most this many entries (oldest dropped).
-    SLOW_QUERY_LOG_LIMIT = 100
-
     #: meta key the store's persistent state lives under in Database.meta
     META_KEY = "sqlgraph"
 
     def __init__(self, buffer_pool_pages=None, max_columns=None, client=None,
-                 planner_options=None, slow_query_threshold=None,
-                 path=None, wal_fsync=None, wal_group_window_ms=None,
-                 wal_checkpoint_every=None):
+                 planner_options=None, path=None, wal_fsync=None,
+                 wal_group_window_ms=None, wal_checkpoint_every=None):
         self.database = Database(
             buffer_pool_pages, planner_options=planner_options, path=path,
             wal_fsync=wal_fsync, wal_group_window_ms=wal_group_window_ms,
@@ -94,41 +87,30 @@ class SQLGraphStore(GraphInterface):
         #: on the store (and persisted) because a reopened store has no
         #: loader instance
         self.load_report = None
-        # id allocation, translated-query counter and the slow-query log
-        # are shared by every server session; one small guard covers them
+        # id allocation and the translated-query counter are shared by
+        # every server session; one small guard covers them
         self._mutation_lock = threading.Lock()
         self._next_vertex_id = 1  # guarded-by: _mutation_lock
         self._next_edge_id = 1  # guarded-by: _mutation_lock
-        self._local = threading.local()
         self._attribute_indexes = []  # (element, key, sorted_index)
         self.queries_translated = 0  # guarded-by: _mutation_lock
-        self.slow_query_threshold = slow_query_threshold
-        self.slow_query_log = []  # guarded-by: _mutation_lock
         if path is not None and self.database.get_meta(self.META_KEY):
             self._restore_from_meta()
 
-    # Concurrent sessions each run on their own worker thread (see
-    # repro.server); keeping the most-recent-query stats per thread means a
-    # session's :stats / last_query_stats never shows another client's query.
+    # Views over the calling thread's request record (repro.obs.context):
+    # "last" is this thread's last request on any store, and a server
+    # session starts with an empty record.
     @property
     def last_query_stats(self):
-        """:class:`repro.obs.stats.QueryStats` for this thread's most
-        recent ``query``/``run`` call (translation trace + counters)."""
-        return getattr(self._local, "query_stats", None)
-
-    @last_query_stats.setter
-    def last_query_stats(self, value):
-        self._local.query_stats = value
+        """:class:`repro.obs.stats.QueryStats` of the calling thread's
+        last ``query``/``run`` call (translation trace + counters)."""
+        return obs_context.current().query
 
     @property
     def last_analytics_stats(self):
-        """:class:`repro.obs.stats.AnalyticsStats` for this thread's most
-        recent analytics run (per-iteration rows/deltas/timings)."""
-        return getattr(self._local, "analytics_stats", None)
-
-    @last_analytics_stats.setter
-    def last_analytics_stats(self, value):
-        self._local.analytics_stats = value
+        """:class:`repro.obs.stats.AnalyticsStats` of the calling
+        thread's last analytics run (per-iteration rows/deltas/timings)."""
+        return obs_context.current().analytics
 
     # ------------------------------------------------------------------
     # loading
@@ -317,22 +299,20 @@ class SQLGraphStore(GraphInterface):
 
         Each call refreshes :attr:`last_query_stats` with the translation
         trace, wall times, cache hit flags and buffer-pool deltas
-        (per-operator actuals come from EXPLAIN ANALYZE).  Queries at or above
-        :attr:`slow_query_threshold` seconds land in :attr:`slow_query_log`.
+        (per-operator actuals come from EXPLAIN ANALYZE).
         """
         started = perf_counter()
         sql, params, trace, translation_hit = self._compile(gremlin_text)
         translated = perf_counter()
         stats = QueryStats(gremlin_text, sql, trace=trace)
-        stats.session_id = obs_context.current_session_id()
-        stats.connection = obs_context.current_connection()
         stats.translate_s = translated - started
         stats.translation_cache_hit = translation_hit
         self._charge_round_trip()
         pool = self.database.buffer_pool
         hits0, misses0, evictions0 = pool.hits, pool.misses, pool.evictions
         result = self.database.execute(sql, params)
-        stats.plan_cache_hit = self.database.last_statement_cache_hit
+        record = obs_context.current()
+        stats.plan_cache_hit = record.plan_cache_hit
         stats.elapsed_s = perf_counter() - started
         stats.rows_returned = len(result.rows)
         execution = ExecutionStats(sql)
@@ -342,19 +322,8 @@ class SQLGraphStore(GraphInterface):
         execution.page_misses = pool.misses - misses0
         execution.page_evictions = pool.evictions - evictions0
         stats.execution = execution
-        self.last_query_stats = stats
-        threshold = self.slow_query_threshold
-        if threshold is not None and stats.elapsed_s >= threshold:
-            self._log_slow_query(stats)
+        record.query = stats
         return result
-
-    def _log_slow_query(self, stats):
-        entry = stats.as_dict()
-        entry["threshold_s"] = self.slow_query_threshold
-        with self._mutation_lock:
-            self.slow_query_log.append(entry)
-            if len(self.slow_query_log) > self.SLOW_QUERY_LOG_LIMIT:
-                del self.slow_query_log[: -self.SLOW_QUERY_LOG_LIMIT]
 
     def _compile(self, gremlin_text):
         """Gremlin text → ``(sql, params, trace, translation_cache_hit)``.
@@ -370,7 +339,9 @@ class SQLGraphStore(GraphInterface):
         if entry is None:
             marked_sql = self.translator.translate(template)
             sql, recipe = strip_parameter_markers(marked_sql)
-            entry = _CompiledTemplate(sql, recipe, self.translator.last_trace)
+            entry = _CompiledTemplate(
+                sql, recipe, obs_context.current().trace
+            )
             self.translation_cache.put(key, entry, epoch=epoch)
             self._count_translation()
             return entry.sql, bind_parameters(values, entry.recipe), entry.trace, False
@@ -517,55 +488,39 @@ class SQLGraphStore(GraphInterface):
     def pagerank(self, damping=0.85, tolerance=1e-6, max_iterations=50,
                  time_budget_s=None, cancel=None):
         """PageRank over the live graph; returns ``{vid: rank}``."""
-        analytics = self._analytics()
-        try:
-            return analytics.pagerank(
-                damping=damping, tolerance=tolerance,
-                max_iterations=max_iterations,
-                time_budget_s=time_budget_s, cancel=cancel,
-            )
-        finally:
-            self.last_analytics_stats = analytics.last_stats
+        return self._analytics().pagerank(
+            damping=damping, tolerance=tolerance,
+            max_iterations=max_iterations,
+            time_budget_s=time_budget_s, cancel=cancel,
+        )
 
     def connected_components(self, max_iterations=None, time_budget_s=None,
                              cancel=None):
         """Weakly-connected components; returns ``{vid: component_id}``
         where the id is the smallest vid in the component."""
-        analytics = self._analytics()
-        try:
-            return analytics.connected_components(
-                max_iterations=max_iterations,
-                time_budget_s=time_budget_s, cancel=cancel,
-            )
-        finally:
-            self.last_analytics_stats = analytics.last_stats
+        return self._analytics().connected_components(
+            max_iterations=max_iterations,
+            time_budget_s=time_budget_s, cancel=cancel,
+        )
 
     def label_propagation(self, max_iterations=20, time_budget_s=None,
                           cancel=None):
         """Deterministic synchronous label propagation; returns
         ``{vid: label}``."""
-        analytics = self._analytics()
-        try:
-            return analytics.label_propagation(
-                max_iterations=max_iterations,
-                time_budget_s=time_budget_s, cancel=cancel,
-            )
-        finally:
-            self.last_analytics_stats = analytics.last_stats
+        return self._analytics().label_propagation(
+            max_iterations=max_iterations,
+            time_budget_s=time_budget_s, cancel=cancel,
+        )
 
     def shortest_paths(self, source, weight_key=None, max_iterations=None,
                        time_budget_s=None, cancel=None):
         """Single-source shortest paths (directed); returns
         ``{vid: distance}`` for reachable vertices only."""
-        analytics = self._analytics()
-        try:
-            return analytics.shortest_paths(
-                source, weight_key=weight_key,
-                max_iterations=max_iterations,
-                time_budget_s=time_budget_s, cancel=cancel,
-            )
-        finally:
-            self.last_analytics_stats = analytics.last_stats
+        return self._analytics().shortest_paths(
+            source, weight_key=weight_key,
+            max_iterations=max_iterations,
+            time_budget_s=time_budget_s, cancel=cancel,
+        )
 
 
 class SQLVertex:

@@ -30,20 +30,20 @@ the EA shortcut are the **§4.5.1** rewrites measured in **Table 4**; loop
 handling is **§4.3**.
 
 Observability: every translation records a
-:class:`repro.obs.stats.TranslationTrace` (exposed as
-``GremlinTranslator.last_trace``) naming each template applied, the CTE it
-produced, which merge rules fired, and whether the EA single-step shortcut
-was taken — see docs/OBSERVABILITY.md.
+:class:`repro.obs.stats.TranslationTrace` (left on the thread's request
+record as ``repro.obs.context.current().trace``) naming each template
+applied, the CTE it produced, which merge rules fired, and whether the EA
+single-step shortcut was taken — see docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 from repro.gremlin import closures as cl
 from repro.gremlin import pipes as p
 from repro.gremlin.errors import UnsupportedPipeError
+from repro.obs import context as obs_context
 from repro.obs.stats import TranslationTrace
 
 VERTEX = "vertex"
@@ -100,28 +100,17 @@ def _render_id(value):
 
 
 class GremlinTranslator:
-    """Translates parsed Gremlin queries against one SQLGraph schema.
-
-    One translator is shared by every session of a server, so the
-    most-recent-trace bookkeeping is per thread: a session reading
-    :attr:`last_trace` always sees its own translation, never a
-    concurrent one.
-    """
+    """Translates parsed Gremlin queries against one SQLGraph schema."""
 
     def __init__(self, schema):
         self.schema = schema
-        self._local = threading.local()
-
-    @property
-    def last_trace(self):
-        """TranslationTrace of this thread's most recent translate()."""
-        return getattr(self._local, "trace", None)
 
     def translate(self, query):
-        """Return the SQL text for *query* (a GremlinQuery)."""
+        """Return the SQL text for *query* (a GremlinQuery); its trace
+        goes to the calling thread's request record."""
         translation = _Translation(self.schema, list(query.pipes))
         sql = translation.build()
-        self._local.trace = translation.trace
+        obs_context.current().trace = translation.trace
         return sql
 
 

@@ -103,8 +103,7 @@ class _Run:
                  cancel=None):
         self.database = database
         self.stats = AnalyticsStats(algorithm, options)
-        self.stats.session_id = obs_context.current_session_id()
-        self.stats.connection = obs_context.current_connection()
+        obs_context.current().analytics = self.stats
         self.token = _acquire_token()
         self.deadline = (
             None if time_budget_s is None else monotonic() + time_budget_s
@@ -202,14 +201,14 @@ class GraphAnalytics:
         ``va``/``ea`` are read — VA+EA carry the full graph state).
 
     Each public method returns a plain ``{vid: value}`` dict and leaves
-    an :class:`~repro.obs.stats.AnalyticsStats` on :attr:`last_stats`.
+    an :class:`~repro.obs.stats.AnalyticsStats` on the thread's request
+    record (``repro.obs.context.current().analytics``).
     """
 
     def __init__(self, database, table_names):
         self.database = database
         self.va = table_names["va"]
         self.ea = table_names["ea"]
-        self.last_stats = None
 
     # ------------------------------------------------------------------
     # shared scratch extraction
@@ -264,7 +263,6 @@ class GraphAnalytics:
         }
         with _Run(self.database, "pagerank", options,
                   time_budget_s, cancel) as run:
-            self.last_stats = run.stats
             v, e, n = self._extract(run)
             if not n:
                 return run.finish({}, converged=True)
@@ -335,7 +333,6 @@ class GraphAnalytics:
         }
         with _Run(self.database, "components", options,
                   time_budget_s, cancel) as run:
-            self.last_stats = run.stats
             v, e, n = self._extract(run)
             if not n:
                 return run.finish({}, converged=True)
@@ -391,7 +388,6 @@ class GraphAnalytics:
         }
         with _Run(self.database, "labelprop", options,
                   time_budget_s, cancel) as run:
-            self.last_stats = run.stats
             v, e, n = self._extract(run)
             if not n:
                 return run.finish({}, converged=True)
@@ -460,7 +456,6 @@ class GraphAnalytics:
         }
         with _Run(self.database, "sssp", options,
                   time_budget_s, cancel) as run:
-            self.last_stats = run.stats
             v, e, n = self._extract(run, weight_key=weight_key)
             present = run.sql(
                 f"SELECT COUNT(*) FROM {v} WHERE vid = ?",

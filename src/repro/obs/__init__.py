@@ -9,18 +9,15 @@ is a plain integer on the object that counts (``BufferPool.hits``,
   translator's :class:`TranslationTrace`, the store-level
   :class:`QueryStats` that ties a Gremlin query to its SQL, trace and
   execution counters, and the server's :class:`TimingHistogram`.
-* :mod:`repro.obs.context` — the serving session a thread works for.
+* :mod:`repro.obs.context` — the calling thread's request record
+  (:func:`~repro.obs.context.current`): the last query, statement,
+  analytics run, translation trace and plan-cache outcome, plus the
+  serving session it belongs to.
 
 See ``docs/OBSERVABILITY.md`` for the counters and output formats.
 """
 
-from repro.obs.context import (
-    clear_session,
-    current_connection,
-    current_session_id,
-    session_scope,
-    set_session,
-)
+from repro.obs.context import current, session_scope
 from repro.obs.stats import (
     AnalyticsStats,
     ExecutionStats,
@@ -34,11 +31,8 @@ from repro.obs.stats import (
 
 __all__ = [
     "AnalyticsStats",
-    "clear_session",
-    "current_connection",
-    "current_session_id",
+    "current",
     "session_scope",
-    "set_session",
     "ExecutionStats",
     "OperatorStats",
     "QueryStats",

@@ -1,60 +1,91 @@
-"""Per-thread session attribution for observability records.
+"""The calling thread's request record: one home for "what did my last
+request do".
 
-The serving layer (:mod:`repro.server`) executes each client session on a
-dedicated worker thread.  Binding the session/connection identity to the
-thread lets every layer below — the store's slow-query log, the engine's
-``EXPLAIN ANALYZE`` stats, lock-timeout errors — stamp its records with
-*who* ran the statement without threading a session object through every
-call signature.
+Each layer writes its own field where it finishes its work: the store
+(``query``), the translator (``trace``), the engine (``plan_cache_hit``,
+and ``statement`` for ``EXPLAIN ANALYZE``) and the analytics drivers
+(``analytics``).  Readers — the server's ``gremlin`` / ``stats`` /
+``analytics`` ops, the shell's ``:stats``, ``EXPLAIN ANALYZE`` — take
+:func:`current`.
 
-Embedded (non-server) use never touches this module: the context defaults
-to ``None`` and every consumer treats that as "no session".
+The serving layer (:mod:`repro.server`) runs each client session inside
+:class:`session_scope`, which installs a fresh record stamped with the
+session id and peer address and drops it when the session ends.  A pooled
+worker thread therefore never shows one client the previous client's
+last request, and attribution is stored once, on the record, instead of
+on every stats object.  Embedded use never enters a scope: the thread's
+record has no session, and "last" means the thread's last request on any
+store.
 """
 
 from __future__ import annotations
 
 import threading
 
-_CONTEXT = threading.local()
+
+class RequestRecord:
+    """Observability record of the calling thread's current request."""
+
+    __slots__ = (
+        "session_id", "connection", "query", "statement", "analytics",
+        "trace", "plan_cache_hit",
+    )
+
+    def __init__(self, session_id=None, connection=None):
+        #: server-assigned session number (``None`` outside a server)
+        self.session_id = session_id
+        #: peer description, e.g. ``"127.0.0.1:52114"``
+        self.connection = connection
+        #: :class:`~repro.obs.stats.QueryStats` of the last Gremlin query
+        self.query = None
+        #: :class:`~repro.obs.stats.ExecutionStats` of the last
+        #: instrumented (``EXPLAIN ANALYZE``) statement
+        self.statement = None
+        #: :class:`~repro.obs.stats.AnalyticsStats` of the last bulk run
+        self.analytics = None
+        #: :class:`~repro.obs.stats.TranslationTrace` of the last
+        #: Gremlin→SQL translation
+        self.trace = None
+        #: did the last ``Database.execute`` reuse a prepared statement?
+        self.plan_cache_hit = False
+
+    def attributed(self, stats):
+        """``stats.as_dict()`` plus this record's session attribution, or
+        ``None`` when *stats* is ``None`` (wire payloads)."""
+        if stats is None:
+            return None
+        return {
+            **stats.as_dict(),
+            "session_id": self.session_id,
+            "connection": self.connection,
+        }
 
 
-def set_session(session_id, connection=None):
-    """Bind the calling thread's work to *session_id*.
-
-    :param session_id: server-assigned session number (int).
-    :param connection: optional peer description, e.g. ``"127.0.0.1:52114"``.
-    """
-    _CONTEXT.session_id = session_id
-    _CONTEXT.connection = connection
+class _ThreadRecord(threading.local):
+    def __init__(self):
+        self.record = RequestRecord()
 
 
-def clear_session():
-    """Detach the calling thread from any session."""
-    _CONTEXT.session_id = None
-    _CONTEXT.connection = None
+_THREAD = _ThreadRecord()
 
 
-def current_session_id():
-    """The session id bound to this thread, or ``None``."""
-    return getattr(_CONTEXT, "session_id", None)
-
-
-def current_connection():
-    """The peer description bound to this thread, or ``None``."""
-    return getattr(_CONTEXT, "connection", None)
+def current():
+    """The calling thread's :class:`RequestRecord`."""
+    return _THREAD.record
 
 
 class session_scope:
-    """``with session_scope(sid, conn):`` — bind and always unbind."""
+    """``with session_scope(sid, conn):`` — run the block on a fresh
+    record attributed to the session; drop it on exit."""
 
     def __init__(self, session_id, connection=None):
         self.session_id = session_id
         self.connection = connection
 
     def __enter__(self):
-        set_session(self.session_id, self.connection)
+        _THREAD.record = RequestRecord(self.session_id, self.connection)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        clear_session()
+        _THREAD.record = RequestRecord()
         return False

@@ -85,9 +85,6 @@ class ExecutionStats:
         self.index_probes = 0
         self.index_range_scans = 0
         self.lock_wait_s = 0.0
-        #: serving-layer attribution (``None`` outside a server session)
-        self.session_id = None
-        self.connection = None
 
     def operator_stats(self, operator):
         return self.operators.get(id(operator))
@@ -126,8 +123,6 @@ class ExecutionStats:
             "index_range_scans": self.index_range_scans,
             "lock_wait_s": self.lock_wait_s,
             "median_q_error": self.median_q_error(),
-            "session_id": self.session_id,
-            "connection": self.connection,
         }
 
 
@@ -236,9 +231,6 @@ def render_explain_analyze(plan, stats):
             f"Estimates: median q_err {median:.2f} over "
             f"{len(stats.operator_q_errors())} operators"
         )
-    if stats.session_id is not None:
-        peer = f" ({stats.connection})" if stats.connection else ""
-        lines.append(f"Session: {stats.session_id}{peer}")
     return lines
 
 
@@ -246,8 +238,8 @@ class TranslationTrace:
     """What the Gremlin→SQL translator did for one pipeline (paper §4.5.1).
 
     ``events`` is the ordered list of template applications; the named
-    counters summarize which rewrites fired so tests and the slow-query log
-    can assert on them without string-matching SQL.
+    counters summarize which rewrites fired so tests and ``:stats`` can
+    report them without string-matching SQL.
     """
 
     def __init__(self):
@@ -306,9 +298,6 @@ class QueryStats:
         self.translation_cache_hit = False
         #: did the engine reuse a cached prepared statement?
         self.plan_cache_hit = False
-        #: serving-layer attribution (``None`` outside a server session)
-        self.session_id = None
-        self.connection = None
         #: scatter-gather accounting for sharded execution (``None`` on
         #: an embedded store): ``{"mode": "forward"|"scatter", "shards",
         #: "target_shard", "hops", "requests"}``
@@ -317,8 +306,6 @@ class QueryStats:
     def as_dict(self):
         return {
             "gremlin": self.gremlin,
-            "session_id": self.session_id,
-            "connection": self.connection,
             "sql": self.sql,
             "translate_s": self.translate_s,
             "elapsed_s": self.elapsed_s,
@@ -384,8 +371,8 @@ class AnalyticsStats:
     ``{"iteration": i, "rows": frontier/update row count,
     "delta": convergence measure (algorithm-specific; None when the
     algorithm uses pure row counts), "elapsed_s": wall time}``.  The
-    totals below summarize the run for the slow-query log and the
-    ``analytics`` server op.
+    totals below summarize the run for ``:stats`` and the ``analytics``
+    server op.
     """
 
     def __init__(self, algorithm, options=None):
@@ -403,9 +390,6 @@ class AnalyticsStats:
         self.converged = False
         self.result_rows = 0
         self.elapsed_s = 0.0
-        #: serving-layer attribution (``None`` outside a server session)
-        self.session_id = None
-        self.connection = None
 
     @property
     def iteration_count(self):
@@ -449,8 +433,6 @@ class AnalyticsStats:
             "converged": self.converged,
             "result_rows": self.result_rows,
             "elapsed_s": self.elapsed_s,
-            "session_id": self.session_id,
-            "connection": self.connection,
         }
 
     def describe(self):

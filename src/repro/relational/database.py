@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import os
 import threading
+from contextlib import contextmanager
 from time import perf_counter
 
 from repro.obs import context as obs_context
@@ -230,8 +231,7 @@ class Transaction:
         # held forever (and the session wedged).  The undo runs with WAL
         # logging paused — recovery simply skips loser transactions, so
         # compensation writes must not reach the log.
-        if getattr(self.database._local, "txn", None) is self:
-            self.database._local.txn = None  # undo must not re-record
+        self._unbind()  # undo must not re-record
         try:
             wal = self.database.wal
             if wal is not None:
@@ -253,10 +253,17 @@ class Transaction:
             elif kind == "truncate":
                 table.restore_all(old_row)
 
+    def _unbind(self):
+        """Detach this transaction from the calling thread, if bound."""
+        local = self.database._local
+        if getattr(local, "txn", None) is self:
+            local.txn = None
+
     def _finish(self, outcome):
         if not self.active:
             raise TransactionError("transaction already finished")
         self.active = False
+        self._unbind()
         database = self.database
         wal = database.wal
         try:
@@ -275,14 +282,16 @@ class Transaction:
 
 
 class PreparedStatement:
-    """A plan-cache entry: the parsed statement (immutable once cached;
-    the planner is copy-on-write), its lock sets, and the
+    """A plan-cache entry: the normalized statement text (its cache key,
+    and what DDL logs to the WAL), the parsed statement (immutable once
+    cached; the planner is copy-on-write), its lock sets, and the
     :class:`~repro.relational.plan.PlanPool` of cached physical plans its
     SELECT (or INSERT … SELECT) is re-opened from."""
 
-    __slots__ = ("statement", "read_tables", "write_tables", "plans")
+    __slots__ = ("sql", "statement", "read_tables", "write_tables", "plans")
 
-    def __init__(self, statement, read_tables, write_tables):
+    def __init__(self, sql, statement, read_tables, write_tables):
+        self.sql = sql
         self.statement = statement
         self.read_tables = read_tables
         self.write_tables = write_tables
@@ -387,27 +396,6 @@ class Database:
         # from the previous incarnation can never collide with ours.
         self.checkpoint()
 
-    # Per-thread observability fields: concurrent sessions (one worker
-    # thread each, see repro.server) must not read each other's results.
-    @property
-    def last_statement_cache_hit(self):
-        """Did this thread's most recent execute() reuse a prepared
-        statement?  (observability; see QueryStats.plan_cache_hit)"""
-        return getattr(self._local, "cache_hit", False)
-
-    @last_statement_cache_hit.setter
-    def last_statement_cache_hit(self, value):
-        self._local.cache_hit = value
-
-    @property
-    def last_statement_stats(self):
-        """This thread's most recent instrumented ExecutionStats."""
-        return getattr(self._local, "statement_stats", None)
-
-    @last_statement_stats.setter
-    def last_statement_stats(self, value):
-        self._local.statement_stats = value
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -418,12 +406,13 @@ class Database:
     def execute(self, sql, params=None):
         """Parse (or reuse a prepared statement), lock and run one SQL
         statement.  ``params`` binds positional ``?`` placeholders for this
-        execution only; the cached AST is never mutated."""
+        execution only; the cached AST is never mutated.  Whether the
+        statement was already prepared lands on the calling thread's
+        request record (``repro.obs.context.current().plan_cache_hit``)."""
         prepared = self._prepare(sql)
         statement = prepared.statement
         with self._txn_guard:
             self.statements_executed += 1
-        self._local.sql = sql.strip()
         read_tables = prepared.read_tables
         write_tables = prepared.write_tables
         transaction = self.current_transaction()
@@ -480,13 +469,12 @@ class Database:
         key = sql.strip()
         epoch = self.schema_epoch
         prepared = self.plan_cache.get(key, epoch=epoch)
+        obs_context.current().plan_cache_hit = prepared is not None
         if prepared is not None:
-            self.last_statement_cache_hit = True
             return prepared
-        self.last_statement_cache_hit = False
         statement = parse_statement(sql)
         read_tables, write_tables = self._lock_sets(statement)
-        prepared = PreparedStatement(statement, read_tables, write_tables)
+        prepared = PreparedStatement(key, statement, read_tables, write_tables)
         self.plan_cache.put(key, prepared, epoch=epoch)
         return prepared
 
@@ -530,29 +518,33 @@ class Database:
         if not table_name.lower().startswith(SCRATCH_TABLE_PREFIX):
             self._bump_schema_epoch()
 
+    def begin(self):
+        """Open an explicit transaction bound to the calling thread.
+
+        Statements this thread executes join it until its ``commit()`` or
+        ``rollback()``, which unbinds it again.
+        """
+        if self.current_transaction() is not None:
+            raise TransactionError(
+                "a transaction is already open (nested transactions are "
+                "not supported)"
+            )
+        transaction = Transaction(self, self._begin_txid())
+        self._local.txn = transaction
+        if self.wal is not None:
+            self.wal.set_txid(transaction.txid)
+        return transaction
+
+    @contextmanager
     def transaction(self):
         """Context manager: commit on clean exit, rollback on exception."""
-        database = self
-
-        class _TransactionContext:
-            def __enter__(self):
-                if database.current_transaction() is not None:
-                    raise TransactionError("nested transactions are not supported")
-                self.txn = Transaction(database, database._begin_txid())
-                database._local.txn = self.txn
-                if database.wal is not None:
-                    database.wal.set_txid(self.txn.txid)
-                return self.txn
-
-            def __exit__(self, exc_type, exc, tb):
-                database._local.txn = None
-                if exc_type is None:
-                    self.txn.commit()
-                else:
-                    self.txn.rollback()
-                return False
-
-        return _TransactionContext()
+        transaction = self.begin()
+        try:
+            yield transaction
+        except BaseException:
+            transaction.rollback()
+            raise
+        transaction.commit()
 
     def current_transaction(self):
         return getattr(self._local, "txn", None)
@@ -757,11 +749,11 @@ class Database:
         if isinstance(statement, ast.DeleteStatement):
             return self._run_delete(statement, transaction, params)
         if isinstance(statement, ast.CreateTableStatement):
-            return self._run_create_table(statement)
+            return self._run_create_table(statement, prepared.sql)
         if isinstance(statement, ast.CreateIndexStatement):
-            return self._run_create_index(statement)
+            return self._run_create_index(statement, prepared.sql)
         if isinstance(statement, ast.DropTableStatement):
-            return self._run_drop_table(statement)
+            return self._run_drop_table(statement, prepared.sql)
         if isinstance(statement, ast.AnalyzeStatement):
             return self._run_analyze(statement)
         raise BindError(f"cannot execute {type(statement).__name__}")
@@ -877,9 +869,7 @@ class Database:
             sum(index.range_scans for index in indexes) - ranges0
         )
         stats.lock_wait_s = self.locks.last_wait()
-        stats.session_id = obs_context.current_session_id()
-        stats.connection = obs_context.current_connection()
-        self.last_statement_stats = stats
+        obs_context.current().statement = stats
         return plan.body, stats
 
     def _run_explain(self, statement, params=None):
@@ -895,10 +885,14 @@ class Database:
             return ResultSet(["plan"], [(line,) for line in text.splitlines()])
         plan, stats = self._run_instrumented(inner, params)
         lines = render_explain_analyze(plan, stats)
+        record = obs_context.current()
+        if record.session_id is not None:
+            peer = f" ({record.connection})" if record.connection else ""
+            lines.append(f"Session: {record.session_id}{peer}")
         cache = self.plan_cache.stats()
         lines.append(
             f"Plan cache: "
-            f"{'hit' if self.last_statement_cache_hit else 'miss'} "
+            f"{'hit' if record.plan_cache_hit else 'miss'} "
             f"({cache['hits']} hits, {cache['misses']} misses, "
             f"{cache['invalidations']} invalidations, "
             f"{cache['size']} entries)"
@@ -1012,7 +1006,7 @@ class Database:
                 count += 1
         return ResultSet(rowcount=count)
 
-    def _run_create_table(self, statement):
+    def _run_create_table(self, statement, sql):
         if statement.if_not_exists and self.catalog.has_table(statement.name):
             return ResultSet()
         columns = [
@@ -1024,7 +1018,7 @@ class Database:
         if schema.primary_key is not None:
             self._create_pk_index(table, schema.primary_key)
         self._ddl_epoch(schema.name)
-        self._log_ddl()
+        self._log_ddl(sql)
         return ResultSet()
 
     def _create_pk_index(self, table, column_name, populate=False):
@@ -1039,15 +1033,13 @@ class Database:
         )
         table.attach_index(index, populate=populate)
 
-    def _log_ddl(self):
+    def _log_ddl(self, sql):
         """Append the statement text of a successful DDL to the WAL."""
         wal = self.wal
         if wal is not None and wal.active:
-            sql = getattr(self._local, "sql", None)
-            if sql:
-                wal.append("ddl", sql, txid=0)
+            wal.append("ddl", sql, txid=0)
 
-    def _run_create_index(self, statement):
+    def _run_create_index(self, statement, sql):
         table = self.catalog.get_table(statement.table)
         columns = [(None, name) for name in table.schema.column_names]
         resolver = op.make_resolver(columns)
@@ -1075,12 +1067,12 @@ class Database:
         table.attach_index(index)
         # remember the statement so checkpoint snapshots can rebuild the
         # index (its key function is a compiled closure, never serialized)
-        index.ddl = getattr(self._local, "sql", None)
+        index.ddl = sql
         self._ddl_epoch(table.name)
-        self._log_ddl()
+        self._log_ddl(sql)
         return ResultSet()
 
-    def _run_drop_table(self, statement):
+    def _run_drop_table(self, statement, sql):
         dropped = self.catalog.drop_table(statement.name)
         if not dropped and not statement.if_exists:
             raise BindError(f"unknown table {statement.name!r}")
@@ -1089,5 +1081,5 @@ class Database:
             for prepared in self.plan_cache.values():
                 prepared.plans.forget_table(statement.name.lower())
             self._ddl_epoch(statement.name)
-            self._log_ddl()
+            self._log_ddl(sql)
         return ResultSet()

@@ -15,9 +15,12 @@ everything beyond that is rejected immediately with a retryable
 
 A worker serves its connection until the client disconnects, the session
 idles out, or the server drains.  Pinning a session to one thread is
-load-bearing: the engine keeps the current transaction, statement stats
-and translation traces in thread-locals, so session isolation falls out
-of thread isolation.
+load-bearing: the engine binds the open transaction to the thread.  The
+session's observability — its last query, statement stats, analytics run
+and translation trace — lives on the thread's request record
+(:mod:`repro.obs.context`), which :class:`~repro.obs.context.session_scope`
+installs fresh for each session and drops when it ends, so a pooled
+worker never shows one client what the previous one ran.
 
 *Graceful shutdown* (:meth:`SQLGraphServer.shutdown`): stop accepting,
 reject queued/new work with ``SHUTTING_DOWN``, let in-flight requests and
@@ -35,7 +38,6 @@ from time import monotonic, perf_counter
 from repro.graph.analytics import AnalyticsTimeoutError
 from repro.obs import context as obs_context
 from repro.obs.stats import TimingHistogram
-from repro.relational.database import Transaction
 from repro.relational.errors import LockTimeoutError, TransactionError
 from repro.server import protocol
 from repro.server.protocol import (
@@ -478,7 +480,7 @@ class SQLGraphServer:
         query = _required(message, "query")
         with self._statement_budget(session):
             result = self.store.query(query)
-        stats = self.store.last_query_stats
+        stats = obs_context.current().query
         return {
             "columns": result.columns,
             "rows": jsonable_rows(result.rows),
@@ -510,19 +512,12 @@ class SQLGraphServer:
         }
 
     def _op_begin(self, session, message):
-        database = self.store.database
-        if database.current_transaction() is not None:
-            raise TransactionError("session already has an open transaction")
-        transaction = Transaction(database, database._begin_txid())
-        database._local.txn = transaction
-        if database.wal is not None:
-            database.wal.set_txid(transaction.txid)
+        transaction = self.store.database.begin()
         session.transaction = transaction
         return {"txid": transaction.txid}
 
     def _op_commit(self, session, message):
         transaction = self._open_transaction(session)
-        self.store.database._local.txn = None
         session.transaction = None
         transaction.commit()
         return {"committed": True}
@@ -530,7 +525,7 @@ class SQLGraphServer:
     def _op_rollback(self, session, message):
         transaction = self._open_transaction(session)
         session.transaction = None
-        transaction.rollback()  # clears the database thread-local itself
+        transaction.rollback()
         return {"rolled_back": True}
 
     def _open_transaction(self, session):
@@ -558,11 +553,11 @@ class SQLGraphServer:
         }}
 
     def _op_stats(self, session, message):
-        stats = self.store.last_query_stats
+        record = obs_context.current()
         return {
             "server": self.stats(),
             "session": session.describe(),
-            "last_query": stats.as_dict() if stats is not None else None,
+            "last_query": record.attributed(record.query),
         }
 
     def _op_shell(self, session, message):
@@ -629,12 +624,12 @@ class SQLGraphServer:
                 cancel=self._draining.is_set,
                 **options,
             )
-        stats = self.store.last_analytics_stats
+        record = obs_context.current()
         return {
             "algorithm": algorithm,
             # wire rows, not a dict: JSON objects can't carry int keys
             "rows": [[vid, value] for vid, value in sorted(values.items())],
-            "stats": stats.as_dict() if stats is not None else None,
+            "stats": record.attributed(record.analytics),
         }
 
     # ------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 A session is born at handshake, lives exactly as long as its TCP
 connection, and is always served by a single worker thread — that pins
-the engine's thread-local machinery (current transaction, per-thread
-``last_query_stats``, translation traces) to the session, which is what
-makes one shared :class:`~repro.core.store.SQLGraphStore` safe to serve
-to many clients.
+the engine's per-thread open transaction to the session.  Its
+observability (last query, statement stats, translation trace) lives on
+the request record a :class:`~repro.obs.context.session_scope` installs
+fresh for the session and drops at its end.  Together these make one
+shared :class:`~repro.core.store.SQLGraphStore` safe to serve to many
+clients, one after another on the same pooled thread included.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from time import monotonic
 class Session:
     """State of one client connection.
 
-    :param session_id: server-assigned number, stamped on observability
-        records (slow-query log, EXPLAIN ANALYZE) via
-        :mod:`repro.obs.context`.
+    :param session_id: server-assigned number, carried by the session's
+        request record (:mod:`repro.obs.context`) into ``stats`` payloads,
+        ``:stats`` and ``EXPLAIN ANALYZE``.
     :param peer: ``"host:port"`` of the client.
     :param statement_timeout_s: default statement budget (``None`` = no
         limit); the client can override per session with the ``set`` op.

@@ -34,6 +34,7 @@ from repro.client import CRUD_READ_ACTIONS, ClientError
 from repro.graph.blueprints import Direction
 from repro.gremlin import GremlinInterpreter, parse_gremlin
 from repro.gremlin import pipes as p
+from repro.obs import context as obs_context
 from repro.obs.stats import QueryStats
 from repro.server.protocol import SHARD_UNAVAILABLE, WireError
 from repro.sharding.partition import owner_groups, shard_of
@@ -585,7 +586,6 @@ class ShardedStore:
         self._id_guard = threading.Lock()
         self._next_vid = None  # lazily seeded from the cluster maxima
         self._next_eid = None
-        self._stats_local = threading.local()
 
     @classmethod
     def connect(cls, addresses, manager=None, **router_options):
@@ -598,7 +598,9 @@ class ShardedStore:
 
     @property
     def last_query_stats(self):
-        return getattr(self._stats_local, "stats", None)
+        """:class:`~repro.obs.stats.QueryStats` of the calling thread's
+        last query (a view over its request record)."""
+        return obs_context.current().query
 
     def close(self):
         self.router.close()
@@ -649,7 +651,7 @@ class ShardedStore:
             }
         stats.rows_returned = len(values)
         stats.elapsed_s = perf_counter() - started
-        self._stats_local.stats = stats
+        obs_context.current().query = stats
         return values
 
     def query(self, gremlin_text):

@@ -6,18 +6,19 @@ import pytest
 
 from repro.graph.model import PropertyGraph
 from repro.core.store import SQLGraphStore
+from repro.obs.context import current
 from repro.obs.stats import TimingHistogram
 from repro.relational import Database
 
 
-def small_store(**kwargs):
+def small_store():
     graph = PropertyGraph()
     for i in range(1, 5):
         graph.add_vertex(i, {"name": f"v{i}", "rank": i})
     graph.add_edge(1, 2, "knows", 10)
     graph.add_edge(2, 3, "knows", 11)
     graph.add_edge(3, 4, "knows", 12)
-    store = SQLGraphStore(**kwargs)
+    store = SQLGraphStore()
     store.load_graph(graph)
     return store
 
@@ -55,7 +56,7 @@ class TestHistogram:
 def explain_analyze(database, sql):
     """Run EXPLAIN ANALYZE and return its ExecutionStats."""
     database.execute("EXPLAIN ANALYZE " + sql)
-    return database.last_statement_stats
+    return current().statement
 
 
 class TestEngineCounters:
@@ -121,7 +122,7 @@ class TestTranslationTrace:
     def test_trace_counts_ctes_and_templates(self):
         store = small_store()
         store.translate("g.V.out('knows').name")
-        trace = store.translator.last_trace
+        trace = current().trace
         assert trace.cte_count >= 3
         assert any("g.V start" in event for event in trace.events)
         assert any("property(name)" in event for event in trace.events)
@@ -129,19 +130,19 @@ class TestTranslationTrace:
     def test_graphquery_merge_counted(self):
         store = small_store()
         store.translate("g.V.has('name', 'v1')")
-        assert store.translator.last_trace.graphquery_merges >= 1
+        assert current().trace.graphquery_merges >= 1
 
     def test_loop_unroll_counted(self):
         store = small_store()
         store.translate("g.V.out('knows').loop(1){it.loops < 3}.name")
-        trace = store.translator.last_trace
+        trace = current().trace
         assert trace.loop_unrolls == 1
         assert any("unrolled" in event for event in trace.events)
 
     def test_describe_mentions_cte_count(self):
         store = small_store()
         store.translate("g.V.name")
-        description = store.translator.last_trace.describe()
+        description = current().trace.describe()
         assert "CTE" in description.splitlines()[0]
 
 
@@ -171,25 +172,3 @@ class TestStoreQueryStats:
         execution = explain_analyze(store.database, sql)
         assert execution.operators  # per-operator actuals present
         assert execution.cte_plans  # translated query ran through CTEs
-
-    def test_slow_query_log_threshold(self):
-        store = small_store(slow_query_threshold=0.0)
-        store.run("g.V.name")
-        assert len(store.slow_query_log) == 1
-        entry = store.slow_query_log[0]
-        assert entry["gremlin"] == "g.V.name"
-        assert entry["threshold_s"] == 0.0
-        assert entry["trace"]["cte_count"] >= 1
-        assert "elapsed_s" in entry
-
-    def test_slow_query_log_disabled_by_default(self):
-        store = small_store()
-        store.run("g.V.name")
-        assert store.slow_query_log == []
-
-    def test_slow_query_log_bounded(self):
-        store = small_store(slow_query_threshold=0.0)
-        store.SLOW_QUERY_LOG_LIMIT = 5
-        for __ in range(8):
-            store.run("g.V.name")
-        assert len(store.slow_query_log) == 5

@@ -17,6 +17,7 @@ from repro.core.translator import (
 from repro.datasets.tinker import paper_figure_graph
 from repro.gremlin.errors import GremlinError
 from repro.gremlin.parser import parse_gremlin
+from repro.obs.context import current
 from repro.relational import Database
 from repro.relational.cache import LRUCache
 from repro.relational.errors import BindError
@@ -93,18 +94,18 @@ class TestStatementCache:
         db = self._db()
         sql = "SELECT b FROM t WHERE a = ?"
         assert db.execute(sql, [1]).rows == [("x",)]
-        assert not db.last_statement_cache_hit
+        assert not current().plan_cache_hit
         assert db.execute(sql, [2]).rows == [("y",)]
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
         assert db.execute(sql, [3]).rows == [("z",)]
         assert db.plan_cache.stats()["hits"] >= 2
 
     def test_whitespace_normalized_key(self):
         db = self._db()
         db.execute("SELECT a FROM t")
-        assert not db.last_statement_cache_hit
+        assert not current().plan_cache_hit
         db.execute("  SELECT a FROM t  ")
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
 
     def test_missing_parameter_message(self):
         db = self._db()
@@ -125,7 +126,7 @@ class TestStatementCache:
         sql = "SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b HAVING SUM(a) > 0"
         first = sorted(db.execute(sql).rows)
         second = sorted(db.execute(sql).rows)
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
         assert first == second == [("x", 1, 1), ("y", 1, 2), ("z", 1, 3)]
 
     def test_recursive_cte_reusable(self):
@@ -134,13 +135,13 @@ class TestStatementCache:
                "SELECT n + 1 FROM r WHERE n < ?) SELECT SUM(n) FROM r")
         assert db.execute(sql, [4]).scalar() == 10
         assert db.execute(sql, [5]).scalar() == 15
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
 
     def test_dml_with_parameters_repeats(self):
         db = self._db()
         db.execute("UPDATE t SET b = ? WHERE a = ?", ["u1", 1])
         db.execute("UPDATE t SET b = ? WHERE a = ?", ["u2", 2])
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
         assert sorted(db.execute("SELECT b FROM t").column()) == [
             "u1", "u2", "z"
         ]
@@ -166,14 +167,14 @@ class TestStatementCache:
         sql = "SELECT b FROM t WHERE a = ?"
         db.execute(sql, [1])
         db.execute(sql, [1])
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
         epoch = db.schema_epoch
         db.execute("CREATE INDEX t_a ON t (a)")
         assert db.schema_epoch == epoch + 1
         assert db.plan_cache.stats()["size"] == 0
         # re-prepared post-DDL plan must use the new index and stay correct
         assert db.execute(sql, [2]).rows == [("y",)]
-        assert not db.last_statement_cache_hit
+        assert not current().plan_cache_hit
         db.execute("CREATE TABLE t2 (x INTEGER)")
         assert db.schema_epoch == epoch + 2
         db.execute("DROP TABLE t2")
@@ -285,7 +286,7 @@ class TestPlanReuse:
         db.execute("INSERT INTO scratch_plan_t VALUES (1, 'new'), (1, 'newer')")
         assert db.schema_epoch == epoch  # scratch DDL leaves plans cached
         assert sorted(db.execute(sql, [1]).rows) == [("new",), ("newer",)]
-        assert db.last_statement_cache_hit
+        assert current().plan_cache_hit
         db.execute("DROP TABLE scratch_plan_t")
         with pytest.raises(BindError, match="unknown table"):
             db.execute(sql, [1])
@@ -347,7 +348,7 @@ class TestPlanReuse:
         warm = build()
         assert warm.execute(sql, [1]).rows == [(-1,)]  # planned on 1 row
         wide = warm.execute(sql, [7]).rows
-        assert warm.last_statement_cache_hit
+        assert current().plan_cache_hit
         assert len(wide) == 1500
         assert sorted(wide) == sorted(build().execute(sql, [7]).rows)
 

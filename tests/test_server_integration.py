@@ -146,20 +146,20 @@ class TestSessionIsolation:
             assert f"Session: {client.session_id}" in text
             assert "127.0.0.1:" in text  # peer address rides along
 
-    def test_slow_query_log_attributes_sessions(self, server):
-        server.store.slow_query_threshold = 0.0  # log everything
+    def test_new_session_does_not_inherit_last_query(self):
+        # one worker thread serves both sessions, one after the other
+        server = SQLGraphServer(build_store("tinker"), port=0,
+                                max_workers=1).start()
         try:
-            with SQLGraphClient("127.0.0.1", server.port) as client:
-                client.run("g.V.name")
-                entries = [
-                    e for e in server.store.slow_query_log
-                    if e.get("session_id") == client.session_id
-                ]
-                assert entries, "slow-query log never saw the session"
-                assert entries[-1]["connection"].startswith("127.0.0.1:")
+            with SQLGraphClient("127.0.0.1", server.port) as first:
+                first.run("g.v(1).out.name")
+                assert first.stats()["last_query"]["gremlin"] == \
+                    "g.v(1).out.name"
+            with SQLGraphClient("127.0.0.1", server.port) as second:
+                assert second.stats()["last_query"] is None
+                assert "last query:" not in second.shell(":stats")
         finally:
-            server.store.slow_query_threshold = None
-            server.store.slow_query_log.clear()
+            server.shutdown(drain_timeout_s=1.0)
 
 
 class TestConcurrency:

@@ -86,6 +86,24 @@ class TestCoordinatorServing:
         assert "2 shards" in output
         assert "4 vertices / 5 edges" in output
 
+    def test_new_session_does_not_inherit_last_query(self, shard_servers):
+        store = ShardedStore.connect(
+            [(server.host, server.port) for server in shard_servers]
+        )
+        # one worker thread serves both sessions, one after the other
+        server = CoordinatorServer(store, port=0, max_workers=1).start()
+        try:
+            with SQLGraphClient("127.0.0.1", server.port) as first:
+                first.run("g.v(1).out.name")
+                assert first.stats()["last_query"]["gremlin"] == \
+                    "g.v(1).out.name"
+            with SQLGraphClient("127.0.0.1", server.port) as second:
+                assert second.stats()["last_query"] is None
+                assert "last query:" not in second.shell(":stats")
+        finally:
+            server.shutdown(drain_timeout_s=1.0)
+            store.close()
+
     def test_transactions_rejected_typed(self, client):
         with pytest.raises(WireError) as excinfo:
             client.begin()

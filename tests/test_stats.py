@@ -24,6 +24,7 @@ from tests import crashkit
 from repro.cli import execute_line
 from repro.core import SQLGraphStore
 from repro.datasets.tinker import tinkerpop_classic
+from repro.obs.context import current
 from repro.relational import Database
 from repro.relational.errors import BindError, SqlSyntaxError
 from repro.relational.sql.parser import parse_statement
@@ -376,7 +377,7 @@ def test_explain_analyze_reports_q_error(skewed_db):
     assert "actual_rows=50" in first
     assert "q_err=1.00" in first
     assert re.search(r"Estimates: median q_err \d+\.\d\d over \d+", text)
-    stats = skewed_db.last_statement_stats
+    stats = current().statement
     assert stats.median_q_error() == pytest.approx(1.0)
     assert stats.as_dict()["median_q_error"] == pytest.approx(1.0)
 
