@@ -267,15 +267,6 @@ class OrPipe(Pipe):
     shard_local = False
 
 
-@dataclass
-class BackFilterPipe(Pipe):
-    """Filter form of back: keep objects whose sub-traversal matches."""
-
-    branch: list = field(default_factory=list)
-    category = FILTER
-    shard_local = False
-
-
 # ----------------------------------------------------------------------
 # side-effect pipes (identity under translation, per paper §4.4)
 # ----------------------------------------------------------------------

@@ -89,9 +89,6 @@ class ExecutionStats:
     def operator_stats(self, operator):
         return self.operators.get(id(operator))
 
-    def total_operator_rows(self):
-        return sum(entry.rows_out for entry in self.operators.values())
-
     def operator_q_errors(self):
         """Q-errors of every operator that executed (unordered)."""
         errors = []

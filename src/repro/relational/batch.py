@@ -7,7 +7,9 @@ DISTINCT narrow a batch without copying any values.  Operators hand
 batches to each other through ``Operator.batches()``, the engine's only
 execution contract; ``Operator.rows()`` flattens the same blocks into
 tuples for consumers that want rows (ResultSet materialization, scalar
-subqueries, the recursive-CTE dedup loop).
+subqueries, the recursive-CTE dedup loop).  Operators evaluate every
+expression as a batch kernel over a block's column lists
+(:mod:`repro.relational.expressions`).
 
 Batches are **immutable once yielded**: downstream operators may alias
 the column lists (zero-copy projection/filter/distinct) but must never
@@ -25,45 +27,6 @@ from __future__ import annotations
 #: per-batch overhead, small enough to keep selection vectors and value
 #: lists cache-friendly.
 BATCH_SIZE = 1024
-
-
-class BatchRow:
-    """A lazy row view over one batch position.
-
-    Compiled row closures only ever index the row (``row[position]``), so
-    a :class:`BatchRow` lets one evaluate against a batch without
-    materializing a tuple per row.  Reused across positions: set
-    :attr:`i` and call the closure.
-    """
-
-    __slots__ = ("columns", "i")
-
-    def __init__(self, columns, i=0):
-        self.columns = columns
-        self.i = i
-
-    def __getitem__(self, position):
-        return self.columns[position][self.i]
-
-    def __len__(self):
-        return len(self.columns)
-
-
-def row_kernel(fn):
-    """Lift a ``row -> value`` closure to a batch kernel
-    ``(columns, positions) -> list``, evaluating it once per live position
-    through a reused :class:`BatchRow` view."""
-
-    def kernel(columns, positions):
-        row = BatchRow(columns)
-        out = []
-        append = out.append
-        for i in positions:
-            row.i = i
-            append(fn(row))
-        return out
-
-    return kernel
 
 
 class ColumnBatch:

@@ -18,6 +18,7 @@ import gc
 import os
 import threading
 from contextlib import contextmanager
+from itertools import compress, islice
 from time import perf_counter
 
 from repro.obs import context as obs_context
@@ -28,12 +29,15 @@ from repro.obs.stats import (
 )
 from repro.relational import expressions as ex
 from repro.relational import operators as op
+from repro.relational.batch import BATCH_SIZE, ColumnBatch
 from repro.relational.cache import LRUCache
 from repro.relational.errors import BindError, CatalogError, TransactionError
 from repro.relational.index import (
+    ExpressionKey,
     HashIndex,
     SortedIndex,
     column_key_function,
+    composite_key_function,
 )
 from repro.relational.locks import LockManager
 from repro.relational.pages import BufferPool
@@ -399,10 +403,6 @@ class Database:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def register_function(self, name, fn):
-        """Register a scalar SQL function (UDF)."""
-        self.functions[name.lower()] = fn
-
     def execute(self, sql, params=None):
         """Parse (or reuse a prepared statement), lock and run one SQL
         statement.  ``params`` binds positional ``?`` placeholders for this
@@ -941,56 +941,81 @@ class Database:
             *[listed.get(column.name, nulls) for column in schema.columns]
         ))
 
-    def _table_ctx(self, table, params):
+    @staticmethod
+    def _table_ctx(table, planner):
         """Compile context over *table*'s rows (UPDATE / DELETE)."""
-        return self._planner(params)._ctx(
+        return planner._ctx(
             [(table.name, name) for name in table.schema.column_names]
         )
 
-    def _where_matches(self, table, where, ctx):
-        """RIDs of rows matching *where* (index-assisted when possible)."""
+    def _where_matches(self, table, where, planner):
+        """``(rid, row)`` of the rows matching *where*, found by one
+        kernel call per block of candidate rows (index-assisted when
+        possible)."""
         if where is None:
             return list(table.scan())
-        predicate = where.compile(ctx)
+        predicate = where.compile_batch(self._table_ctx(table, planner))
+        candidates = table.scan()
         # try a single-conjunct index probe for the common point lookup
         for conjunct in split_conjuncts(where):
-            if isinstance(conjunct, ex.Comparison) and conjunct.op == "=":
-                for key_side, value_side in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
-                ):
-                    if value_side.references() or not key_side.references():
-                        continue
-                    try:
-                        index = table.find_index(key_side.fingerprint())
-                    except NotImplementedError:
-                        continue
-                    if index is None:
-                        continue
-                    key = value_side.compile(ctx)(None)
-                    matches = []
-                    for rid in index.lookup(key):
-                        row = table.get(rid)
-                        if row is not None and predicate(row):
-                            matches.append((rid, row))
-                    return matches
-        return [(rid, row) for rid, row in table.scan() if predicate(row)]
+            probe = self._index_probe(table, conjunct, planner)
+            if probe is not None:
+                candidates = probe
+                break
+        width = len(table.schema.columns)
+        matches = []
+        while chunk := list(islice(candidates, BATCH_SIZE)):
+            block = ColumnBatch.from_rows([row for __, row in chunk], width)
+            matches.extend(
+                compress(chunk, predicate(block.columns, block.positions()))
+            )
+        return matches
+
+    @staticmethod
+    def _index_probe(table, conjunct, planner):
+        """The live ``(rid, row)`` pairs an index finds for an equality
+        *conjunct* with a constant side, or ``None`` when none applies."""
+        if not (isinstance(conjunct, ex.Comparison) and conjunct.op == "="):
+            return None
+        for key_side, value_side in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if value_side.references() or not key_side.references():
+                continue
+            try:
+                index = table.find_index(key_side.fingerprint())
+            except NotImplementedError:
+                continue
+            if index is None:
+                continue
+            rids = index.lookup(planner.const_value(value_side))
+            return iter([
+                (rid, row) for rid, row in zip(rids, table.get_many(rids))
+                if row is not None
+            ])
+        return None
 
     def _run_update(self, statement, transaction, params=None):
         table = self.catalog.get_table(statement.table)
-        ctx = self._table_ctx(table, params)
-        matches = self._where_matches(table, statement.where, ctx)
-        assignment_fns = [
-            (table.schema.position(column), expression.compile(ctx))
+        planner = self._planner(params)
+        ctx = self._table_ctx(table, planner)
+        matches = self._where_matches(table, statement.where, planner)
+        assignments = [
+            (table.schema.position(column), expression.compile_batch(ctx))
             for column, expression in statement.assignments
         ]
+        width = len(table.schema.columns)
         count = 0
-        for rid, row in matches:
-            new_row = list(row)
-            for position, fn in assignment_fns:
-                new_row[position] = fn(row)
-            if table.update(rid, new_row) is not None:
-                count += 1
+        for start in range(0, len(matches), BATCH_SIZE):
+            chunk = matches[start:start + BATCH_SIZE]
+            block = ColumnBatch.from_rows([row for __, row in chunk], width)
+            new_columns = list(block.columns)
+            for position, fn in assignments:
+                new_columns[position] = fn(block.columns, block.positions())
+            for (rid, __row), new_row in zip(chunk, zip(*new_columns)):
+                if table.update(rid, new_row) is not None:
+                    count += 1
         return ResultSet(rowcount=count)
 
     def _run_delete(self, statement, transaction, params=None):
@@ -998,7 +1023,7 @@ class Database:
         if statement.where is None:
             return ResultSet(rowcount=table.truncate())
         matches = self._where_matches(
-            table, statement.where, self._table_ctx(table, params)
+            table, statement.where, self._planner(params)
         )
         count = 0
         for rid, __row in matches:
@@ -1044,16 +1069,24 @@ class Database:
         columns = [(None, name) for name in table.schema.column_names]
         resolver = op.make_resolver(columns)
         ctx = ex.CompileContext(resolver, self.functions)
-        if len(statement.expressions) == 1:
-            expression = statement.expressions[0]
-            key_function = expression.compile(ctx)
-            fingerprint = expression.fingerprint()
-        else:
-            fns = [expression.compile(ctx) for expression in statement.expressions]
-            key_function = lambda row, _fns=tuple(fns): tuple(fn(row) for fn in _fns)
-            fingerprint = ",".join(
-                expression.fingerprint() for expression in statement.expressions
+        expressions = statement.expressions
+        if all(isinstance(expression, ex.ColumnRef)
+               for expression in expressions):
+            positions = [
+                resolver(expression.qualifier, expression.name)
+                for expression in expressions
+            ]
+            key_function = (
+                column_key_function(positions[0]) if len(positions) == 1
+                else composite_key_function(positions)
             )
+        else:
+            key_function = ExpressionKey(
+                [expression.compile_batch(ctx) for expression in expressions]
+            )
+        fingerprint = ",".join(
+            expression.fingerprint() for expression in expressions
+        )
         if statement.using == "sorted":
             index = SortedIndex(
                 statement.name, table.name, key_function, fingerprint,
@@ -1066,7 +1099,7 @@ class Database:
             )
         table.attach_index(index)
         # remember the statement so checkpoint snapshots can rebuild the
-        # index (its key function is a compiled closure, never serialized)
+        # index (its key function holds compiled kernels, never serialized)
         index.ddl = sql
         self._ddl_epoch(table.name)
         self._log_ddl(sql)

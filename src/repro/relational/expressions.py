@@ -1,26 +1,33 @@
 """Expression trees with SQL three-valued logic.
 
 Expressions appear in ``SELECT`` lists, ``WHERE``/``HAVING`` clauses, join
-conditions and index definitions.  Each node supports:
+conditions, ``ORDER BY`` keys, ``UPDATE``/``DELETE`` statements and index
+definitions.  Each node supports:
 
-* ``compile(ctx)`` — produce a fast ``row -> value`` closure, resolving
-  column references through ``ctx.resolver`` once (no per-row name lookups);
-* ``compile_batch(ctx)`` — produce a vectorized ``(columns, positions) ->
-  values`` closure for the batch executor: *columns* are the input batch's
-  per-column lists, *positions* the live positions to evaluate (a ``range``
-  when the whole batch is live), and the result is a list of values aligned
-  with *positions*.  Nodes without a specialized kernel inherit a generic
-  fallback that drives the row closure over each live position
-  (:func:`~repro.relational.batch.row_kernel`) — correctness never
-  depends on a node being vectorized;
+* ``compile_batch(ctx)`` — the one compiler: a batch kernel ``(columns,
+  positions) -> values``.  *columns* are the input block's per-column
+  lists, *positions* the live positions to evaluate (a ``range`` when the
+  whole block is live), and the result is a list of values aligned with
+  *positions*.  Column references resolve through ``ctx.resolver`` once,
+  at compile time;
 * ``references()`` — the set of ``(qualifier, column)`` pairs it reads,
   used by the planner for pushdown and join analysis;
 * ``fingerprint()`` — a canonical string used to match predicates against
   expression indexes (e.g. an index over ``JSON_VAL(attr, 'name')``).
 
 NULL semantics follow SQL: comparisons and arithmetic with NULL yield NULL
-(``None``); AND/OR use Kleene logic; WHERE treats NULL as false.  The
-batch kernels implement the exact same three-valued logic elementwise.
+(``None``); AND/OR use Kleene logic; WHERE treats NULL as false.
+
+Short-circuit nodes evaluate an operand only at the positions that still
+need it, as a row-at-a-time evaluator would: ``AND`` evaluates item *k*
+only where no earlier item was false, ``OR`` only where none was true,
+``CASE`` each WHEN where no earlier WHEN held and each THEN where its WHEN
+did, ``COALESCE`` argument *k* only where every earlier one was NULL, and
+``IN (list)`` its items only where the operand is not NULL and no earlier
+item matched.  An operand that would raise on a position it never needs
+(``'abc' - 1``) therefore never sees it, wherever the planner places the
+expression.  While no position is decided, the operand runs on the
+block's positions unchanged, so no sub-list is built.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from __future__ import annotations
 import math
 import re
 
-from repro.relational.batch import row_kernel
 from repro.relational.errors import BindError, TypeMismatchError
 from repro.relational.index import total_order_key
 from repro.relational.schema import ColumnType, coerce_value
@@ -38,14 +44,14 @@ class CompileContext:
     """Everything an expression needs to compile itself.
 
     :param resolver: callable ``(qualifier, column) -> position`` mapping a
-        column reference to its offset in the row tuple.
+        column reference to the index of its list in a block's columns.
     :param functions: scalar function registry ``name -> callable``.
     :param subquery_executor: callable ``(plan, derive) -> derive(rows)``
         used by IN/EXISTS/scalar subqueries (installed by the planner); it
         runs *plan* at most once per execution and remembers the derived
         answer until the next one.
-    :param params: the list of ``?`` values a compiled closure reads when
-        it is *evaluated*, never copied at compile time: a cached plan is
+    :param params: the list of ``?`` values a kernel reads when it is
+        *evaluated*, never copied at compile time: a cached plan is
         re-bound by overwriting this list in place.
     """
 
@@ -60,19 +66,9 @@ class CompileContext:
 class Expression:
     """Base class of all expression nodes."""
 
-    def compile(self, ctx):
-        raise NotImplementedError
-
     def compile_batch(self, ctx):
-        """Vectorized compilation: ``(columns, positions) -> list[value]``.
-
-        The generic fallback evaluates the row closure once per live
-        position (:func:`~repro.relational.batch.row_kernel`), so stateful
-        nodes (subqueries) and rarely-hot nodes stay correct without a
-        dedicated kernel.  Subclasses on the hot path override this with
-        elementwise loops over the input column lists.
-        """
-        return row_kernel(self.compile(ctx))
+        """The batch kernel ``(columns, positions) -> list[value]``."""
+        raise NotImplementedError(f"no kernel for {type(self).__name__}")
 
     def references(self):
         return set()
@@ -89,13 +85,32 @@ class Expression:
             yield from child.walk()
 
 
+def _run_at(kernel, columns, positions, offsets):
+    """``(offset, value)`` pairs of *kernel* run at the positions at the
+    ascending *offsets* into *positions* — on *positions* itself, no
+    sub-list built, while the offsets still cover all of them."""
+    if len(offsets) < len(positions):
+        positions = [positions[j] for j in offsets]
+    return zip(offsets, kernel(columns, positions))
+
+
+def column_kernel(position):
+    """Kernel reading the column at *position*: the column list itself
+    when the whole block is live (zero-copy — blocks are immutable once
+    yielded), else the values at the live positions."""
+
+    def evaluate(columns, positions):
+        column = columns[position]
+        if type(positions) is range:
+            return column
+        return [column[i] for i in positions]
+
+    return evaluate
+
+
 class Literal(Expression):
     def __init__(self, value):
         self.value = value
-
-    def compile(self, ctx):
-        value = self.value
-        return lambda row: value
 
     def compile_batch(self, ctx):
         value = self.value
@@ -110,14 +125,14 @@ class Literal(Expression):
 
 class Parameter(Expression):
     """A ``?`` placeholder.  Compiling checks that ``CompileContext.params``
-    has a value for it; the closure reads that list each time it runs, so
+    has a value for it; the kernel reads that list each time it runs, so
     a cached plan answers for whatever binding it was last opened with.
     The AST itself is never mutated."""
 
     def __init__(self, index):
         self.index = index
 
-    def compile(self, ctx):
+    def compile_batch(self, ctx):
         params = ctx.params
         index = self.index
         if params is None or index >= len(params):
@@ -125,11 +140,7 @@ class Parameter(Expression):
             raise BindError(
                 f"statement requires parameter {index + 1}, got {have}"
             )
-        return lambda row: params[index]
-
-    def compile_batch(self, ctx):
-        fn = self.compile(ctx)  # validates the parameter vector
-        return lambda columns, positions: [fn(None)] * len(positions)
+        return lambda columns, positions: [params[index]] * len(positions)
 
     def fingerprint(self):
         # parameters are per-execution constants; an identity fingerprint
@@ -146,22 +157,8 @@ class ColumnRef(Expression):
         self.qualifier = qualifier.lower() if qualifier else None
         self.name = name.lower()
 
-    def compile(self, ctx):
-        position = ctx.resolver(self.qualifier, self.name)
-        return lambda row: row[position]
-
     def compile_batch(self, ctx):
-        position = ctx.resolver(self.qualifier, self.name)
-
-        def evaluate(columns, positions, _position=position):
-            column = columns[_position]
-            if type(positions) is range:
-                # whole batch live: hand back the column list itself
-                # (zero-copy — batches are immutable once yielded)
-                return column
-            return [column[i] for i in positions]
-
-        return evaluate
+        return column_kernel(ctx.resolver(self.qualifier, self.name))
 
     def references(self):
         return {(self.qualifier, self.name)}
@@ -233,12 +230,6 @@ class BinaryOp(Expression):
     def children(self):
         return (self.left, self.right)
 
-    def compile(self, ctx):
-        op = self.op
-        left = self.left.compile(ctx)
-        right = self.right.compile(ctx)
-        return lambda row: _arith(op, left(row), right(row))
-
     def compile_batch(self, ctx):
         op = self.op
         left = self.left.compile_batch(ctx)
@@ -303,12 +294,6 @@ class Comparison(Expression):
     def children(self):
         return (self.left, self.right)
 
-    def compile(self, ctx):
-        op = self.op
-        left = self.left.compile(ctx)
-        right = self.right.compile(ctx)
-        return lambda row: compare_values(op, left(row), right(row))
-
     def compile_batch(self, ctx):
         op = self.op
         # constant-vs-column equality is THE hot-path predicate shape
@@ -367,10 +352,47 @@ def _constant_getter(node, ctx):
     if isinstance(node, Parameter):
         params = ctx.params
         if params is None or node.index >= len(params):
-            return None  # let compile() raise the precise BindError
+            return None  # let compile_batch() raise the precise BindError
         index = node.index
         return lambda: params[index]
     return None
+
+
+def _kleene(kernels, decisive):
+    """Kernel of an AND (*decisive* False) or an OR (*decisive* True) of
+    *kernels* in Kleene logic: item *k* runs only at the positions no
+    earlier item has decided, i.e. where none returned *decisive*."""
+
+    def evaluate(columns, positions):
+        result = [not decisive] * len(positions)
+        offsets = range(len(positions))
+        for kernel in kernels:
+            pairs = _run_at(kernel, columns, positions, offsets)
+            undecided = []
+            keep = undecided.append
+            if decisive:
+                for j, value in pairs:
+                    if value:
+                        result[j] = True
+                    else:
+                        if value is None:
+                            result[j] = None
+                        keep(j)
+            else:
+                for j, value in pairs:
+                    if value:
+                        keep(j)
+                    elif value is None:
+                        result[j] = None
+                        keep(j)
+                    else:
+                        result[j] = False
+            if not undecided:
+                break
+            offsets = undecided
+        return result
+
+    return evaluate
 
 
 class And(Expression):
@@ -380,40 +402,8 @@ class And(Expression):
     def children(self):
         return tuple(self.items)
 
-    def compile(self, ctx):
-        compiled = [item.compile(ctx) for item in self.items]
-
-        def evaluate(row):
-            saw_null = False
-            for fn in compiled:
-                value = fn(row)
-                if value is None:
-                    saw_null = True
-                elif not value:
-                    return False
-            return None if saw_null else True
-
-        return evaluate
-
     def compile_batch(self, ctx):
-        compiled = [item.compile_batch(ctx) for item in self.items]
-
-        def evaluate(columns, positions):
-            result = [True] * len(positions)
-            for fn in compiled:
-                values = fn(columns, positions)
-                for i, value in enumerate(values):
-                    current = result[i]
-                    if current is False:
-                        continue
-                    if value is None:
-                        if current is True:
-                            result[i] = None
-                    elif not value:
-                        result[i] = False
-            return result
-
-        return evaluate
+        return _kleene([item.compile_batch(ctx) for item in self.items], False)
 
     def references(self):
         refs = set()
@@ -432,40 +422,8 @@ class Or(Expression):
     def children(self):
         return tuple(self.items)
 
-    def compile(self, ctx):
-        compiled = [item.compile(ctx) for item in self.items]
-
-        def evaluate(row):
-            saw_null = False
-            for fn in compiled:
-                value = fn(row)
-                if value is None:
-                    saw_null = True
-                elif value:
-                    return True
-            return None if saw_null else False
-
-        return evaluate
-
     def compile_batch(self, ctx):
-        compiled = [item.compile_batch(ctx) for item in self.items]
-
-        def evaluate(columns, positions):
-            result = [False] * len(positions)
-            for fn in compiled:
-                values = fn(columns, positions)
-                for i, value in enumerate(values):
-                    current = result[i]
-                    if current is True:
-                        continue
-                    if value is None:
-                        if current is False:
-                            result[i] = None
-                    elif value:
-                        result[i] = True
-            return result
-
-        return evaluate
+        return _kleene([item.compile_batch(ctx) for item in self.items], True)
 
     def references(self):
         refs = set()
@@ -483,17 +441,6 @@ class Not(Expression):
 
     def children(self):
         return (self.operand,)
-
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-
-        def evaluate(row):
-            value = operand(row)
-            if value is None:
-                return None
-            return not value
-
-        return evaluate
 
     def compile_batch(self, ctx):
         operand = self.operand.compile_batch(ctx)
@@ -520,12 +467,6 @@ class IsNull(Expression):
 
     def children(self):
         return (self.operand,)
-
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
 
     def compile_batch(self, ctx):
         operand = self.operand.compile_batch(ctx)
@@ -566,25 +507,6 @@ class Like(Expression):
 
     def children(self):
         return (self.operand, self.pattern)
-
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-        pattern = self.pattern.compile(ctx)
-        negated = self.negated
-        cache = {}
-
-        def evaluate(row):
-            value = operand(row)
-            pat = pattern(row)
-            if value is None or pat is None:
-                return None
-            regex = cache.get(pat)
-            if regex is None:
-                regex = cache[pat] = like_to_regex(pat)
-            matched = regex.match(_as_string(value)) is not None
-            return (not matched) if negated else matched
-
-        return evaluate
 
     def compile_batch(self, ctx):
         operand = self.operand.compile_batch(ctx)
@@ -627,25 +549,34 @@ class InList(Expression):
     def children(self):
         return (self.operand, *self.items)
 
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-        compiled = [item.compile(ctx) for item in self.items]
+    def compile_batch(self, ctx):
+        operand = self.operand.compile_batch(ctx)
+        items = [item.compile_batch(ctx) for item in self.items]
         negated = self.negated
 
-        def evaluate(row):
-            value = operand(row)
-            if value is None:
-                return None
-            saw_null = False
-            for fn in compiled:
-                candidate = fn(row)
-                if candidate is None:
-                    saw_null = True
-                elif compare_values("=", value, candidate):
-                    return not negated
-            if saw_null:
-                return None
-            return negated
+        def evaluate(columns, positions):
+            values = operand(columns, positions)
+            result = [None] * len(positions)
+            # undecided: the operand is not NULL and no item matched yet
+            offsets = [j for j, value in enumerate(values) if value is not None]
+            saw_null = set()
+            for item in items:
+                if not offsets:
+                    break
+                undecided = []
+                for j, candidate in _run_at(item, columns, positions, offsets):
+                    if candidate is None:
+                        saw_null.add(j)
+                        undecided.append(j)
+                    elif _sql_equal(values[j], candidate):
+                        result[j] = not negated
+                    else:
+                        undecided.append(j)
+                offsets = undecided
+            for j in offsets:
+                if j not in saw_null:
+                    result[j] = negated
+            return result
 
         return evaluate
 
@@ -703,22 +634,21 @@ class InSubquery(Expression):
     def children(self):
         return (self.operand,)
 
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-        negated = self.negated
+    def compile_batch(self, ctx):
+        operand = self.operand.compile_batch(ctx)
         executor = _subquery_executor(ctx)
         plan = self.plan
+        negated = self.negated
 
-        def evaluate(row):
+        def evaluate(columns, positions):
             values, saw_null = executor(plan, _value_set)
-            value = operand(row)
-            if value is None:
-                return None
-            if value in values:
-                return not negated
-            if saw_null:
-                return None
-            return negated
+            missing = None if saw_null else negated
+            return [
+                None if value is None
+                else (not negated) if value in values
+                else missing
+                for value in operand(columns, positions)
+            ]
 
         return evaluate
 
@@ -733,14 +663,14 @@ class Exists(Expression):
         self.plan = plan
         self.negated = negated
 
-    def compile(self, ctx):
+    def compile_batch(self, ctx):
         executor = _subquery_executor(ctx)
         plan = self.plan
         negated = self.negated
 
-        def evaluate(row):
+        def evaluate(columns, positions):
             found = executor(plan, _has_rows)
-            return (not found) if negated else found
+            return [(not found) if negated else found] * len(positions)
 
         return evaluate
 
@@ -752,21 +682,6 @@ class Cast(Expression):
 
     def children(self):
         return (self.operand,)
-
-    def compile(self, ctx):
-        operand = self.operand.compile(ctx)
-        target = self.target_type
-
-        def evaluate(row):
-            value = operand(row)
-            if value is None:
-                return None
-            try:
-                return coerce_value(value, target)
-            except TypeMismatchError:
-                return None
-
-        return evaluate
 
     def compile_batch(self, ctx):
         operand = self.operand.compile_batch(ctx)
@@ -808,17 +723,33 @@ class CaseWhen(Expression):
             kids.append(self.otherwise)
         return tuple(kids)
 
-    def compile(self, ctx):
-        compiled = [(cond.compile(ctx), result.compile(ctx)) for cond, result in self.whens]
-        otherwise = self.otherwise.compile(ctx) if self.otherwise is not None else None
+    def compile_batch(self, ctx):
+        whens = [
+            (cond.compile_batch(ctx), result.compile_batch(ctx))
+            for cond, result in self.whens
+        ]
+        otherwise = (
+            None if self.otherwise is None
+            else self.otherwise.compile_batch(ctx)
+        )
 
-        def evaluate(row):
-            for cond, result in compiled:
-                if cond(row):
-                    return result(row)
+        def evaluate(columns, positions):
+            result = [None] * len(positions)
+            offsets = range(len(positions))  # where no WHEN has held yet
+            for cond, then in whens:
+                held, undecided = [], []
+                for j, value in _run_at(cond, columns, positions, offsets):
+                    (held if value else undecided).append(j)
+                if held:
+                    for j, value in _run_at(then, columns, positions, held):
+                        result[j] = value
+                if not undecided:
+                    return result
+                offsets = undecided
             if otherwise is not None:
-                return otherwise(row)
-            return None
+                for j, value in _run_at(otherwise, columns, positions, offsets):
+                    result[j] = value
+            return result
 
         return evaluate
 
@@ -835,10 +766,14 @@ class ScalarSubquery(Expression):
     def __init__(self, plan):
         self.plan = plan
 
-    def compile(self, ctx):
+    def compile_batch(self, ctx):
         executor = _subquery_executor(ctx)
         plan = self.plan
-        return lambda row: executor(plan, _first_value)
+
+        def evaluate(columns, positions):
+            return [executor(plan, _first_value)] * len(positions)
+
+        return evaluate
 
 
 class FuncCall(Expression):
@@ -858,42 +793,24 @@ class FuncCall(Expression):
     def children(self):
         return tuple(self.args)
 
-    def compile(self, ctx):
-        if self.name == "coalesce":
-            compiled = [arg.compile(ctx) for arg in self.args]
-
-            def evaluate(row):
-                for fn in compiled:
-                    value = fn(row)
-                    if value is not None:
-                        return value
-                return None
-
-            return evaluate
-        function = ctx.functions.get(self.name)
-        if function is None:
-            raise BindError(f"unknown function {self.name!r}")
-        compiled = [arg.compile(ctx) for arg in self.args]
-        return lambda row: function(*[fn(row) for fn in compiled])
-
     def compile_batch(self, ctx):
         if self.name == "coalesce":
             compiled = [arg.compile_batch(ctx) for arg in self.args]
 
             def evaluate(columns, positions):
-                if not compiled:
-                    return [None] * len(positions)
-                arg_lists = [fn(columns, positions) for fn in compiled]
-                out = []
-                append = out.append
-                for values in zip(*arg_lists):
-                    for value in values:
-                        if value is not None:
-                            append(value)
-                            break
-                    else:
-                        append(None)
-                return out
+                result = [None] * len(positions)
+                offsets = range(len(positions))  # every earlier arg was NULL
+                for fn in compiled:
+                    undecided = []
+                    for j, value in _run_at(fn, columns, positions, offsets):
+                        if value is None:
+                            undecided.append(j)
+                        else:
+                            result[j] = value
+                    if not undecided:
+                        break
+                    offsets = undecided
+                return result
 
             return evaluate
         function = ctx.functions.get(self.name)
@@ -1047,34 +964,3 @@ def default_functions():
 
 AGGREGATE_FUNCTIONS = {"count", "sum", "avg", "min", "max"}
 
-
-def substitute_parameters(expression, params):
-    """Replace :class:`Parameter` nodes with Literals from *params* in place.
-
-    Returns the (possibly replaced) expression.
-    """
-    if isinstance(expression, Parameter):
-        if params is None or expression.index >= len(params):
-            raise BindError(
-                f"statement requires parameter {expression.index + 1}, "
-                f"got {0 if params is None else len(params)}"
-            )
-        return Literal(params[expression.index])
-    for attr in ("left", "right", "operand", "pattern", "otherwise"):
-        child = getattr(expression, attr, None)
-        if isinstance(child, Expression):
-            setattr(expression, attr, substitute_parameters(child, params))
-    for attr in ("items", "args"):
-        children = getattr(expression, attr, None)
-        if isinstance(children, list):
-            for i, child in enumerate(children):
-                if isinstance(child, Expression):
-                    children[i] = substitute_parameters(child, params)
-    whens = getattr(expression, "whens", None)
-    if isinstance(whens, list):
-        for i, (cond, result) in enumerate(whens):
-            whens[i] = (
-                substitute_parameters(cond, params),
-                substitute_parameters(result, params),
-            )
-    return expression

@@ -2,9 +2,12 @@
 
 Index keys are computed by a *key function* over the full row tuple.  For a
 plain column index the key function projects one column; for an expression
-index (e.g. over ``JSON_VAL(attr, 'name')``) it evaluates the indexed
-expression.  The planner matches predicates against an index through its
-*fingerprint*, a canonical string of the indexed expression(s).
+index (e.g. over ``JSON_VAL(attr, 'name')``) it is an :class:`ExpressionKey`,
+which runs the indexed expression's batch kernel once per block of rows
+when the index is populated or rows are bulk-inserted, and over a one-row
+view when a single row is maintained.  The planner matches predicates
+against an index through its *fingerprint*, a canonical string of the
+indexed expression(s).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class Index:
         self.unique = unique
         #: the CREATE INDEX statement that built this index, when there was
         #: one — checkpoint snapshots replay it to rebuild the structure
-        #: (key functions are compiled closures and never serialized)
+        #: (key functions hold compiled code and are never serialized)
         self.ddl = None
         #: equality lookups and range scans served, like the buffer
         #: pool's ``hits``: plain ints EXPLAIN ANALYZE takes deltas of
@@ -80,6 +83,12 @@ class Index:
 
     def key_of(self, row):
         return self.key_function(row)
+
+    def keys_of(self, rows):
+        """The keys of *rows*, in order."""
+        if isinstance(self.key_function, ExpressionKey):
+            return self.key_function.many(rows)
+        return list(map(self.key_function, rows))
 
     def _violation(self, key):
         return ConstraintError(
@@ -157,7 +166,7 @@ class HashIndex(Index):
         if len(rids) == 1:  # one row is all-or-nothing as it stands
             self.insert(rids[0], rows[0])
             return
-        keys = list(map(self.key_function, rows))
+        keys = self.keys_of(rows)
         buckets = self._buckets
         get = buckets.get
         unique = self.unique
@@ -243,7 +252,7 @@ class SortedIndex(Index):
         entries = self._entries
         fresh = sorted(
             (total_order_key(key), rid, key)
-            for key, rid in zip(map(self.key_function, rows), rids)
+            for key, rid in zip(self.keys_of(rows), rids)
         )
         if self.unique:
             previous = None
@@ -338,3 +347,26 @@ def composite_key_function(positions):
         return tuple(row[p] for p in _positions)
 
     return key
+
+
+class ExpressionKey:
+    """Key function of an expression index: the batch kernels of the
+    indexed expressions, one key part each (a tuple when there are
+    several).  :meth:`many` keys a block of rows with one call per kernel;
+    calling it keys one row through a one-row view."""
+
+    __slots__ = ("kernels",)
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+
+    def __call__(self, row):
+        return self.many((row,))[0]
+
+    def many(self, rows):
+        columns = list(zip(*rows))
+        positions = range(len(rows))
+        parts = [kernel(columns, positions) for kernel in self.kernels]
+        if len(parts) == 1:
+            return parts[0]
+        return list(zip(*parts))

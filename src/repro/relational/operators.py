@@ -19,11 +19,10 @@ Each operator exposes:
 * ``children_ops()`` / ``describe()`` — plan-tree introspection, used by
   EXPLAIN and by ``repro.obs.stats.instrument_plan`` for EXPLAIN ANALYZE.
 
-An operator receives each expression it evaluates as one batch kernel
-``(columns, positions) -> list`` (``Expression.compile_batch``;
-``batch.row_kernel`` lifts a plain row closure).  Join residuals, theta
-conditions and sort keys are row closures instead: they run on assembled
-tuples.
+An operator receives each expression it evaluates — filter predicates,
+projections, join keys and residuals, theta conditions, sort keys,
+aggregate inputs — as one batch kernel ``(columns, positions) -> list``
+(``Expression.compile_batch``), called once per block.
 
 A plan is cached and re-opened by later executions
 (:mod:`repro.relational.plan`), so an operator keeps no per-execution
@@ -40,7 +39,7 @@ uninstrumented path pays nothing and nothing is counted twice.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 
 from repro.relational.batch import (
     BATCH_SIZE,
@@ -417,30 +416,37 @@ def _stitch(block, rows, counts, residual, pad):
     """Join one probe-side *block* to its candidate matches.
 
     *rows* is the flat list of candidate inner rows, ``counts[k]`` of them
-    for the block's k-th live position, in order.  *residual*, a closure
-    over the assembled probe + inner tuple, drops pairs; a probe row left
-    without a pair is emitted beside *pad* when one is given (left outer).
-    Output blocks gather the probe columns by position and transpose the
-    inner rows, at most ``BATCH_SIZE`` rows at a time, so a key that fans
-    out past it never builds one oversized block.
+    for the block's k-th live position, in order.  *residual* is a batch
+    kernel over the joined columns (probe, then inner) that drops pairs:
+    an inner join narrows each output block with it, as a filter does.
+    With *pad* (left outer), the pairs it rejects are dropped first and a
+    probe row left without any is emitted beside *pad*.
     """
-    if residual is not None or (pad is not None and 0 in counts):
-        # regroup per probe row: filter its candidates, pad if none is left
-        probe_rows = block.iter_rows() if residual is not None else repeat(())
-        candidates = rows
-        rows = []
-        kept = []
-        for probe_row, n, end in zip(probe_rows, counts, accumulate(counts)):
-            matches = candidates[end - n:end] if n else ()
-            if matches and residual is not None:
-                matches = [
-                    row for row in matches if residual(probe_row + row)
-                ]
-            if not matches and pad is not None:
-                matches = (pad,)
-            rows.extend(matches)
-            kept.append(len(matches))
-        counts = kept
+    if pad is None:
+        return _filtered(_joined(block, rows, counts), residual)
+    if residual is not None:
+        kept = [
+            value
+            for joined in _joined(block, rows, counts)
+            for value in residual(joined.columns, joined.positions())
+        ]
+        rows = list(compress(rows, kept))
+        flags = iter(kept)
+        counts = [sum(map(bool, islice(flags, n))) for n in counts]
+    if 0 in counts:
+        # regroup per probe row: one left without a match pairs with pad
+        candidates, rows = rows, []
+        for n, end in zip(counts, accumulate(counts)):
+            rows.extend(candidates[end - n:end] if n else (pad,))
+        counts = [n or 1 for n in counts]
+    return _joined(block, rows, counts)
+
+
+def _joined(block, rows, counts):
+    """Dense blocks pairing the block's k-th live position with the next
+    ``counts[k]`` of *rows*: the probe columns gathered by position, the
+    inner rows transposed, at most ``BATCH_SIZE`` rows at a time, so a key
+    that fans out past it never builds one oversized block."""
     out_positions = list(chain.from_iterable(
         map(repeat, block.positions(), counts)
     ))
@@ -461,9 +467,9 @@ class HashJoinOp(Operator):
     """Equi hash join; builds on the right child.
 
     ``kind`` is ``'inner'`` or ``'left'`` (left outer: unmatched left rows
-    are padded with NULLs).  The key functions are batch kernels;
-    ``residual`` is an optional extra predicate over the combined row,
-    applied inside the probe loop.
+    are padded with NULLs).  The key functions and the optional
+    ``residual`` (an extra predicate over the joined columns) are batch
+    kernels.
     """
 
     def __init__(self, left, right, left_key_fns, right_key_fns, kind="inner",
@@ -522,7 +528,7 @@ class NestedLoopJoinOp(Operator):
     """Fallback join for non-equi conditions; right side is materialized.
 
     Every right row is a candidate for every left row; ``condition`` is a
-    closure over the combined row (``None`` for a cross product).
+    batch kernel over the joined columns (``None`` for a cross product).
     """
 
     def __init__(self, left, right, condition=None, kind="inner", est_rows=None):
@@ -969,9 +975,9 @@ class _ColumnAgg:
 
 
 class SortOp(Operator):
-    """Stable multi-key sort.  Sorting compares whole rows, so the child
-    blocks are materialized as tuples (``key_fns`` are row closures) and
-    the sorted rows re-packed into dense blocks."""
+    """Stable multi-key sort.  The child blocks are materialized column by
+    column, each key kernel runs once per child block, and the sorted
+    positions are gathered into dense blocks."""
 
     def __init__(self, child, key_fns, descending_flags):
         self.child = child
@@ -981,13 +987,28 @@ class SortOp(Operator):
         self.est_rows = child.est_rows
 
     def batches(self):
-        materialized = list(self.child.rows())
+        columns = [[] for __ in self.columns]
+        keys = [[] for __ in self.key_fns]
+        count = 0
+        for block in self.child.batches():
+            positions = block.positions()
+            if not len(positions):
+                continue
+            for out, fn in zip(keys, self.key_fns):
+                out.extend(fn(block.columns, positions))
+            for out, column in zip(columns, block.compact().columns):
+                out.extend(column)
+            count += len(positions)
         # stable multi-key sort: apply keys right-to-left
-        for fn, descending in reversed(list(zip(self.key_fns, self.descending_flags))):
-            materialized.sort(
-                key=lambda row, _fn=fn: total_order_key(_fn(row)), reverse=descending
-            )
-        return batches_from_rows(materialized, len(self.columns))
+        order = range(count)
+        for values, descending in reversed(
+            list(zip(keys, self.descending_flags))
+        ):
+            sort_keys = list(map(total_order_key, values))
+            order = sorted(order, key=sort_keys.__getitem__, reverse=descending)
+        return dense_batches(
+            [[column[i] for i in order] for column in columns], count
+        )
 
 
 class LimitOp(Operator):

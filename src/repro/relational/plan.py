@@ -3,7 +3,7 @@
 A planned query is its CTE *steps* in definition order followed by the
 *body* operator tree that reads them (:class:`Query`).  Nothing in it
 holds per-execution data: ``?`` values live in the :class:`Runtime`'s
-parameter list, which compiled closures read when they run; CTE and
+parameter list, which compiled kernels read when they run; CTE and
 FROM-subquery results live in ``Runtime.ctes``, filled by the steps and
 read by name by ``MaterializedScan``; subquery answers live in
 ``Runtime.memo``.  So one :class:`Plan` serves execution after execution:
@@ -27,7 +27,7 @@ MAX_RECURSION_ROUNDS = 100_000
 class Runtime:
     """Per-execution state of one plan instance.
 
-    ``params`` is the list of ``?`` values compiled closures read; a
+    ``params`` is the list of ``?`` values compiled kernels read; a
     re-execution overwrites it in place.  ``ctes`` maps a CTE (or
     FROM-subquery) name to ``(column_names, rows or MaterializedRelation)``
     for the current execution only.  ``memo`` holds subquery answers,

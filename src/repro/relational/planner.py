@@ -76,12 +76,18 @@ def split_conjuncts(expression):
 
 
 def _through_projection(value_fns, output_key_fn):
-    """Lift an output-row key function to run over the pre-projection row."""
+    """Lift a key kernel over a projection's output columns to run over
+    its input block: project the live positions, then key them."""
 
-    def key(row, _fns=tuple(value_fns), _key=output_key_fn):
-        return _key(tuple(fn(row) for fn in _fns))
+    def key(columns, positions):
+        projected = [fn(columns, positions) for fn in value_fns]
+        return output_key_fn(projected, range(len(positions)))
 
     return key
+
+
+#: the positions of a one-row, zero-column block (constant evaluation)
+_ONE_POSITION = range(1)
 
 
 def _no_columns(qualifier, name):
@@ -147,15 +153,16 @@ class Planner:
 
     def const_value(self, expression):
         """Evaluate an expression that must not reference any column."""
-        return expression.compile(self._ctx())(None)
+        return self._const_fn(expression)()
 
     def _const_fn(self, expression, convert=None):
         """A zero-argument callable evaluating a column-free expression
-        when called: an operator argument re-read on every opening."""
-        fn = expression.compile(self._ctx())
+        when called — its kernel over one zero-column position: an
+        operator argument re-read on every opening."""
+        kernel = expression.compile_batch(self._ctx())
         if convert is None:
-            return lambda: fn(None)
-        return lambda: convert(fn(None))
+            return lambda: kernel((), _ONE_POSITION)[0]
+        return lambda: convert(kernel((), _ONE_POSITION)[0])
 
     def _is_const(self, expression):
         return not expression.references()
@@ -218,7 +225,7 @@ class Planner:
         project = plan if isinstance(plan, op.ProjectOp) else None
 
         def output_key(expression):
-            """Key function over the *output* row, or None."""
+            """Key kernel over the *output* columns, or None."""
             if isinstance(expression, ex.Literal) and isinstance(
                 expression.value, int
             ):
@@ -227,15 +234,14 @@ class Planner:
                     raise BindError(
                         f"ORDER BY position {expression.value} out of range"
                     )
-                return lambda row, _p=position: row[_p]
+                return ex.column_kernel(position)
             if (
                 isinstance(expression, ex.ColumnRef)
                 and names.count(expression.name) == 1
             ):
-                position = names.index(expression.name)
-                return lambda row, _p=position: row[_p]
+                return ex.column_kernel(names.index(expression.name))
             try:
-                return expression.compile(self._ctx(columns))
+                return expression.compile_batch(self._ctx(columns))
             except BindError:
                 return None
 
@@ -246,7 +252,9 @@ class Planner:
             fn = output_key(item.expr)
             if fn is None and project is not None:
                 try:
-                    fn = item.expr.compile(self._ctx(project.child.columns))
+                    fn = item.expr.compile_batch(
+                        self._ctx(project.child.columns)
+                    )
                 except BindError:
                     fn = None
                 else:
@@ -258,18 +266,13 @@ class Planner:
 
         if not child_key_indices:
             return op.SortOp(plan, key_fns, descending)
-        # some keys live beneath the projection: sort the child, mapping
-        # output-level keys through the projection's value functions
-        child_fns = []
-        value_fns = None  # the projection as row closures, built on demand
-        for i, fn in enumerate(key_fns):
-            if i in child_key_indices:
-                child_fns.append(fn)
-            else:
-                if value_fns is None:
-                    ctx = self._ctx(project.child.columns)
-                    value_fns = [expr.compile(ctx) for expr in project.exprs]
-                child_fns.append(_through_projection(value_fns, fn))
+        # some keys live beneath the projection: sort the child, composing
+        # output-level keys over the projection's value kernels
+        child_fns = [
+            fn if i in child_key_indices
+            else _through_projection(project.value_fns, fn)
+            for i, fn in enumerate(key_fns)
+        ]
         sorted_child = op.SortOp(project.child, child_fns, descending)
         return op.ProjectOp(sorted_child, project.value_fns, project.columns)
 
@@ -444,12 +447,9 @@ class Planner:
 
     def _project(self, plan, exprs, columns):
         ctx = self._ctx(plan.columns)
-        project = op.ProjectOp(
+        return op.ProjectOp(
             plan, [expr.compile_batch(ctx) for expr in exprs], columns
         )
-        # ORDER BY may need the projection as row closures to sort beneath it
-        project.exprs = exprs
-        return project
 
     @staticmethod
     def _output_name(item, position):
@@ -669,7 +669,7 @@ class Planner:
         combined_columns = list(left_plan.columns) + list(right_leaf.columns)
         residual_fn = None
         if residual:
-            residual_fn = self._conjunction_fn(
+            residual_fn = self._conjunction_kernel(
                 residual, self._ctx(combined_columns)
             )
         if equi_pairs:
@@ -907,7 +907,7 @@ class Planner:
         )
         residual_fn = None
         if residual:
-            residual_fn = self._conjunction_fn(
+            residual_fn = self._conjunction_kernel(
                 residual, self._ctx(combined_columns)
             )
         if not pairs:
@@ -962,7 +962,7 @@ class Planner:
                 all_residuals = list(residual) + list(candidate.pushed_conjuncts)
                 combined_fn = None
                 if all_residuals:
-                    combined_fn = self._conjunction_fn(
+                    combined_fn = self._conjunction_kernel(
                         all_residuals,
                         self._ctx(list(current.columns) + inner_columns),
                     )
@@ -1060,13 +1060,6 @@ class Planner:
         scan.base_qualifier = qualifier
         scan.pushed_conjuncts = list(pushed_conjuncts)
         self._attach_table_ndv(scan, table)
-
-    def _conjunction_fn(self, conjuncts, ctx):
-        """Row closure for AND-ed *conjuncts* (join residuals run on
-        assembled tuples)."""
-        if len(conjuncts) == 1:
-            return conjuncts[0].compile(ctx)
-        return ex.And(list(conjuncts)).compile(ctx)
 
     def _conjunction_kernel(self, conjuncts, ctx):
         """Batch kernel for AND-ed *conjuncts*."""

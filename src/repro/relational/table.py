@@ -388,9 +388,6 @@ class HeapTable:
         if pairs:
             index.insert_many(*map(list, zip(*pairs)))
 
-    def drop_index(self, index_name):
-        self.indexes.pop(index_name.lower(), None)
-
     def find_index(self, fingerprint, kind=None):
         """Return an index whose fingerprint matches, preferring hash."""
         matches = [

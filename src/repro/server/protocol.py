@@ -276,10 +276,6 @@ class FrameAssembler:
         del self._buffer[:end]
         return decode_payload(payload)
 
-    @property
-    def pending_bytes(self):
-        return len(self._buffer)
-
 
 # ----------------------------------------------------------------------
 # socket helpers (blocking sockets, used by both client and server)

@@ -43,15 +43,6 @@ class ShardClientPool:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def set_address(self, host, port):
-        """Point the pool at a restarted shard (drops idle connections)."""
-        with self._guard:
-            self.host = host
-            self.port = port
-            stale, self._idle = list(self._idle), deque()
-        for client in stale:
-            client.close()
-
     @contextmanager
     def client(self):
         """Check a connected client out, return it on success.
@@ -67,10 +58,9 @@ class ShardClientPool:
                     f"client pool for shard {self.shard_index} is closed"
                 )
             client = self._idle.popleft() if self._idle else None
-            host, port = self.host, self.port
         if client is None:
             client = self.client_factory(
-                host, port,
+                self.host, self.port,
                 connect_timeout_s=self.connect_timeout_s,
                 request_timeout_s=self.request_timeout_s,
             )
@@ -80,9 +70,7 @@ class ShardClientPool:
             returned = False
             if client.connected:
                 with self._guard:
-                    if not self._closed and len(self._idle) < self.max_idle \
-                            and (client.host, client.port) == (self.host,
-                                                               self.port):
+                    if not self._closed and len(self._idle) < self.max_idle:
                         self._idle.append(client)
                         returned = True
             if not returned:

@@ -1,7 +1,7 @@
 """Direct unit tests for physical operators (below the SQL surface)."""
 
+from repro.relational import expressions as ex
 from repro.relational import operators as op
-from repro.relational.batch import row_kernel
 
 
 def mat(rows, names, qualifier=None):
@@ -10,12 +10,19 @@ def mat(rows, names, qualifier=None):
 
 def col(position):
     """Batch kernel reading one column (what the planner hands operators)."""
-    return row_kernel(lambda row: row[position])
+    return ex.column_kernel(position)
 
 
-def row_col(position):
-    """Row closure reading one column (sort keys run on assembled tuples)."""
-    return lambda row: row[position]
+def c(position):
+    """Reference to column *position* (named ``c<position>``)."""
+    return ex.ColumnRef(None, f"c{position}")
+
+
+def kernel(expression):
+    """Batch kernel of *expression* over positionally named columns."""
+    return expression.compile_batch(
+        ex.CompileContext(lambda __, name: int(name[1:]))
+    )
 
 
 class TestHashJoin:
@@ -46,7 +53,7 @@ class TestHashJoin:
         right = mat([(1, 3), (1, 9)], ["k", "w"])
         join = op.HashJoinOp(
             left, right, [col(0)], [col(0)],
-            residual=lambda row: row[3] > row[1],
+            residual=kernel(ex.Comparison(">", c(3), c(1))),
         )
         assert list(join.rows()) == [(1, 5, 1, 9)]
 
@@ -75,7 +82,10 @@ class TestIndexNLJoin:
         outer = mat([(1,), (2,), (9,), (None,)], ["k"])
         join = op.IndexNLJoinOp(
             outer, table, "u", index, [col(0)], kind="left",
-            residual=lambda row: row[2] != "x" and row[2] != "z",
+            residual=kernel(ex.And([
+                ex.Comparison("<>", c(2), ex.Literal("x")),
+                ex.Comparison("<>", c(2), ex.Literal("z")),
+            ])),
         )
         assert list(join.rows()) == [
             (1, 1, "y"), (2, None, None), (9, None, None),
@@ -97,7 +107,7 @@ class TestNestedLoopJoin:
         left = mat([(1,), (5,)], ["a"])
         right = mat([(3,), (7,)], ["b"])
         join = op.NestedLoopJoinOp(
-            left, right, condition=lambda row: row[0] < row[1]
+            left, right, condition=kernel(ex.Comparison("<", c(0), c(1)))
         )
         assert sorted(join.rows()) == [(1, 3), (1, 7), (5, 7)]
 
@@ -105,7 +115,8 @@ class TestNestedLoopJoin:
         left = mat([(9,)], ["a"])
         right = mat([(3,)], ["b"])
         join = op.NestedLoopJoinOp(
-            left, right, condition=lambda row: row[0] < row[1], kind="left"
+            left, right, condition=kernel(ex.Comparison("<", c(0), c(1))),
+            kind="left",
         )
         assert list(join.rows()) == [(9, None)]
 
@@ -201,12 +212,12 @@ class TestAggregate:
 class TestSortLimit:
     def test_multi_key_sort(self):
         child = mat([(2, "b"), (1, "z"), (2, "a")], ["n", "s"])
-        sort = op.SortOp(child, [row_col(0), row_col(1)], [False, True])
+        sort = op.SortOp(child, [col(0), col(1)], [False, True])
         assert list(sort.rows()) == [(1, "z"), (2, "b"), (2, "a")]
 
     def test_sort_with_nulls(self):
         child = mat([(2,), (None,), (1,)], ["n"])
-        sort = op.SortOp(child, [row_col(0)], [False])
+        sort = op.SortOp(child, [col(0)], [False])
         assert list(sort.rows()) == [(None,), (1,), (2,)]
 
     def test_limit_offset(self):

@@ -1,7 +1,7 @@
 """Tests for the expression language: 3VL, LIKE, JSON, functions."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.relational import expressions as ex
 from repro.relational.errors import BindError
@@ -16,7 +16,8 @@ def const_ctx():
 
 
 def evaluate(expression):
-    return expression.compile(const_ctx())(None)
+    """Run *expression*'s kernel over one zero-column position."""
+    return expression.compile_batch(const_ctx())([], range(1))[0]
 
 
 def lit(value):
@@ -164,7 +165,7 @@ class TestFunctions:
 
     def test_unknown_function_raises(self):
         with pytest.raises(BindError):
-            ex.FuncCall("nosuch", []).compile(const_ctx())
+            ex.FuncCall("nosuch", []).compile_batch(const_ctx())
 
     def test_cast(self):
         assert evaluate(ex.Cast(lit("12"), ColumnType.INTEGER)) == 12
@@ -190,19 +191,14 @@ class TestCase:
 class TestColumnsAndParams:
     def test_column_resolution(self):
         ctx = ex.CompileContext(lambda q, n: {"a": 0, "b": 1}[n], {})
-        fn = ex.ColumnRef(None, "b").compile(ctx)
-        assert fn((10, 20)) == 20
-
-    def test_parameter_substitution(self):
-        node = ex.Comparison("=", ex.ColumnRef(None, "a"), ex.Parameter(0))
-        fixed = ex.substitute_parameters(node, [42])
-        assert isinstance(fixed.right, ex.Literal)
-        assert fixed.right.value == 42
+        kernel = ex.ColumnRef(None, "b").compile_batch(ctx)
+        assert kernel([[10], [20]], range(1)) == [20]
 
     def test_missing_parameter_raises(self):
         node = ex.Parameter(1)
+        ctx = ex.CompileContext(const_ctx().resolver, {}, params=[1])
         with pytest.raises(BindError):
-            ex.substitute_parameters(node, [1])
+            node.compile_batch(ctx)
 
     def test_references(self):
         node = ex.And(
@@ -232,3 +228,119 @@ def test_compare_values_total(left, right):
     for op in ("=", "<>", "<", "<=", ">", ">="):
         result = ex.compare_values(op, left, right)
         assert result is None or isinstance(result, bool)
+
+
+class TestOneSemantics:
+    """A predicate answers the same wherever the planner places it: scan
+    filter, join residual, SELECT list and ORDER BY key all run the same
+    kernel, whose short-circuit nodes never evaluate an operand at a
+    position an earlier one decided (so ``'abc' - 1`` never runs here)."""
+
+    OR = (
+        "JSON_VAL(a.attr, 'k') = 'abc' OR JSON_VAL(a.attr, 'k') - a.id = 4"
+    )
+    COALESCE = "COALESCE(a.id, JSON_VAL(a.attr, 'k') - 1)"
+
+    @pytest.fixture
+    def db(self):
+        from repro.relational import Database
+
+        database = Database()
+        database.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, attr JSON)")
+        database.execute("CREATE TABLE b (id INTEGER)")
+        database.execute("INSERT INTO a VALUES (?, ?)", [1, {"k": 5}])
+        database.execute("INSERT INTO a VALUES (?, ?)", [2, {"k": "abc"}])
+        database.execute("INSERT INTO b VALUES (1), (2)")
+        return database
+
+    def test_or_as_scan_filter(self, db):
+        sql = f"SELECT a.id FROM a WHERE {self.OR} ORDER BY a.id"
+        assert db.execute(sql).rows == [(1,), (2,)]
+
+    def test_or_as_join_residual(self, db):
+        # the same predicate reading b.id (= a.id) spans both tables, so it
+        # is the residual of the join that probes a's primary key
+        predicate = self.OR.replace("- a.id", "- b.id")
+        sql = (
+            f"SELECT a.id FROM b JOIN a ON a.id = b.id AND ({predicate}) "
+            "ORDER BY a.id"
+        )
+        plan = "\n".join(row[0] for row in db.execute("EXPLAIN " + sql).rows)
+        assert "IndexNLJoin" in plan
+        assert db.execute(sql).rows == [(1,), (2,)]
+
+    def test_coalesce_in_select_list(self, db):
+        sql = f"SELECT {self.COALESCE} FROM a ORDER BY a.id"
+        assert db.execute(sql).rows == [(1,), (2,)]
+
+    def test_coalesce_as_order_by_key(self, db):
+        sql = f"SELECT a.id FROM a ORDER BY {self.COALESCE}"
+        assert db.execute(sql).rows == [(1,), (2,)]
+
+    def test_and_skips_positions_already_false(self, db):
+        sql = (
+            "SELECT a.id FROM a WHERE JSON_VAL(a.attr, 'k') = 5 "
+            "AND JSON_VAL(a.attr, 'k') - 1 = 4"
+        )
+        assert db.execute(sql).rows == [(1,)]
+
+
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 2))
+_WIDTH = 3
+
+
+def _column(position):
+    return ex.ColumnRef(None, f"c{position}")
+
+
+def _compound(children):
+    several = st.lists(children, min_size=1, max_size=3)
+    return st.one_of(
+        several.map(ex.And),
+        several.map(ex.Or),
+        children.map(ex.Not),
+        st.builds(ex.IsNull, children, st.booleans()),
+        st.builds(
+            ex.Comparison, st.sampled_from(["=", "<>", "<", ">="]),
+            children, children,
+        ),
+        st.builds(
+            ex.CaseWhen,
+            st.lists(st.tuples(children, children), min_size=1, max_size=3),
+            st.none() | children,
+        ),
+        several.map(lambda args: ex.FuncCall("coalesce", args)),
+    )
+
+
+_TREES = st.recursive(
+    st.integers(0, _WIDTH).map(_column) | _VALUES.map(lit),
+    _compound, max_leaves=8,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _TREES,
+    st.lists(st.tuples(*[_VALUES] * _WIDTH), min_size=2, max_size=12),
+    st.data(),
+)
+def test_kernel_over_block_equals_one_position_at_a_time(tree, rows, data):
+    """Narrowing to undecided positions keeps every value at its own
+    position: a whole block (dense or under a selection vector) answers
+    what each of its positions answers alone."""
+    # the last column numbers the rows, so a value computed at the wrong
+    # position shows wherever a branch returns it
+    columns = [list(column) for column in zip(*rows)]
+    columns.append(list(range(len(rows))))
+    positions = data.draw(st.one_of(
+        st.just(range(len(rows))),
+        st.sets(st.integers(0, len(rows) - 1)).map(sorted),
+    ))
+    kernel = tree.compile_batch(
+        ex.CompileContext(lambda __, name: int(name[1:]), {})
+    )
+    alone = [kernel(columns, [i])[0] for i in positions]
+    assert [repr(v) for v in kernel(columns, positions)] == [
+        repr(v) for v in alone
+    ]

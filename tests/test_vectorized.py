@@ -11,14 +11,13 @@ import re
 import pytest
 
 from repro.relational import Database
+from repro.relational import expressions as ex
 from repro.relational import operators as op
 from repro.relational.batch import (
     BATCH_SIZE,
-    BatchRow,
     ColumnBatch,
     MaterializedRelation,
     batches_from_rows,
-    row_kernel,
 )
 from repro.relational.index import total_order_key
 
@@ -75,13 +74,6 @@ class TestColumnBatch:
         assert [b.length for b in blocks] == [4, 4, 2]
         assert [r for b in blocks for r in b.iter_rows()] == rows
 
-    def test_batch_row_view(self):
-        view = BatchRow([[1, 2, 3], ["x", "y", "z"]])
-        view.i = 1
-        assert view[0] == 2 and view[1] == "y"
-        view.i = 2
-        assert view[0] == 3 and view[1] == "z"
-
 
 class TestMaterializedRelation:
     class _FakePlan:
@@ -102,31 +94,35 @@ class TestMaterializedRelation:
         ] == rows
 
 
-class TestRowKernel:
-    """Operators built by hand take plain row closures lifted with
-    :func:`row_kernel` — the same helper behind the expression nodes
-    that have no dedicated batch kernel."""
+class TestHandBuiltKernels:
+    """Operators built by hand take the batch kernels
+    ``Expression.compile_batch`` makes — the one form every expression
+    compiles to."""
 
-    def test_filter_project_with_row_fns(self):
+    def test_filter_project_with_kernels(self):
         source = op.MaterializedScan(
             [(i, i * 10) for i in range(7)], [(None, "a"), (None, "b")]
         )
-        filtered = op.FilterOp(
-            source, row_kernel(lambda row: row[0] % 2 == 0)
-        )
+        ctx = ex.CompileContext(op.make_resolver(source.columns))
+        a, b = ex.ColumnRef(None, "a"), ex.ColumnRef(None, "b")
+        filtered = op.FilterOp(source, ex.Comparison(
+            "=", ex.BinaryOp("%", a, ex.Literal(2)), ex.Literal(0)
+        ).compile_batch(ctx))
         project = op.ProjectOp(
-            filtered, [row_kernel(lambda row: row[1] + 1)], [(None, "c")]
+            filtered,
+            [ex.BinaryOp("+", b, ex.Literal(1)).compile_batch(ctx)],
+            [(None, "c")],
         )
         assert list(project.rows()) == [(1,), (21,), (41,), (61,)]
 
-    def test_aggregate_with_row_fns(self):
+    def test_aggregate_with_kernels(self):
         source = op.MaterializedScan(
             [(1, 5), (2, 6), (1, 7)], [(None, "g"), (None, "v")]
         )
         agg = op.AggregateOp(
             source,
-            [row_kernel(lambda row: row[0])],
-            [("sum", row_kernel(lambda row: row[1]), False)],
+            [ex.column_kernel(0)],
+            [("sum", ex.column_kernel(1), False)],
             [(None, "g"), (None, "s")],
         )
         assert sorted(agg.rows()) == [(1, 12), (2, 6)]
@@ -308,14 +304,14 @@ class TestColumnAggregateKernel:
         source = _SmallBlocks(rows, 3, size=7)
         specs = [
             (kind,
-             None if p is None else row_kernel(lambda row, _p=p: row[_p]), d)
+             None if p is None else ex.column_kernel(p), d)
             for kind, p, d in self.SPECS
         ]
         columns = [(None, f"o{i}")
                    for i in range(len(group_positions) + len(specs))]
         return op.AggregateOp(
             source,
-            [row_kernel(lambda row, _p=p: row[_p]) for p in group_positions],
+            [ex.column_kernel(p) for p in group_positions],
             specs, columns,
         )
 
@@ -344,7 +340,7 @@ class TestColumnAggregateKernel:
 
         source = _SmallBlocks([(1, 2, 3)], 3, size=7)
         agg = op.AggregateOp(
-            source, [], [("median", row_kernel(lambda row: row[1]), False)],
+            source, [], [("median", ex.column_kernel(1), False)],
             [(None, "m")],
         )
         with pytest.raises(BindError):
