@@ -548,7 +548,6 @@ class SQLVertex:
         rows = []
         label_list = list(labels)
         label_cond = ""
-        params = []
         if label_list:
             placeholders = ", ".join("?" for __ in label_list)
             label_cond = f" AND lbl IN ({placeholders})"
@@ -562,7 +561,6 @@ class SQLVertex:
                 f"SELECT outv FROM {names['ea']} WHERE inv = ?{label_cond}",
                 [self.id] + label_list,
             ).rows
-        del params
         return [store.get_vertex(row[0]) for row in rows]
 
     def edges(self, direction, labels=()):

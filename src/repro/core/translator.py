@@ -12,7 +12,8 @@ Implemented optimizations from §4.5.1:
   adjacency is answered from the redundant edge table EA instead of the
   OPA/OSA join (paper §3.5, Table 4);
 * **loop unrolling** — fixed-depth loops are expanded into repeated CTEs;
-  an unbounded ``it.loops``-only condition falls back to a recursive CTE.
+  a loop without a static ``it.loops < N`` bound is rejected
+  (``UnsupportedPipeError``): the translator never emits ``WITH RECURSIVE``.
 
 Path tracking (for ``path`` / ``simplePath`` / ``back`` / branch filters)
 adds a ``path`` column threaded through every template, stored as a tuple
@@ -931,31 +932,26 @@ class _Translation:
         if start < 0:
             raise UnsupportedPipeError("loop rewinds past the pipeline start")
         segment = self.pipes[start:position]
-        if bound is not None:
-            # unroll: the segment already ran once before reaching the loop
-            self.trace.loop_unrolls += 1
-            self.trace.record(
-                f"loop unrolled {bound - 1} extra iteration(s) of "
-                f"{len(segment)} pipe(s) (§4.3)"
-            )
-            for __ in range(bound - 1):
-                for inner in segment:
-                    if isinstance(inner, p.LoopPipe):
-                        raise UnsupportedPipeError("nested loops unsupported")
-                    self._translate_pipe(inner, position)
-            return
-        self._translate_recursive_loop(pipe, segment)
-
-    def _translate_recursive_loop(self, pipe, segment):
-        """Recursive-SQL fallback (paper §4.3): supported for a single
-        adjacency step with an ``it.loops``-only condition."""
-        if len(segment) != 1 or not isinstance(segment[0], p.Adjacent):
+        if bound is None:
+            # only a statically bounded loop translates: it is unrolled
+            if len(segment) != 1 or not isinstance(segment[0], p.Adjacent):
+                raise UnsupportedPipeError(
+                    "recursive loops support exactly one adjacency step"
+                )
             raise UnsupportedPipeError(
-                "recursive loops support exactly one adjacency step"
+                "loop condition has no static bound; use it.loops < N"
             )
-        raise UnsupportedPipeError(
-            "loop condition has no static bound; use it.loops < N"
+        # unroll: the segment already ran once before reaching the loop
+        self.trace.loop_unrolls += 1
+        self.trace.record(
+            f"loop unrolled {bound - 1} extra iteration(s) of "
+            f"{len(segment)} pipe(s) (§4.3)"
         )
+        for __ in range(bound - 1):
+            for inner in segment:
+                if isinstance(inner, p.LoopPipe):
+                    raise UnsupportedPipeError("nested loops unsupported")
+                self._translate_pipe(inner, position)
 
 
 def _sql_op(op):

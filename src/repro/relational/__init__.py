@@ -10,8 +10,8 @@ This package is the substrate the SQLGraph store runs on.  It provides:
 * a SQL dialect with CTEs (including ``WITH RECURSIVE``), joins, lateral
   ``TABLE(VALUES ...)`` unnesting, set operations, aggregates and DML
   (:mod:`repro.relational.sql`),
-* a statistics-driven planner with predicate pushdown, index selection and
-  greedy join ordering (:mod:`repro.relational.planner`), whose plans are
+* a cost-based planner with predicate pushdown, index selection and
+  cost-ordered joins (:mod:`repro.relational.planner`), whose plans are
   cached per statement and re-opened with new parameters
   (:mod:`repro.relational.plan`),
 * a :class:`~repro.relational.database.Database` facade with table-level

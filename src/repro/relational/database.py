@@ -18,7 +18,7 @@ import gc
 import os
 import threading
 from contextlib import contextmanager
-from itertools import compress, islice
+from itertools import chain
 from time import perf_counter
 
 from repro.obs import context as obs_context
@@ -42,7 +42,7 @@ from repro.relational.index import (
 from repro.relational.locks import LockManager
 from repro.relational.pages import BufferPool
 from repro.relational.plan import PlanPool, Runtime
-from repro.relational.planner import Planner, split_conjuncts
+from repro.relational.planner import Planner
 from repro.relational.schema import (
     Column,
     ColumnType,
@@ -657,13 +657,24 @@ class Database:
         if isinstance(statement, ast.ExplainStatement):
             statement = statement.statement
         if isinstance(statement, ast.SelectStatement):
-            self._collect_tables(statement, reads)
+            self._collect_tables(reads, statement)
         elif isinstance(statement, ast.InsertStatement):
             writes.add(statement.table.lower())
             if statement.query is not None:
-                self._collect_tables(statement.query, reads)
-        elif isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
+                self._collect_tables(reads, statement.query)
+            else:
+                self._collect_tables(
+                    reads, expressions=chain.from_iterable(statement.rows)
+                )
+        elif isinstance(statement, ast.UpdateStatement):
             writes.add(statement.table.lower())
+            self._collect_tables(reads, expressions=[
+                statement.where,
+                *(expression for __, expression in statement.assignments),
+            ])
+        elif isinstance(statement, ast.DeleteStatement):
+            writes.add(statement.table.lower())
+            self._collect_tables(reads, expressions=[statement.where])
         elif isinstance(statement, ast.AnalyzeStatement):
             if statement.table is not None:
                 reads.add(statement.table.lower())
@@ -681,7 +692,9 @@ class Database:
         writes = {name for name in writes if self.catalog.has_table(name)}
         return reads, writes
 
-    def _collect_tables(self, statement, out):
+    def _collect_tables(self, out, statement=None, expressions=()):
+        """Add to *out* the tables *statement* (a SELECT) and the
+        subqueries in *expressions* read."""
         cte_names = set()
 
         def visit_query(node):
@@ -720,7 +733,10 @@ class Database:
                 visit_query(cte.query)
             visit_query(stmt.body)
 
-        visit_statement(statement)
+        if statement is not None:
+            visit_statement(statement)
+        for expression in expressions:
+            visit_expression(expression)
 
     @staticmethod
     def _statement_expressions(select):
@@ -941,66 +957,15 @@ class Database:
             *[listed.get(column.name, nulls) for column in schema.columns]
         ))
 
-    @staticmethod
-    def _table_ctx(table, planner):
-        """Compile context over *table*'s rows (UPDATE / DELETE)."""
-        return planner._ctx(
-            [(table.name, name) for name in table.schema.column_names]
-        )
-
-    def _where_matches(self, table, where, planner):
-        """``(rid, row)`` of the rows matching *where*, found by one
-        kernel call per block of candidate rows (index-assisted when
-        possible)."""
-        if where is None:
-            return list(table.scan())
-        predicate = where.compile_batch(self._table_ctx(table, planner))
-        candidates = table.scan()
-        # try a single-conjunct index probe for the common point lookup
-        for conjunct in split_conjuncts(where):
-            probe = self._index_probe(table, conjunct, planner)
-            if probe is not None:
-                candidates = probe
-                break
-        width = len(table.schema.columns)
-        matches = []
-        while chunk := list(islice(candidates, BATCH_SIZE)):
-            block = ColumnBatch.from_rows([row for __, row in chunk], width)
-            matches.extend(
-                compress(chunk, predicate(block.columns, block.positions()))
-            )
-        return matches
-
-    @staticmethod
-    def _index_probe(table, conjunct, planner):
-        """The live ``(rid, row)`` pairs an index finds for an equality
-        *conjunct* with a constant side, or ``None`` when none applies."""
-        if not (isinstance(conjunct, ex.Comparison) and conjunct.op == "="):
-            return None
-        for key_side, value_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if value_side.references() or not key_side.references():
-                continue
-            try:
-                index = table.find_index(key_side.fingerprint())
-            except NotImplementedError:
-                continue
-            if index is None:
-                continue
-            rids = index.lookup(planner.const_value(value_side))
-            return iter([
-                (rid, row) for rid, row in zip(rids, table.get_many(rids))
-                if row is not None
-            ])
-        return None
-
     def _run_update(self, statement, transaction, params=None):
         table = self.catalog.get_table(statement.table)
         planner = self._planner(params)
-        ctx = self._table_ctx(table, planner)
-        matches = self._where_matches(table, statement.where, planner)
+        # the rows come from the access path a SELECT with this WHERE
+        # would choose, all found before any changes (an index scan must
+        # not meet the rows this statement moves along its index)
+        scan = planner.table_access(statement.table, statement.where)
+        matches = list(scan.rid_rows())
+        ctx = planner._ctx(scan.columns)
         assignments = [
             (table.schema.position(column), expression.compile_batch(ctx))
             for column, expression in statement.assignments
@@ -1022,11 +987,12 @@ class Database:
         table = self.catalog.get_table(statement.table)
         if statement.where is None:
             return ResultSet(rowcount=table.truncate())
-        matches = self._where_matches(
-            table, statement.where, self._planner(params)
+        scan = self._planner(params).table_access(
+            statement.table, statement.where
         )
         count = 0
-        for rid, __row in matches:
+        # every match is found before the first delete, as in _run_update
+        for rid, __row in list(scan.rid_rows()):
             if table.delete(rid) is not None:
                 count += 1
         return ResultSet(rowcount=count)

@@ -13,7 +13,7 @@ indexed expression(s).
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from repro.relational.errors import ConstraintError
 
@@ -233,9 +233,17 @@ class SortedIndex(Index):
     def __init__(self, name, table_name, key_function, fingerprint, unique=False):
         super().__init__(name, table_name, key_function, fingerprint, unique)
         self._entries: list[tuple] = []
+        #: distinct total-order keys in ``_entries``, kept current by every
+        #: change: the planner reads it for each equality lookup it plans,
+        #: which an UPDATE or DELETE does on every execution
+        self._distinct = 0
 
     def __len__(self):
         return len(self._entries)
+
+    def _recount(self):
+        orders = [entry[0] for entry in self._entries]
+        self._distinct = sum(map(ne, orders, orders[1:])) + bool(orders)
 
     def _holds(self, order):
         lo = bisect.bisect_left(self._entries, (order,))
@@ -244,9 +252,11 @@ class SortedIndex(Index):
     def insert(self, rid, row):
         key = self.key_of(row)
         order = total_order_key(key)
-        if self.unique and key is not None and self._holds(order):
+        held = self._holds(order)
+        if self.unique and key is not None and held:
             raise self._violation(key)
         bisect.insort(self._entries, (order, rid, key))
+        self._distinct += not held
 
     def insert_many(self, rids, rows):
         entries = self._entries
@@ -266,6 +276,7 @@ class SortedIndex(Index):
                 previous = order
         if len(fresh) * 8 < len(entries):
             for entry in fresh:
+                self._distinct += not self._holds(entry[0])
                 bisect.insort(entries, entry)
         else:
             # two sorted runs: list.sort merges them in one galloping
@@ -273,10 +284,12 @@ class SortedIndex(Index):
             # entry — hence insort above for a small batch
             entries.extend(fresh)
             entries.sort()
+            self._recount()
 
     def swap_contents(self, contents=None):
         old = self._entries
         self._entries = [] if contents is None else contents
+        self._recount()
         return old
 
     def delete(self, rid, row):
@@ -286,6 +299,7 @@ class SortedIndex(Index):
         while lo < len(self._entries) and self._entries[lo][0] == order:
             if self._entries[lo][1] == rid:
                 del self._entries[lo]
+                self._distinct -= not self._holds(order)
                 return
             lo += 1
 
@@ -326,13 +340,7 @@ class SortedIndex(Index):
             yield rid
 
     def distinct_keys(self):
-        seen = 0
-        previous = object()
-        for __, __rid, key in self._entries:
-            if key != previous:
-                seen += 1
-                previous = key
-        return seen
+        return self._distinct
 
 
 def column_key_function(position):

@@ -214,7 +214,46 @@ def explain_plan(plan, indent=0):
     return "\n".join(lines)
 
 
-class SeqScan(Operator):
+class _TableScan(Operator):
+    """A scan of one heap table's rows through a pushed predicate.
+
+    Besides :meth:`batches` it serves :meth:`rid_rows`, the same rows with
+    their RIDs, which is how UPDATE and DELETE find theirs.  An index scan
+    states only the RIDs it reads (``_rids``); :class:`SeqScan` reads the
+    whole heap instead.
+    """
+
+    def _rid_row_source(self):
+        """The live ``(rid, row)`` pairs before the predicate."""
+        rids = iter(self._rids())
+        while chunk := list(islice(rids, BATCH_SIZE)):
+            for rid, row in zip(chunk, self.table.get_many(chunk)):
+                if row is not None:
+                    yield rid, row
+
+    def batches(self):
+        return _filtered(
+            _rid_batches(self.table, self._rids(), len(self.columns)),
+            self.predicate,
+        )
+
+    def rid_rows(self):
+        """The ``(rid, row)`` pairs of the rows :meth:`batches` yields,
+        one predicate kernel call per block."""
+        pairs = iter(self._rid_row_source())
+        while chunk := list(islice(pairs, BATCH_SIZE)):
+            if self.predicate is None:
+                yield from chunk
+                continue
+            block = ColumnBatch.from_rows(
+                [row for __, row in chunk], len(self.columns)
+            )
+            yield from compress(
+                chunk, self.predicate(block.columns, block.positions())
+            )
+
+
+class SeqScan(_TableScan):
     """Full scan of a heap table, optionally with a pushed-down predicate.
 
     Emits the table's pages as dense blocks via
@@ -239,8 +278,11 @@ class SeqScan(Operator):
     def batches(self):
         return _filtered(self.table.scan_batches(), self.predicate)
 
+    def _rid_row_source(self):
+        return self.table.scan()
 
-class IndexEqScan(Operator):
+
+class IndexEqScan(_TableScan):
     """Equality lookup through a hash or sorted index with constant keys.
 
     *key_fns* are zero-argument callables, one per key to probe, called
@@ -270,15 +312,14 @@ class IndexEqScan(Operator):
         # each probed row may land on its own page (worst case)
         return max(self.est_rows, 1)
 
-    def batches(self):
+    def _rids(self):
+        # a key listed twice (``k IN (1, 1)``) is probed once
+        keys = {make_hashable(key): key for key in (fn() for fn in self.key_fns)}
         lookup = self.index.lookup
-        rids = (rid for fn in self.key_fns for rid in lookup(fn()))
-        return _filtered(
-            _rid_batches(self.table, rids, len(self.columns)), self.predicate
-        )
+        return (rid for key in keys.values() for rid in lookup(key))
 
 
-class IndexRangeScan(Operator):
+class IndexRangeScan(_TableScan):
     """Range scan through a sorted index: dense blocks in index order, a
     residual predicate applied per block.  *low* / *high* are ``None``
     (unbounded), a value, or a zero-argument callable read when the scan
@@ -306,13 +347,10 @@ class IndexRangeScan(Operator):
     def blocks_accessed(self):
         return max(self.est_rows, 1)
 
-    def batches(self):
-        rids = self.index.range_scan(
+    def _rids(self):
+        return self.index.range_scan(
             _opened(self.low), _opened(self.high),
             self.low_inclusive, self.high_inclusive,
-        )
-        return _filtered(
-            _rid_batches(self.table, rids, len(self.columns)), self.predicate
         )
 
 

@@ -8,21 +8,25 @@ shapes it must handle well are exactly those of the paper's Figures 3/6
 traversal queries (chains of adjacency CTEs) and Figure 4 attribute lookups
 (``JSON_VAL`` expression indexes, §3.4).
 
-The planner is statistics-driven but deliberately simple:
+The planner is cost-based but deliberately simple, with one rule whether
+or not ANALYZE has run (without statistics the estimates fall back to
+constants; the rule does not change):
 
 * single-table conjuncts are pushed into scans, with access-path selection
-  (hash index for equality, sorted index for ranges / prefix LIKE /
-  ``IS NOT NULL``, sequential scan otherwise);
-* joins are ordered greedily from the smallest filtered leaf, preferring
-  index nested-loop joins into base tables when the probe side is small and
-  hash joins otherwise (the ``index_probe_cost`` planner option moves the
-  crossover, modelling the paper's RAM vs. disk regimes of Figure 8);
+  (hash index for equality and IN lists, sorted index for ranges / prefix
+  LIKE / ``IS NOT NULL``, sequential scan otherwise); UPDATE and DELETE
+  find their rows through the same chooser (:meth:`Planner.table_access`);
+* joins start from the driver whose first join costs least, then add the
+  cheapest connected leaf; one function (:meth:`Planner._join_method`)
+  prices an index nested loop into a base table against a hash join, for
+  inner and left joins alike (the ``index_probe_cost`` planner option
+  moves the crossover, modelling the paper's RAM vs. disk regimes of
+  Figure 8);
 * CTEs become steps of a :class:`~repro.relational.plan.Query`, run in
   definition order; ``WITH RECURSIVE`` plans its terms once and re-opens
-  them semi-naively each round (the translator's recursive-loop
-  fallback, §4.3).  Planning runs each step as soon as it is planned, so
-  what follows it is planned from its real row count; the resulting plan
-  is re-opened by later executions without planning again.
+  them semi-naively each round.  Planning runs each step as soon as it is
+  planned, so what follows it is planned from its real row count; the
+  resulting plan is re-opened by later executions without planning again.
 
 Observability: when :attr:`Planner.stats` is set to an
 :class:`repro.obs.stats.ExecutionStats`, every non-recursive CTE sub-plan
@@ -58,8 +62,7 @@ RANGE_SELECTIVITY = 0.3
 LIKE_SELECTIVITY = 0.1
 NOTNULL_SELECTIVITY = 0.9
 #: cost of re-evaluating one pushed-down conjunct per index-NL-probed row
-#: (relative to a sequentially scanned row); only charged when the join
-#: is ordered from statistics
+#: (relative to a sequentially scanned row)
 RESIDUAL_EVAL_COST = 0.5
 
 
@@ -601,7 +604,7 @@ class Planner:
             )
         table = runtime.tables[name] = self.database.catalog.get_table(name)
         scan = op.SeqScan(table, alias)
-        self._attach_table_ndv(scan, table)
+        self._mark_base(scan, table, alias, ())
         return scan
 
     # ------------------------------------------------------------------
@@ -660,47 +663,12 @@ class Planner:
             right_leaf = self._subquery_leaf(join.right)
         else:
             raise BindError("LEFT JOIN right side must be a table or subquery")
-        condition_conjuncts = split_conjuncts(join.condition)
-        left_cols = set(left_plan.columns)
-        right_cols = set(right_leaf.columns)
         equi_pairs, residual = self._extract_equi_pairs(
-            condition_conjuncts, left_cols, right_cols
+            split_conjuncts(join.condition),
+            set(left_plan.columns), set(right_leaf.columns),
         )
-        combined_columns = list(left_plan.columns) + list(right_leaf.columns)
-        residual_fn = None
-        if residual:
-            residual_fn = self._conjunction_kernel(
-                residual, self._ctx(combined_columns)
-            )
-        if equi_pairs:
-            left_ctx = self._ctx(left_plan.columns)
-            left_key_fns = [
-                pair[0].compile_batch(left_ctx) for pair in equi_pairs
-            ]
-            # prefer an index nested-loop when the right side is a base table
-            # with an index on exactly the join key
-            if isinstance(right_leaf, op.SeqScan) and len(equi_pairs) == 1:
-                fingerprint = equi_pairs[0][1].fingerprint()
-                index = right_leaf.table.find_index(fingerprint)
-                if index is not None:
-                    return op.IndexNLJoinOp(
-                        left_plan,
-                        right_leaf.table,
-                        right_leaf.qualifier,
-                        index,
-                        left_key_fns,
-                        residual=residual_fn,
-                        kind="left",
-                    )
-            right_ctx = self._ctx(right_leaf.columns)
-            right_key_fns = [
-                pair[1].compile_batch(right_ctx) for pair in equi_pairs
-            ]
-            return op.HashJoinOp(
-                left_plan, right_leaf, left_key_fns, right_key_fns, "left",
-                residual_fn,
-            )
-        return op.NestedLoopJoinOp(left_plan, right_leaf, residual_fn, "left")
+        return self._equi_join(left_plan, right_leaf, equi_pairs, residual,
+                               "left")
 
     def _extract_equi_pairs(self, conjuncts, left_cols, right_cols):
         """Split conjuncts into (left_expr, right_expr) equi pairs + residual."""
@@ -753,48 +721,39 @@ class Planner:
         if len(prepared) == 1:
             return prepared[0]
 
-        # cost-based ordering engages when ANALYZE has run on at least one
-        # participating base table; without statistics the greedy
-        # smallest-leaf-first order below is the fallback
-        use_cost = any(getattr(leaf, "stats_ndv", None) for leaf in prepared)
-        remaining = list(prepared)
-        remaining.sort(key=lambda leaf: leaf.est_rows)
-        if use_cost and len(remaining) > 1:
-            # the smallest leaf is not always the right driver: putting a
-            # base table on the outer side forfeits probing its join index
-            # (a MaterializedScan can't be probed), so the starting leaf is
-            # chosen by costing every ordered first join
-            current = self._cheapest_driver(remaining, conjuncts)
-            remaining.remove(current)
-        else:
-            current = remaining.pop(0)
+        # the smallest leaf is not always the right driver: putting a base
+        # table on the outer side forfeits probing its join index (a
+        # MaterializedScan can't be probed), so the starting leaf is chosen
+        # by costing every ordered first join; each later step joins the
+        # cheapest connected candidate.  Ties keep the smaller leaf first.
+        remaining = sorted(prepared, key=lambda leaf: leaf.est_rows)
+        current = self._cheapest_driver(remaining, conjuncts)
+        remaining.remove(current)
         while remaining:
-            best = None
-            for candidate in remaining:
-                pairs = self._pairs_between(current, candidate, conjuncts)
-                connected = bool(pairs)
-                est_join = None
-                if use_cost:
-                    est_join = self._estimate_join_rows(
-                        current, candidate, pairs
-                    )
-                    # cheapest operator first, then cheapest output;
-                    # leaf cardinality tie-breaks
-                    score = (
-                        0 if connected else 1,
-                        self._join_op_cost(current, candidate, pairs),
-                        est_join, candidate.est_rows,
-                    )
-                else:
-                    score = (0 if connected else 1, candidate.est_rows)
-                if best is None or score < best[0]:
-                    best = (score, candidate, est_join if connected else None)
-            __, candidate, est_hint = best
+            candidate = min(remaining, key=lambda leaf: self._join_score(
+                current, leaf, conjuncts, leaf.est_rows
+            ))
             remaining.remove(candidate)
-            current = self._join_pair(
-                current, candidate, conjuncts, est_hint=est_hint
-            )
+            current = self._join_pair(current, candidate, conjuncts)
         return current
+
+    def _cheapest_driver(self, leaves, conjuncts):
+        """The outer side of the cheapest first join over *leaves*."""
+        return min(leaves, key=lambda outer: min(
+            self._join_score(outer, inner, conjuncts, outer.est_rows)
+            for inner in leaves if inner is not outer
+        ))
+
+    def _join_score(self, outer, inner, conjuncts, tie_break):
+        """Rank joining *outer* to *inner*: connected joins first, then
+        the cheaper operator, then the smaller output, then *tie_break*."""
+        pairs = self._pairs_between(outer, inner, conjuncts)
+        return (
+            0 if pairs else 1,
+            self._join_method(outer, inner, pairs)[0],
+            self._estimate_join_rows(outer, inner, pairs),
+            tie_break,
+        )
 
     def _pairs_between(self, left, right, conjuncts):
         """Equi-join pairs between two plans (read-only; conjuncts kept)."""
@@ -809,76 +768,52 @@ class Planner:
         )
         return pairs
 
-    def _cheapest_driver(self, leaves, conjuncts):
-        """The outer side of the cheapest first join over *leaves*."""
-        best = None
-        for outer in leaves:
-            for inner in leaves:
-                if inner is outer:
-                    continue
-                pairs = self._pairs_between(outer, inner, conjuncts)
-                score = (
-                    0 if pairs else 1,
-                    self._join_op_cost(outer, inner, pairs),
-                    self._estimate_join_rows(outer, inner, pairs),
-                    outer.est_rows,
-                )
-                if best is None or score < best[0]:
-                    best = (score, outer)
-        return best[1]
+    def _join_method(self, outer, inner, pairs):
+        """``(cost, index)`` of joining *outer* to *inner* on equi *pairs*:
+        the one rule that picks between an index nested loop and a hash
+        join.  *index* is the inner base table's index to probe, or
+        ``None`` for a hash join.
 
-    def _join_op_cost(self, outer, inner, pairs):
-        """Estimated operator cost of joining *outer* to *inner*.
-
-        Mirrors the regime formulas in :meth:`_join_pair`: an index nested
-        loop pays one random probe per outer row, a hash join pays building
-        the inner plus streaming the outer.  A disconnected pair costs the
-        full cross product, keeping cartesian joins last.
+        An index nested loop costs one random probe per outer row;
+        ``index_probe_cost`` expresses a probe relative to a sequentially
+        scanned row (≈1 in RAM, orders of magnitude more on disk, the
+        paper's Figure 8 regimes).  Probing bypasses the inner's access
+        path, so each of its pushed-down conjuncts is re-evaluated per
+        probed row.  A hash join costs building the inner plus streaming
+        the outer.  The nested loop also wins outright while the outer is
+        small enough that a probe per row stays cheap.  A disconnected
+        pair costs the full cross product, keeping cartesian joins last.
         """
         outer_rows = max(outer.records_output(), 1)
         inner_rows = max(inner.records_output(), 1)
         if not pairs:
-            return outer_rows * inner_rows
-        cost = inner_rows + outer_rows * 0.5
-        if len(pairs) == 1:
-            table = self._probe_target(inner)
-            if table is not None:
-                try:
-                    fingerprint = pairs[0][1].fingerprint()
-                except NotImplementedError:
-                    fingerprint = None
-                if fingerprint is not None and (
-                    table.find_index(fingerprint) is not None
-                ):
-                    # probing bypasses the inner's access path, so its
-                    # pushed conjuncts are re-evaluated per probed row
-                    probe = self._probe_cost + RESIDUAL_EVAL_COST * len(
-                        getattr(inner, "pushed_conjuncts", ()) or ()
-                    )
-                    cost = min(cost, outer_rows * probe)
-        return cost
-
-    @staticmethod
-    def _probe_target(plan):
-        """The base table *plan* could be index-probed into, or ``None``.
-
-        Read-only twin of the detection in :meth:`_join_pair` (which also
-        mutates the scan to record its pushed conjuncts).
-        """
-        table = getattr(plan, "base_table", None)
-        if table is not None:
-            return table
-        if isinstance(plan, op.SeqScan) and plan.predicate is None:
-            return plan.table
-        return None
+            return outer_rows * inner_rows, None
+        hash_cost = inner_rows + outer_rows * 0.5
+        table = getattr(inner, "base_table", None)
+        if table is None or len(pairs) != 1:
+            return hash_cost, None
+        fingerprint = safe_fingerprint(pairs[0][1])
+        index = None if fingerprint is None else table.find_index(fingerprint)
+        if index is None:
+            return hash_cost, None
+        probe_cost = self._probe_cost + RESIDUAL_EVAL_COST * len(
+            inner.pushed_conjuncts
+        )
+        index_cost = outer_rows * probe_cost
+        if index_cost <= hash_cost or (
+            outer_rows <= 1000 * min(1.0, 1.0 / probe_cost)
+        ):
+            return index_cost, index
+        return hash_cost, None
 
     def _estimate_join_rows(self, left, right, pairs):
         """System-R style equi-join cardinality: ``|L||R| / Π max(ndv)``.
 
         Each equi-pair divides the cross product by the larger side's
         distinct count for the join key (the smaller value set matches into
-        the larger).  A pair whose NDV is unknown on both sides falls back
-        to dividing by the larger input — the classic primary-key guess.
+        the larger).  A pair whose NDV is unknown on both sides divides by
+        the smaller input — the foreign-key guess: a key join returns about
+        as many rows as its larger side.
         """
         left_rows = max(left.records_output(), 1)
         right_rows = max(right.records_output(), 1)
@@ -889,11 +824,11 @@ class Planner:
             left_ndv = left.distinct_values(safe_fingerprint(left_expr))
             right_ndv = right.distinct_values(safe_fingerprint(right_expr))
             known = [ndv for ndv in (left_ndv, right_ndv) if ndv]
-            denominator = max(known) if known else max(left_rows, right_rows)
+            denominator = max(known) if known else min(left_rows, right_rows)
             estimate /= max(denominator, 1)
         return max(1, int(estimate))
 
-    def _join_pair(self, current, candidate, conjuncts, est_hint=None):
+    def _join_pair(self, current, candidate, conjuncts):
         combined_columns = list(current.columns) + list(candidate.columns)
         usable = [
             conjunct
@@ -905,112 +840,79 @@ class Planner:
         pairs, residual = self._extract_equi_pairs(
             usable, set(current.columns), set(candidate.columns)
         )
-        residual_fn = None
-        if residual:
-            residual_fn = self._conjunction_kernel(
-                residual, self._ctx(combined_columns)
-            )
+        return self._equi_join(current, candidate, pairs, residual, "inner")
+
+    def _equi_join(self, outer, inner, pairs, residual, kind):
+        """Join *outer* to *inner* (``kind`` ``'inner'`` or ``'left'``) on
+        equi *pairs* plus *residual* conjuncts, with the operator
+        :meth:`_join_method` picks."""
         if not pairs:
-            return op.NestedLoopJoinOp(current, candidate, residual_fn, "inner")
-        left_ctx = self._ctx(current.columns)
-        outer_key_fns = [pair[0].compile_batch(left_ctx) for pair in pairs]
-        # index nested loop into a base table when probing is cheap; the
-        # candidate's pushed-down conjuncts (recorded by _apply_access_path)
-        # are re-applied as join residuals since the index bypasses its
-        # access path
-        base_table = getattr(candidate, "base_table", None)
-        if base_table is None and isinstance(candidate, op.SeqScan) and (
-            candidate.predicate is None
-        ):
-            base_table = candidate.table
-            candidate.base_qualifier = candidate.qualifier
-            candidate.pushed_conjuncts = []
-        if base_table is not None and len(pairs) == 1:
-            try:
-                fingerprint = pairs[0][1].fingerprint()
-            except NotImplementedError:
-                fingerprint = None
-            index = (
-                base_table.find_index(fingerprint)
-                if fingerprint is not None
-                else None
+            return op.NestedLoopJoinOp(outer, inner, self._residual_kernel(
+                residual, list(outer.columns) + list(inner.columns)
+            ), kind)
+        est = self._estimate_join_rows(outer, inner, pairs)
+        outer_ctx = self._ctx(outer.columns)
+        outer_key_fns = [pair[0].compile_batch(outer_ctx) for pair in pairs]
+        __, index = self._join_method(outer, inner, pairs)
+        if index is not None:
+            # the inner's pushed-down conjuncts (recorded by _mark_base)
+            # are re-applied as join residuals since the index bypasses
+            # its access path
+            table = inner.base_table
+            inner_columns = [
+                (inner.base_qualifier, name)
+                for name in table.schema.column_names
+            ]
+            join_op = op.IndexNLJoinOp(
+                outer, table, inner.base_qualifier, index, outer_key_fns,
+                residual=self._residual_kernel(
+                    list(residual) + list(inner.pushed_conjuncts),
+                    list(outer.columns) + inner_columns,
+                ),
+                kind=kind, est_rows=est,
             )
-            # regime selection: an index nested loop costs one random probe
-            # per outer row; a hash join costs building + scanning both
-            # inputs sequentially.  `index_probe_cost` expresses how much a
-            # random probe costs relative to a sequentially scanned row
-            # (≈1 in RAM, orders of magnitude more on disk).  With
-            # statistics (est_hint set) the nested loop is additionally
-            # charged for re-evaluating the inner's pushed-down conjuncts
-            # per probed row — probing bypasses the access path that
-            # answered them, so an index-served filter becomes a residual.
-            probe_cost = self._probe_cost
-            if est_hint is not None:
-                probe_cost += (
-                    RESIDUAL_EVAL_COST * len(candidate.pushed_conjuncts)
-                )
-            index_join_cost = current.est_rows * probe_cost
-            hash_join_cost = candidate.est_rows + current.est_rows * 0.5
-            if index is not None and (
-                index_join_cost <= hash_join_cost
-                or current.est_rows <= 1000 * min(1.0, 1.0 / probe_cost)
-            ):
-                inner_columns = [
-                    (candidate.base_qualifier, name)
-                    for name in base_table.schema.column_names
-                ]
-                all_residuals = list(residual) + list(candidate.pushed_conjuncts)
-                combined_fn = None
-                if all_residuals:
-                    combined_fn = self._conjunction_kernel(
-                        all_residuals,
-                        self._ctx(list(current.columns) + inner_columns),
-                    )
-                join_op = op.IndexNLJoinOp(
-                    current,
-                    base_table,
-                    candidate.base_qualifier,
-                    index,
-                    outer_key_fns,
-                    residual=combined_fn,
-                    est_rows=(
-                        est_hint if est_hint is not None
-                        else max(current.est_rows, candidate.est_rows)
-                    ),
-                )
-                # inner-table NDVs for downstream join-cardinality questions
-                # (the inner side is a raw table, not a child operator)
-                self._attach_table_ndv(join_op, base_table)
-                return join_op
-        right_ctx = self._ctx(candidate.columns)
-        inner_key_fns = [pair[1].compile_batch(right_ctx) for pair in pairs]
-        est = (
-            est_hint if est_hint is not None
-            else max(current.est_rows, candidate.est_rows)
-        )
-        if candidate.est_rows <= current.est_rows:
+            # inner-table NDVs for downstream join-cardinality questions
+            # (the inner side is a raw table, not a child operator)
+            self._attach_table_ndv(join_op, table)
+            return join_op
+        inner_ctx = self._ctx(inner.columns)
+        inner_key_fns = [pair[1].compile_batch(inner_ctx) for pair in pairs]
+        if kind == "left" or inner.est_rows <= outer.est_rows:
             return op.HashJoinOp(
-                current, candidate, outer_key_fns, inner_key_fns, "inner",
-                residual_fn, est,
+                outer, inner, outer_key_fns, inner_key_fns, kind,
+                self._residual_kernel(
+                    residual, list(outer.columns) + list(inner.columns)
+                ),
+                est,
             )
-        # build on the smaller (current) side by swapping children
+        # build on the smaller (outer) side by swapping children; the
+        # residual then runs over the swapped output's columns
         swapped = op.HashJoinOp(
-            candidate, current, inner_key_fns, outer_key_fns, "inner", None,
-            est,
+            inner, outer, inner_key_fns, outer_key_fns, "inner", None, est,
         )
-        if residual_fn is None:
+        if not residual:
             return swapped
-        # residual_fn reads [current, candidate] order; filter the swapped
-        # output with the residual compiled against its own columns
         return op.FilterOp(
-            swapped,
-            self._conjunction_kernel(residual, self._ctx(swapped.columns)),
-            est,
+            swapped, self._residual_kernel(residual, swapped.columns), est
         )
+
+    def _residual_kernel(self, conjuncts, columns):
+        """Batch kernel for AND-ed *conjuncts* over *columns*, or ``None``
+        when there are none."""
+        if not conjuncts:
+            return None
+        return self._conjunction_kernel(conjuncts, self._ctx(columns))
 
     # ------------------------------------------------------------------
     # access-path selection for one leaf
     # ------------------------------------------------------------------
+    def table_access(self, name, where):
+        """The scan of base table *name* that finds the rows matching
+        *where*: an UPDATE's or DELETE's rows come from the same
+        access-path choice as a SELECT's."""
+        leaf = self._table_leaf(ast.TableRef(name))
+        return self._apply_access_path(leaf, split_conjuncts(where))
+
     def _apply_access_path(self, leaf, local_conjuncts):
         if not local_conjuncts:
             return leaf
@@ -1166,8 +1068,14 @@ class Planner:
         the conjunct, which must then stay in the scan's predicate."""
         if isinstance(conjunct, ex.Comparison):
             return self._match_comparison_index(table, qualifier, conjunct)
+        if not isinstance(conjunct, (ex.IsNull, ex.Like, ex.InList)):
+            return None
+        # a parameter, subquery or CASE operand has no fingerprint
+        fingerprint = safe_fingerprint(conjunct.operand)
+        if fingerprint is None:
+            return None
         if isinstance(conjunct, ex.IsNull) and conjunct.negated:
-            index = table.find_index(conjunct.operand.fingerprint(), kind="sorted")
+            index = table.find_index(fingerprint, kind="sorted")
             if index is None:
                 return None
             est = self._index_access_est(
@@ -1186,7 +1094,7 @@ class Planner:
             prefix = _like_prefix(conjunct)
             if prefix is None:
                 return None
-            index = table.find_index(conjunct.operand.fingerprint(), kind="sorted")
+            index = table.find_index(fingerprint, kind="sorted")
             if index is None:
                 return None
             est = self._index_access_est(
@@ -1206,7 +1114,7 @@ class Planner:
             # any constant item works (literals and bound parameters alike)
             if not all(self._is_const(item) for item in conjunct.items):
                 return None
-            index = table.find_index(conjunct.operand.fingerprint())
+            index = table.find_index(fingerprint)
             if index is None:
                 return None
             key_fns = [self._const_fn(item) for item in conjunct.items]

@@ -163,6 +163,47 @@ class TestContentionStress:
         assert len(database.execute("SELECT id FROM t").rows) == 2
 
 
+class TestDmlSubqueryLocks:
+    """A subquery inside UPDATE / DELETE / INSERT ... VALUES reads its
+    tables under a shared lock, as the same read in a SELECT does."""
+
+    @pytest.mark.parametrize("sql", [
+        "DELETE FROM a WHERE x IN (SELECT y FROM b)",
+        "UPDATE a SET x = 0 WHERE x IN (SELECT y FROM b)",
+        "UPDATE a SET x = (SELECT MAX(y) FROM b) WHERE x = 2",
+        "INSERT INTO a VALUES ((SELECT MAX(y) FROM b))",
+    ])
+    def test_waits_for_uncommitted_write(self, sql):
+        database = Database(lock_timeout=0.1)
+        database.execute("CREATE TABLE a (x INTEGER)")
+        database.execute("CREATE TABLE b (y INTEGER)")
+        database.execute("INSERT INTO a VALUES (1), (2)")
+        database.execute("INSERT INTO b VALUES (1)")
+        written, done = threading.Event(), threading.Event()
+
+        def writer():
+            transaction = database.begin()
+            database.execute("INSERT INTO b VALUES (2)")
+            written.set()
+            done.wait(timeout=10)
+            transaction.rollback()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert written.wait(timeout=5)
+            with pytest.raises(LockTimeoutError):
+                database.execute("SELECT y FROM b")
+            with pytest.raises(LockTimeoutError):
+                database.execute(sql)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sorted(database.execute("SELECT x FROM a").column()) == [1, 2]
+        assert database.execute("SELECT y FROM b").rows == [(1,)]
+
+
 class TestNoGlobalExecutorMode:
     """Regression: planning a one-row CTE used to flip a process-global
     executor switch with a non-atomic save/restore, so concurrent point

@@ -94,6 +94,33 @@ class TestHashIndex:
 
 
 class TestSortedIndex:
+    def test_distinct_keys_follow_every_change(self):
+        """The count is kept as entries come and go, not recounted per
+        call: each path that changes the entries must keep it exact.
+        Keys are distinct by their total order, so True and 1 are two."""
+        index = make_sorted()
+
+        def distinct():
+            return len({order for order, __rid, __key in index._entries})
+
+        for i, key in enumerate([5, 3, 5, None, None, True, 1]):
+            index.insert((0, i), (key,))
+        assert index.distinct_keys() == distinct() == 5
+        index.delete((0, 0), (5,))  # 5 is still held by (0, 2)
+        index.delete((0, 1), (3,))
+        assert index.distinct_keys() == distinct() == 4
+        # a small batch goes through insort, a large one through a sort
+        index.insert_many([(1, 0)], [(7,)])
+        index.insert_many([(2, i) for i in range(40)],
+                          [(i % 4 + 1,) for i in range(40)])
+        assert index.distinct_keys() == distinct() == 8
+        saved = index.swap_contents()
+        assert index.distinct_keys() == 0
+        index.swap_contents(saved)
+        assert index.distinct_keys() == distinct() == 8
+        index.delete((0, 5), (True,))
+        assert index.distinct_keys() == distinct() == 7
+
     def test_lookup(self):
         index = make_sorted()
         for i, key in enumerate([5, 3, 5, 9]):

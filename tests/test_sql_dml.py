@@ -131,6 +131,82 @@ class TestUpdate:
         ).rows == [("alice",)]
 
 
+class TestDmlAccessPaths:
+    """UPDATE and DELETE find their rows through the access-path chooser
+    SELECT uses, so IN lists, ranges and prefix LIKE reach an index."""
+
+    @staticmethod
+    def make_db():
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, s STRING)")
+        for i in range(20):
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", [i, i, f"n{i:02d}"])
+        db.execute("CREATE INDEX t_k ON t (k) USING sorted")
+        db.execute("CREATE INDEX t_s ON t (s) USING sorted")
+        return db
+
+    def test_delete_in_list_probes_index(self):
+        db = self.make_db()
+        index = db.table("t").indexes["t_k"]
+        probes = index.probes
+        result = db.execute("DELETE FROM t WHERE k IN (3, 5, 5, 99)")
+        assert result.rowcount == 2
+        assert index.probes == probes + 3  # one probe per distinct key
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 18
+
+    def test_update_range_scans_sorted_index(self):
+        db = self.make_db()
+        index = db.table("t").indexes["t_k"]
+        scans = index.range_scans
+        result = db.execute("UPDATE t SET s = 'x' WHERE k >= ?", [15])
+        assert result.rowcount == 5
+        assert index.range_scans == scans + 1
+        assert db.execute(
+            "SELECT COUNT(*) FROM t WHERE s = 'x'"
+        ).scalar() == 5
+
+    def test_delete_prefix_like_range_scans_sorted_index(self):
+        db = self.make_db()
+        index = db.table("t").indexes["t_s"]
+        scans = index.range_scans
+        assert db.execute("DELETE FROM t WHERE s LIKE 'n1%'").rowcount == 10
+        assert index.range_scans == scans + 1
+        assert db.execute("SELECT MAX(k) FROM t").scalar() == 9
+
+    def test_update_of_range_key_changes_each_row_once(self):
+        """Halloween guard: the rows the range scan finds are collected
+        before any moves further up the same index."""
+        db = self.make_db()
+        index = db.table("t").indexes["t_k"]
+        scans = index.range_scans
+        result = db.execute("UPDATE t SET k = k + 100 WHERE k >= 5")
+        assert result.rowcount == 15
+        assert index.range_scans == scans + 1
+        assert sorted(db.execute("SELECT k FROM t").column()) == (
+            list(range(5)) + list(range(105, 120))
+        )
+
+    def test_where_without_column_reference(self):
+        """A conjunct that names no column (a parameter, a scalar
+        subquery, a CASE) has no index to match and filters every row."""
+        db = self.make_db()
+        db.execute("CREATE TABLE b (y INTEGER)")
+        assert db.execute("DELETE FROM t WHERE ? IS NOT NULL", [None]).rowcount == 0
+        assert db.execute("UPDATE t SET k = 1 WHERE ? IN (1, 2)", [3]).rowcount == 0
+        assert db.execute(
+            "UPDATE t SET s = 'c' WHERE CASE WHEN ? > 0 THEN 1 END IN (1)", [1]
+        ).rowcount == 20
+        assert db.execute(
+            "DELETE FROM t WHERE (SELECT MAX(y) FROM b) IS NOT NULL"
+        ).rowcount == 0
+        db.execute("INSERT INTO b VALUES (1)")
+        assert db.execute(
+            "DELETE FROM t WHERE (SELECT MAX(y) FROM b) IS NOT NULL AND k < 5"
+        ).rowcount == 5
+        assert db.execute("UPDATE t SET k = 1 WHERE ? IN (1, 2)", [2]).rowcount == 15
+        assert db.execute("DELETE FROM t WHERE ? IS NOT NULL", [0]).rowcount == 15
+
+
 class TestDelete:
     def test_delete_with_where(self, people_db):
         result = people_db.execute("DELETE FROM people WHERE age < 28")

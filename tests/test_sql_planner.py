@@ -78,6 +78,26 @@ class TestAccessPaths:
         plan = plan_for(make_db(), "SELECT id FROM t WHERE v IN (1, 2)")
         assert op.IndexEqScan in operators_in(plan)
 
+    def test_repeated_in_list_key_returns_row_once(self):
+        database = make_db()
+        plan = plan_for(database, "SELECT s FROM t WHERE id IN (7, 7)")
+        assert op.IndexEqScan in operators_in(plan)
+        assert database.execute(
+            "SELECT s FROM t WHERE id IN (7, 7)"
+        ).rows == [("name0007",)]
+
+    def test_case_operand_has_no_index_to_match(self):
+        database = make_db()
+        case = "CASE WHEN id < 3 THEN s END"
+        for where, count in [
+            (f"{case} IN ('name0001')", 1),
+            (f"{case} IS NOT NULL", 3),
+            (f"{case} LIKE 'name%'", 3),
+        ]:
+            assert database.execute(
+                f"SELECT COUNT(*) FROM t WHERE {where}"
+            ).scalar() == count
+
     def test_unindexed_predicate_scans(self):
         database = make_db()
         plan = plan_for(database, "SELECT id FROM t WHERE v + 1 = 4")
@@ -139,6 +159,20 @@ class TestJoins:
             "SELECT u.id FROM u LEFT OUTER JOIN t ON u.t_id = t.id",
         )
         assert op.IndexNLJoinOp in operators_in(plan)
+
+    def test_cte_probes_smaller_indexed_table_without_statistics(self):
+        """No ANALYZE: the 500-row CTE drives an index nested loop into
+        the 100-row table u through its join-key index, rather than
+        hash-joining from the smaller leaf (the costed rule alone)."""
+        database = make_db()
+        sql = (
+            "WITH c AS (SELECT id AS x FROM t) "
+            "SELECT COUNT(*) FROM c, u WHERE c.x = u.t_id"
+        )
+        kinds = operators_in(plan_for(database, sql))
+        assert op.IndexNLJoinOp in kinds
+        assert op.HashJoinOp not in kinds
+        assert database.execute(sql).scalar() == 100
 
     def test_join_order_starts_from_small_side(self):
         database = make_db()
