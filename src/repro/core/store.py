@@ -141,9 +141,6 @@ class SQLGraphStore(GraphInterface):
             self._next_vertex_id = max(vertex_ids, default=0) + 1
             self._next_edge_id = max(edge_ids, default=0) + 1
         self._persist_meta()
-        # the bulk loader writes rows below the SQL layer, so the
-        # per-statement auto-ANALYZE hook never sees the load; check here
-        self.database.maybe_auto_analyze()
         return self.loader.report
 
     def create_attribute_index(self, element, key, sorted_index=False):

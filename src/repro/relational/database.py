@@ -49,7 +49,6 @@ from repro.relational.schema import (
     SCRATCH_TABLE_PREFIX,
     TableSchema,
 )
-from repro.relational.settings import env_number
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse_statement
 from repro.relational.stats import META_STATS_KEY, StatisticsRegistry
@@ -62,34 +61,6 @@ from repro.relational.table import HeapTable
 PLANNER_OPTION_SPECS = {
     "index_probe_cost": "positive number",
 }
-
-
-def _env_flag(name, default=False):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    return value.strip() not in ("", "0", "false", "off")
-
-
-def resolve_auto_analyze(flag=None):
-    """``REPRO_AUTO_ANALYZE``: re-ANALYZE drifted tables automatically
-    (off by default; see :meth:`Database.maybe_auto_analyze`)."""
-    if flag is not None:
-        return bool(flag)
-    return _env_flag("REPRO_AUTO_ANALYZE")
-
-
-def resolve_auto_analyze_drift(threshold=None):
-    """``REPRO_AUTO_ANALYZE_DRIFT``: mutation-drift fraction that triggers
-    a re-ANALYZE (default 0.5 — half the table churned since ANALYZE)."""
-    if threshold is not None:
-        return float(threshold)
-    return env_number("REPRO_AUTO_ANALYZE_DRIFT", 0.5)
-
-
-#: auto-ANALYZE ignores tables smaller than this when they have no
-#: statistics yet (tiny tables plan fine on the no-stats fallback)
-AUTO_ANALYZE_MIN_ROWS = 64
 
 
 def validate_planner_options(options):
@@ -289,8 +260,8 @@ class PreparedStatement:
     """A plan-cache entry: the normalized statement text (its cache key,
     and what DDL logs to the WAL), the parsed statement (immutable once
     cached; the planner is copy-on-write), its lock sets, and the
-    :class:`~repro.relational.plan.PlanPool` of cached physical plans its
-    SELECT (or INSERT … SELECT) is re-opened from."""
+    :class:`~repro.relational.plan.PlanPool` of cached physical plans a
+    SELECT, INSERT, UPDATE or DELETE is re-opened from."""
 
     __slots__ = ("sql", "statement", "read_tables", "write_tables", "plans")
 
@@ -324,8 +295,7 @@ class Database:
     def __init__(self, buffer_pool_pages=None, lock_timeout=None,
                  planner_options=None, path=None,
                  wal_fsync=None, wal_group_window_ms=None,
-                 wal_checkpoint_every=None, auto_analyze=None,
-                 auto_analyze_drift=None):
+                 wal_checkpoint_every=None):
         self.buffer_pool = BufferPool(buffer_pool_pages)
         self.catalog = Catalog(self.buffer_pool)
         self.catalog.txn_source = self.current_transaction
@@ -335,12 +305,6 @@ class Database:
         #: ANALYZE statistics (see repro.relational.stats); consulted by
         #: every planner
         self.statistics = StatisticsRegistry()
-        #: auto-ANALYZE knobs (REPRO_AUTO_ANALYZE / _DRIFT; off by default)
-        self.auto_analyze = resolve_auto_analyze(auto_analyze)
-        self.auto_analyze_drift = resolve_auto_analyze_drift(
-            auto_analyze_drift
-        )
-        self.auto_analyzed = 0  # guarded-by: _txn_guard
         self._local = threading.local()
         self.statements_executed = 0  # guarded-by: _txn_guard
         #: monotonic counter bumped by every DDL statement; prepared plans
@@ -429,13 +393,13 @@ class Database:
             transaction.lock_tokens.append(token)
             held.update({name: "w" for name in writes})
             held.update({name: "r" for name in reads})
-            return self._dispatch(prepared, transaction, params)
+            return self._dispatch(prepared, params)
         token = self.locks.acquire(read_tables, write_tables)
         try:
             # the commit point below covers every statement kind that
             # appends; the only dispatches skipping it (SELECT/EXPLAIN)
             # log nothing
-            result = self._dispatch(prepared, transaction, params)  # reprolint: disable=wal-commit-reachability -- commit point below
+            result = self._dispatch(prepared, params)  # reprolint: disable=wal-commit-reachability -- commit point below
         finally:
             LockManager.release(token)
         # Autocommit: the statement is the transaction, so its WAL records
@@ -451,12 +415,6 @@ class Database:
         ):
             wal.commit_point()
             self._maybe_auto_checkpoint()
-        if (
-            self.auto_analyze
-            and write_tables
-            and not getattr(self._local, "auto_analyzing", False)
-        ):
-            self.maybe_auto_analyze(write_tables)
         return result
 
     def _prepare(self, sql):
@@ -478,17 +436,14 @@ class Database:
         self.plan_cache.put(key, prepared, epoch=epoch)
         return prepared
 
-    def _planner(self, params=None):
-        """The one place planners are built."""
-        return Planner(self, Runtime(self, params))
-
-    def _plan(self, query, params=None, stats=None):
-        """Plan a SELECT into a fresh :class:`Plan`: the one planning path
-        of a plan-cache miss, and of EXPLAIN and instrumented runs, which
-        keep theirs private so instrumentation never wraps a cached plan."""
-        planner = self._planner(params)
+    def _plan(self, statement, params=None, stats=None):
+        """Plan *statement* into a fresh :class:`Plan`: the one place
+        planners are built — a plan-cache miss of any statement that finds
+        or computes rows, and EXPLAIN and instrumented runs, which keep
+        theirs private so instrumentation never wraps a cached plan."""
+        planner = Planner(self, Runtime(self, params))
         planner.stats = stats
-        return planner.plan(query)
+        return planner.plan(statement)
 
     def planner_option(self, name, default=None):
         """Validated read of one planner option (see PLANNER_OPTION_SPECS)."""
@@ -752,18 +707,18 @@ class Database:
     # ------------------------------------------------------------------
     # statement dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, prepared, transaction, params=None):
+    def _dispatch(self, prepared, params=None):
         statement = prepared.statement
         if isinstance(statement, ast.ExplainStatement):
             return self._run_explain(statement, params)
         if isinstance(statement, ast.SelectStatement):
-            return self._run_select(prepared.plans, statement, params)
+            return ResultSet(*self._run_plan(prepared, params))
         if isinstance(statement, ast.InsertStatement):
-            return self._run_insert(prepared, transaction, params)
+            return self._run_insert(prepared, params)
         if isinstance(statement, ast.UpdateStatement):
-            return self._run_update(statement, transaction, params)
+            return self._run_update(prepared, params)
         if isinstance(statement, ast.DeleteStatement):
-            return self._run_delete(statement, transaction, params)
+            return self._run_delete(prepared, params)
         if isinstance(statement, ast.CreateTableStatement):
             return self._run_create_table(statement, prepared.sql)
         if isinstance(statement, ast.CreateIndexStatement):
@@ -800,58 +755,12 @@ class Database:
             rowcount=len(rows),
         )
 
-    def maybe_auto_analyze(self, tables=None):
-        """Re-ANALYZE tables whose statistics drifted past the threshold.
-
-        Auto-ANALYZE is off by default; it is enabled per database
-        (``auto_analyze=True``) or globally (``REPRO_AUTO_ANALYZE=1``).
-        When on, every autocommit write statement checks the tables it
-        touched: a table is re-analyzed when its recorded statistics have
-        seen ``mutation_drift`` of at least ``auto_analyze_drift``
-        (``REPRO_AUTO_ANALYZE_DRIFT``, default 0.5) — or when it has no
-        valid statistics yet and has grown past ``AUTO_ANALYZE_MIN_ROWS``
-        live rows.  Scratch tables and statements inside an explicit
-        transaction never trigger it.  Returns the list of table names
-        analyzed.
-        """
-        if not self.auto_analyze:
-            return []
-        if getattr(self._local, "auto_analyzing", False):
-            return []
-        if self.current_transaction() is not None:
-            return []
-        names = tables if tables is not None else self.catalog.table_names()
-        analyzed = []
-        self._local.auto_analyzing = True
-        try:
-            for name in sorted(names):
-                name = name.lower()
-                if name.startswith(SCRATCH_TABLE_PREFIX):
-                    continue
-                if not self.catalog.has_table(name):
-                    continue
-                table = self.catalog.get_table(name)
-                entry = self.statistics.get(name, self.schema_epoch)
-                if entry is None:
-                    if table.live_rows < AUTO_ANALYZE_MIN_ROWS:
-                        continue
-                elif entry.mutation_drift(table) < self.auto_analyze_drift:
-                    continue
-                self.execute(f"ANALYZE {name}")
-                analyzed.append(name)
-        finally:
-            self._local.auto_analyzing = False
-        if analyzed:
-            with self._txn_guard:
-                self.auto_analyzed += len(analyzed)
-        return analyzed
-
-    def _run_select(self, plans, statement, params=None):
-        """Run a SELECT through a cached plan from *plans*."""
-        columns, rows = plans.execute(
-            params, lambda: self._plan(statement, params)
+    def _run_plan(self, prepared, params=None, apply=None):
+        """Run *prepared* through a cached plan from its pool: what
+        ``apply(plan)`` returns, ``(column names, rows)`` by default."""
+        return prepared.plans.execute(
+            params, lambda: self._plan(prepared.statement, params), apply
         )
-        return ResultSet(columns, rows)
 
     def _run_instrumented(self, statement, params=None):
         """Plan and execute a SELECT with full observability, on a private
@@ -874,7 +783,7 @@ class Database:
         start = perf_counter()
         plan = self._plan(statement, params, stats)
         instrument_plan(plan.body, stats)
-        rows = plan.execute(params)
+        __, rows = plan.execute(params)
         stats.elapsed_s = perf_counter() - start
         stats.rows_returned = len(rows)
         stats.page_hits = pool.hits - hits0
@@ -915,17 +824,10 @@ class Database:
         )
         return ResultSet(["plan"], [(line,) for line in lines])
 
-    def _run_insert(self, prepared, transaction, params=None):
+    def _run_insert(self, prepared, params=None):
         statement = prepared.statement
         table = self.catalog.get_table(statement.table)
-        if statement.rows is not None:
-            planner = self._planner(params)
-            rows = [
-                [planner.const_value(expression) for expression in row_exprs]
-                for row_exprs in statement.rows
-            ]
-        else:
-            rows = self._run_select(prepared.plans, statement.query, params).rows
+        __, rows = self._run_plan(prepared, params)
         if statement.columns is not None:
             rows = self._arrange_insert_rows(table, statement.columns, rows)
         # one call: the statement is all-or-nothing, and undo is recorded
@@ -957,42 +859,45 @@ class Database:
             *[listed.get(column.name, nulls) for column in schema.columns]
         ))
 
-    def _run_update(self, statement, transaction, params=None):
-        table = self.catalog.get_table(statement.table)
-        planner = self._planner(params)
-        # the rows come from the access path a SELECT with this WHERE
-        # would choose, all found before any changes (an index scan must
-        # not meet the rows this statement moves along its index)
-        scan = planner.table_access(statement.table, statement.where)
-        matches = list(scan.rid_rows())
-        ctx = planner._ctx(scan.columns)
-        assignments = [
-            (table.schema.position(column), expression.compile_batch(ctx))
-            for column, expression in statement.assignments
-        ]
-        width = len(table.schema.columns)
-        count = 0
-        for start in range(0, len(matches), BATCH_SIZE):
-            chunk = matches[start:start + BATCH_SIZE]
-            block = ColumnBatch.from_rows([row for __, row in chunk], width)
-            new_columns = list(block.columns)
-            for position, fn in assignments:
-                new_columns[position] = fn(block.columns, block.positions())
-            for (rid, __row), new_row in zip(chunk, zip(*new_columns)):
-                if table.update(rid, new_row) is not None:
-                    count += 1
-        return ResultSet(rowcount=count)
+    def _run_update(self, prepared, params=None):
+        table = self.catalog.get_table(prepared.statement.table)
+        rids, rows = self._run_plan(prepared, params, self._updated_rows)
+        # all or nothing: a key an index refuses changes no row
+        return ResultSet(rowcount=table.update_many(rids, rows))
 
-    def _run_delete(self, statement, transaction, params=None):
+    @staticmethod
+    def _updated_rows(plan):
+        """The RIDs an UPDATE's plan finds and their new rows.
+
+        Every match is found, and every new row computed, before the
+        first write: an index scan must not meet the rows this statement
+        moves along its index, and a SET that raises changes nothing.
+        """
+        scan = plan.body
+        matches = list(scan.rid_rows())
+        width = len(scan.columns)
+        rows = []
+        for start in range(0, len(matches), BATCH_SIZE):
+            block = ColumnBatch.from_rows(
+                [row for __, row in matches[start:start + BATCH_SIZE]], width
+            )
+            new_columns = list(block.columns)
+            for position, fn in plan.assignments:
+                new_columns[position] = fn(block.columns, block.positions())
+            rows.extend(zip(*new_columns))
+        return [rid for rid, __ in matches], rows
+
+    def _run_delete(self, prepared, params=None):
+        statement = prepared.statement
         table = self.catalog.get_table(statement.table)
         if statement.where is None:
             return ResultSet(rowcount=table.truncate())
-        scan = self._planner(params).table_access(
-            statement.table, statement.where
-        )
+        # every match is found before the first delete, as in UPDATE
+        rids = self._run_plan(prepared, params, lambda plan: [
+            rid for rid, __ in plan.body.rid_rows()
+        ])
         count = 0
-        # every match is found before the first delete, as in _run_update
-        for rid, __row in list(scan.rid_rows()):
+        for rid in rids:
             if table.delete(rid) is not None:
                 count += 1
         return ResultSet(rowcount=count)

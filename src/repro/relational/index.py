@@ -7,7 +7,8 @@ which runs the indexed expression's batch kernel once per block of rows
 when the index is populated or rows are bulk-inserted, and over a one-row
 view when a single row is maintained.  The planner matches predicates
 against an index through its *fingerprint*, a canonical string of the
-indexed expression(s).
+indexed expression(s).  Every change is all or nothing: a key that
+violates uniqueness leaves the index as it was.
 """
 
 from __future__ import annotations
@@ -114,12 +115,16 @@ class Index:
         raise NotImplementedError
 
     def update(self, rid, old_row, new_row):
-        old_key = self.key_of(old_row)
-        new_key = self.key_of(new_row)
-        if old_key == new_key:
+        """Move *rid* from *old_row*'s key to *new_row*'s; a new key the
+        index refuses leaves the old one in place."""
+        if self.key_of(old_row) == self.key_of(new_row):
             return
         self.delete(rid, old_row)
-        self.insert(rid, new_row)
+        try:
+            self.insert(rid, new_row)
+        except Exception:
+            self.insert(rid, old_row)
+            raise
 
     def lookup(self, key):
         """Return an iterable of RIDs whose index key equals *key*."""
@@ -233,17 +238,9 @@ class SortedIndex(Index):
     def __init__(self, name, table_name, key_function, fingerprint, unique=False):
         super().__init__(name, table_name, key_function, fingerprint, unique)
         self._entries: list[tuple] = []
-        #: distinct total-order keys in ``_entries``, kept current by every
-        #: change: the planner reads it for each equality lookup it plans,
-        #: which an UPDATE or DELETE does on every execution
-        self._distinct = 0
 
     def __len__(self):
         return len(self._entries)
-
-    def _recount(self):
-        orders = [entry[0] for entry in self._entries]
-        self._distinct = sum(map(ne, orders, orders[1:])) + bool(orders)
 
     def _holds(self, order):
         lo = bisect.bisect_left(self._entries, (order,))
@@ -252,11 +249,9 @@ class SortedIndex(Index):
     def insert(self, rid, row):
         key = self.key_of(row)
         order = total_order_key(key)
-        held = self._holds(order)
-        if self.unique and key is not None and held:
+        if self.unique and key is not None and self._holds(order):
             raise self._violation(key)
         bisect.insort(self._entries, (order, rid, key))
-        self._distinct += not held
 
     def insert_many(self, rids, rows):
         entries = self._entries
@@ -276,7 +271,6 @@ class SortedIndex(Index):
                 previous = order
         if len(fresh) * 8 < len(entries):
             for entry in fresh:
-                self._distinct += not self._holds(entry[0])
                 bisect.insort(entries, entry)
         else:
             # two sorted runs: list.sort merges them in one galloping
@@ -284,12 +278,10 @@ class SortedIndex(Index):
             # entry — hence insort above for a small batch
             entries.extend(fresh)
             entries.sort()
-            self._recount()
 
     def swap_contents(self, contents=None):
         old = self._entries
         self._entries = [] if contents is None else contents
-        self._recount()
         return old
 
     def delete(self, rid, row):
@@ -299,7 +291,6 @@ class SortedIndex(Index):
         while lo < len(self._entries) and self._entries[lo][0] == order:
             if self._entries[lo][1] == rid:
                 del self._entries[lo]
-                self._distinct -= not self._holds(order)
                 return
             lo += 1
 
@@ -340,7 +331,10 @@ class SortedIndex(Index):
             yield rid
 
     def distinct_keys(self):
-        return self._distinct
+        """Distinct keys by their total order, counted now: only planning
+        asks, and a cached plan does not plan again."""
+        orders = [entry[0] for entry in self._entries]
+        return sum(map(ne, orders, orders[1:])) + bool(orders)
 
 
 def column_key_function(position):

@@ -9,6 +9,13 @@ read by name by ``MaterializedScan``; subquery answers live in
 ``Runtime.memo``.  So one :class:`Plan` serves execution after execution:
 re-bind the list, run the steps, drain the body, reset the runtime.
 
+Every statement that finds or computes rows runs this way.  A SELECT's
+body yields its answer and an INSERT's body the rows to append (its
+SELECT, or its VALUES kernels).  An UPDATE's or DELETE's body is the scan
+of the target table that finds the rows to change, and an UPDATE's plan
+also keeps its SET kernels; the database drains that scan through an
+*apply* callable (see :meth:`Plan.execute`).
+
 Planning still runs each step as soon as it is planned, because the next
 step and the body are planned from the real row counts of the ones before
 (see :mod:`repro.relational.planner`).  A query whose steps the planner
@@ -148,11 +155,17 @@ class Query:
 
 
 class Plan(Query):
-    """One cached plan instance of a statement's query, with its own
+    """One cached plan instance of a statement, with its own
     :class:`Runtime`.  An execution checks it out, runs :meth:`execute`
-    and hands it back; it is never shared by two executions at once."""
+    and hands it back; it is never shared by two executions at once.
+    ``assignments`` are an UPDATE's SET kernels, ``(column position,
+    kernel over the body's columns)`` each; empty for other statements."""
 
-    __slots__ = ()
+    __slots__ = ("assignments",)
+
+    def __init__(self, runtime, steps, body, assignments=()):
+        super().__init__(runtime, steps, body)
+        self.assignments = assignments
 
     @property
     def columns(self):
@@ -174,22 +187,27 @@ class Plan(Query):
         except BindError:
             return False
 
-    def execute(self, params=None):
-        """Bind *params*, run the steps and the body; returns the rows.
+    def result(self):
+        """``(column names, rows)``: the steps and the body, run.
 
         Blocks are transposed wholesale (``zip`` at C speed) rather than
         row by row, through the ``batches`` attribute so EXPLAIN ANALYZE
         instrumentation still counts the traffic.
         """
+        rows = []
+        for block in self.batches():
+            rows.extend(block.iter_rows())
+        return self.columns, rows
+
+    def execute(self, params=None, apply=None):
+        """Bind *params* and return ``apply(plan)`` (:meth:`result` by
+        default), then reset the runtime."""
         runtime = self.runtime
         runtime.params[:] = (params or ())[:len(runtime.params)]
-        rows = []
         try:
-            for block in self.batches():
-                rows.extend(block.iter_rows())
+            return (apply or Plan.result)(self)
         finally:
             runtime.reset()
-        return rows
 
 
 #: idle plans one cached statement keeps; executions beyond this many at
@@ -213,9 +231,10 @@ class PlanPool:
     def __init__(self):
         self._idle = []
 
-    def execute(self, params, plan_fn):
-        """``(column names, rows)`` of one execution with *params*;
-        *plan_fn* plans a fresh :class:`Plan` when no idle one can serve."""
+    def execute(self, params, plan_fn, apply=None):
+        """What one execution with *params* returns (see
+        :meth:`Plan.execute`); *plan_fn* plans a fresh :class:`Plan` when
+        no idle one can serve."""
         idle = self._idle
         try:
             plan = idle.pop()
@@ -223,10 +242,10 @@ class PlanPool:
             plan = None
         if plan is None or not plan.reusable(params):
             plan = plan_fn()
-        rows = plan.execute(params)
+        result = plan.execute(params, apply)
         if len(idle) < MAX_IDLE_PLANS:
             idle.append(plan)
-        return plan.columns, rows
+        return result
 
     def forget_table(self, name):
         """Drop the idle plans when one reads table *name*, which was just

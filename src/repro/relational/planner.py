@@ -15,7 +15,9 @@ constants; the rule does not change):
 * single-table conjuncts are pushed into scans, with access-path selection
   (hash index for equality and IN lists, sorted index for ranges / prefix
   LIKE / ``IS NOT NULL``, sequential scan otherwise); UPDATE and DELETE
-  find their rows through the same chooser (:meth:`Planner.table_access`);
+  find their rows through the same chooser (:meth:`Planner.table_access`),
+  and :meth:`Planner.plan` plans them, like INSERT, into the same
+  cacheable :class:`~repro.relational.plan.Plan` as a SELECT;
 * joins start from the driver whose first join costs least, then add the
   cheapest connected leaf; one function (:meth:`Planner._join_method`)
   prices an index nested loop into a base table against a hash join, for
@@ -154,10 +156,6 @@ class Planner:
             params=self.params,
         )
 
-    def const_value(self, expression):
-        """Evaluate an expression that must not reference any column."""
-        return self._const_fn(expression)()
-
     def _const_fn(self, expression, convert=None):
         """A zero-argument callable evaluating a column-free expression
         when called — its kernel over one zero-column position: an
@@ -190,10 +188,48 @@ class Planner:
     # ------------------------------------------------------------------
     def plan(self, stmt):
         """Plan *stmt* into a re-openable :class:`Plan` whose steps have
-        already run for the runtime's current binding."""
+        already run for the runtime's current binding.
+
+        An INSERT's body yields the rows to append.  An UPDATE's or
+        DELETE's body is the scan :meth:`table_access` chooses, and an
+        UPDATE's SET kernels are compiled over that scan's columns.
+        """
         self.steps = []
-        body = self.plan_select_statement(stmt)
-        return self._primed(Plan(self.runtime, self.steps, body))
+        assignments = ()
+        if isinstance(stmt, ast.InsertStatement):
+            body = (
+                self._plan_values(stmt.rows) if stmt.query is None
+                else self.plan_select_statement(stmt.query)
+            )
+        elif isinstance(stmt, (ast.UpdateStatement, ast.DeleteStatement)):
+            body = self.table_access(stmt.table, stmt.where)
+            if isinstance(stmt, ast.UpdateStatement):
+                ctx = self._ctx(body.columns)
+                assignments = [
+                    (body.table.schema.position(column),
+                     expression.compile_batch(ctx))
+                    for column, expression in stmt.assignments
+                ]
+        else:
+            body = self.plan_select_statement(stmt)
+        return self._primed(Plan(self.runtime, self.steps, body, assignments))
+
+    def _plan_values(self, rows):
+        """An INSERT's VALUES rows: one kernel per cell, evaluated over a
+        one-row, zero-column input each time the plan is opened."""
+        widths = sorted({len(row) for row in rows})
+        if len(widths) > 1:
+            raise BindError(
+                f"VALUES rows differ in length ({widths[0]} and "
+                f"{widths[-1]} values)"
+            )
+        ctx = self._ctx()
+        return op.LateralUnnestOp(
+            op.MaterializedScan([()], []),
+            [[expression.compile_batch(ctx) for expression in row]
+             for row in rows],
+            [(None, f"col{i}") for i in range(widths[0])],
+        )
 
     def _primed(self, query):
         self.runtime.primed.add(query)
@@ -1009,7 +1045,7 @@ class Planner:
                 column = tstats.column(safe_fingerprint(key_side))
                 if column is None:
                     continue
-                value = self.const_value(value_side)
+                value = self._const_fn(value_side)()
                 operator = conjunct.op
                 if key_side is conjunct.right:
                     operator = _MIRRORED.get(operator, operator)
@@ -1034,7 +1070,7 @@ class Planner:
             if column is None:
                 return None
             return column.in_list_selectivity(
-                [self.const_value(item) for item in conjunct.items]
+                [self._const_fn(item)() for item in conjunct.items]
             )
         if isinstance(conjunct, ex.Like) and not conjunct.negated:
             prefix = _like_prefix(conjunct)

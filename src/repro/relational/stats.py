@@ -20,11 +20,9 @@ predicates get real selectivities too.
 Maintenance is incremental by construction: a :class:`ColumnStats`
 answers *fractions*, and the planner multiplies them into the table's
 **live** row count, so estimates track inserts/deletes after ANALYZE
-without touching the histograms.  The insert/delete watermarks captured
-at ANALYZE time expose how far a table has drifted (:meth:`TableStats.
-mutation_drift`).  Statistics are invalidated by the schema epoch
-(any DDL) and persisted through the WAL meta channel — they survive
-checkpoints and crash recovery without a recovery-format change.
+without touching the histograms.  Statistics are invalidated by the
+schema epoch (any DDL) and persisted through the WAL meta channel — they
+survive checkpoints and crash recovery without a recovery-format change.
 
 Nothing but their presence selects how the planner estimates: a table
 with current statistics is costed from them, one without falls back to
@@ -235,17 +233,15 @@ class TableStats:
 
     __slots__ = (
         "table_name", "row_count", "page_count", "sample_size",
-        "insert_watermark", "delete_watermark", "schema_epoch", "columns",
+        "schema_epoch", "columns",
     )
 
     def __init__(self, table_name, row_count, page_count, sample_size,
-                 insert_watermark, delete_watermark, schema_epoch, columns):
+                 schema_epoch, columns):
         self.table_name = table_name
         self.row_count = row_count
         self.page_count = page_count
         self.sample_size = sample_size
-        self.insert_watermark = insert_watermark
-        self.delete_watermark = delete_watermark
         self.schema_epoch = schema_epoch
         self.columns = columns  # fingerprint -> ColumnStats
 
@@ -289,8 +285,6 @@ class TableStats:
             columns[fingerprint] = ColumnStats.build(values, row_count)
         return cls(
             table.name, row_count, table.page_count, len(sample),
-            getattr(table, "insert_count", 0),
-            getattr(table, "delete_count", 0),
             schema_epoch, columns,
         )
 
@@ -307,20 +301,12 @@ class TableStats:
             for fingerprint, stats in self.columns.items()
         }
 
-    def mutation_drift(self, table):
-        """Fraction of the analyzed row count mutated since ANALYZE."""
-        inserted = getattr(table, "insert_count", 0) - self.insert_watermark
-        deleted = getattr(table, "delete_count", 0) - self.delete_watermark
-        return (max(inserted, 0) + max(deleted, 0)) / max(self.row_count, 1)
-
     def to_dict(self):
         return {
             "table_name": self.table_name,
             "row_count": self.row_count,
             "page_count": self.page_count,
             "sample_size": self.sample_size,
-            "insert_watermark": self.insert_watermark,
-            "delete_watermark": self.delete_watermark,
             "schema_epoch": self.schema_epoch,
             "columns": {
                 fingerprint: stats.to_dict()
@@ -330,10 +316,11 @@ class TableStats:
 
     @classmethod
     def from_dict(cls, payload):
+        """The inverse of :meth:`to_dict`; keys it does not read, such as
+        the mutation watermarks older releases persisted, are ignored."""
         return cls(
             payload["table_name"], payload["row_count"],
             payload["page_count"], payload["sample_size"],
-            payload["insert_watermark"], payload["delete_watermark"],
             payload["schema_epoch"],
             {
                 fingerprint: ColumnStats.from_dict(column)

@@ -23,10 +23,6 @@ class HeapTable:
         self._page_count = 0
         self._last_page_size = 0
         self.live_rows = 0
-        #: monotonic mutation watermarks — the statistics subsystem records
-        #: them at ANALYZE time to measure drift (never decremented)
-        self.insert_count = 0
-        self.delete_count = 0
         self.indexes: dict[str, object] = {}
         #: write-ahead log all mutations report to (None = in-memory only);
         #: installed by the catalog of a durable database
@@ -125,7 +121,6 @@ class HeapTable:
             page_no += 1
             slot = 0
         self.live_rows += count
-        self.insert_count += count
         transaction = self._transaction()
         if transaction is not None:
             transaction.record_inserts(self, rids)
@@ -169,7 +164,6 @@ class HeapTable:
         self._page_count = 0
         self._last_page_size = 0
         self.live_rows = 0
-        self.delete_count += count
         return count
 
     def restore_all(self, saved):
@@ -182,7 +176,6 @@ class HeapTable:
         self._last_page_size = last_page_size
         self._pool.adopt_pages(self.name, frames)
         self.live_rows = count
-        self.insert_count += count
         for name, index in self.indexes.items():
             index.swap_contents(contents.get(name))
             if name not in contents:  # created since: build it now
@@ -224,7 +217,6 @@ class HeapTable:
             index.delete(rid, old)
         rows[slot] = None
         self.live_rows -= 1
-        self.delete_count += 1
         transaction = self._transaction()
         if transaction is not None:
             transaction.record_delete(self, rid, old)
@@ -234,23 +226,63 @@ class HeapTable:
         return old
 
     def update(self, rid, values, coerce=True):
-        """Replace the row at *rid*; returns the old row."""
+        """Replace the row at *rid*; returns the old row (``None`` when
+        the slot is empty).  An index that refuses the new row's key
+        leaves every index as it was, as in :meth:`update_many`."""
         new_row = self.schema.coerce_row(values) if coerce else tuple(values)
         page_no, slot = rid
         rows = self._pool.fetch(self, page_no, for_write=True)
         old = rows[slot]
         if old is None:
             return None
-        for index in self.indexes.values():
-            index.update(rid, old, new_row)
+        self._reindex(((rid, old, new_row),))
         rows[slot] = new_row
+        self._log_update(rid, old, new_row)
+        return old
+
+    def update_many(self, rids, rows, coerce=True):
+        """Replace the rows at *rids* with *rows*; returns how many of
+        those slots held a row (empty ones are skipped).
+
+        All or nothing, like :meth:`insert_many`: every row is coerced
+        and every index changed before any page is written, so a row that
+        fails coercion or a key an index refuses changes nothing.
+        """
+        rows = self.schema.coerce_rows(rows) if coerce else map(tuple, rows)
+        changes = [
+            (rid, old, new)
+            for rid, old, new in zip(rids, self.get_many(rids), rows)
+            if old is not None
+        ]
+        self._reindex(changes)
+        fetch = self._pool.fetch
+        for rid, old, new in changes:
+            page_no, slot = rid
+            fetch(self, page_no, for_write=True)[slot] = new
+            self._log_update(rid, old, new)
+        return len(changes)
+
+    def _reindex(self, changes):
+        """Move each ``(rid, old row, new row)`` of *changes* to its new
+        key in every index; a change an index refuses undoes the rest."""
+        done = []
+        try:
+            for index in self.indexes.values():
+                for change in changes:
+                    index.update(*change)
+                    done.append((index, change))
+        except Exception:
+            for index, (rid, old, new) in reversed(done):
+                index.update(rid, new, old)
+            raise
+
+    def _log_update(self, rid, old, new):
         transaction = self._transaction()
         if transaction is not None:
             transaction.record_update(self, rid, old)
         wal = self.wal
         if wal is not None and wal.active:
-            wal.log_op("update", self.name, rid, new_row, old)
-        return old
+            wal.log_op("update", self.name, rid, new, old)
 
     def restore(self, rid, row):
         """Undo helper: put *row* back into a tombstoned slot."""
@@ -262,7 +294,6 @@ class HeapTable:
             index.insert(rid, row)
         rows[slot] = row
         self.live_rows += 1
-        self.insert_count += 1
         transaction = self._transaction()
         if transaction is not None:
             transaction.record_inserts(self, (rid,))
@@ -300,7 +331,6 @@ class HeapTable:
             index.insert(rid, row)
         rows[slot] = row
         self.live_rows += 1
-        self.insert_count += 1
         if page_no == self._page_count - 1:
             self._last_page_size = max(self._last_page_size, len(rows))
 
@@ -332,7 +362,6 @@ class HeapTable:
             index.delete(rid, old)
         rows[slot] = None
         self.live_rows -= 1
-        self.delete_count += 1
 
     def scan(self):
         """Yield ``(rid, row)`` for every live row."""

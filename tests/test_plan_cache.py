@@ -21,6 +21,7 @@ from repro.obs.context import current
 from repro.relational import Database
 from repro.relational.cache import LRUCache
 from repro.relational.errors import BindError
+from repro.relational.planner import Planner
 
 
 @pytest.fixture
@@ -301,19 +302,6 @@ class TestPlanReuse:
         assert db.execute(self.CTE_SQL, [3, 0]).scalar() == 20
         assert counter["plans"] == 2
 
-    def test_auto_analyze_forces_a_replan(self, monkeypatch):
-        db = Database(auto_analyze=True)
-        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        sql = "SELECT COUNT(*) FROM t WHERE v = ?"
-        counter = count_plans(monkeypatch)
-        assert db.execute(sql, [1]).scalar() == 0
-        db.execute("INSERT INTO t VALUES " + ", ".join(
-            f"({i}, {i % 4})" for i in range(100)
-        ))  # past AUTO_ANALYZE_MIN_ROWS: analyzed on the way out
-        assert db.auto_analyzed == 1
-        assert db.execute(sql, [1]).scalar() == 25
-        assert counter["plans"] == 2
-
     def test_attribute_index_forces_a_replan(self, store, monkeypatch):
         query = "g.V.has('age', T.gt, 28).name"
         counter = count_plans(monkeypatch)
@@ -398,6 +386,160 @@ class TestPlanReuse:
         (plan,) = prepared.plans._idle
         runtime = plan.runtime
         assert not runtime.ctes and not runtime.memo and not runtime.primed
+
+
+# ----------------------------------------------------------------------
+# cached plans of writes: UPDATE, DELETE and INSERT … VALUES
+# ----------------------------------------------------------------------
+def count_planners(monkeypatch):
+    """Count every Planner built (statement or subquery planning)."""
+    counter = {"planners": 0}
+    original = Planner.__init__
+
+    def counting(self, *args, **kwargs):
+        counter["planners"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Planner, "__init__", counting)
+    return counter
+
+
+class TestDmlPlanReuse:
+    def _db(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER, "
+                   "v INTEGER)")
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i % 5}, 0)" for i in range(100)
+        ))
+        db.execute("CREATE INDEX t_grp ON t (grp) USING sorted")
+        db.execute("CREATE TABLE b (y INTEGER)")
+        return db
+
+    @staticmethod
+    def _v(db, key):
+        return db.execute("SELECT v FROM t WHERE id = ?", [key]).scalar()
+
+    @pytest.mark.parametrize("sql, first, second, check", [
+        ("UPDATE t SET v = v + ? WHERE id = ?", [1, 3], [2, 4],
+         lambda db: TestDmlPlanReuse._v(db, 4) == 2),
+        ("UPDATE t SET v = ? WHERE grp >= ?", [1, 3], [2, 4],
+         lambda db: db.execute(
+             "SELECT COUNT(*) FROM t WHERE v = 2"
+         ).scalar() == 20),
+        ("DELETE FROM t WHERE id IN (?, ?)", [1, 2], [3, 4],
+         lambda db: db.execute("SELECT COUNT(*) FROM t").scalar() == 96),
+        ("DELETE FROM t WHERE id IN (SELECT y FROM b) AND grp = ?", [1],
+         [2], lambda db: db.execute("SELECT COUNT(*) FROM t").scalar()
+         == 100),
+        ("INSERT INTO t VALUES (?, ?, ?), (?, 0, 0)", [100, 1, 7, 101],
+         [102, 2, 8, 103],
+         lambda db: TestDmlPlanReuse._v(db, 102) == 8),
+    ], ids=["update-eq", "update-range", "delete-in", "delete-subquery",
+            "insert-values"])
+    def test_warm_write_builds_no_planner(self, monkeypatch, sql, first,
+                                          second, check):
+        db = self._db()
+        counter = count_planners(monkeypatch)
+        db.execute(sql, first)
+        cold = counter["planners"]
+        assert cold >= 1
+        db.execute(sql, second)
+        assert current().plan_cache_hit
+        assert counter["planners"] == cold
+        assert check(db)
+
+    def test_recreated_scratch_target_is_written_afresh(self):
+        db = Database()
+        create = "CREATE TABLE scratch_dml_t (a INTEGER PRIMARY KEY, b STRING)"
+        db.execute(create)
+        db.execute("INSERT INTO scratch_dml_t VALUES (1, 'old'), (2, 'old')")
+        update = "UPDATE scratch_dml_t SET b = ? WHERE a = ?"
+        delete = "DELETE FROM scratch_dml_t WHERE a = ?"
+        insert = "INSERT INTO scratch_dml_t VALUES (?, ?)"
+        assert db.execute(update, ["mid", 1]).rowcount == 1
+        assert db.execute(delete, [2]).rowcount == 1
+        db.execute(insert, [3, "mid"])
+        epoch = db.schema_epoch
+        db.execute("DROP TABLE scratch_dml_t")
+        db.execute(create)
+        db.execute("INSERT INTO scratch_dml_t VALUES (1, 'new'), (2, 'new')")
+        assert db.schema_epoch == epoch  # scratch DDL leaves plans cached
+        assert db.execute(update, ["x", 1]).rowcount == 1
+        assert current().plan_cache_hit
+        assert db.execute(delete, [2]).rowcount == 1
+        db.execute(insert, [4, "y"])
+        assert sorted(db.execute("SELECT a, b FROM scratch_dml_t").rows) == [
+            (1, "x"), (4, "y"),
+        ]
+        db.execute("DROP TABLE scratch_dml_t")
+        for sql, params in ((update, ["z", 1]), (delete, [1])):
+            with pytest.raises(BindError, match="unknown table"):
+                db.execute(sql, params)
+
+    def test_subqueries_see_changes_between_executions(self):
+        db = self._db()
+        delete = "DELETE FROM t WHERE id IN (SELECT y FROM b WHERE y > ?)"
+        update = "UPDATE t SET v = (SELECT MAX(y) FROM b) WHERE grp = ?"
+        db.execute("INSERT INTO b VALUES (10)")
+        assert db.execute(delete, [0]).rowcount == 1
+        assert db.execute(update, [1]).rowcount == 20
+        assert self._v(db, 1) == 10
+        db.execute("INSERT INTO b VALUES (11), (12)")
+        assert db.execute(delete, [0]).rowcount == 2
+        assert current().plan_cache_hit
+        assert db.execute(update, [1]).rowcount == 19
+        assert self._v(db, 1) == 12
+
+    @pytest.mark.parametrize("sql, params", [
+        ("UPDATE t SET v = ? WHERE id = ?", [1, 2]),
+        ("DELETE FROM t WHERE id = ? OR grp = ?", [1, 2]),
+        ("INSERT INTO t VALUES (?, ?, 0)", [500, 1]),
+    ])
+    def test_too_few_parameters_name_the_missing_one(self, sql, params):
+        db = self._db()
+        db.execute(sql, params)
+        with pytest.raises(BindError, match="requires parameter 2, got 1"):
+            db.execute(sql, params[:1])
+
+    def test_concurrent_updates_match_serial_answer(self):
+        db = self._db()
+        sql = "UPDATE t SET v = v + ? WHERE grp = ?"
+        workers, rounds = 4, 150
+        errors = []
+        start = threading.Barrier(workers)
+
+        def worker(n):
+            start.wait()
+            for i in range(rounds):
+                count = db.execute(sql, [n + 1, (i + n) % 5]).rowcount
+                if count != 20:
+                    errors.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,))
+                for n in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # run serially, worker n adds n + 1 to group (i + n) % 5 each round
+        expected = {grp: 0 for grp in range(5)}
+        for n in range(workers):
+            for i in range(rounds):
+                expected[(i + n) % 5] += n + 1
+        for aggregate in ("MIN", "MAX"):
+            assert dict(db.execute(
+                f"SELECT grp, {aggregate}(v) FROM t GROUP BY grp"
+            ).rows) == expected
 
 
 # ----------------------------------------------------------------------

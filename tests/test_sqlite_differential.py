@@ -150,6 +150,33 @@ QUERIES = [
     "LIMIT 1100 OFFSET 7",
 ]
 
+#: parameterized writes, each run with two bindings in turn: the second
+#: run re-opens the statement's cached plan.  WHERE shapes: ``=``, ``IN``,
+#: ranges, prefix ``LIKE``, ``IN (SELECT ...)``, a conjunct naming no
+#: column; SET shapes: constants, expressions of the old row, a scalar
+#: subquery.  The INSERT and the UPDATE of ``u`` change what the
+#: subqueries read between executions.
+DML = [
+    ("UPDATE t SET b = ? WHERE a = ?", ([7, 3], [None, 5])),
+    ("DELETE FROM t WHERE a = ?", ([2], [8])),
+    ("UPDATE t SET b = b + ? WHERE a IN (?, ?, ?)",
+     ([1, 1, 4, 6], [2, 0, 0, 7])),
+    ("UPDATE t SET b = a * ? WHERE a >= ? AND a < ?",
+     ([2, 3, 6], [-1, 0, 2])),
+    ("UPDATE t SET s = ? WHERE s LIKE 'x%'", (["x7"], ["y9"])),
+    ("UPDATE t SET b = ? WHERE a IN (SELECT a FROM u WHERE c > ?)",
+     ([9, 2], [None, 4])),
+    ("INSERT INTO u VALUES (?, ?)", ([1, 5], [6, 0])),
+    ("UPDATE t SET b = (SELECT MAX(c) FROM u WHERE a = ?) WHERE a < ?",
+     ([1, 4], [6, 9])),
+    ("UPDATE u SET c = c + ? WHERE a <= ?", ([1, 3], [2, 8])),
+    ("UPDATE t SET b = ? WHERE ? IS NULL", ([5, 1], [6, None])),
+    ("DELETE FROM t WHERE a IN (SELECT a FROM u WHERE c = ?)", ([2], [3])),
+    ("DELETE FROM t WHERE s LIKE 'x2%' OR a > ?", ([7], [5])),
+    ("DELETE FROM t WHERE a IN (?, ?) AND ? IS NULL",
+     ([1, 4, 0], [1, 4, None])),
+]
+
 
 def _random_rows(rng, count):
     rows = []
@@ -239,11 +266,33 @@ class TestAgainstSqlite:
 
     def test_indexes_do_not_change_results(self):
         ours, theirs = _build_pair(7)
-        ours.execute("CREATE INDEX t_a ON t (a)")
-        ours.execute("CREATE INDEX t_s ON t (s) USING sorted")
-        ours.execute("CREATE INDEX u_a ON u (a)")
+        _add_indexes(ours)
         for query in QUERIES:
             _compare(ours, theirs, query)
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dml_pool(self, seed, indexed):
+        ours, theirs = _build_pair(seed, t_rows=20, u_rows=10)
+        if indexed:
+            _add_indexes(ours)
+        for sql, bindings in DML:
+            for params in bindings:
+                context = f"{sql} with {params}"
+                assert ours.execute(sql, list(params)).rowcount == (
+                    theirs.execute(sql, params).rowcount
+                ), context
+                for query in ("SELECT a, b, s, j FROM t",
+                              "SELECT a, c FROM u"):
+                    assert _normalize(ours.execute(query).rows) == (
+                        _normalize(theirs.execute(query).fetchall())
+                    ), context
+
+
+def _add_indexes(ours):
+    ours.execute("CREATE INDEX t_a ON t (a)")
+    ours.execute("CREATE INDEX t_s ON t (s) USING sorted")
+    ours.execute("CREATE INDEX u_a ON u (a)")
 
 
 @settings(max_examples=20, deadline=None,

@@ -196,13 +196,11 @@ def test_analyze_statement_parses():
 
 
 # ----------------------------------------------------------------------
-# incremental maintenance + drift bounds
+# incremental maintenance
 # ----------------------------------------------------------------------
 def test_estimates_track_live_rows_after_analyze(skewed_db):
     skewed_db.execute("ANALYZE ev")
     table = skewed_db.table("ev")
-    entry = skewed_db.statistics.get("ev")
-    assert entry.mutation_drift(table) == 0.0
     # double the table with the same 5% skew: selectivities are
     # fractions of live_rows, so estimates follow without re-ANALYZE
     for i in range(1000, 2000):
@@ -213,17 +211,6 @@ def test_estimates_track_live_rows_after_analyze(skewed_db):
     ).rows)
     assert actual == 100
     assert est == pytest.approx(actual, rel=0.2)
-    # the watermarks expose how stale the histograms are
-    assert entry.mutation_drift(table) == pytest.approx(1.0)
-
-
-def test_mutation_watermarks_count_deletes(skewed_db):
-    skewed_db.execute("ANALYZE ev")
-    entry = skewed_db.statistics.get("ev")
-    table = skewed_db.table("ev")
-    skewed_db.execute("DELETE FROM ev WHERE id < 100")
-    assert table.delete_count == 100
-    assert entry.mutation_drift(table) == pytest.approx(0.1)
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +323,20 @@ def test_load_meta_drops_stale_tables_and_columns():
     assert "col(gone)" not in entry.columns
 
 
+def test_load_meta_accepts_persisted_watermarks():
+    """Statistics written before the mutation watermarks were dropped
+    still load."""
+    database = Database()
+    database.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b STRING)")
+    database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+    database.execute("ANALYZE t")
+    payload = database.statistics.to_meta()
+    payload["t"].update(insert_watermark=2, delete_watermark=0)
+    registry = StatisticsRegistry()
+    assert registry.load_meta(database, payload) == ["t"]
+    assert registry.get("t", database.schema_epoch).row_count == 2
+
+
 # ----------------------------------------------------------------------
 # planner_options accessor + validation
 # ----------------------------------------------------------------------
@@ -429,9 +430,11 @@ def test_table_stats_collect_samples_and_watermarks(skewed_db):
     assert entry.row_count == 1000
     assert entry.sample_size == 1000
     assert entry.schema_epoch == 7
-    assert entry.insert_watermark == table.insert_count
     assert entry.page_count == table.page_count
-    roundtrip = TableStats.from_dict(entry.to_dict())
+    # statistics persisted by older releases carry mutation watermarks
+    roundtrip = TableStats.from_dict(dict(
+        entry.to_dict(), insert_watermark=1000, delete_watermark=0,
+    ))
     assert roundtrip.columns["col(lbl)"].eq_selectivity(
         "rare"
     ) == entry.columns["col(lbl)"].eq_selectivity("rare")

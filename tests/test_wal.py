@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro.relational.database import Database, resolve_auto_analyze_drift
+from repro.relational.database import Database
 from repro.relational.wal import (
     FRAME,
     FSYNC_ALWAYS,
@@ -223,8 +223,6 @@ class TestKnobResolution:
         ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "-1"),
         ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "2.5"),
         ("REPRO_WAL_CHECKPOINT_EVERY", resolve_checkpoint_every, "often"),
-        ("REPRO_AUTO_ANALYZE_DRIFT", resolve_auto_analyze_drift, "-0.5"),
-        ("REPRO_AUTO_ANALYZE_DRIFT", resolve_auto_analyze_drift, "nan"),
     ])
     def test_malformed_env_raises(self, monkeypatch, name, resolve, raw):
         monkeypatch.setenv(name, raw)
