@@ -1,6 +1,7 @@
-"""reprolint: static checks of SQLGraph's locking and durability invariants.
+"""reprolint: static checks of SQLGraph's locking invariants and wire codes.
 
-Six checks, each a function from the parsed files to findings:
+Four checks, each a function from the parsed files to findings of one
+rule:
 
 * :mod:`repro.analysis.concurrency` — ``guarded-by`` (fields annotated
   ``# guarded-by: <lock>`` are only touched under that lock) and
@@ -8,17 +9,12 @@ Six checks, each a function from the parsed files to findings:
   the lock);
 * :mod:`repro.analysis.lockgraph` — ``lock-order``: the package-wide
   lock-acquisition graph is acyclic;
-* :mod:`repro.analysis.release` — ``release-on-all-paths``: locks,
-  sockets and files acquired outside ``with`` are released on every
-  path, exception edges included;
-* :mod:`repro.analysis.walflow` — ``wal-commit-reachability``: every
-  autocommit WAL append reaches a commit point;
 * :mod:`repro.analysis.wirecheck` — ``error-code-conformance``: wire
   error codes stay declared, classified and relayed intact.
 
-:mod:`repro.analysis.cfg` and :mod:`repro.analysis.dataflow` are the
-per-function control-flow graphs and path/dataflow queries the
-flow-sensitive checks run on.  ``tests/test_reprolint.py`` runs
+A ``# reprolint: disable=`` comment naming a rule none of them emits is
+itself an ``unknown-suppression`` finding, so a deleted rule cannot
+leave its suppressions behind.  ``tests/test_reprolint.py`` runs
 :func:`lint` over ``src/repro``; see docs/ANALYSIS.md.
 """
 
@@ -28,17 +24,15 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.core import Finding, collect_sources
 from repro.analysis.lockgraph import check_lock_order
-from repro.analysis.release import check_release_on_all_paths
-from repro.analysis.walflow import check_wal_commit_reachability
+from repro.analysis.wirecheck import RULE as WIRE_RULE
 from repro.analysis.wirecheck import check_error_code_conformance
 
+#: ``(rule, check)``: each check reports findings of its one rule
 CHECKS = (
-    check_guarded_by,
-    check_guarded_by_interproc,
-    check_lock_order,
-    check_release_on_all_paths,
-    check_wal_commit_reachability,
-    check_error_code_conformance,
+    ("guarded-by", check_guarded_by),
+    ("guarded-by-interproc", check_guarded_by_interproc),
+    ("lock-order", check_lock_order),
+    (WIRE_RULE, check_error_code_conformance),
 )
 
 __all__ = ["CHECKS", "Finding", "lint"]
@@ -51,8 +45,18 @@ def lint(paths):
     means the tree is clean.
     """
     files, findings = collect_sources(paths)
+    known = {rule for rule, __ in CHECKS}
+    for source_file in files:
+        for line, names in source_file.suppressions.items():
+            findings.extend(
+                Finding(
+                    "unknown-suppression", source_file.relative, line,
+                    f"suppression names {name!r}, a rule no check reports",
+                )
+                for name in sorted(names - known)
+            )
     by_path = {source_file.relative: source_file for source_file in files}
-    for check in CHECKS:
+    for __, check in CHECKS:
         for finding in check(files):
             source_file = by_path.get(finding.path)
             if source_file is None \

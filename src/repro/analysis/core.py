@@ -14,7 +14,8 @@ import ast
 import pathlib
 import re
 
-#: ``# reprolint: disable=rule-a,rule-b -- optional justification``
+#: a suppression comment: ``disable=`` comma-separated rule names, then an
+#: optional ``-- justification``
 SUPPRESSION = re.compile(
     r"#\s*reprolint:\s*disable=([A-Za-z0-9_,\- ]+?)(?:\s*--.*)?$"
 )

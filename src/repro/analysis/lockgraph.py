@@ -78,11 +78,9 @@ class _Function:
 class Package:
     """Package-wide indexes the extractor resolves against.
 
-    Also the project call-graph substrate for the flow-sensitive rules
-    (:mod:`repro.analysis.walflow`, the interprocedural guarded-by
-    checker): ``functions`` maps ``Class.method`` / ``relpath:func``
-    keys to :class:`_Function` entries and :meth:`resolve_call` performs
-    the conservative name resolution described in the module docstring.
+    ``functions`` maps ``Class.method`` / ``relpath:func`` keys to
+    :class:`_Function` entries and :meth:`resolve_call` performs the
+    conservative name resolution described in the module docstring.
     """
 
     def __init__(self, files):

@@ -89,7 +89,8 @@ class HashAttributeTable:
         self.database.execute("CREATE INDEX vah_multi_id ON vah_multi (mvid)")
         self.stats.hashed_keys = len(self.coloring)
         self.stats.columns = self.coloring.num_columns
-        self._load_rows(graph, element)
+        with self.database.scope(writes=("vah", "vah_long", "vah_multi")):
+            self._load_rows(graph, element)
 
     def _load_rows(self, graph, element):
         table = self.database.table("vah")

@@ -36,26 +36,29 @@ class JsonAdjacencyStore:
 
     # ------------------------------------------------------------------
     def load_graph(self, graph):
-        table = self.database.table("jadj")
-        for vertex in graph.vertices():
-            out_doc = {
-                label: [
-                    {"eid": edge.id, "val": edge.in_vertex.id} for edge in bucket
-                ]
-                for label, bucket in vertex.out_edges.items()
-                if bucket
-            }
-            in_doc = {
-                label: [
-                    {"eid": edge.id, "val": edge.out_vertex.id} for edge in bucket
-                ]
-                for label, bucket in vertex.in_edges.items()
-                if bucket
-            }
-            table.insert(
-                (vertex.id, json.dumps(out_doc), json.dumps(in_doc)),
+        with self.database.scope(writes=("jadj",)):
+            self.database.table("jadj").insert_many(
+                [self._row(vertex) for vertex in graph.vertices()],
                 coerce=False,
             )
+
+    @staticmethod
+    def _row(vertex):
+        out_doc = {
+            label: [
+                {"eid": edge.id, "val": edge.in_vertex.id} for edge in bucket
+            ]
+            for label, bucket in vertex.out_edges.items()
+            if bucket
+        }
+        in_doc = {
+            label: [
+                {"eid": edge.id, "val": edge.out_vertex.id} for edge in bucket
+            ]
+            for label, bucket in vertex.in_edges.items()
+            if bucket
+        }
+        return (vertex.id, json.dumps(out_doc), json.dumps(in_doc))
 
     # ------------------------------------------------------------------
     def neighbors(self, vertex_ids, direction="out", labels=()):

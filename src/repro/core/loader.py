@@ -79,8 +79,10 @@ class SQLGraphLoader:
         )
         for ddl in self.schema.ddl_statements():
             self.database.execute(ddl)
-        self._load_vertices(graph)
-        self._load_edges(graph)
+        # one write scope: the whole load reaches one commit point
+        with self.database.scope(writes=self.schema.table_names.values()):
+            self._load_vertices(graph)
+            self._load_edges(graph)
         return self.schema
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Graph update "stored procedures" (paper §4.5.2).
 
 Basic CRUD spans multiple tables of the hybrid schema, so each operation is
-implemented as one procedure that takes the table write locks it needs and
-mutates OPA/OSA/IPA/ISA/VA/EA consistently:
+implemented as one procedure that opens one write scope
+(:meth:`~repro.relational.database.Database.scope`) over the tables it
+changes and mutates OPA/OSA/IPA/ISA/VA/EA consistently.  The scope takes the
+locks and, outside an explicit transaction, makes the procedure its own
+transaction: its WAL records reach the commit point before it returns.
 
 * ``add_edge`` locates (or spills) the label's column triad in the primary
   adjacency rows and migrates single values to the secondary tables when a
@@ -16,8 +19,6 @@ mutates OPA/OSA/IPA/ISA/VA/EA consistently:
 from __future__ import annotations
 
 import threading
-
-from repro.relational.locks import LockManager
 
 
 class GraphProcedures:
@@ -39,9 +40,6 @@ class GraphProcedures:
         names = self.schema.table_names
         return {key: self.database.table(name) for key, name in names.items()}
 
-    def _locked(self, write_names):
-        return self.database.locks.acquire((), write_names)
-
     def _vid_index(self, table):
         return table.indexes[f"{table.name}_vid"]
 
@@ -54,76 +52,37 @@ class GraphProcedures:
             self._next_lid += 1
             return f"lid:{self._next_lid}"
 
-    def _commit(self):
-        """Autocommit boundary: one mutating procedure = one transaction.
-
-        Inside an explicit transaction the records carry its txid and the
-        transaction's own commit reaches the commit point; otherwise the
-        procedure IS the transaction, so its WAL records must hit the
-        commit point before the caller sees the acknowledgement — the
-        same kill -9 durability contract autocommitted SQL DML has.
-        Called after the table locks are released (group commit may
-        fsync, and a checkpoint may want those same locks).
-        """
-        database = self.database
-        wal = database.wal
-        if wal is None or wal.closed:
-            return
-        if database.current_transaction() is not None:
-            return
-        wal.commit_point()
-        database._maybe_auto_checkpoint()
-
     # ------------------------------------------------------------------
     # vertices
     # ------------------------------------------------------------------
     def add_vertex(self, vertex_id, properties=None):
-        tables = self._tables()
-        token = self._locked([tables["va"].name])
-        try:
-            tables["va"].insert((vertex_id, dict(properties or {})), coerce=False)
-        finally:
-            LockManager.release(token)
-        self._commit()
+        va = self._tables()["va"]
+        with self.database.scope(writes=(va.name,)):
+            va.insert((vertex_id, dict(properties or {})), coerce=False)
         return vertex_id
 
     def get_vertex_properties(self, vertex_id):
-        tables = self._tables()
-        token = self.database.locks.acquire([tables["va"].name], ())
-        try:
-            index = tables["va"].indexes[f"{tables['va'].name}_pk"]
-            for rid in index.lookup(vertex_id):
-                row = tables["va"].get(rid)
+        va = self._tables()["va"]
+        with self.database.scope(reads=(va.name,)):
+            for rid in va.indexes[f"{va.name}_pk"].lookup(vertex_id):
+                row = va.get(rid)
                 if row is not None:
                     return row[1]
             return None
-        finally:
-            LockManager.release(token)
 
     def update_vertex(self, vertex_id, properties):
         """Merge *properties* into the vertex's JSON attributes."""
-        tables = self._tables()
-        token = self._locked([tables["va"].name])
-        updated = False
-        try:
-            table = tables["va"]
-            index = table.indexes[f"{table.name}_pk"]
-            for rid in index.lookup(vertex_id):
+        table = self._tables()["va"]
+        with self.database.scope(writes=(table.name,)):
+            for rid in table.indexes[f"{table.name}_pk"].lookup(vertex_id):
                 row = table.get(rid)
                 if row is None:
                     continue
                 attrs = dict(row[1] or {})
                 attrs.update(properties)
                 table.update(rid, (vertex_id, attrs), coerce=False)
-                updated = True
-                break
-        finally:
-            LockManager.release(token)
-        # unconditional: a commit point with nothing pending is a no-op,
-        # and every path that did log a record must reach one before the
-        # caller is acked (wal-commit-reachability)
-        self._commit()
-        return updated
+                return True
+        return False
 
     def delete_vertex(self, vertex_id):
         """Negative-id lazy delete (paper §4.5.2)."""
@@ -131,8 +90,7 @@ class GraphProcedures:
         names = [
             tables[key].name for key in ("va", "opa", "ipa", "ea", "osa", "isa")
         ]
-        token = self._locked(names)
-        try:
+        with self.database.scope(writes=names):
             tombstone = -vertex_id - 1
             va = tables["va"]
             found = False
@@ -155,9 +113,6 @@ class GraphProcedures:
                 ea_index = ea.indexes[f"{ea.name}_{column}"]
                 for rid in list(ea_index.lookup(vertex_id)):
                     ea.delete(rid)
-        finally:
-            LockManager.release(token)
-        self._commit()
         return found
 
     # ------------------------------------------------------------------
@@ -169,8 +124,7 @@ class GraphProcedures:
         names = [
             tables[key].name for key in ("ea", "opa", "osa", "ipa", "isa")
         ]
-        token = self._locked(names)
-        try:
+        with self.database.scope(writes=names):
             tables["ea"].insert(
                 (edge_id, out_vertex_id, in_vertex_id, label,
                  dict(properties or {})),
@@ -184,9 +138,6 @@ class GraphProcedures:
                 tables["ipa"], tables["isa"], self.in_coloring, "in",
                 in_vertex_id, edge_id, label, out_vertex_id,
             )
-        finally:
-            LockManager.release(token)
-        self._commit()
         return edge_id
 
     def _adjacency_insert(self, primary, secondary, coloring, direction, vid,
@@ -239,47 +190,33 @@ class GraphProcedures:
                     primary.update(rid, new_row, coerce=False)
 
     def get_edge_row(self, edge_id):
-        tables = self._tables()
-        ea = tables["ea"]
-        token = self.database.locks.acquire([ea.name], ())
-        try:
-            index = ea.indexes[f"{ea.name}_pk"]
-            for rid in index.lookup(edge_id):
+        ea = self._tables()["ea"]
+        with self.database.scope(reads=(ea.name,)):
+            for rid in ea.indexes[f"{ea.name}_pk"].lookup(edge_id):
                 row = ea.get(rid)
                 if row is not None:
                     return row
             return None
-        finally:
-            LockManager.release(token)
 
     def update_edge(self, edge_id, properties):
-        tables = self._tables()
-        ea = tables["ea"]
-        token = self._locked([ea.name])
-        updated = False
-        try:
-            index = ea.indexes[f"{ea.name}_pk"]
-            for rid in index.lookup(edge_id):
+        ea = self._tables()["ea"]
+        with self.database.scope(writes=(ea.name,)):
+            for rid in ea.indexes[f"{ea.name}_pk"].lookup(edge_id):
                 row = ea.get(rid)
                 if row is None:
                     continue
                 attrs = dict(row[4] or {})
                 attrs.update(properties)
                 ea.update(rid, row[:4] + (attrs,), coerce=False)
-                updated = True
-                break
-        finally:
-            LockManager.release(token)
-        self._commit()
-        return updated
+                return True
+        return False
 
     def delete_edge(self, edge_id):
         tables = self._tables()
         names = [
             tables[key].name for key in ("ea", "opa", "osa", "ipa", "isa")
         ]
-        token = self._locked(names)
-        try:
+        with self.database.scope(writes=names):
             ea = tables["ea"]
             index = ea.indexes[f"{ea.name}_pk"]
             row = None
@@ -299,9 +236,6 @@ class GraphProcedures:
                     tables["ipa"], tables["isa"], self.in_coloring,
                     in_vertex, edge_id, label,
                 )
-        finally:
-            LockManager.release(token)
-        self._commit()
         return row is not None
 
     def _adjacency_delete(self, primary, secondary, coloring, vid, eid, label):

@@ -86,6 +86,17 @@ def validate_planner_options(options):
     return validated
 
 
+#: the lock :meth:`Database.put_meta` writes under — no SQL identifier
+#: spells it, and it sorts before every table name
+META_LOCK = "<meta>"
+
+
+class _ThreadState(threading.local):
+    """Per-thread database state: the open write scope or transaction."""
+
+    scope = None
+
+
 class ResultSet:
     """Materialized result of one statement."""
 
@@ -120,8 +131,9 @@ class Catalog:
         self._pool = buffer_pool
         #: WAL new tables report their mutations to (durable mode only)
         self.wal = None
-        #: callable resolving the active transaction (undo capture)
-        self.txn_source = None
+        #: callable returning the calling thread's write scope (see
+        #: HeapTable.scope_source)
+        self.scope_source = None
         buffer_pool.bind_catalog(self._tables.get)
 
     def create_table(self, schema):
@@ -130,7 +142,7 @@ class Catalog:
             raise CatalogError(f"table {name!r} already exists")
         table = HeapTable(schema, self._pool)
         table.wal = self.wal
-        table.txn_source = self.txn_source
+        table.scope_source = self.scope_source
         self._tables[name] = table
         return table
 
@@ -161,8 +173,94 @@ class Catalog:
         ]
 
 
-class Transaction:
-    """Undo log + held locks for an explicit transaction."""
+class _LockHolder:
+    """What a write scope and a transaction share: the names of the tables
+    this thread holds for read (``reads``) and for write (``writes``), the
+    tokens in ``lock_tokens`` that release them, and how a nested scope
+    adds its own."""
+
+    __slots__ = ()
+
+    def join(self, locks, reads, writes):
+        """Take the locks of *reads* and *writes* not held yet.  A table
+        held for read and now written has its read lock released first
+        (a brief window: the upgrade is not atomic)."""
+        writes = set(writes).difference(self.writes)
+        upgrades = writes.intersection(self.reads)
+        for name in upgrades:
+            self._release_read(name)
+        reads = set(reads).difference(self.reads, self.writes, writes)
+        self.lock_tokens.append(locks.acquire(reads, writes))
+        self.reads = set(self.reads).difference(upgrades).union(reads)
+        self.writes = set(self.writes).union(writes)
+
+    def _release_read(self, name):
+        for token in self.lock_tokens:
+            for i, (lock, mode) in enumerate(token):
+                if lock.name == name and mode == "r":
+                    lock.release_read()
+                    del token[i]
+                    return
+
+
+class WriteScope(_LockHolder):
+    """``with database.scope(reads, writes):`` — the one way a thread
+    locks tables, and the one place an autocommit write becomes durable.
+
+    The outermost scope of a thread takes its locks and becomes the
+    thread's scope (*reads* and *writes* are kept as given, so they must
+    not change while it is open); a scope opened inside it, or inside an
+    explicit transaction, adds its locks to that one instead, and nothing
+    is released or committed until the outermost exits.  That exit releases
+    every lock, then — when it exits normally holding a write lock —
+    reaches the WAL commit point and the auto-checkpoint (after the locks
+    are gone: group commit may fsync, and a checkpoint wants those same
+    locks).  A read-only scope, or one left by an exception, only
+    releases.  A table of a :class:`Database` refuses a write unless the
+    calling thread's scope holds that table's write lock.
+    """
+
+    __slots__ = ("database", "reads", "writes", "lock_tokens", "outermost")
+
+    #: undo is recorded only inside an explicit transaction
+    transaction = None
+
+    def __init__(self, database, reads, writes):
+        self.database = database
+        self.reads = reads
+        self.writes = writes
+
+    def __enter__(self):
+        database = self.database
+        local = database._local
+        owner = local.scope
+        self.outermost = owner is None
+        if owner is None:
+            self.lock_tokens = [database.locks.acquire(self.reads, self.writes)]
+            local.scope = self
+        else:
+            owner.join(database.locks, self.reads, self.writes)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if not self.outermost:
+            return False
+        database = self.database
+        database._local.scope = None
+        for token in reversed(self.lock_tokens):
+            LockManager.release(token)
+        if exc_type is None and self.writes:
+            wal = database.wal
+            if wal is not None and not wal.closed:
+                wal.commit_point()
+                database._maybe_auto_checkpoint()
+        return False
+
+
+class Transaction(_LockHolder):
+    """Undo log + held locks for an explicit transaction: while open it
+    is its thread's scope (see :class:`WriteScope`), so every scope its
+    statements and procedures open adds to its locks."""
 
     def __init__(self, database, txid=0):
         self.database = database
@@ -171,19 +269,12 @@ class Transaction:
         self.txid = txid
         self.undo = []  # (kind, table, rid, old_row)
         self.lock_tokens = []
-        self.held = {}  # table name -> 'r' | 'w'
+        self.reads = set()
+        self.writes = set()
         self.active = True
-
-    def release_read(self, name):
-        """Drop a held read lock (lock-upgrade path)."""
-        for token in self.lock_tokens:
-            for i, (lock, mode) in enumerate(token):
-                if lock.name == name and mode == "r":
-                    lock.release_read()
-                    del token[i]
-                    self.held.pop(name, None)
-                    return True
-        return False
+        #: where tables record undo: this transaction while it is open,
+        #: None from its rollback on (undo must not re-record)
+        self.transaction = self
 
     def record_inserts(self, table, rids):
         self.undo.extend([("insert", table, rid, None) for rid in rids])
@@ -201,12 +292,17 @@ class Transaction:
         self._finish("commit")
 
     def rollback(self):
+        # The undo writes under this transaction's locks, so it runs with
+        # the transaction as the calling thread's scope, recording nothing.
         # Lock release must not depend on the undo loop succeeding: a
         # failing compensation step would otherwise leave the table locks
         # held forever (and the session wedged).  The undo runs with WAL
         # logging paused — recovery simply skips loser transactions, so
         # compensation writes must not reach the log.
-        self._unbind()  # undo must not re-record
+        local = self.database._local
+        bound = local.scope
+        local.scope = self
+        self.transaction = None
         try:
             wal = self.database.wal
             if wal is not None:
@@ -215,6 +311,7 @@ class Transaction:
             else:
                 self._undo_all()
         finally:
+            local.scope = bound
             self._finish("abort")
 
     def _undo_all(self):
@@ -231,13 +328,14 @@ class Transaction:
     def _unbind(self):
         """Detach this transaction from the calling thread, if bound."""
         local = self.database._local
-        if getattr(local, "txn", None) is self:
-            local.txn = None
+        if local.scope is self:
+            local.scope = None
 
     def _finish(self, outcome):
         if not self.active:
             raise TransactionError("transaction already finished")
         self.active = False
+        self.transaction = None
         self._unbind()
         database = self.database
         wal = database.wal
@@ -252,7 +350,8 @@ class Transaction:
                 LockManager.release(token)
             self.undo.clear()
             self.lock_tokens.clear()
-            self.held.clear()
+            self.reads.clear()
+            self.writes.clear()
             database._transaction_finished(self.txid)
 
 
@@ -298,14 +397,14 @@ class Database:
                  wal_checkpoint_every=None):
         self.buffer_pool = BufferPool(buffer_pool_pages)
         self.catalog = Catalog(self.buffer_pool)
-        self.catalog.txn_source = self.current_transaction
+        self.catalog.scope_source = self._current_scope
         self.functions = ex.default_functions()
         self.locks = LockManager(lock_timeout)
         self.planner_options = validate_planner_options(planner_options)
         #: ANALYZE statistics (see repro.relational.stats); consulted by
         #: every planner
         self.statistics = StatisticsRegistry()
-        self._local = threading.local()
+        self._local = _ThreadState()
         self.statements_executed = 0  # guarded-by: _txn_guard
         #: monotonic counter bumped by every DDL statement; prepared plans
         #: cached under an older epoch are invalid.
@@ -344,7 +443,7 @@ class Database:
         self.catalog.wal = self.wal
         for table in self.catalog._tables.values():
             table.wal = self.wal
-            table.txn_source = self.catalog.txn_source
+            table.scope_source = self.catalog.scope_source
         # ANALYZE statistics ride the meta channel: reload them (validated
         # against the recovered catalog) so the cost model survives restarts
         payload = self.meta.get(META_STATS_KEY)
@@ -374,48 +473,20 @@ class Database:
         statement was already prepared lands on the calling thread's
         request record (``repro.obs.context.current().plan_cache_hit``)."""
         prepared = self._prepare(sql)
-        statement = prepared.statement
         with self._txn_guard:
             self.statements_executed += 1
-        read_tables = prepared.read_tables
-        write_tables = prepared.write_tables
-        transaction = self.current_transaction()
-        if transaction is not None:
-            # skip locks the transaction already holds; upgrade read -> write
-            # by releasing the read first (brief window, documented)
-            held = transaction.held
-            writes = {name for name in write_tables if held.get(name) != "w"}
-            for name in writes:
-                if held.get(name) == "r":
-                    transaction.release_read(name)
-            reads = {name for name in read_tables if name not in held} - writes
-            token = self.locks.acquire(reads, writes)
-            transaction.lock_tokens.append(token)
-            held.update({name: "w" for name in writes})
-            held.update({name: "r" for name in reads})
+        with self.scope(prepared.read_tables, prepared.write_tables):
             return self._dispatch(prepared, params)
-        token = self.locks.acquire(read_tables, write_tables)
-        try:
-            # the commit point below covers every statement kind that
-            # appends; the only dispatches skipping it (SELECT/EXPLAIN)
-            # log nothing
-            result = self._dispatch(prepared, params)  # reprolint: disable=wal-commit-reachability -- commit point below
-        finally:
-            LockManager.release(token)
-        # Autocommit: the statement is the transaction, so its WAL records
-        # reach the commit point here (after the locks are gone — group
-        # commit may fsync, and a checkpoint may want those same locks).
-        wal = self.wal
-        if (
-            wal is not None
-            and not wal.closed
-            and not isinstance(
-                statement, (ast.SelectStatement, ast.ExplainStatement)
-            )
-        ):
-            wal.commit_point()
-            self._maybe_auto_checkpoint()
-        return result
+
+    def scope(self, reads=(), writes=()):
+        """``with database.scope(reads, writes):`` — lock the named tables
+        for the block; table writes need a scope holding the table's write
+        lock, and an autocommit scope with writes reaches the commit point
+        as it exits (see :class:`WriteScope`)."""
+        return WriteScope(self, reads, writes)
+
+    def _current_scope(self):
+        return self._local.scope
 
     def _prepare(self, sql):
         """Parse + lock-analyze *sql*, going through the plan cache.
@@ -479,13 +550,13 @@ class Database:
         Statements this thread executes join it until its ``commit()`` or
         ``rollback()``, which unbinds it again.
         """
-        if self.current_transaction() is not None:
+        if self._local.scope is not None:
             raise TransactionError(
-                "a transaction is already open (nested transactions are "
-                "not supported)"
+                "a transaction or write scope is already open (nested "
+                "transactions are not supported)"
             )
         transaction = Transaction(self, self._begin_txid())
-        self._local.txn = transaction
+        self._local.scope = transaction
         if self.wal is not None:
             self.wal.set_txid(transaction.txid)
         return transaction
@@ -502,7 +573,8 @@ class Database:
         transaction.commit()
 
     def current_transaction(self):
-        return getattr(self._local, "txn", None)
+        scope = self._local.scope
+        return scope.transaction if scope is not None else None
 
     # ------------------------------------------------------------------
     # durability (no-ops for in-memory databases)
@@ -568,13 +640,16 @@ class Database:
         """Durably store a key/value pair (non-transactional).
 
         *value* must be picklable.  Meta writes are logged under txid 0,
-        so they survive a crash regardless of transaction outcomes.
+        so they survive a crash regardless of transaction outcomes.  The
+        write holds :data:`META_LOCK`, so it reaches the commit point when
+        its scope ends: on return, or when an enclosing transaction
+        commits or rolls back.
         """
-        wal = self.wal
-        if wal is not None and not wal.closed:
-            wal.append("meta", (key, value), txid=0)
-            wal.commit_point()
-        self.meta[key] = value
+        with self.scope(writes=(META_LOCK,)):
+            wal = self.wal
+            if wal is not None and not wal.closed:
+                wal.append("meta", (key, value), txid=0)
+            self.meta[key] = value
 
     def get_meta(self, key, default=None):
         return self.meta.get(key, default)
@@ -631,20 +706,20 @@ class Database:
             writes.add(statement.table.lower())
             self._collect_tables(reads, expressions=[statement.where])
         elif isinstance(statement, ast.AnalyzeStatement):
+            # the statistics persist through put_meta
+            writes.add(META_LOCK)
             if statement.table is not None:
                 reads.add(statement.table.lower())
             else:
                 reads.update(self.catalog.table_names())
+        elif isinstance(statement, ast.CreateIndexStatement):
+            writes.add(statement.table.lower())
         elif isinstance(
-            statement,
-            (ast.CreateTableStatement, ast.CreateIndexStatement,
-             ast.DropTableStatement),
+            statement, (ast.CreateTableStatement, ast.DropTableStatement)
         ):
-            if isinstance(statement, ast.CreateIndexStatement):
-                writes.add(statement.table.lower())
+            writes.add(statement.name.lower())
         # only lock existing base tables (CTE names are statement-local)
         reads = {name for name in reads if self.catalog.has_table(name)}
-        writes = {name for name in writes if self.catalog.has_table(name)}
         return reads, writes
 
     def _collect_tables(self, out, statement=None, expressions=()):

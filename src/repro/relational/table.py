@@ -8,7 +8,7 @@ whole table and the heap restarts at page 0.
 
 from __future__ import annotations
 
-from repro.relational.errors import CatalogError
+from repro.relational.errors import CatalogError, TransactionError
 from repro.relational.pages import PAGE_CAPACITY
 
 
@@ -27,15 +27,28 @@ class HeapTable:
         #: write-ahead log all mutations report to (None = in-memory only);
         #: installed by the catalog of a durable database
         self.wal = None
-        #: callable returning the active Transaction (or None); installed
-        #: by the catalog so undo is captured here — the same layer as WAL
-        #: logging — which covers bulk loaders and stored procedures that
-        #: mutate tables directly, not just SQL DML
-        self.txn_source = None
+        #: callable returning the calling thread's write scope (or None);
+        #: installed by the catalog of a Database.  Every mutator checks
+        #: here, before it changes anything, that the scope holds this
+        #: table's write lock, and takes the transaction to record undo in
+        #: from it — the same layer as WAL logging, which covers bulk
+        #: loaders and stored procedures, not just SQL DML.  Tables built
+        #: bare (no source) and recovery's ``apply_*`` are unchecked.
+        self.scope_source = None
 
     def _transaction(self):
-        source = self.txn_source
-        return source() if source is not None else None
+        """The transaction to record undo in (None in autocommit), once
+        the calling thread's scope is known to hold the write lock."""
+        source = self.scope_source
+        if source is None:
+            return None
+        scope = source()
+        if scope is None or self.name not in scope.writes:
+            raise TransactionError(
+                f"table {self.name!r} written outside a scope holding "
+                f"its write lock (see Database.scope)"
+            )
+        return scope.transaction
 
     # ------------------------------------------------------------------
     # page-blob interface used by the buffer pool
@@ -76,6 +89,7 @@ class HeapTable:
         nothing: a row that fails coercion or a unique index leaves
         pages, every index and the row counters untouched.
         """
+        transaction = self._transaction()
         if coerce:
             rows = self.schema.coerce_rows(rows)
         else:
@@ -121,7 +135,6 @@ class HeapTable:
             page_no += 1
             slot = 0
         self.live_rows += count
-        transaction = self._transaction()
         if transaction is not None:
             transaction.record_inserts(self, rids)
         wal = self.wal
@@ -141,6 +154,7 @@ class HeapTable:
         transaction the old pages and index contents become one undo
         entry that :meth:`restore_all` puts back.
         """
+        transaction = self._transaction()
         if not self._page_count:
             return 0
         count = self.live_rows
@@ -154,7 +168,6 @@ class HeapTable:
             name: index.swap_contents()
             for name, index in self.indexes.items()
         }
-        transaction = self._transaction()
         if transaction is not None:
             transaction.record_truncate(self, (
                 self._blobs, self._page_count, self._last_page_size,
@@ -169,6 +182,7 @@ class HeapTable:
     def restore_all(self, saved):
         """Undo helper: put back the pages and indexes :meth:`truncate`
         dropped (rows appended since have already been undone)."""
+        self._transaction()
         blobs, page_count, last_page_size, count, frames, contents = saved
         self._pool.drop_table(self.name)
         self._blobs = blobs
@@ -208,6 +222,7 @@ class HeapTable:
 
     def delete(self, rid):
         """Tombstone the row at *rid*; returns the old row (or ``None``)."""
+        transaction = self._transaction()
         page_no, slot = rid
         rows = self._pool.fetch(self, page_no, for_write=True)
         old = rows[slot]
@@ -217,7 +232,6 @@ class HeapTable:
             index.delete(rid, old)
         rows[slot] = None
         self.live_rows -= 1
-        transaction = self._transaction()
         if transaction is not None:
             transaction.record_delete(self, rid, old)
         wal = self.wal
@@ -229,6 +243,7 @@ class HeapTable:
         """Replace the row at *rid*; returns the old row (``None`` when
         the slot is empty).  An index that refuses the new row's key
         leaves every index as it was, as in :meth:`update_many`."""
+        transaction = self._transaction()
         new_row = self.schema.coerce_row(values) if coerce else tuple(values)
         page_no, slot = rid
         rows = self._pool.fetch(self, page_no, for_write=True)
@@ -237,7 +252,7 @@ class HeapTable:
             return None
         self._reindex(((rid, old, new_row),))
         rows[slot] = new_row
-        self._log_update(rid, old, new_row)
+        self._log_update(transaction, rid, old, new_row)
         return old
 
     def update_many(self, rids, rows, coerce=True):
@@ -248,6 +263,7 @@ class HeapTable:
         and every index changed before any page is written, so a row that
         fails coercion or a key an index refuses changes nothing.
         """
+        transaction = self._transaction()
         rows = self.schema.coerce_rows(rows) if coerce else map(tuple, rows)
         changes = [
             (rid, old, new)
@@ -259,7 +275,7 @@ class HeapTable:
         for rid, old, new in changes:
             page_no, slot = rid
             fetch(self, page_no, for_write=True)[slot] = new
-            self._log_update(rid, old, new)
+            self._log_update(transaction, rid, old, new)
         return len(changes)
 
     def _reindex(self, changes):
@@ -276,8 +292,7 @@ class HeapTable:
                 index.update(rid, new, old)
             raise
 
-    def _log_update(self, rid, old, new):
-        transaction = self._transaction()
+    def _log_update(self, transaction, rid, old, new):
         if transaction is not None:
             transaction.record_update(self, rid, old)
         wal = self.wal
@@ -286,6 +301,7 @@ class HeapTable:
 
     def restore(self, rid, row):
         """Undo helper: put *row* back into a tombstoned slot."""
+        transaction = self._transaction()
         page_no, slot = rid
         rows = self._pool.fetch(self, page_no, for_write=True)
         if rows[slot] is not None:
@@ -294,7 +310,6 @@ class HeapTable:
             index.insert(rid, row)
         rows[slot] = row
         self.live_rows += 1
-        transaction = self._transaction()
         if transaction is not None:
             transaction.record_inserts(self, (rid,))
         wal = self.wal

@@ -291,7 +291,8 @@ def test_autocommit_delete_and_refill_replays(tmp_path):
     database.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, n INTEGER)")
     database.execute("CREATE INDEX t_n ON t (n)")
     database.execute("CREATE TABLE src (k INTEGER, n INTEGER)")
-    database.table("src").insert_many([(k, k % 4) for k in range(40)])
+    with database.scope(writes=("src",)):
+        database.table("src").insert_many([(k, k % 4) for k in range(40)])
     for cycle in range(5):
         database.execute("DELETE FROM t")
         database.execute(

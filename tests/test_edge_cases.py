@@ -41,8 +41,9 @@ class TestBufferPoolTransactions:
         database = Database(buffer_pool_pages=1)
         database.execute("CREATE TABLE t (x INTEGER)")
         table = database.table("t")
-        for i in range(PAGE_CAPACITY * 3):
-            table.insert((i,))
+        with database.scope(writes=("t",)):
+            for i in range(PAGE_CAPACITY * 3):
+                table.insert((i,))
         with pytest.raises(RuntimeError):
             with database.transaction():
                 database.execute("UPDATE t SET x = -1 WHERE x < 10")

@@ -95,9 +95,10 @@ class TestHashIndex:
 
 class TestSortedIndex:
     def test_distinct_keys_follow_every_change(self):
-        """The count is kept as entries come and go, not recounted per
-        call: each path that changes the entries must keep it exact.
-        Keys are distinct by their total order, so True and 1 are two."""
+        """The count is recounted from the entries on demand, so it is
+        exact after every path that changes them: insert, delete, both
+        batch paths and a swap of the contents.  Keys are distinct by
+        their total order, so True and 1 are two."""
         index = make_sorted()
 
         def distinct():

@@ -9,8 +9,9 @@ from repro.relational.pages import PAGE_CAPACITY, BufferPool
 def build_table(database, rows):
     database.execute("CREATE TABLE t (x INTEGER)")
     table = database.table("t")
-    for i in range(rows):
-        table.insert((i,))
+    with database.scope(writes=("t",)):
+        for i in range(rows):
+            table.insert((i,))
     return table
 
 
@@ -174,8 +175,9 @@ class TestFlushAndDrop:
         build_table(database, PAGE_CAPACITY)
         database.execute("CREATE TABLE other (y INTEGER)")
         other = database.table("other")
-        for i in range(5):
-            other.insert((i,))
+        with database.scope(writes=("other",)):
+            for i in range(5):
+                other.insert((i,))
         pool = database.buffer_pool
         pool.flush_table(database.table("t"))
         assert len(pool) == 1  # other's page is still resident

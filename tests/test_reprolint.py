@@ -3,11 +3,9 @@
 Each check gets a minimal offending snippet (finding expected) and a
 compliant twin (no finding, from any check); the remaining tests cover
 suppressions, parse errors, and the self-run asserting the real tree is
-clean.  This module and ``tests/test_reprolint_regressions.py`` are the
-way to run the lint::
+clean.  This module is the way to run the lint::
 
-    PYTHONPATH=src python -m pytest tests/test_reprolint.py \\
-        tests/test_reprolint_regressions.py
+    PYTHONPATH=src python -m pytest tests/test_reprolint.py
 """
 
 from __future__ import annotations
@@ -257,6 +255,21 @@ def test_suppression_is_rule_specific(tmp_path):
     assert rules_of(lint_snippet(tmp_path, snippet)) == ["guarded-by"]
 
 
+def test_suppression_of_unknown_rule_is_a_finding(tmp_path):
+    """A suppression naming a rule no check reports (a deleted one, a
+    typo) is flagged on its line, next to the finding it failed to
+    silence."""
+    snippet = GUARDED_BAD.replace(
+        "self.counter += 1",
+        "self.counter += 1  # reprolint: disable=wal-commit-reachability")
+    findings = lint_snippet(tmp_path, snippet)
+    assert rules_of(findings) == ["guarded-by", "unknown-suppression"]
+    unknown = [f for f in findings if f.rule == "unknown-suppression"]
+    assert "'wal-commit-reachability'" in unknown[0].message
+    assert unknown[0].line == next(
+        f.line for f in findings if f.rule == "guarded-by")
+
+
 def test_parse_error_is_a_finding(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def f(:\n")
@@ -271,151 +284,6 @@ def test_self_run_src_repro_is_clean():
     """src/repro has zero unsuppressed findings."""
     findings = lint([REPO_ROOT / "src" / "repro"])
     assert findings == [], "\n".join(f.render() for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# wal-commit-reachability 
-# ---------------------------------------------------------------------------
-
-WALFLOW_BAD = """
-    class Procedures:
-        def __init__(self, wal):
-            self.wal = wal
-
-        def add_thing(self, record):
-            self.wal.append(record)
-            return record
-"""
-
-WALFLOW_GOOD = """
-    class Procedures:
-        def __init__(self, wal):
-            self.wal = wal
-
-        def add_thing(self, record):
-            self.wal.append(record)
-            self.wal.commit_point()
-            return record
-"""
-
-WALFLOW_CONDITIONAL = """
-    class Procedures:
-        def __init__(self, wal):
-            self.wal = wal
-
-        def add_thing(self, record, flush):
-            self.wal.append(record)
-            if flush:
-                self.wal.commit_point()
-            return record
-"""
-
-WALFLOW_VIA_HELPER = """
-    class Procedures:
-        def __init__(self, wal):
-            self.wal = wal
-
-        def add_thing(self, record):
-            self.wal.append(record)
-            self._commit()
-            return record
-
-        def _commit(self):
-            self.wal.commit_point()
-"""
-
-
-def test_walflow_flags_append_without_commit(tmp_path):
-    findings = lint_snippet(tmp_path, WALFLOW_BAD)
-    assert rules_of(findings) == ["wal-commit-reachability"]
-    assert "Procedures.add_thing" in findings[0].message
-
-
-def test_walflow_accepts_unconditional_commit(tmp_path):
-    assert lint_snippet(tmp_path, WALFLOW_GOOD) == []
-
-
-def test_walflow_flags_commit_on_one_branch_only(tmp_path):
-    findings = lint_snippet(tmp_path, WALFLOW_CONDITIONAL)
-    assert rules_of(findings) == ["wal-commit-reachability"]
-
-
-def test_walflow_follows_commit_through_helper(tmp_path):
-    assert lint_snippet(tmp_path, WALFLOW_VIA_HELPER) == []
-
-
-# an append logged after the commit point is also an append that reaches
-# exit without one: this check covers the append-after-commit ordering
-APPEND_AFTER_COMMIT = """
-    def finish(wal, record):
-        wal.commit_point()
-        wal.append(record)
-
-    class Log:
-        def __init__(self, wal):
-            self.wal = wal
-
-        def finish(self, record):
-            self.wal.commit_point()
-            self.wal.append(record)
-"""
-
-APPEND_BEFORE_COMMIT = """
-    def finish(wal, records):
-        for record in records:
-            wal.append(record)
-        wal.commit_point()
-
-    def unrelated(log):
-        log.commit_point() if hasattr(log, "commit_point") else None
-        items = []
-        items.append(1)
-"""
-
-
-def test_walflow_flags_append_after_commit_point(tmp_path):
-    findings = lint_snippet(tmp_path, APPEND_AFTER_COMMIT)
-    assert rules_of(findings) == ["wal-commit-reachability"]
-    # the free function and the method, each at its append
-    assert [f.line for f in findings] == [4, 12]
-    assert findings[1].message.startswith("Log.finish:")
-
-
-def test_walflow_accepts_append_before_commit(tmp_path):
-    assert lint_snippet(tmp_path, APPEND_BEFORE_COMMIT) == []
-
-
-# ---------------------------------------------------------------------------
-# release-on-all-paths
-# ---------------------------------------------------------------------------
-
-RELEASE_BAD = """
-    class Pool:
-        def serve(self):
-            token = self.locks.acquire()
-            self.work()
-            token.release()
-"""
-
-RELEASE_GOOD = """
-    class Pool:
-        def serve(self):
-            token = self.locks.acquire()
-            try:
-                self.work()
-            finally:
-                token.release()
-"""
-
-
-def test_release_flags_leak_on_exception_path(tmp_path):
-    findings = lint_snippet(tmp_path, RELEASE_BAD)
-    assert rules_of(findings) == ["release-on-all-paths"]
-    assert "token" in findings[0].message
-
-
-def test_release_accepts_try_finally(tmp_path):
-    assert lint_snippet(tmp_path, RELEASE_GOOD) == []
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,10 @@ def skewed_db():
     database.execute("CREATE INDEX ev_lbl ON ev (lbl)")
     database.execute("CREATE INDEX ev_v ON ev (v) USING sorted")
     table = database.table("ev")
-    for i in range(1000):
-        lbl = "rare" if i % 20 == 0 else "common"
-        table.insert((i, lbl, i))
+    with database.scope(writes=("ev",)):
+        for i in range(1000):
+            lbl = "rare" if i % 20 == 0 else "common"
+            table.insert((i, lbl, i))
     return database
 
 
@@ -203,8 +204,9 @@ def test_estimates_track_live_rows_after_analyze(skewed_db):
     table = skewed_db.table("ev")
     # double the table with the same 5% skew: selectivities are
     # fractions of live_rows, so estimates follow without re-ANALYZE
-    for i in range(1000, 2000):
-        table.insert((i, "rare" if i % 20 == 0 else "common", i))
+    with skewed_db.scope(writes=("ev",)):
+        for i in range(1000, 2000):
+            table.insert((i, "rare" if i % 20 == 0 else "common", i))
     est = first_est(skewed_db, "SELECT * FROM ev WHERE lbl = 'rare'")
     actual = len(skewed_db.execute(
         "SELECT * FROM ev WHERE lbl = 'rare'"

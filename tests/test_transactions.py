@@ -305,9 +305,10 @@ class TestWholeTableDelete:
     def filled(self):
         database = property_db()
         database.execute("CREATE TABLE src (k INTEGER, v STRING, n INTEGER)")
-        database.table("src").insert_many(
-            [(k, f"v{k % 50:02d}", k % 7) for k in range(self.ROWS)]
-        )
+        with database.scope(writes=("src",)):
+            database.table("src").insert_many(
+                [(k, f"v{k % 50:02d}", k % 7) for k in range(self.ROWS)]
+            )
         database.execute("INSERT INTO kv SELECT k, v, n FROM src")
         return database
 
