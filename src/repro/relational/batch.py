@@ -129,7 +129,7 @@ def dense_batches(columns, length):
 
 
 class MaterializedRelation:
-    """A materialized intermediate result (CTE / FROM-subquery body),
+    """A materialized intermediate result (a CTE body),
     stored as the dense blocks its plan produced so that re-scanning it
     never transposes."""
 

@@ -224,6 +224,8 @@ class WriteScope(_LockHolder):
 
     #: undo is recorded only inside an explicit transaction
     transaction = None
+    #: an open scope always counts as its thread's scope
+    active = True
 
     def __init__(self, database, reads, writes):
         self.database = database
@@ -232,12 +234,11 @@ class WriteScope(_LockHolder):
 
     def __enter__(self):
         database = self.database
-        local = database._local
-        owner = local.scope
+        owner = database._current_scope()
         self.outermost = owner is None
         if owner is None:
             self.lock_tokens = [database.locks.acquire(self.reads, self.writes)]
-            local.scope = self
+            database._local.scope = self
         else:
             owner.join(database.locks, self.reads, self.writes)
         return self
@@ -260,7 +261,10 @@ class WriteScope(_LockHolder):
 class Transaction(_LockHolder):
     """Undo log + held locks for an explicit transaction: while open it
     is its thread's scope (see :class:`WriteScope`), so every scope its
-    statements and procedures open adds to its locks."""
+    statements and procedures open adds to its locks, and the tables log
+    their writes under its ``txid``.  Once finished, from whichever
+    thread, it is no thread's scope (see :meth:`Database._current_scope`).
+    """
 
     def __init__(self, database, txid=0):
         self.database = database
@@ -325,26 +329,17 @@ class Transaction(_LockHolder):
             elif kind == "truncate":
                 table.restore_all(old_row)
 
-    def _unbind(self):
-        """Detach this transaction from the calling thread, if bound."""
-        local = self.database._local
-        if local.scope is self:
-            local.scope = None
-
     def _finish(self, outcome):
         if not self.active:
             raise TransactionError("transaction already finished")
         self.active = False
         self.transaction = None
-        self._unbind()
         database = self.database
         wal = database.wal
         try:
-            if wal is not None and self.txid:
-                wal.set_txid(0)
-                if not wal.closed:
-                    wal.append(outcome, txid=self.txid)
-                    wal.commit_point()
+            if wal is not None and self.txid and not wal.closed:
+                wal.append(outcome, txid=self.txid)
+                wal.commit_point()
         finally:
             for token in reversed(self.lock_tokens):
                 LockManager.release(token)
@@ -486,7 +481,14 @@ class Database:
         return WriteScope(self, reads, writes)
 
     def _current_scope(self):
-        return self._local.scope
+        """The calling thread's open scope or transaction, or ``None``.
+        A transaction committed or rolled back (from any thread) is
+        dropped here, so the thread's next statement runs on its own."""
+        local = self._local
+        scope = local.scope
+        if scope is not None and not scope.active:
+            scope = local.scope = None
+        return scope
 
     def _prepare(self, sql):
         """Parse + lock-analyze *sql*, going through the plan cache.
@@ -548,17 +550,15 @@ class Database:
         """Open an explicit transaction bound to the calling thread.
 
         Statements this thread executes join it until its ``commit()`` or
-        ``rollback()``, which unbinds it again.
+        ``rollback()``, from this thread or any other, ends it.
         """
-        if self._local.scope is not None:
+        if self._current_scope() is not None:
             raise TransactionError(
                 "a transaction or write scope is already open (nested "
                 "transactions are not supported)"
             )
         transaction = Transaction(self, self._begin_txid())
         self._local.scope = transaction
-        if self.wal is not None:
-            self.wal.set_txid(transaction.txid)
         return transaction
 
     @contextmanager
@@ -573,7 +573,7 @@ class Database:
         transaction.commit()
 
     def current_transaction(self):
-        scope = self._local.scope
+        scope = self._current_scope()
         return scope.transaction if scope is not None else None
 
     # ------------------------------------------------------------------
@@ -732,6 +732,9 @@ class Database:
                 visit_query(node.left)
                 visit_query(node.right)
                 return
+            if isinstance(node, ast.SelectStatement):  # a CTE's ORDER BY
+                visit_statement(node)
+                return
             if not isinstance(node, ast.Select):
                 return
             for from_item in node.from_items:
@@ -746,8 +749,6 @@ class Database:
             elif isinstance(item, ast.Join):
                 visit_from(item.left)
                 visit_from(item.right)
-            elif isinstance(item, ast.SubquerySource):
-                visit_query(item.query)
 
         def visit_expression(expression):
             if expression is None:
@@ -775,8 +776,6 @@ class Database:
                 yield item.expr
         if select.where is not None:
             yield select.where
-        if select.having is not None:
-            yield select.having
         yield from select.group_by
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Expression trees with SQL three-valued logic.
 
-Expressions appear in ``SELECT`` lists, ``WHERE``/``HAVING`` clauses, join
+Expressions appear in ``SELECT`` lists, ``WHERE`` clauses, join
 conditions, ``ORDER BY`` keys, ``UPDATE``/``DELETE`` statements and index
 definitions.  Each node supports:
 
@@ -32,7 +32,6 @@ block's positions unchanged, so no sub-list is built.
 
 from __future__ import annotations
 
-import math
 import re
 
 from repro.relational.errors import BindError, TypeMismatchError
@@ -47,9 +46,9 @@ class CompileContext:
         column reference to the index of its list in a block's columns.
     :param functions: scalar function registry ``name -> callable``.
     :param subquery_executor: callable ``(plan, derive) -> derive(rows)``
-        used by IN/EXISTS/scalar subqueries (installed by the planner); it
-        runs *plan* at most once per execution and remembers the derived
-        answer until the next one.
+        used by ``IN (SELECT ...)`` (installed by the planner); it runs
+        *plan* at most once per execution and remembers the derived answer
+        until the next one.
     :param params: the list of ``?`` values a kernel reads when it is
         *evaluated*, never copied at compile time: a cached plan is
         re-bound by overwriting this list in place.
@@ -612,16 +611,6 @@ def _value_set(rows):
     return values, saw_null
 
 
-def _has_rows(rows):
-    return any(True for __ in rows)
-
-
-def _first_value(rows):
-    for row in rows:
-        return row[0]
-    return None
-
-
 class InSubquery(Expression):
     """``x IN (SELECT ...)`` — the subquery runs lazily, once per
     execution."""
@@ -654,25 +643,6 @@ class InSubquery(Expression):
 
     def references(self):
         return self.operand.references()
-
-
-class Exists(Expression):
-    """``EXISTS (SELECT ...)`` for non-correlated subqueries."""
-
-    def __init__(self, plan, negated=False):
-        self.plan = plan
-        self.negated = negated
-
-    def compile_batch(self, ctx):
-        executor = _subquery_executor(ctx)
-        plan = self.plan
-        negated = self.negated
-
-        def evaluate(columns, positions):
-            found = executor(plan, _has_rows)
-            return [(not found) if negated else found] * len(positions)
-
-        return evaluate
 
 
 class Cast(Expression):
@@ -758,22 +728,6 @@ class CaseWhen(Expression):
         for child in self.children():
             refs |= child.references()
         return refs
-
-
-class ScalarSubquery(Expression):
-    """``(SELECT ...)`` used as a scalar value: first column of first row."""
-
-    def __init__(self, plan):
-        self.plan = plan
-
-    def compile_batch(self, ctx):
-        executor = _subquery_executor(ctx)
-        plan = self.plan
-
-        def evaluate(columns, positions):
-            return [executor(plan, _first_value)] * len(positions)
-
-        return evaluate
 
 
 class FuncCall(Expression):
@@ -867,40 +821,10 @@ def json_val(document, path):
     return current
 
 
-def _sql_upper(value):
-    return value.upper() if isinstance(value, str) else value
-
-
-def _sql_lower(value):
-    return value.lower() if isinstance(value, str) else value
-
-
-def _sql_length(value):
-    if value is None:
-        return None
-    return len(_as_string(value))
-
-
 def _sql_abs(value):
     if value is None:
         return None
     return abs(value)
-
-
-def _sql_substr(value, start, length=None):
-    if value is None or start is None:
-        return None
-    text = _as_string(value)
-    begin = max(int(start) - 1, 0)
-    if length is None:
-        return text[begin:]
-    return text[begin : begin + int(length)]
-
-
-def _sql_sqrt(value):
-    if value is None or value < 0:
-        return None
-    return math.sqrt(value)
 
 
 def is_simple_path(path):
@@ -932,12 +856,6 @@ def path_prefix(sequence, index):
     return tuple(sequence[: int(index) + 1])
 
 
-def path_length(sequence):
-    if sequence is None:
-        return None
-    return len(sequence)
-
-
 def make_list(*values):
     """Variadic tuple constructor (used by the Gremlin select pipe)."""
     return tuple(values)
@@ -947,17 +865,11 @@ def default_functions():
     """The scalar function registry every new Database starts with."""
     return {
         "json_val": json_val,
-        "upper": _sql_upper,
-        "lower": _sql_lower,
-        "length": _sql_length,
         "abs": _sql_abs,
-        "substr": _sql_substr,
-        "sqrt": _sql_sqrt,
         "issimplepath": is_simple_path,
         "path_init": path_init,
         "element_at": element_at,
         "path_prefix": path_prefix,
-        "path_length": path_length,
         "make_list": make_list,
     }
 

@@ -151,7 +151,9 @@ class LockManager:
         """Acquire locks for a statement; returns an opaque release token.
 
         Write locks subsume read locks on the same table.  Locks are taken in
-        global name order to avoid deadlock.
+        global name order to avoid deadlock.  :meth:`effective_timeout`
+        bounds the whole call, not each lock: a lock may wait only for
+        what the waits before it left of that budget.
         """
         writes = {name.lower() for name in write_tables}
         reads = {name.lower() for name in read_tables} - writes
@@ -164,10 +166,11 @@ class LockManager:
         try:
             for name, mode in plan:
                 lock = self.lock_for(name)
+                left = max(0.0, timeout - waited)
                 if mode == "w":
-                    waited += lock.acquire_write(timeout)
+                    waited += lock.acquire_write(left)
                 else:
-                    waited += lock.acquire_read(timeout)
+                    waited += lock.acquire_read(left)
                 acquired.append((lock, mode))
         except Exception:
             self.release(acquired)

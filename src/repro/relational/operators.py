@@ -5,7 +5,8 @@ execution time: index/sequential scans over the adjacency tables (OPA/IPA
 with OSA/ISA spill, paper §3.2) and attribute tables (VA/EA, §3.3), UNNEST
 for exploding adjacency column triads, hash and index-nested-loop joins
 for adjacency hops, plus the projection / filter / distinct / sort /
-aggregate / set operators the Gremlin pipes compile into (§4).
+aggregate / union-all operators the Gremlin pipes compile into (§4);
+``UNION`` is a distinct over a union-all.
 
 Each operator exposes:
 
@@ -20,7 +21,7 @@ Each operator exposes:
   EXPLAIN and by ``repro.obs.stats.instrument_plan`` for EXPLAIN ANALYZE.
 
 An operator receives each expression it evaluates — filter predicates,
-projections, join keys and residuals, theta conditions, sort keys,
+projections, join keys and residuals, sort keys,
 aggregate inputs — as one batch kernel ``(columns, positions) -> list``
 (``Expression.compile_batch``), called once per block.
 
@@ -31,7 +32,7 @@ runs, and its working state lives in that call's locals.
 
 Streaming operators (scan, filter, project, unnest, union-all, limit) are
 generators; blocking operators (hash join build side, sort, distinct,
-aggregate, set ops) materialize what they must.  Instrumentation shadows
+aggregate) materialize what they must.  Instrumentation shadows
 ``batches`` with an instance attribute on the plan being analyzed, so the
 uninstrumented path pays nothing and nothing is counted twice.
 """
@@ -355,13 +356,12 @@ class IndexRangeScan(_TableScan):
 
 
 class MaterializedScan(Operator):
-    """Scan over a materialized result (CTE bodies, VALUES, subqueries).
+    """Scan over a materialized result (CTE bodies, VALUES).
 
     *source* is either a plain list of row tuples or a
     :class:`MaterializedRelation`, whose stored blocks are emitted as-is
     (zero-copy); a predicate narrows selection vectors per block.  Given
-    a *runtime*, *source* is instead the name of a CTE or FROM-subquery
-    result, looked up in ``runtime.ctes`` each time the scan is opened,
+    a *runtime*, *source* is instead the name of a CTE result, looked up in ``runtime.ctes`` each time the scan is opened,
     so a cached plan reads the current execution's rows.
     """
 
@@ -562,39 +562,6 @@ class HashJoinOp(Operator):
             )
 
 
-class NestedLoopJoinOp(Operator):
-    """Fallback join for non-equi conditions; right side is materialized.
-
-    Every right row is a candidate for every left row; ``condition`` is a
-    batch kernel over the joined columns (``None`` for a cross product).
-    """
-
-    def __init__(self, left, right, condition=None, kind="inner", est_rows=None):
-        self.left = left
-        self.right = right
-        self.condition = condition
-        self.kind = kind
-        self.columns = list(left.columns) + list(right.columns)
-        if est_rows is None:
-            est_rows = max(1, left.est_rows * max(right.est_rows, 1))
-        self.est_rows = est_rows
-
-    def batches(self):
-        right_rows = list(self.right.rows())
-        pad = _left_pad(self.kind, len(self.right.columns))
-        # a few left rows at a time: each pairs with every right row
-        step = max(1, BATCH_SIZE // max(1, len(right_rows)))
-        for block in self.left.batches():
-            positions = block.positions()
-            for start in range(0, len(positions), step):
-                sel = list(positions[start:start + step])
-                yield from _stitch(
-                    ColumnBatch(block.columns, block.length, sel),
-                    right_rows * len(sel), [len(right_rows)] * len(sel),
-                    self.condition, pad,
-                )
-
-
 class IndexNLJoinOp(Operator):
     """Index nested-loop join: probe an index of the inner base table with a
     key computed from each outer row.
@@ -718,51 +685,6 @@ class UnionAllOp(Operator):
     def batches(self):
         for child in self.children:
             yield from child.batches()
-
-
-class SetOpOp(Operator):
-    """UNION / INTERSECT / EXCEPT with SQL set (distinct) semantics.
-
-    Dedup works on hashable row tuples, so the child blocks are consumed
-    as rows and the survivors re-packed into dense blocks.
-    """
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-        self.columns = list(left.columns)
-        self.est_rows = max(left.est_rows, right.est_rows)
-
-    def batches(self):
-        return batches_from_rows(self._distinct_rows(), len(self.columns))
-
-    def _distinct_rows(self):
-        if self.op == "union":
-            seen = set()
-            for child in (self.left, self.right):
-                for row in child.rows():
-                    key = hashable_row(row)
-                    if key not in seen:
-                        seen.add(key)
-                        yield row
-            return
-        right_set = {hashable_row(row) for row in self.right.rows()}
-        emitted = set()
-        if self.op == "intersect":
-            for row in self.left.rows():
-                key = hashable_row(row)
-                if key in right_set and key not in emitted:
-                    emitted.add(key)
-                    yield row
-        elif self.op == "except":
-            for row in self.left.rows():
-                key = hashable_row(row)
-                if key not in right_set and key not in emitted:
-                    emitted.add(key)
-                    yield row
-        else:
-            raise BindError(f"unknown set operation {self.op!r}")
 
 
 class DistinctOp(Operator):

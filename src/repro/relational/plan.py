@@ -1,11 +1,11 @@
 """Re-openable physical plans: what the prepared-statement cache keeps.
 
 A planned query is its CTE *steps* in definition order followed by the
-*body* operator tree that reads them (:class:`Query`).  Nothing in it
+*body* operator tree that reads them (:class:`Plan`).  Nothing in it
 holds per-execution data: ``?`` values live in the :class:`Runtime`'s
-parameter list, which compiled kernels read when they run; CTE and
-FROM-subquery results live in ``Runtime.ctes``, filled by the steps and
-read by name by ``MaterializedScan``; subquery answers live in
+parameter list, which compiled kernels read when they run; CTE results
+live in ``Runtime.ctes``, filled by the steps and read by name by
+``MaterializedScan``; ``IN (SELECT ...)`` answers live in
 ``Runtime.memo``.  So one :class:`Plan` serves execution after execution:
 re-bind the list, run the steps, drain the body, reset the runtime.
 
@@ -18,7 +18,7 @@ also keeps its SET kernels; the database drains that scan through an
 
 Planning still runs each step as soon as it is planned, because the next
 step and the body are planned from the real row counts of the ones before
-(see :mod:`repro.relational.planner`).  A query whose steps the planner
+(see :mod:`repro.relational.planner`).  A plan whose steps the planner
 has just run is *primed*: its first opening in that execution skips them.
 """
 
@@ -35,10 +35,11 @@ class Runtime:
     """Per-execution state of one plan instance.
 
     ``params`` is the list of ``?`` values compiled kernels read; a
-    re-execution overwrites it in place.  ``ctes`` maps a CTE (or
-    FROM-subquery) name to ``(column_names, rows or MaterializedRelation)``
-    for the current execution only.  ``memo`` holds subquery answers,
-    ``primed`` the queries whose steps the planner already ran, and
+    re-execution overwrites it in place.  ``ctes`` maps a CTE name to
+    ``(column_names, rows or MaterializedRelation)`` for the current
+    execution only.  ``memo`` holds subquery answers, ``primed`` the
+    plans (the statement's and its subqueries') whose steps the planner
+    already ran, and
     ``tables`` the base tables the plan was built against.
     """
 
@@ -59,7 +60,7 @@ class Runtime:
 
 
 class CteStep:
-    """Materialize one CTE or FROM-subquery body under *name*."""
+    """Materialize one CTE body under *name*."""
 
     __slots__ = ("runtime", "name", "columns", "plan")
 
@@ -130,15 +131,21 @@ class RecursiveCteStep:
         self.iterate(*self.seed())
 
 
-class Query:
-    """A planned query: the steps that fill its CTEs, then the body."""
+class Plan:
+    """One cached plan instance of a statement: the steps that fill its
+    CTEs, then the body, with its own :class:`Runtime`.  An execution
+    checks it out, runs :meth:`execute` and hands it back; it is never
+    shared by two executions at once.  ``assignments`` are an UPDATE's
+    SET kernels, ``(column position, kernel over the body's columns)``
+    each; empty for other statements."""
 
-    __slots__ = ("runtime", "steps", "body")
+    __slots__ = ("runtime", "steps", "body", "assignments")
 
-    def __init__(self, runtime, steps, body):
+    def __init__(self, runtime, steps, body, assignments=()):
         self.runtime = runtime
         self.steps = steps
         self.body = body
+        self.assignments = assignments
 
     def batches(self):
         primed = self.runtime.primed
@@ -152,20 +159,6 @@ class Query:
     def rows(self):
         for block in self.batches():
             yield from block.iter_rows()
-
-
-class Plan(Query):
-    """One cached plan instance of a statement, with its own
-    :class:`Runtime`.  An execution checks it out, runs :meth:`execute`
-    and hands it back; it is never shared by two executions at once.
-    ``assignments`` are an UPDATE's SET kernels, ``(column position,
-    kernel over the body's columns)`` each; empty for other statements."""
-
-    __slots__ = ("assignments",)
-
-    def __init__(self, runtime, steps, body, assignments=()):
-        super().__init__(runtime, steps, body)
-        self.assignments = assignments
 
     @property
     def columns(self):

@@ -24,7 +24,7 @@ constants; the rule does not change):
   inner and left joins alike (the ``index_probe_cost`` planner option
   moves the crossover, modelling the paper's RAM vs. disk regimes of
   Figure 8);
-* CTEs become steps of a :class:`~repro.relational.plan.Query`, run in
+* CTEs become steps of a :class:`~repro.relational.plan.Plan`, run in
   definition order; ``WITH RECURSIVE`` plans its terms once and re-opens
   them semi-naively each round.  Planning runs each step as soon as it is
   planned, so what follows it is planned from its real row count; the
@@ -36,9 +36,10 @@ is instrumented before it first runs and recorded in ``stats.cte_plans``
 — this is how ``EXPLAIN ANALYZE`` sees inside the translator's CTE
 pipelines.
 
-Correlated subqueries are not supported (the Gremlin translator never emits
-them); IN/EXISTS/scalar subqueries are planned once and run lazily, at most
-once per execution.
+The one subquery form is an uncorrelated ``IN (SELECT ...)`` (the Gremlin
+translator emits no other); it is planned once and runs lazily, at most
+once per execution.  Every join needs an equality between its sides: a
+join without one (a θ or cross join) raises :class:`BindError`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.relational.errors import BindError
 from repro.relational.plan import (
     CteStep,
     Plan,
-    Query,
     RecursiveCteStep,
     Runtime,
 )
@@ -99,6 +99,12 @@ def _no_columns(qualifier, name):
     raise BindError(f"column {name!r} not allowed here")
 
 
+def _aliases(plan):
+    """The FROM aliases *plan*'s columns come from, for error messages."""
+    names = sorted({qualifier for qualifier, __ in plan.columns if qualifier})
+    return ", ".join(names) or "a derived relation"
+
+
 def safe_fingerprint(expression):
     try:
         return expression.fingerprint()
@@ -142,7 +148,7 @@ class Planner:
         #: validated planner option, read once per plan (not per join step)
         self._probe_cost = database.planner_option("index_probe_cost", 1.0)
         self._stats_cache = {}  # table name -> TableStats or None
-        self._subqueries = {}  # id(statement AST) -> planned Query
+        self._subqueries = {}  # id(statement AST) -> its Plan
 
     # ------------------------------------------------------------------
     # expression compilation helpers
@@ -212,7 +218,9 @@ class Planner:
                 ]
         else:
             body = self.plan_select_statement(stmt)
-        return self._primed(Plan(self.runtime, self.steps, body, assignments))
+        plan = Plan(self.runtime, self.steps, body, assignments)
+        self.runtime.primed.add(plan)
+        return plan
 
     def _plan_values(self, rows):
         """An INSERT's VALUES rows: one kernel per cell, evaluated over a
@@ -230,10 +238,6 @@ class Planner:
              for row in rows],
             [(None, f"col{i}") for i in range(widths[0])],
         )
-
-    def _primed(self, query):
-        self.runtime.primed.add(query)
-        return query
 
     def plan_select_statement(self, stmt):
         """The body operator tree of *stmt*; its CTEs are planned and run
@@ -336,8 +340,6 @@ class Planner:
                 return item.name.lower() == target
             if isinstance(item, ast.Join):
                 return visit_from(item.left) or visit_from(item.right)
-            if isinstance(item, ast.SubquerySource):
-                return visit_query(item.query)
             return False
 
         return visit_query(query)
@@ -363,24 +365,11 @@ class Planner:
 
             instrument_plan(plan, self.stats)
             self.stats.cte_plans.append((name, plan))
-        self._add_step(CteStep(self.runtime, name, columns, plan))
-
-    def _add_step(self, step):
-        """Run *step* now, so what follows is planned from its real size,
-        and keep it for later executions."""
+        # run it now, so what follows is planned from its real size, and
+        # keep it for later executions
+        step = CteStep(self.runtime, name, columns, plan)
         step.run()
         self.steps.append(step)
-
-    def _plan_term(self, node):
-        """Plan one recursive-CTE term as its own query: any steps it
-        needs re-run each time the term is re-opened."""
-        outer, self.steps = self.steps, []
-        try:
-            return self._primed(
-                Query(self.runtime, self.steps, self.plan_query_expr(node))
-            )
-        finally:
-            self.steps = outer
 
     def _materialize_recursive_cte(self, cte):
         name = cte.name.lower()
@@ -401,15 +390,17 @@ class Planner:
         if not base_terms:
             raise BindError(f"recursive CTE {name!r} has no base term")
 
-        base = [self._plan_term(term) for term in base_terms]
-        columns = cte.columns or [col for __, col in base[0].body.columns]
+        # a term adds no steps of its own: it is one operator tree,
+        # re-opened each round
+        base = [self.plan_query_expr(term) for term in base_terms]
+        columns = cte.columns or [col for __, col in base[0].columns]
         step = RecursiveCteStep(
             self.runtime, name, [col.lower() for col in columns], base
         )
         seen, rows = step.seed()
         # planned against the base rows as the first round's delta
         step.recursive_terms = [
-            self._plan_term(term) for term in recursive_terms
+            self.plan_query_expr(term) for term in recursive_terms
         ]
         step.iterate(seen, rows)
         self.steps.append(step)
@@ -423,15 +414,15 @@ class Planner:
             right = self.plan_query_expr(node.right)
             if len(left.columns) != len(right.columns):
                 raise BindError("set operation children have different arity")
-            if node.op == "union_all":
-                children = []
-                for child in (left, right):
-                    if isinstance(child, op.UnionAllOp):
-                        children.extend(child.children)
-                    else:
-                        children.append(child)
-                return op.UnionAllOp(children)
-            return op.SetOpOp(node.op, left, right)
+            children = []
+            for child in (left, right):
+                if isinstance(child, op.UnionAllOp):
+                    children.extend(child.children)
+                else:
+                    children.append(child)
+            union = op.UnionAllOp(children)
+            # UNION is UNION ALL's rows, first occurrences kept in order
+            return union if node.op == "union_all" else op.DistinctOp(union)
         if isinstance(node, ast.Select):
             return self.plan_select_core(node)
         raise BindError(f"cannot plan query node {type(node).__name__}")
@@ -540,17 +531,11 @@ class Planner:
         rewritten_items = []
         for item in items:
             rewritten_items.append((rewrite(item.expr), item))
-        having_rewritten = rewrite(select.having) if select.having is not None else None
 
         inner_columns = [(None, f"$grp{i}") for i in range(len(group_fns))] + [
             (None, f"$agg{i}") for i in range(len(agg_specs))
         ]
         agg_plan = op.AggregateOp(plan, group_fns, agg_specs, inner_columns)
-        if having_rewritten is not None:
-            agg_plan = op.FilterOp(
-                agg_plan,
-                having_rewritten.compile_batch(self._ctx(inner_columns)),
-            )
         out_columns = [
             (None, self._output_name(item, i))
             for i, (__, item) in enumerate(rewritten_items)
@@ -606,8 +591,6 @@ class Planner:
     def _add_from_item(self, item, leaves, conjuncts):
         if isinstance(item, ast.TableRef):
             leaves.append(self._table_leaf(item))
-        elif isinstance(item, ast.SubquerySource):
-            leaves.append(self._subquery_leaf(item))
         elif isinstance(item, ast.Join):
             if item.kind in ("inner", "cross"):
                 self._add_from_item(item.left, leaves, conjuncts)
@@ -665,18 +648,6 @@ class Planner:
         if tstats is not None:
             plan.stats_ndv = tstats.ndv_map()
 
-    def _subquery_leaf(self, source):
-        """A FROM subquery is a step under a name of its own, so the
-        join above it is planned from its real size."""
-        plan = self.plan_query_expr(source.query)
-        name = f"$subquery{id(source)}"
-        self._add_step(CteStep(
-            self.runtime, name, [col for __, col in plan.columns], plan
-        ))
-        alias = source.alias.lower()
-        columns = [(alias, col) for __, col in plan.columns]
-        return op.MaterializedScan(name, columns, runtime=self.runtime)
-
     def _apply_unnest(self, child, unnest):
         ctx = self._ctx(child.columns)
         width = len(unnest.columns)
@@ -693,12 +664,9 @@ class Planner:
         return op.LateralUnnestOp(child, rows_of_fns, columns)
 
     def _plan_left_join(self, left_plan, join):
-        if isinstance(join.right, ast.TableRef):
-            right_leaf = self._table_leaf(join.right)
-        elif isinstance(join.right, ast.SubquerySource):
-            right_leaf = self._subquery_leaf(join.right)
-        else:
-            raise BindError("LEFT JOIN right side must be a table or subquery")
+        if not isinstance(join.right, ast.TableRef):
+            raise BindError("LEFT JOIN right side must be a table")
+        right_leaf = self._table_leaf(join.right)
         equi_pairs, residual = self._extract_equi_pairs(
             split_conjuncts(join.condition),
             set(left_plan.columns), set(right_leaf.columns),
@@ -818,7 +786,8 @@ class Planner:
         probed row.  A hash join costs building the inner plus streaming
         the outer.  The nested loop also wins outright while the outer is
         small enough that a probe per row stays cheap.  A disconnected
-        pair costs the full cross product, keeping cartesian joins last.
+        pair costs the full cross product, so it is ranked last (joining
+        one raises: :meth:`_equi_join`).
         """
         outer_rows = max(outer.records_output(), 1)
         inner_rows = max(inner.records_output(), 1)
@@ -881,11 +850,14 @@ class Planner:
     def _equi_join(self, outer, inner, pairs, residual, kind):
         """Join *outer* to *inner* (``kind`` ``'inner'`` or ``'left'``) on
         equi *pairs* plus *residual* conjuncts, with the operator
-        :meth:`_join_method` picks."""
+        :meth:`_join_method` picks.  A join with no equi pair is refused:
+        every join the product emits has one."""
         if not pairs:
-            return op.NestedLoopJoinOp(outer, inner, self._residual_kernel(
-                residual, list(outer.columns) + list(inner.columns)
-            ), kind)
+            raise BindError(
+                f"{kind} join of {_aliases(outer)} and {_aliases(inner)} "
+                f"has no equality between its sides (θ and cross joins "
+                f"are not supported)"
+            )
         est = self._estimate_join_rows(outer, inner, pairs)
         outer_ctx = self._ctx(outer.columns)
         outer_key_fns = [pair[0].compile_batch(outer_ctx) for pair in pairs]

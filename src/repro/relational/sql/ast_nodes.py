@@ -31,12 +31,6 @@ class TableRef:
 
 
 @dataclass
-class SubquerySource:
-    query: object  # QueryExpr
-    alias: str
-
-
-@dataclass
 class UnnestValues:
     """Lateral ``TABLE(VALUES (e1), (e2), ...) AS alias(col, ...)``.
 
@@ -63,13 +57,12 @@ class Select:
     from_items: list = field(default_factory=list)
     where: object | None = None
     group_by: list = field(default_factory=list)
-    having: object | None = None
     distinct: bool = False
 
 
 @dataclass
 class SetOp:
-    op: str  # 'union_all' | 'union' | 'intersect' | 'except'
+    op: str  # 'union_all' | 'union'
     left: object
     right: object
 

@@ -1,4 +1,13 @@
-"""Recursive-descent parser for the engine's SQL dialect."""
+"""Recursive-descent parser for the engine's SQL dialect.
+
+The dialect is the SQL the product emits (the Gremlin translator, the
+stored procedures, the analytics algorithms and the loaders) plus
+``UPDATE``, ``EXPLAIN [ANALYZE]`` and ``WITH RECURSIVE``, which users
+reach directly; ``tests/test_engine_surface.py`` keeps it that way.
+Constructs outside it that a reader might expect (``INTERSECT`` /
+``EXCEPT``, ``HAVING``, ``EXISTS``, scalar subqueries, derived tables in
+FROM) are rejected with a :class:`SqlSyntaxError` that names them.
+"""
 
 from __future__ import annotations
 
@@ -82,6 +91,12 @@ class _Parser:
             return self.advance().value
         raise SqlSyntaxError(
             f"expected identifier, found {token.value!r}", token.position
+        )
+
+    def unsupported(self, construct):
+        """Reject *construct*, which the dialect leaves out."""
+        raise SqlSyntaxError(
+            f"{construct} is not supported", self.current.position
         )
 
     def expect_eof(self):
@@ -175,10 +190,8 @@ class _Parser:
                     op = "union_all"
                 else:
                     op = "union"
-            elif self.accept_keyword("INTERSECT"):
-                op = "intersect"
-            elif self.accept_keyword("EXCEPT"):
-                op = "except"
+            elif self.check_keyword("INTERSECT", "EXCEPT"):
+                self.unsupported(self.current.value)
             else:
                 return left
             right = self.parse_query_term()
@@ -210,15 +223,14 @@ class _Parser:
         if self.accept_keyword("WHERE"):
             where = self.parse_expression()
         group_by = []
-        having = None
         if self.accept_keyword("GROUP"):
             self.expect_keyword("BY")
             group_by.append(self.parse_expression())
             while self.accept_op(","):
                 group_by.append(self.parse_expression())
-            if self.accept_keyword("HAVING"):
-                having = self.parse_expression()
-        return ast.Select(items, from_items, where, group_by, having, distinct)
+        if self.check_keyword("HAVING"):
+            self.unsupported("HAVING")
+        return ast.Select(items, from_items, where, group_by, distinct)
 
     def parse_select_item(self):
         if self.accept_op("*"):
@@ -272,12 +284,8 @@ class _Parser:
     def parse_from_primary(self):
         if self.check_keyword("TABLE", "TABLES"):
             return self.parse_unnest_values()
-        if self.accept_op("("):
-            query = self.parse_query_expr()
-            self.expect_op(")")
-            self.accept_keyword("AS")
-            alias = self.expect_ident()
-            return ast.SubquerySource(query, alias)
+        if self.check_op("("):
+            self.unsupported("a derived table (subquery in FROM)")
         name = self.expect_ident()
         alias = None
         if self.accept_keyword("AS"):
@@ -608,18 +616,13 @@ class _Parser:
             return ex.Cast(operand, ColumnType.from_name(type_name))
         if self.accept_keyword("CASE"):
             return self.parse_case()
-        if self.accept_keyword("EXISTS"):
-            self.expect_op("(")
-            query = self.parse_select_statement()
-            self.expect_op(")")
-            return ex.Exists(query)
+        if self.check_keyword("EXISTS"):
+            self.unsupported("EXISTS (subquery)")
         if self.accept_keyword("COUNT"):
             return self.parse_function_call("count")
         if self.accept_op("("):
             if self.check_keyword("SELECT", "WITH"):
-                query = self.parse_select_statement()
-                self.expect_op(")")
-                return ex.ScalarSubquery(query)
+                self.unsupported("a scalar subquery (SELECT ...) as a value")
             inner = self.parse_expression()
             self.expect_op(")")
             return inner

@@ -12,6 +12,11 @@ from repro.relational.errors import CatalogError, TransactionError
 from repro.relational.pages import PAGE_CAPACITY
 
 
+def _txid(transaction):
+    """The txid a write logs under: its transaction's, 0 in autocommit."""
+    return 0 if transaction is None else transaction.txid
+
+
 class HeapTable:
     """A heap of rows for one table, living behind a shared buffer pool."""
 
@@ -140,8 +145,9 @@ class HeapTable:
         wal = self.wal
         if wal is not None and wal.active:
             name = self.name
+            txid = _txid(transaction)
             for rid, row in zip(rids, rows):
-                wal.log_op("insert", name, rid, row)
+                wal.log_op("insert", txid, name, rid, row)
         return rids
 
     def truncate(self):
@@ -161,8 +167,9 @@ class HeapTable:
         wal = self.wal
         if wal is not None and wal.active:
             name = self.name
+            txid = _txid(transaction)
             for rid, row in self.scan():
-                wal.log_op("delete", name, rid, row)
+                wal.log_op("delete", txid, name, rid, row)
         frames = self._pool.drop_table(self.name)
         contents = {
             name: index.swap_contents()
@@ -236,7 +243,7 @@ class HeapTable:
             transaction.record_delete(self, rid, old)
         wal = self.wal
         if wal is not None and wal.active:
-            wal.log_op("delete", self.name, rid, old)
+            wal.log_op("delete", _txid(transaction), self.name, rid, old)
         return old
 
     def update(self, rid, values, coerce=True):
@@ -297,7 +304,7 @@ class HeapTable:
             transaction.record_update(self, rid, old)
         wal = self.wal
         if wal is not None and wal.active:
-            wal.log_op("update", self.name, rid, new, old)
+            wal.log_op("update", _txid(transaction), self.name, rid, new, old)
 
     def restore(self, rid, row):
         """Undo helper: put *row* back into a tombstoned slot."""
@@ -314,7 +321,7 @@ class HeapTable:
             transaction.record_inserts(self, (rid,))
         wal = self.wal
         if wal is not None and wal.active:
-            wal.log_op("insert", self.name, rid, row)
+            wal.log_op("insert", _txid(transaction), self.name, rid, row)
 
     # ------------------------------------------------------------------
     # physical redo (crash recovery; see repro.relational.recovery)

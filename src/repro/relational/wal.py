@@ -241,25 +241,16 @@ class WriteAheadLog:
 
         return _Paused()
 
-    def set_txid(self, txid):
-        """Bind the calling thread's ops to transaction *txid* (0 clears)."""
-        self._local.txid = txid
-
-    @property
-    def current_txid(self):
-        return getattr(self._local, "txid", 0)
-
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(self, kind, data=None, txid=None):
-        """Frame and buffer one record; returns its LSN.
+    def append(self, kind, data=None, txid=0):
+        """Frame and buffer one record of transaction *txid* (0: outside
+        any transaction); returns its LSN.
 
         The record reaches the OS at the next :meth:`flush` /
         :meth:`commit_point` and the disk platter per the fsync policy.
         """
-        if txid is None:
-            txid = self.current_txid
         with self._lock:
             self.last_lsn += 1
             lsn = self.last_lsn
@@ -271,9 +262,9 @@ class WriteAheadLog:
             self.records_since_checkpoint += 1
         return lsn
 
-    def log_op(self, kind, table_name, rid, *images):
+    def log_op(self, kind, txid, table_name, rid, *images):
         """Convenience for table-level redo/undo records."""
-        return self.append(kind, (table_name, rid) + images)
+        return self.append(kind, (table_name, rid) + images, txid)
 
     def flush(self):
         """Push buffered frames to the OS (no fsync)."""

@@ -123,8 +123,8 @@ class TestSpills:
         graph = random_property_graph(seed=3, n_vertices=40, n_edges=160)
         database, __ = load(graph, max_columns=1)
         result = database.execute(
-            "SELECT vid, COUNT(*) FROM opa GROUP BY vid "
-            "HAVING COUNT(*) > 1"
+            "WITH c AS (SELECT vid, COUNT(*) AS n FROM opa GROUP BY vid) "
+            "SELECT vid FROM c WHERE n > 1"
         )
         assert len(result.rows) > 0
 

@@ -71,7 +71,9 @@ SQL_POOL = [
     "SELECT id FROM people WHERE id IN (1, 3, 9)",
     "SELECT DISTINCT city FROM people",
     "SELECT city, COUNT(*), SUM(age) FROM people GROUP BY city",
-    "SELECT city, AVG(age) FROM people GROUP BY city HAVING COUNT(*) > 1",
+    "SELECT city, AVG(age) FROM people GROUP BY city",
+    "WITH c AS (SELECT city, COUNT(*) AS n, AVG(age) AS a FROM people "
+    "GROUP BY city) SELECT city, a FROM c WHERE n > 1",
     "SELECT p.name, o.item FROM people p, orders o WHERE p.id = o.pid",
     "SELECT p.name, o.item, s.carrier FROM people p, orders o, shipments s "
     "WHERE p.id = o.pid AND o.oid = s.oid",
@@ -84,8 +86,6 @@ SQL_POOL = [
     "SELECT name FROM people WHERE age BETWEEN 28 AND 34",
     "WITH parisians AS (SELECT * FROM people WHERE city = 'paris') "
     "SELECT name FROM parisians WHERE age > 35",
-    "SELECT name FROM people WHERE id = "
-    "(SELECT pid FROM orders WHERE oid = 12)",
     "SELECT name FROM people WHERE id IN (SELECT pid FROM orders)",
     "SELECT city FROM people WHERE city IS NOT NULL "
     "UNION SELECT item FROM orders WHERE amount > 100",

@@ -95,6 +95,25 @@ class TestPerThreadCap:
             seen["capped"] = locks.effective_timeout()
         assert seen == {"other": 30.0, "capped": 0.25}
 
+    def test_cap_bounds_the_whole_acquire(self):
+        """One budget per acquire: a statement waiting on two locks in
+        turn gives up once the cap is spent, not after a full cap on
+        each lock."""
+        locks = LockManager(timeout=30.0)
+        held = locks.acquire((), ("a", "b"))
+        releaser = threading.Timer(0.35, held[0][0].release_write)
+        releaser.start()
+        started = time.perf_counter()
+        try:
+            with locks.cap(0.4), pytest.raises(LockTimeoutError, match="'b'"):
+                locks.acquire(("a", "b"), ())
+            elapsed = time.perf_counter() - started
+        finally:
+            releaser.join(timeout=5)
+            held[1][0].release_write()
+        assert held[0][0].name == "a"
+        assert elapsed < 0.4 + 0.2
+
 
 class TestContentionStress:
     def test_writer_contention_provokes_lock_timeout(self):
@@ -170,8 +189,9 @@ class TestDmlSubqueryLocks:
     @pytest.mark.parametrize("sql", [
         "DELETE FROM a WHERE x IN (SELECT y FROM b)",
         "UPDATE a SET x = 0 WHERE x IN (SELECT y FROM b)",
-        "UPDATE a SET x = (SELECT MAX(y) FROM b) WHERE x = 2",
-        "INSERT INTO a VALUES ((SELECT MAX(y) FROM b))",
+        "UPDATE a SET x = (CASE WHEN x IN (SELECT y FROM b) THEN 0 "
+        "ELSE x END) WHERE x = 2",
+        "INSERT INTO a VALUES (CASE WHEN 1 IN (SELECT y FROM b) THEN 3 END)",
     ])
     def test_waits_for_uncommitted_write(self, sql):
         database = Database(lock_timeout=0.1)
@@ -202,6 +222,31 @@ class TestDmlSubqueryLocks:
         assert not thread.is_alive()
         assert sorted(database.execute("SELECT x FROM a").column()) == [1, 2]
         assert database.execute("SELECT y FROM b").rows == [(1,)]
+
+
+def test_ordered_cte_reads_its_table_under_a_lock():
+    """A CTE with its own ORDER BY / LIMIT (the Gremlin range and order
+    pipes' shape) locks the tables it reads like any other CTE."""
+    database = Database(lock_timeout=0.1)
+    database.execute("CREATE TABLE b (y INTEGER)")
+    transaction = database.begin()
+    database.execute("INSERT INTO b VALUES (2)")
+    raised = []
+
+    def read():
+        try:
+            database.execute(
+                "WITH x AS (SELECT y FROM b ORDER BY y LIMIT 1) "
+                "SELECT y FROM x"
+            )
+        except LockTimeoutError as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=read)
+    reader.start()
+    reader.join(timeout=10)
+    transaction.rollback()
+    assert len(raised) == 1
 
 
 class TestNoGlobalExecutorMode:

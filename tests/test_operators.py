@@ -102,25 +102,6 @@ class TestIndexNLJoin:
         assert list(join.rows()) == [(1, 1, "y"), (3, 3, "q")]
 
 
-class TestNestedLoopJoin:
-    def test_theta_join(self):
-        left = mat([(1,), (5,)], ["a"])
-        right = mat([(3,), (7,)], ["b"])
-        join = op.NestedLoopJoinOp(
-            left, right, condition=kernel(ex.Comparison("<", c(0), c(1)))
-        )
-        assert sorted(join.rows()) == [(1, 3), (1, 7), (5, 7)]
-
-    def test_left_outer_theta(self):
-        left = mat([(9,)], ["a"])
-        right = mat([(3,)], ["b"])
-        join = op.NestedLoopJoinOp(
-            left, right, condition=kernel(ex.Comparison("<", c(0), c(1))),
-            kind="left",
-        )
-        assert list(join.rows()) == [(9, None)]
-
-
 class TestLateralUnnest:
     def test_emits_per_values_row(self):
         child = mat([(1, 2), (3, 4)], ["a", "b"])
@@ -146,18 +127,11 @@ class TestSetOps:
         return left, right
 
     def test_union_dedups(self):
+        """UNION is a distinct over a union-all: first occurrences, in
+        order."""
         left, right = self.left_right()
-        assert sorted(op.SetOpOp("union", left, right).rows()) == [
-            (1,), (2,), (3,), (4,),
-        ]
-
-    def test_intersect(self):
-        left, right = self.left_right()
-        assert list(op.SetOpOp("intersect", left, right).rows()) == [(2,)]
-
-    def test_except(self):
-        left, right = self.left_right()
-        assert sorted(op.SetOpOp("except", left, right).rows()) == [(1,), (3,)]
+        union = op.DistinctOp(op.UnionAllOp([left, right]))
+        assert list(union.rows()) == [(1,), (2,), (3,), (4,)]
 
     def test_union_all_flattens(self):
         left, right = self.left_right()

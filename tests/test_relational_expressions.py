@@ -148,12 +148,6 @@ class TestFunctions:
         assert ex.json_val(doc, "x.deeper") is None
         assert ex.json_val(None, "x") is None
 
-    def test_string_functions(self):
-        functions = ex.default_functions()
-        assert functions["upper"]("abc") == "ABC"
-        assert functions["length"]("abcd") == 4
-        assert functions["substr"]("hello", 2, 3) == "ell"
-
     def test_path_helpers(self):
         functions = ex.default_functions()
         assert functions["path_init"](5) == (5,)

@@ -192,8 +192,9 @@ class TestDmlAccessPaths:
         )
 
     def test_where_without_column_reference(self):
-        """A conjunct that names no column (a parameter, a scalar
-        subquery, a CASE) has no index to match and filters every row."""
+        """A conjunct that names no column (a parameter, an IN subquery
+        over a constant, a CASE) has no index to match and filters every
+        row."""
         db = self.make_db()
         db.execute("CREATE TABLE b (y INTEGER)")
         assert db.execute("DELETE FROM t WHERE ? IS NOT NULL", [None]).rowcount == 0
@@ -202,11 +203,11 @@ class TestDmlAccessPaths:
             "UPDATE t SET s = 'c' WHERE CASE WHEN ? > 0 THEN 1 END IN (1)", [1]
         ).rowcount == 20
         assert db.execute(
-            "DELETE FROM t WHERE (SELECT MAX(y) FROM b) IS NOT NULL"
+            "DELETE FROM t WHERE 1 IN (SELECT y FROM b)"
         ).rowcount == 0
         db.execute("INSERT INTO b VALUES (1)")
         assert db.execute(
-            "DELETE FROM t WHERE (SELECT MAX(y) FROM b) IS NOT NULL AND k < 5"
+            "DELETE FROM t WHERE 1 IN (SELECT y FROM b) AND k < 5"
         ).rowcount == 5
         assert db.execute("UPDATE t SET k = 1 WHERE ? IN (1, 2)", [2]).rowcount == 15
         assert db.execute("DELETE FROM t WHERE ? IS NOT NULL", [0]).rowcount == 15

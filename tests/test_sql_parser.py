@@ -32,12 +32,15 @@ class TestSelectParsing:
 
     def test_where_group_having(self):
         stmt = parse_statement(
-            "SELECT a, COUNT(*) FROM t WHERE b > 1 GROUP BY a HAVING COUNT(*) > 2"
+            "SELECT a, COUNT(*) FROM t WHERE b > 1 GROUP BY a"
         )
         select = stmt.body
         assert select.where is not None
         assert len(select.group_by) == 1
-        assert select.having is not None
+        with pytest.raises(SqlSyntaxError, match="HAVING is not supported"):
+            parse_statement(
+                "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 2"
+            )
 
     def test_distinct(self):
         assert parse_statement("SELECT DISTINCT a FROM t").body.distinct
@@ -73,17 +76,24 @@ class TestSelectParsing:
         assert isinstance(stmt.body.from_items[1], ast.UnnestValues)
 
     def test_subquery_source(self):
-        stmt = parse_statement("SELECT * FROM (SELECT a FROM t) AS s")
-        assert isinstance(stmt.body.from_items[0], ast.SubquerySource)
+        for sql in (
+            "SELECT * FROM (SELECT a FROM t) AS s",
+            "SELECT * FROM t LEFT JOIN (SELECT a FROM u) s ON t.a = s.a",
+        ):
+            with pytest.raises(SqlSyntaxError, match="derived table"):
+                parse_statement(sql)
 
     def test_set_operations(self):
         stmt = parse_statement(
-            "SELECT a FROM t UNION ALL SELECT a FROM u INTERSECT SELECT a FROM v"
+            "SELECT a FROM t UNION ALL SELECT a FROM u UNION SELECT a FROM v"
         )
         top = stmt.body
         assert isinstance(top, ast.SetOp)
-        assert top.op == "intersect"
+        assert top.op == "union"
         assert top.left.op == "union_all"
+        for word in ("INTERSECT", "EXCEPT"):
+            with pytest.raises(SqlSyntaxError, match=f"{word} is not"):
+                parse_statement(f"SELECT a FROM t {word} SELECT a FROM u")
 
     def test_ctes(self):
         stmt = parse_statement(
@@ -167,16 +177,16 @@ class TestExpressionParsing:
         assert node.distinct
 
     def test_scalar_subquery(self):
-        node = self.expr("(SELECT MAX(a) FROM u)")
-        assert isinstance(node, ex.ScalarSubquery)
+        with pytest.raises(SqlSyntaxError, match="scalar subquery"):
+            self.expr("(SELECT MAX(a) FROM u)")
 
     def test_unary_minus_folds(self):
         node = self.expr("-5")
         assert isinstance(node, ex.Literal) and node.value == -5
 
     def test_exists(self):
-        node = self.expr("EXISTS (SELECT 1 FROM u)")
-        assert isinstance(node, ex.Exists)
+        with pytest.raises(SqlSyntaxError, match="EXISTS"):
+            self.expr("EXISTS (SELECT 1 FROM u)")
 
     def test_params_numbered_in_order(self):
         stmt = parse_statement("SELECT ? FROM t WHERE a = ? AND b = ?")

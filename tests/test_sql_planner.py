@@ -1,7 +1,10 @@
 """Tests for plan shapes: index selection, pushdown, join strategies."""
 
+import pytest
+
 from repro.relational import Database
 from repro.relational import operators as op
+from repro.relational.errors import BindError
 from repro.relational.planner import Planner, Runtime
 from repro.relational.sql.parser import parse_statement
 
@@ -141,16 +144,20 @@ class TestJoins:
         plan = plan_for(database, "SELECT COUNT(*) FROM a, b WHERE a.x = b.x")
         assert op.HashJoinOp in operators_in(plan)
 
-    def test_non_equi_join_is_nested_loop(self):
+    def test_non_equi_join_is_refused(self):
+        """No operator joins without an equi pair: the planner names the
+        join instead of running a cross product."""
         database = Database()
         database.execute("CREATE TABLE a (x INTEGER)")
         database.execute("CREATE TABLE b (x INTEGER)")
         database.execute("INSERT INTO a VALUES (1), (5)")
         database.execute("INSERT INTO b VALUES (2), (3)")
-        result = database.execute(
-            "SELECT COUNT(*) FROM a, b WHERE a.x < b.x"
-        )
-        assert result.scalar() == 2
+        with pytest.raises(BindError, match="inner join of a and b"):
+            database.execute("SELECT COUNT(*) FROM a, b WHERE a.x < b.x")
+        with pytest.raises(BindError, match="left join of a and b"):
+            database.execute(
+                "SELECT COUNT(*) FROM a LEFT JOIN b ON a.x < b.x"
+            )
 
     def test_left_join_uses_index_probe(self):
         database = make_db()

@@ -3,11 +3,17 @@
 import pytest
 
 from repro.relational import Database
-from repro.relational.errors import BindError
+from repro.relational.errors import BindError, SqlSyntaxError
 
 
 def rows(db, sql, params=None):
     return db.execute(sql, params).rows
+
+
+def rejects(db, sql, construct):
+    """*sql* uses a construct outside the dialect: the parser names it."""
+    with pytest.raises(SqlSyntaxError, match=construct):
+        db.execute(sql)
 
 
 class TestProjectionAndFilter:
@@ -131,11 +137,14 @@ class TestJoins:
         assert result == [("bob", "eve")]
 
     def test_cross_join_when_no_condition(self, people_db):
-        result = rows(
-            people_db,
+        """Every join needs an equality between its sides."""
+        for sql in (
             "SELECT COUNT(*) FROM people p, orders o",
-        )
-        assert result == [(30,)]
+            "SELECT COUNT(*) FROM people p CROSS JOIN orders o",
+            "SELECT COUNT(*) FROM people p, orders o WHERE p.id < o.pid",
+        ):
+            with pytest.raises(BindError, match="no equality"):
+                people_db.execute(sql)
 
     def test_ambiguous_column_raises(self, people_db):
         people_db.execute("CREATE TABLE dup (name STRING)")
@@ -175,10 +184,18 @@ class TestAggregates:
         assert result == [(2.3, 1), (2.8, 2), (3.4, 1), (4.1, 1)]
 
     def test_having(self, people_db):
-        result = rows(
+        """HAVING is refused; a CTE filtered by WHERE says the same."""
+        rejects(
             people_db,
             "SELECT pid, SUM(amount) FROM orders GROUP BY pid "
             "HAVING SUM(amount) > 30 ORDER BY pid",
+            "HAVING",
+        )
+        result = rows(
+            people_db,
+            "WITH s AS (SELECT pid, SUM(amount) AS total FROM orders "
+            "GROUP BY pid) SELECT pid, total FROM s WHERE total > 30 "
+            "ORDER BY pid",
         )
         assert result == [(1, 39.0), (2, 120.0), (5, 35.0)]
 
@@ -215,16 +232,30 @@ class TestSetOpsDistinctOrder:
         assert ("oslo",) in result
 
     def test_intersect(self, people_db):
-        result = rows(
+        """INTERSECT is refused; IN (SELECT ...) says the same."""
+        rejects(
             people_db,
             "SELECT id FROM people INTERSECT SELECT pid FROM orders",
+            "INTERSECT",
+        )
+        result = rows(
+            people_db,
+            "SELECT DISTINCT id FROM people WHERE id IN "
+            "(SELECT pid FROM orders)",
         )
         assert sorted(result) == [(1,), (2,), (3,), (5,)]
 
     def test_except(self, people_db):
-        result = rows(
+        """EXCEPT is refused; NOT IN (SELECT ...) says the same."""
+        rejects(
             people_db,
             "SELECT id FROM people EXCEPT SELECT pid FROM orders",
+            "EXCEPT",
+        )
+        result = rows(
+            people_db,
+            "SELECT DISTINCT id FROM people WHERE id NOT IN "
+            "(SELECT pid FROM orders)",
         )
         assert result == [(4,)]
 
@@ -268,25 +299,46 @@ class TestSubqueries:
         assert result == [("dan",)]
 
     def test_scalar_subquery(self, people_db):
-        result = rows(
+        """A subquery used as a value is refused; IN (SELECT ...) says
+        the same."""
+        rejects(
             people_db,
             "SELECT name FROM people WHERE age = (SELECT MAX(age) FROM people)",
+            "scalar subquery",
+        )
+        result = rows(
+            people_db,
+            "SELECT name FROM people WHERE age IN (SELECT MAX(age) FROM people)",
         )
         assert result == [("carol",)]
 
     def test_exists(self, people_db):
-        result = rows(
+        """EXISTS is refused; a constant IN (SELECT ...) says the same."""
+        rejects(
             people_db,
             "SELECT COUNT(*) FROM people WHERE EXISTS "
+            "(SELECT 1 FROM orders WHERE amount > 100)",
+            "EXISTS",
+        )
+        result = rows(
+            people_db,
+            "SELECT COUNT(*) FROM people WHERE 1 IN "
             "(SELECT 1 FROM orders WHERE amount > 100)",
         )
         assert result == [(5,)]
 
     def test_from_subquery(self, people_db):
-        result = rows(
+        """A derived table is refused; a CTE says the same."""
+        rejects(
             people_db,
             "SELECT s.c FROM (SELECT city AS c, COUNT(*) AS n FROM people "
             "GROUP BY city) AS s WHERE s.n = 2",
+            "derived table",
+        )
+        result = rows(
+            people_db,
+            "WITH s AS (SELECT city AS c, COUNT(*) AS n FROM people "
+            "GROUP BY city) SELECT s.c FROM s WHERE s.n = 2",
         )
         assert result == [("paris",)]
 

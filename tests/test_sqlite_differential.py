@@ -1,8 +1,10 @@
 """Differential testing of the relational engine against SQLite.
 
 SQLite serves as a semantics oracle for the SQL subset both systems share:
-projections, predicates (3VL, LIKE, IN, BETWEEN), joins, grouping,
-aggregates, set operations, ordering, CTEs and recursive CTEs.  Randomized
+projections, predicates (3VL, LIKE, IN, BETWEEN), equi joins, grouping,
+aggregates, UNION / UNION ALL, ordering, CTEs and recursive CTEs: the
+engine's kept surface (``tests/test_engine_surface.py`` checks that the
+pools stay inside it).  Randomized
 tables are loaded into both engines and each query must return the same
 multiset of rows.
 
@@ -41,17 +43,13 @@ QUERIES = [
     "SELECT COUNT(*) FROM t",
     "SELECT COUNT(b), SUM(a), MIN(a), MAX(b) FROM t",
     "SELECT b, COUNT(*) FROM t GROUP BY b",
-    "SELECT b, SUM(a) FROM t GROUP BY b HAVING COUNT(*) > 1",
     "SELECT t.a, u.c FROM t, u WHERE t.a = u.a",
     "SELECT t.a, u.c FROM t LEFT OUTER JOIN u ON t.a = u.a",
     "SELECT t.a FROM t JOIN u ON t.a = u.a WHERE u.c > 2",
     "SELECT a FROM t UNION SELECT a FROM u",
     "SELECT a FROM t UNION ALL SELECT a FROM u",
-    "SELECT a FROM t INTERSECT SELECT a FROM u",
-    "SELECT a FROM t EXCEPT SELECT a FROM u",
     "SELECT a FROM t ORDER BY a DESC LIMIT 3",
     "SELECT a, b FROM t ORDER BY b, a LIMIT 4 OFFSET 1",
-    "SELECT a FROM t WHERE a = (SELECT MAX(a) FROM u)",
     "SELECT CASE WHEN a > 3 THEN 'hi' ELSE 'lo' END FROM t",
     "SELECT a FROM t WHERE NOT (a > 3 AND b IS NOT NULL)",
     "WITH big AS (SELECT a FROM t WHERE a > 2) "
@@ -62,7 +60,6 @@ QUERIES = [
     "WHERE n < 7) SELECT SUM(n) FROM r",
     "SELECT u.c, COUNT(*) FROM t, u WHERE t.b = u.a GROUP BY u.c",
     "SELECT ABS(a - 4) FROM t ORDER BY 1",
-    "SELECT UPPER(s) FROM t WHERE s IS NOT NULL",
     "SELECT a % 3, COUNT(*) FROM t GROUP BY a % 3",
     # joins + aggregation
     "SELECT t.b, COUNT(u.c) FROM t LEFT OUTER JOIN u ON t.a = u.a GROUP BY t.b",
@@ -71,27 +68,25 @@ QUERIES = [
     # nested and correlated-free subqueries
     "SELECT a FROM t WHERE a IN (SELECT a FROM u WHERE c IN "
     "(SELECT b FROM t WHERE b IS NOT NULL))",
-    "SELECT (SELECT COUNT(*) FROM u), COUNT(*) FROM t",
-    "SELECT a FROM (SELECT a, COUNT(*) AS n FROM t GROUP BY a) AS s "
-    "WHERE s.n > 1",
+    "WITH s AS (SELECT a, COUNT(*) AS n FROM t GROUP BY a) "
+    "SELECT a FROM s WHERE s.n > 1",
     # expression corners
     "SELECT CASE WHEN b IS NULL THEN -1 WHEN b > 2 THEN b ELSE 0 END FROM t",
     "SELECT a FROM t WHERE (a > 2 AND a < 7) OR s = 'zz'",
     "SELECT COALESCE(b, a, 99) FROM t",
     "SELECT a * 1.5 FROM t WHERE a BETWEEN 1 AND 4",
     "SELECT s || '!' FROM t WHERE s IS NOT NULL",
-    "SELECT LENGTH(s) FROM t WHERE s IS NOT NULL ORDER BY 1",
     # set ops composed with the rest
     "SELECT a FROM t WHERE b IS NULL UNION SELECT a FROM u WHERE c > 3",
-    "SELECT COUNT(*) FROM (SELECT a FROM t UNION SELECT a FROM u) AS s",
-    "SELECT a FROM t INTERSECT SELECT a FROM t WHERE a > 2",
+    "WITH s AS (SELECT a FROM t UNION SELECT a FROM u) SELECT COUNT(*) FROM s",
+    # UNION over rows holding NULLs (NULLs are not distinct)
+    "SELECT b, s FROM t UNION SELECT b, s FROM t WHERE a > 4",
     # distinct / ordering interplay
     "SELECT DISTINCT a, b FROM t ORDER BY a DESC, b LIMIT 5",
     "SELECT DISTINCT s FROM t WHERE s LIKE '_2%'",
     # aggregates over expressions
     "SELECT SUM(a + COALESCE(b, 0)) FROM t",
     "SELECT MIN(s), MAX(s) FROM t",
-    "SELECT b, AVG(a) FROM t GROUP BY b HAVING AVG(a) >= 3",
     # recursive CTE joined to data
     "WITH RECURSIVE r(n) AS (SELECT 0 UNION ALL SELECT n + 1 FROM r "
     "WHERE n < 8) SELECT COUNT(*) FROM r, t WHERE r.n = t.a",
@@ -131,30 +126,23 @@ QUERIES = [
     "SELECT t.a, t.b, u.c FROM t LEFT OUTER JOIN u "
     "ON t.a = u.a AND t.b < u.c",
     "SELECT t.a, u.c FROM t, u WHERE t.a = u.a AND t.b + u.c > 4",
-    # pure theta joins (no equi key: nested loop)
-    "SELECT t.a, u.a FROM t, u WHERE t.a < u.a",
-    "SELECT t.a, u.c FROM t LEFT OUTER JOIN u ON t.b > u.c",
     # ORDER BY over NULLs and over mixed int/float keys
     "SELECT b, a FROM t ORDER BY b DESC, a LIMIT 5",
     "SELECT b, a FROM t ORDER BY b, a DESC LIMIT 5",
     "SELECT CASE WHEN a > 4 THEN a * 0.5 ELSE a END AS x, a FROM t "
     "ORDER BY x, a LIMIT 6",
-    # INTERSECT / EXCEPT over rows holding NULLs (NULLs are not distinct)
-    "SELECT b FROM t INTERSECT SELECT b FROM t WHERE a > 2",
-    "SELECT b, s FROM t EXCEPT SELECT b, s FROM t WHERE a > 4",
-    "SELECT b, s FROM t INTERSECT SELECT b, s FROM t WHERE a < 6",
     # LIMIT over a join whose every probe row fans out past BATCH_SIZE
     # (12 rows cubed on each side, all on one key)
-    "SELECT x.k FROM (SELECT 0 AS k FROM t a, t b, t c) AS x, "
-    "(SELECT 0 AS k FROM t a, t b, t c) AS y WHERE x.k = y.k "
-    "LIMIT 1100 OFFSET 7",
+    "WITH x AS (SELECT 0 AS k FROM t a JOIN t b ON a.a * 0 = b.a * 0 "
+    "JOIN t c ON b.a * 0 = c.a * 0) "
+    "SELECT x.k FROM x, x y WHERE x.k = y.k LIMIT 1100 OFFSET 7",
 ]
 
 #: parameterized writes, each run with two bindings in turn: the second
 #: run re-opens the statement's cached plan.  WHERE shapes: ``=``, ``IN``,
 #: ranges, prefix ``LIKE``, ``IN (SELECT ...)``, a conjunct naming no
-#: column; SET shapes: constants, expressions of the old row, a scalar
-#: subquery.  The INSERT and the UPDATE of ``u`` change what the
+#: column; SET shapes: constants, expressions of the old row, a CASE
+#: over ``IN (SELECT ...)``.  The INSERT and the UPDATE of ``u`` change what the
 #: subqueries read between executions.
 DML = [
     ("UPDATE t SET b = ? WHERE a = ?", ([7, 3], [None, 5])),
@@ -167,8 +155,8 @@ DML = [
     ("UPDATE t SET b = ? WHERE a IN (SELECT a FROM u WHERE c > ?)",
      ([9, 2], [None, 4])),
     ("INSERT INTO u VALUES (?, ?)", ([1, 5], [6, 0])),
-    ("UPDATE t SET b = (SELECT MAX(c) FROM u WHERE a = ?) WHERE a < ?",
-     ([1, 4], [6, 9])),
+    ("UPDATE t SET b = CASE WHEN ? IN (SELECT c FROM u) THEN a ELSE 0 END "
+     "WHERE a < ?", ([1, 4], [6, 9])),
     ("UPDATE u SET c = c + ? WHERE a <= ?", ([1, 3], [2, 8])),
     ("UPDATE t SET b = ? WHERE ? IS NULL", ([5, 1], [6, None])),
     ("DELETE FROM t WHERE a IN (SELECT a FROM u WHERE c = ?)", ([2], [3])),

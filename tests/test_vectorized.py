@@ -195,8 +195,8 @@ class TestBlockBound:
         for sql in (
             "SELECT n, COUNT(*) FROM wide GROUP BY n",
             "SELECT n FROM wide ORDER BY n DESC",
-            "SELECT n FROM wide EXCEPT SELECT k FROM seed",
-            "SELECT w.n FROM seed s, wide w WHERE s.k <> w.n",
+            "SELECT n FROM wide UNION SELECT k FROM seed",
+            "SELECT w.n FROM seed s, wide w WHERE s.k = w.k AND s.k <> w.n",
         ):
             blocks = list(self._plan(database, sql).batches())
             assert sum(b.selected_count() for b in blocks) >= self.FANOUT - 1

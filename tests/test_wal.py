@@ -46,14 +46,15 @@ class TestFraming:
         assert len(set(lsns)) == 5
         assert log.last_lsn == lsns[-1]
 
-    def test_thread_local_txid(self, log):
-        log.set_txid(42)
-        log.append("insert", ("t", (0, 0), (1,)))
-        log.set_txid(0)
-        log.append("insert", ("t", (0, 1), (2,)))
+    def test_log_op_records_its_txid(self, log):
+        """An op is logged under the txid its caller passes (the table's
+        transaction, 0 in autocommit): no per-thread state decides it."""
+        log.log_op("insert", 42, "t", (0, 0), (1,))
+        log.log_op("insert", 0, "t", (0, 1), (2,))
         log.flush()
         records, __, __torn = scan_log(log.path)
         assert [r[2] for r in records] == [42, 0]
+        assert records[0][3] == ("t", (0, 0), (1,))
 
     def test_pause_suspends_logging(self, log):
         log.append("meta", ("a", 1))

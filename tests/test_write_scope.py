@@ -141,6 +141,41 @@ def test_rollback_from_another_thread_runs_the_undo(database):
     assert rows(database) == [(1, "a")]
 
 
+@pytest.mark.parametrize("finish", ["commit", "rollback"])
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_finish_from_another_thread_frees_the_thread(tmp_path, durable,
+                                                     finish):
+    """A transaction committed or rolled back by another thread is no
+    longer the scope of the thread that began it: that thread's next
+    statement autocommits under txid 0, holds no lock afterwards, and
+    survives a reopen."""
+    path = str(tmp_path / "db") if durable else None
+    database = Database(path=path, lock_timeout=1.0, wal_fsync="off")
+    database.execute("CREATE TABLE t (k INTEGER)")
+    transaction = database.begin()
+    database.execute("INSERT INTO t VALUES (1)")
+    finisher = threading.Thread(target=getattr(transaction, finish))
+    finisher.start()
+    finisher.join(timeout=10)
+    assert not finisher.is_alive()
+    assert database.current_transaction() is None
+    database.execute("INSERT INTO t VALUES (2)")
+    kept = [1, 2] if finish == "commit" else [2]
+    read = []
+    reader = threading.Thread(target=lambda: read.append(
+        sorted(database.execute("SELECT k FROM t").column())
+    ))
+    reader.start()
+    reader.join(timeout=10)
+    assert read == [kept]
+    database.begin().commit()
+    database.close()
+    if durable:
+        database = Database(path=path)
+        assert sorted(database.execute("SELECT k FROM t").column()) == kept
+        database.close()
+
+
 def test_begin_inside_a_scope_raises(database):
     with database.scope(writes=("t",)):
         with pytest.raises(TransactionError):
