@@ -6,12 +6,9 @@ whole package and reports any cycle in it:
 
 * **nodes** are locks, identified as ``Class.attr`` for every attribute
   assigned a ``threading.Lock()`` / ``RLock()`` / ``Condition()`` (and
-  for function-local lock variables, ``path:name``).  All table-level
-  reader/writer locks handed out by ``LockManager`` — including the
-  catalog lock — collapse into one ``<table-locks>`` node, because
-  ``LockManager.acquire`` takes them in global name order, which makes
-  ordering *within* that family safe by construction (self-edges on the
-  node are therefore ignored);
+  for function-local lock variables, ``path:name``).  The table locks
+  are no node: ``LockManager`` grants a statement's whole set at once
+  under its one condition, which is an ordinary node;
 * **edges** ``A -> B`` mean: some code path acquires B (directly via
   ``with``, or transitively through calls) while holding A.
 
@@ -22,9 +19,7 @@ class defined in the linted tree (and unambiguously so), and bare
 ``name()`` resolves to a function in the same module.  Unresolvable
 calls contribute no edges — the graph can miss edges through dynamic
 dispatch, but an edge it *does* report corresponds to a concrete code
-path.  ``ReadWriteLock.acquire_read`` / ``acquire_write`` call sites are
-table-lock acquisitions regardless of receiver (the method names are
-unique to that class).
+path.
 """
 
 from __future__ import annotations
@@ -34,11 +29,7 @@ import ast
 from repro.analysis.concurrency import _self_attr
 from repro.analysis.core import Finding
 
-#: merged node for every LockManager-issued reader/writer lock
-TABLE_LOCKS = "<table-locks>"
-
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition"}
-_RWLOCK_METHODS = {"acquire_read", "acquire_write"}
 
 
 def _is_lock_factory(call):
@@ -125,9 +116,6 @@ class Package:
                         attr = _self_attr(target)
                         if attr and _is_lock_factory(statement.value):
                             locks[attr] = f"{class_node.name}.{attr}"
-                        elif attr and _called_class(statement.value) \
-                                == "ReadWriteLock":
-                            locks[attr] = TABLE_LOCKS
 
     def _note_receiver(self, target, value):
         class_name = _called_class(value)
@@ -192,15 +180,11 @@ class Package:
 
 
 def _call_acquires(package, function, call):
-    """Locks a call may acquire: table-lock entry points + callee summary."""
-    acquired = set()
-    fn = call.func
-    if isinstance(fn, ast.Attribute) and fn.attr in _RWLOCK_METHODS:
-        acquired.add(TABLE_LOCKS)
+    """Locks a call may acquire: its callee's summary."""
     callee = package.resolve_call(function, call)
-    if callee is not None:
-        acquired |= package.functions[callee].may_acquire
-    return acquired
+    if callee is None:
+        return set()
+    return package.functions[callee].may_acquire
 
 
 def build_graph(files):
@@ -216,9 +200,6 @@ def build_graph(files):
                     if lock:
                         function.direct.add(lock)
             elif isinstance(node, ast.Call):
-                fn = node.func
-                if isinstance(fn, ast.Attribute) and fn.attr in _RWLOCK_METHODS:
-                    function.direct.add(TABLE_LOCKS)
                 callee = package.resolve_call(function, node)
                 if callee is not None:
                     function.calls.add(callee)
@@ -241,8 +222,6 @@ def build_graph(files):
     def note(held, acquired, source_file, line):
         for a in held:
             for b in acquired:
-                if a == b and a == TABLE_LOCKS:
-                    continue  # name-ordered within the family
                 edges.setdefault((a, b), (source_file.relative, line))
 
     def walk(function, node, held):

@@ -21,7 +21,10 @@ from repro.baselines.latency import ClientServerLink
 from repro.graph.blueprints import Direction, GraphInterface
 from repro.gremlin.interpreter import GremlinInterpreter
 from repro.gremlin.parser import parse_gremlin
-from repro.relational.locks import ReadWriteLock
+from repro.relational.locks import LockManager
+
+#: the one name the store-wide lock is taken under
+_STORE = ("store",)
 
 
 class SortedKV:
@@ -139,7 +142,7 @@ class KVGraphStore(GraphInterface):
         self._kv = SortedKV()
         self.client = client if client is not None else ClientServerLink()
         self._interpreter = GremlinInterpreter(self)
-        self._write_lock = ReadWriteLock("kv-store")
+        self._lock = LockManager()
         self._indexes: set[str] = set()
         self._vertex_ids = set()
         self._edge_count = 0
@@ -179,11 +182,11 @@ class KVGraphStore(GraphInterface):
     # ------------------------------------------------------------------
     def query(self, gremlin_text):
         parsed = parse_gremlin(gremlin_text)
-        self._write_lock.acquire_read()
+        held = self._lock.acquire(_STORE, ())
         try:
             return self._interpreter.run(parsed)
         finally:
-            self._write_lock.release_read()
+            self._lock.release(*held)
 
     def run(self, gremlin_text):
         out = []
@@ -316,11 +319,11 @@ class KVGraphStore(GraphInterface):
 
     def _write(self, fn):
         self.client.round_trip()
-        self._write_lock.acquire_write()
+        held = self._lock.acquire((), _STORE)
         try:
             return fn()
         finally:
-            self._write_lock.release_write()
+            self._lock.release(*held)
 
     def add_vertex(self, vertex_id=None, properties=None):
         def apply():

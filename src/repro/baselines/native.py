@@ -13,14 +13,15 @@ Architecture being simulated:
 
 from __future__ import annotations
 
-import threading
-
 from repro.baselines.latency import ClientServerLink
 from repro.graph.blueprints import GraphInterface
 from repro.graph.model import PropertyGraph
 from repro.gremlin.interpreter import GremlinInterpreter
 from repro.gremlin.parser import parse_gremlin
-from repro.relational.locks import ReadWriteLock
+from repro.relational.locks import LockManager
+
+#: the one name the store-wide lock is taken under
+_STORE = ("store",)
 
 
 class NativeGraphStore(GraphInterface):
@@ -30,7 +31,7 @@ class NativeGraphStore(GraphInterface):
         self.graph = PropertyGraph()
         self.client = client if client is not None else ClientServerLink()
         self._interpreter = GremlinInterpreter(self)
-        self._write_lock = ReadWriteLock("native-store")
+        self._lock = LockManager()
         self._indexes: dict[str, dict] = {}  # key -> value -> [vertex ids]
 
     # ------------------------------------------------------------------
@@ -62,11 +63,11 @@ class NativeGraphStore(GraphInterface):
     def query(self, gremlin_text):
         """Evaluate a Gremlin query; returns the list of result objects."""
         parsed = parse_gremlin(gremlin_text)
-        self._write_lock.acquire_read()
+        held = self._lock.acquire(_STORE, ())
         try:
             return self._interpreter.run(parsed)
         finally:
-            self._write_lock.release_read()
+            self._lock.release(*held)
 
     def run(self, gremlin_text):
         """Like query(), but maps elements to their ids (comparable to
@@ -147,11 +148,11 @@ class NativeGraphStore(GraphInterface):
 
     def _write(self, fn):
         self.client.round_trip()
-        self._write_lock.acquire_write()
+        held = self._lock.acquire((), _STORE)
         try:
             return fn()
         finally:
-            self._write_lock.release_write()
+            self._lock.release(*held)
 
     def add_vertex(self, vertex_id=None, properties=None):
         return self._write(lambda: self.graph.add_vertex(vertex_id, properties))

@@ -1,97 +1,64 @@
-"""Tokenizer for the Gremlin-Groovy pipeline subset."""
+"""Tokenizer for the Gremlin-Groovy pipeline subset.
+
+One compiled pattern matches every token kind; a text it cannot match at
+some offset holds an unexpected character or an unterminated string.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 
 from repro.gremlin.errors import GremlinSyntaxError
 
-OPERATORS = [
-    "==", "!=", "<=", ">=", "&&", "||", "..", "<", ">", "!", "(", ")", "{",
-    "}", "[", "]", ",", ".", "+", "-", "*", "/", "%", "=",
-]
+#: one token: ``kind`` is IDENT, NUMBER, STRING, OP or EOF, ``value`` its
+#: text (a STRING's unescaped body), ``position`` its start offset
+Token = namedtuple("Token", "kind value position")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT, NUMBER, STRING, OP, EOF
-    value: str
-    position: int
+_TOKEN = re.compile(
+    r"""
+      (?P<SKIP>[ \t\r\n]+|//[^\n]*)
+    | (?P<STRING>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+    # a "." starts a decimal part only before a digit: 1..3 is a range;
+    # an exponent is e/E, a sign or digit, then any digits
+    | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][-+\d]\d*)?)
+    | (?P<IDENT>[^\W\d]\w*)
+    | (?P<OP>==|!=|<=|>=|&&|\|\||\.\.|[<>!(){}\[\],.+\-*/%=])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 def tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        char = text[i]
-        if char in " \t\r\n":
-            i += 1
+    append = tokens.append
+    position = 0
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        if start != position:
+            _refuse(text, position)
+        position = match.end()
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if char in "'\"":
-            value, i = _read_string(text, i, char)
-            tokens.append(Token("STRING", value, i))
-            continue
-        if char.isdigit():
-            value, i = _read_number(text, i)
-            tokens.append(Token("NUMBER", value, i))
-            continue
-        if char.isalpha() or char == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], start))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise GremlinSyntaxError(f"unexpected character {char!r} at {i}")
-    tokens.append(Token("EOF", "", n))
+        value = match.group()
+        if kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(
+                    lambda escape: _ESCAPES.get(escape[1], escape[1]), value
+                )
+        append(Token(kind, value, start))
+    if position != len(text):
+        _refuse(text, position)
+    append(Token("EOF", "", len(text)))
     return tokens
 
 
-def _read_string(text, start, quote):
-    parts = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        char = text[i]
-        if char == "\\" and i + 1 < n:
-            escape = text[i + 1]
-            parts.append({"n": "\n", "t": "\t"}.get(escape, escape))
-            i += 2
-            continue
-        if char == quote:
-            return "".join(parts), i + 1
-        parts.append(char)
-        i += 1
-    raise GremlinSyntaxError(f"unterminated string starting at {start}")
-
-
-def _read_number(text, start):
-    i = start
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    # ".." is a range operator, a single "." a decimal point
-    if i < n and text[i] == "." and not text.startswith("..", i):
-        if i + 1 < n and text[i + 1].isdigit():
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-    if i < n and text[i] in "eE" and i + 1 < n and (
-        text[i + 1].isdigit() or text[i + 1] in "+-"
-    ):
-        i += 2
-        while i < n and text[i].isdigit():
-            i += 1
-    return text[start:i], i
+def _refuse(text, position):
+    char = text[position]
+    if char in "'\"":
+        raise GremlinSyntaxError(f"unterminated string starting at {position}")
+    raise GremlinSyntaxError(f"unexpected character {char!r} at {position}")

@@ -175,32 +175,24 @@ class Catalog:
 
 class _LockHolder:
     """What a write scope and a transaction share: the names of the tables
-    this thread holds for read (``reads``) and for write (``writes``), the
-    tokens in ``lock_tokens`` that release them, and how a nested scope
-    adds its own."""
+    this thread holds for read (``reads``) and for write (``writes``), as
+    the normalized sets :meth:`LockManager.acquire` granted and
+    :meth:`LockManager.release` gives back, and how a nested scope adds
+    its own."""
 
     __slots__ = ()
 
     def join(self, locks, reads, writes):
-        """Take the locks of *reads* and *writes* not held yet.  A table
-        held for read and now written has its read lock released first
-        (a brief window: the upgrade is not atomic)."""
+        """Take the locks of *reads* and *writes* not held yet, in one
+        grant.  A table held for read and now written is upgraded in place
+        (see :mod:`repro.relational.locks`); a failed call changes nothing
+        this holder holds."""
+        held = self.reads | self.writes
         writes = set(writes).difference(self.writes)
-        upgrades = writes.intersection(self.reads)
-        for name in upgrades:
-            self._release_read(name)
-        reads = set(reads).difference(self.reads, self.writes, writes)
-        self.lock_tokens.append(locks.acquire(reads, writes))
-        self.reads = set(self.reads).difference(upgrades).union(reads)
-        self.writes = set(self.writes).union(writes)
-
-    def _release_read(self, name):
-        for token in self.lock_tokens:
-            for i, (lock, mode) in enumerate(token):
-                if lock.name == name and mode == "r":
-                    lock.release_read()
-                    del token[i]
-                    return
+        reads = set(reads).difference(held, writes)
+        reads, writes = locks.acquire(reads, writes, holding=held)
+        self.reads = (self.reads - writes) | reads
+        self.writes = self.writes | writes
 
 
 class WriteScope(_LockHolder):
@@ -208,8 +200,8 @@ class WriteScope(_LockHolder):
     locks tables, and the one place an autocommit write becomes durable.
 
     The outermost scope of a thread takes its locks and becomes the
-    thread's scope (*reads* and *writes* are kept as given, so they must
-    not change while it is open); a scope opened inside it, or inside an
+    thread's scope (its *reads* and *writes* become the normalized sets
+    the lock manager granted); a scope opened inside it, or inside an
     explicit transaction, adds its locks to that one instead, and nothing
     is released or committed until the outermost exits.  That exit releases
     every lock, then — when it exits normally holding a write lock —
@@ -220,7 +212,7 @@ class WriteScope(_LockHolder):
     calling thread's scope holds that table's write lock.
     """
 
-    __slots__ = ("database", "reads", "writes", "lock_tokens", "outermost")
+    __slots__ = ("database", "reads", "writes", "outermost")
 
     #: undo is recorded only inside an explicit transaction
     transaction = None
@@ -237,7 +229,9 @@ class WriteScope(_LockHolder):
         owner = database._current_scope()
         self.outermost = owner is None
         if owner is None:
-            self.lock_tokens = [database.locks.acquire(self.reads, self.writes)]
+            self.reads, self.writes = database.locks.acquire(
+                self.reads, self.writes
+            )
             database._local.scope = self
         else:
             owner.join(database.locks, self.reads, self.writes)
@@ -248,8 +242,7 @@ class WriteScope(_LockHolder):
             return False
         database = self.database
         database._local.scope = None
-        for token in reversed(self.lock_tokens):
-            LockManager.release(token)
+        database.locks.release(self.reads, self.writes)
         if exc_type is None and self.writes:
             wal = database.wal
             if wal is not None and not wal.closed:
@@ -272,7 +265,6 @@ class Transaction(_LockHolder):
         #: redone at recovery only if the matching COMMIT record survives
         self.txid = txid
         self.undo = []  # (kind, table, rid, old_row)
-        self.lock_tokens = []
         self.reads = set()
         self.writes = set()
         self.active = True
@@ -341,10 +333,8 @@ class Transaction(_LockHolder):
                 wal.append(outcome, txid=self.txid)
                 wal.commit_point()
         finally:
-            for token in reversed(self.lock_tokens):
-                LockManager.release(token)
+            database.locks.release(self.reads, self.writes)
             self.undo.clear()
-            self.lock_tokens.clear()
             self.reads.clear()
             self.writes.clear()
             database._transaction_finished(self.txid)
@@ -627,13 +617,13 @@ class Database:
                 return False
         from repro.relational import recovery
 
-        token = self.locks.acquire((), self.catalog.table_names())
+        reads, writes = self.locks.acquire((), self.catalog.table_names())
         try:
             self.wal.sync()
             recovery.write_snapshot(self, self.path)
             self.wal.reset(self.wal.last_lsn)
         finally:
-            LockManager.release(token)
+            self.locks.release(reads, writes)
         return True
 
     def put_meta(self, key, value):

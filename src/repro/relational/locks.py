@@ -1,15 +1,27 @@
-"""Table-level reader/writer locks.
+"""Table-level reader/writer locks: one lock table.
 
 The engine uses strict two-phase locking at table granularity: statements in
 autocommit mode lock for their own duration; statements inside an explicit
-transaction hold locks until commit/rollback.  Lock acquisition is globally
-ordered by table name, which makes deadlock impossible for single-statement
-lock sets and for transactions that pre-declare their tables.
+transaction hold locks until commit/rollback.  One :class:`LockManager`
+keeps every table's readers, writer and waiting writers under one
+condition variable, and grants a statement's whole lock set at once or
+waits for all of it, so no acquisition order is needed: a request that
+holds nothing while it waits cannot deadlock.
+
+Writers have preference: a waiting writer holds back the readers of its
+tables that arrive after it.  A caller that already holds locks (an
+explicit transaction, or a scope nested in one) names them as *holding*:
+it queues behind no writer, which may wait for what it holds, and a table
+it holds for read and now writes is upgraded in place, keeping the read
+lock until the write lock is granted.  Two holders upgrading one table can
+never both be granted, so the second fails at once; other deadlocks
+between transactions end in the lock timeout.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain, count
 from time import perf_counter
 
 from repro.relational.errors import LockTimeoutError
@@ -35,64 +47,45 @@ def resolve_lock_timeout(explicit=None):
     ) / 1000.0
 
 
-class ReadWriteLock:
-    """A classic reader/writer lock with writer preference."""
+class _Entry:
+    """One table's row of the lock table: its ``readers`` and ``writer``,
+    the arrival tickets of the writers waiting for it (``queue``), how
+    many requests of either kind wait for it (``waiters``), and whether a
+    holder of a read lock on it waits to write it (``upgrading``).  A row
+    nothing holds or waits for is dropped."""
 
-    def __init__(self, name=""):
-        self.name = name
-        self._condition = threading.Condition()
-        self._readers = 0  # guarded-by: _condition
-        self._writer = False  # guarded-by: _condition
-        self._waiting_writers = 0  # guarded-by: _condition
+    __slots__ = ("readers", "writer", "queue", "waiters", "upgrading")
 
-    def _wait(self, ready, timeout, mode):  # holds: _condition
-        """Block until *ready()*; returns the seconds waited.  The clock is
-        read only when the lock is not free at once."""
-        if ready():
-            return 0.0
-        started = perf_counter()
-        if not self._condition.wait_for(ready, timeout=timeout):
-            raise LockTimeoutError(f"{mode} lock timeout on {self.name!r}")
-        return perf_counter() - started
+    def __init__(self):
+        self.readers = 0
+        self.writer = False
+        self.queue = []
+        self.waiters = 0
+        self.upgrading = False
 
-    def acquire_read(self, timeout=None):
-        """Take the lock shared; returns the seconds spent waiting."""
-        with self._condition:
-            waited = self._wait(
-                lambda: not self._writer and self._waiting_writers == 0,
-                timeout, "read",
-            )
-            self._readers += 1
-            return waited
 
-    def release_read(self):
-        with self._condition:
-            self._readers -= 1
-            if self._readers == 0:
-                self._condition.notify_all()
+class _Cap:
+    """The context :meth:`LockManager.cap` returns."""
 
-    def acquire_write(self, timeout=None):
-        """Take the lock exclusive; returns the seconds spent waiting."""
-        with self._condition:
-            self._waiting_writers += 1
-            try:
-                waited = self._wait(
-                    lambda: not self._writer and self._readers == 0,
-                    timeout, "write",
-                )
-                self._writer = True
-                return waited
-            finally:
-                self._waiting_writers -= 1
+    __slots__ = ("manager", "seconds", "previous")
 
-    def release_write(self):
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
+    def __init__(self, manager, seconds):
+        self.manager = manager
+        self.seconds = seconds
+
+    def __enter__(self):
+        local = self.manager._local
+        self.previous = getattr(local, "cap", None)
+        local.cap = self.seconds
+        return self.manager
+
+    def __exit__(self, exc_type, exc, tb):
+        self.manager._local.cap = self.previous
+        return False
 
 
 class LockManager:
-    """Owns one ReadWriteLock per table plus a catalog lock.
+    """The lock table: shared and exclusive locks on names (tables).
 
     :param timeout: lock-wait budget in seconds; ``None`` resolves from
         the ``REPRO_LOCK_TIMEOUT_MS`` environment variable (see
@@ -101,10 +94,10 @@ class LockManager:
 
     def __init__(self, timeout=None):
         self.timeout = resolve_lock_timeout(timeout)
-        self._guard = threading.Lock()
-        self._locks: dict[str, ReadWriteLock] = {}  # guarded-by: _guard
+        self._condition = threading.Condition()
+        self._table: dict[str, _Entry] = {}  # guarded-by: _condition
+        self._arrivals = count(1)  # guarded-by: _condition
         self._local = threading.local()
-        self.catalog_lock = ReadWriteLock("<catalog>")
 
     def cap(self, seconds):
         """``with locks.cap(s):`` — bound this thread's lock waits to *s*.
@@ -114,19 +107,7 @@ class LockManager:
         The tighter of the cap and the manager timeout wins; ``None`` is a
         no-op context.
         """
-        manager = self
-
-        class _Capped:
-            def __enter__(self):
-                self.previous = getattr(manager._local, "cap", None)
-                manager._local.cap = seconds
-                return manager
-
-            def __exit__(self, exc_type, exc, tb):
-                manager._local.cap = self.previous
-                return False
-
-        return _Capped()
+        return _Cap(self, seconds)
 
     def last_wait(self):
         """Seconds this thread's most recent :meth:`acquire` waited — the
@@ -140,48 +121,117 @@ class LockManager:
             return self.timeout
         return min(self.timeout, cap)
 
-    def lock_for(self, table_name):
-        with self._guard:
-            lock = self._locks.get(table_name)
-            if lock is None:
-                lock = self._locks[table_name] = ReadWriteLock(table_name)
-            return lock
+    def acquire(self, reads, writes, holding=()):
+        """Lock *reads* shared and *writes* exclusive, all at once.
 
-    def acquire(self, read_tables, write_tables):
-        """Acquire locks for a statement; returns an opaque release token.
-
-        Write locks subsume read locks on the same table.  Locks are taken in
-        global name order to avoid deadlock.  :meth:`effective_timeout`
-        bounds the whole call, not each lock: a lock may wait only for
-        what the waits before it left of that budget.
+        Returns the normalized ``(reads, writes)`` sets (lower-case; a
+        table in both is only written), which :meth:`release` gives back.
+        *holding* names the tables the caller already holds; a table in
+        *writes* and *holding* is held for read and is upgraded in place.
+        :meth:`effective_timeout` bounds the whole call, and a timeout
+        raises :class:`LockTimeoutError` naming a table still blocked.
         """
-        writes = {name.lower() for name in write_tables}
-        reads = {name.lower() for name in read_tables} - writes
-        plan = sorted(
-            [(name, "w") for name in writes] + [(name, "r") for name in reads]
-        )
-        timeout = self.effective_timeout()
-        acquired = []
+        writes = {name.lower() for name in writes}
+        reads = {name.lower() for name in reads}.difference(writes)
+        upgrades = writes.intersection(holding) if holding else ()
         waited = 0.0
-        try:
-            for name, mode in plan:
-                lock = self.lock_for(name)
-                left = max(0.0, timeout - waited)
-                if mode == "w":
-                    waited += lock.acquire_write(left)
-                else:
-                    waited += lock.acquire_read(left)
-                acquired.append((lock, mode))
-        except Exception:
-            self.release(acquired)
-            raise
+        with self._condition:
+            # a holder (ticket 0) queues behind nobody
+            ticket = 0 if holding else next(self._arrivals)
+            if self._blocked(reads, writes, upgrades, ticket) is not None:
+                waited = self._wait(reads, writes, upgrades, ticket)
+            table = self._table
+            for name in writes:
+                entry = table.setdefault(name, _Entry())
+                if name in upgrades:
+                    entry.readers -= 1  # the read lock becomes the write
+                entry.writer = True
+            for name in reads:
+                table.setdefault(name, _Entry()).readers += 1
         self._local.wait_s = waited
-        return acquired
+        return reads, writes
 
-    @staticmethod
-    def release(token):
-        for lock, mode in reversed(token):
-            if mode == "w":
-                lock.release_write()
-            else:
-                lock.release_read()
+    def release(self, reads, writes):
+        """Give back the locks of an :meth:`acquire` (or of several: a
+        holder's union of them)."""
+        with self._condition:
+            table = self._table
+            wake = False
+            for name in writes:
+                entry = table[name]
+                entry.writer = False
+                wake = wake or entry.waiters > 0
+            for name in reads:
+                entry = table[name]
+                entry.readers -= 1
+                # a writer may go at 0 readers, an upgrader at 1
+                wake = wake or (entry.waiters > 0 and entry.readers <= 1)
+            self._drop_idle(chain(reads, writes))
+            if wake:
+                self._condition.notify_all()
+
+    def _drop_idle(self, names):  # holds: _condition
+        """Drop the rows of *names* that nothing holds or waits for."""
+        table = self._table
+        for name in names:
+            entry = table[name]
+            if not (entry.readers or entry.writer or entry.waiters):
+                del table[name]
+
+    def _blocked(self, reads, writes, upgrades, ticket):  # holds: _condition
+        """The first table of the request that cannot be granted now, or
+        ``None`` when the whole set can."""
+        table = self._table
+        for name in writes:
+            entry = table.get(name)
+            if entry is not None and (
+                entry.writer or entry.readers > (name in upgrades)
+            ):
+                return name
+        for name in reads:
+            entry = table.get(name)
+            if entry is not None and (
+                entry.writer or (entry.queue and min(entry.queue) < ticket)
+            ):
+                return name
+        return None
+
+    def _wait(self, reads, writes, upgrades, ticket):  # holds: _condition
+        """Wait, queued on every table of the request, until the whole set
+        can be granted; returns the seconds waited."""
+        table = self._table
+        for name in upgrades:
+            if table[name].upgrading:
+                raise LockTimeoutError(
+                    f"write lock on {name!r} is already being upgraded by "
+                    "another holder"
+                )
+        for name in chain(reads, writes):
+            table.setdefault(name, _Entry()).waiters += 1
+        for name in writes:
+            table[name].queue.append(ticket)
+        for name in upgrades:
+            table[name].upgrading = True
+        started = perf_counter()
+        granted = False
+        try:
+            granted = self._condition.wait_for(
+                lambda: self._blocked(reads, writes, upgrades, ticket) is None,
+                self.effective_timeout(),
+            )
+            if not granted:
+                name = self._blocked(reads, writes, upgrades, ticket)
+                mode = "write" if name in writes else "read"
+                raise LockTimeoutError(f"{mode} lock timeout on {name!r}")
+        finally:
+            for name in upgrades:
+                table[name].upgrading = False
+            for name in writes:
+                table[name].queue.remove(ticket)
+            for name in chain(reads, writes):
+                table[name].waiters -= 1
+            if not granted:
+                self._drop_idle(chain(reads, writes))
+                if writes:  # a reader this writer held back may go now
+                    self._condition.notify_all()
+        return perf_counter() - started

@@ -54,3 +54,68 @@ class TestTokenize:
 
     def test_underscore_identifier(self):
         assert kinds("_()")[0] == ("IDENT", "_")
+
+    def test_every_token_records_its_start(self):
+        text = "g.v(12, 'ab', 2.5e3) // done"
+        assert [(token.value, token.position) for token in tokenize(text)] == [
+            ("g", 0), (".", 1), ("v", 2), ("(", 3), ("12", 4), (",", 6),
+            ("ab", 8), (",", 12), ("2.5e3", 14), (")", 19), ("", 28),
+        ]
+
+    @pytest.mark.parametrize("text, value", [
+        (r"'tab\there'", "tab\there"),
+        (r'"say \"hi\""', 'say "hi"'),
+        (r"'back\\slash'", "back\\slash"),
+        (r"'unknown \q kept'", "unknown q kept"),
+        ("'escaped \\\nnewline'", "escaped \nnewline"),
+        ("'raw\nnewline'", "raw\nnewline"),
+    ])
+    def test_escapes(self, text, value):
+        assert kinds(text) == [("STRING", value)]
+
+    @pytest.mark.parametrize("text, start", [
+        (r"'ends in a backslash\'", 0),
+        ("'a' + \"b", 6),
+    ])
+    def test_unterminated_string_names_its_start(self, text, start):
+        with pytest.raises(GremlinSyntaxError,
+                           match=f"unterminated string starting at {start}$"):
+            tokenize(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("// only a comment", []),
+        ("a//b\nc", [("IDENT", "a"), ("IDENT", "c")]),
+        ("a / b", [("IDENT", "a"), ("OP", "/"), ("IDENT", "b")]),
+        ("'not // a comment'", [("STRING", "not // a comment")]),
+    ])
+    def test_comments(self, text, expected):
+        assert kinds(text) == expected
+
+    @pytest.mark.parametrize("text, values", [
+        ("0..9", ["0", "..", "9"]),
+        ("[0..9]", ["[", "0", "..", "9", "]"]),
+        ("1.5..2", ["1.5", "..", "2"]),
+        ("3.x", ["3", ".", "x"]),
+    ])
+    def test_ranges(self, text, values):
+        assert [value for __, value in kinds(text)] == values
+
+    @pytest.mark.parametrize("text, values", [
+        ("1e3", ["1e3"]),
+        ("2.5E-4", ["2.5E-4"]),
+        ("7e+", ["7e+"]),
+        ("1e", ["1", "e"]),
+        ("1ex", ["1", "ex"]),
+        ("4e5.5", ["4e5", ".", "5"]),
+    ])
+    def test_exponents(self, text, values):
+        assert [value for __, value in kinds(text)] == values
+
+    @pytest.mark.parametrize("text, message", [
+        ("g.V @", "unexpected character '@' at 4"),
+        ("a & b", "unexpected character '&' at 2"),
+        ("a | b", "unexpected character '|' at 2"),
+    ])
+    def test_unexpected_character_position(self, text, message):
+        with pytest.raises(GremlinSyntaxError, match=f"^{message}$"):
+            tokenize(text)

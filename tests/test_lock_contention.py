@@ -7,6 +7,7 @@ writer contention, and the retryable ``LOCK_TIMEOUT`` wire error a remote
 client sees for the same situation.
 """
 
+import random
 import sys
 import threading
 import time
@@ -96,12 +97,12 @@ class TestPerThreadCap:
         assert seen == {"other": 30.0, "capped": 0.25}
 
     def test_cap_bounds_the_whole_acquire(self):
-        """One budget per acquire: a statement waiting on two locks in
-        turn gives up once the cap is spent, not after a full cap on
-        each lock."""
+        """One budget per acquire: a statement waiting on two locks gives
+        up once the cap is spent, though one of them frees up on the way."""
         locks = LockManager(timeout=30.0)
-        held = locks.acquire((), ("a", "b"))
-        releaser = threading.Timer(0.35, held[0][0].release_write)
+        held_a = locks.acquire((), ("a",))
+        held_b = locks.acquire((), ("b",))
+        releaser = threading.Timer(0.35, locks.release, args=held_a)
         releaser.start()
         started = time.perf_counter()
         try:
@@ -110,9 +111,73 @@ class TestPerThreadCap:
             elapsed = time.perf_counter() - started
         finally:
             releaser.join(timeout=5)
-            held[1][0].release_write()
-        assert held[0][0].name == "a"
+            locks.release(*held_b)
         assert elapsed < 0.4 + 0.2
+
+
+class TestLockTableStress:
+    def test_random_lock_sets_never_overlap_a_writer(self):
+        """Eight threads take random read/write sets over four names at a
+        short switch interval, crossing reads and writes in every order:
+        a writer never shares its table with another holder, and every
+        request is granted well inside the lock timeout."""
+        locks = LockManager(timeout=10.0)
+        names = ("a", "b", "c", "d")
+        occupancy = {name: [0, 0] for name in names}  # readers, writers
+        guard = threading.Lock()
+        overlaps = []
+        failures = []
+        finished = []
+
+        def occupy(reads, writes, step):
+            with guard:
+                for name in writes:
+                    if occupancy[name] != [0, 0]:
+                        overlaps.append((name, "w", list(occupancy[name])))
+                    occupancy[name][1] += step
+                for name in reads:
+                    if occupancy[name][1]:
+                        overlaps.append((name, "r", list(occupancy[name])))
+                    occupancy[name][0] += step
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for __ in range(300):
+                    writes = {name for name in names if rng.random() < 0.25}
+                    reads = {name for name in names if rng.random() < 0.4}
+                    reads, writes = locks.acquire(reads, writes)
+                    occupy(reads, writes, 1)
+                    time.sleep(0)
+                    with guard:
+                        for name in writes:
+                            occupancy[name][1] -= 1
+                        for name in reads:
+                            occupancy[name][0] -= 1
+                    locks.release(reads, writes)
+            except LockTimeoutError as exc:
+                failures.append(exc)
+            else:
+                finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert overlaps == []
+        assert sorted(finished) == list(range(8))
+        # nothing is left held: the whole set is free at once
+        with locks.cap(0.0):
+            locks.release(*locks.acquire((), names))
 
 
 class TestContentionStress:

@@ -2,12 +2,13 @@
 
 import random
 import threading
+import time
 
 import pytest
 
 from repro.relational import Database
 from repro.relational.errors import LockTimeoutError, TransactionError
-from repro.relational.locks import LockManager, ReadWriteLock
+from repro.relational.locks import LockManager
 from repro.relational.table import HeapTable
 from tests.crashkit import assert_states_equal, database_state
 
@@ -101,44 +102,81 @@ class TestTransactions:
 
 
 class TestReadWriteLock:
+    """Reader/writer semantics of one name in a :class:`LockManager`."""
+
     def test_multiple_readers(self):
-        lock = ReadWriteLock("x")
-        lock.acquire_read()
-        lock.acquire_read()
-        lock.release_read()
-        lock.release_read()
+        locks = LockManager(timeout=0.05)
+        first = locks.acquire(["x"], ())
+        second = locks.acquire(["x"], ())
+        locks.release(*first)
+        locks.release(*second)
+        locks.release(*locks.acquire((), ["x"]))
 
     def test_writer_blocks_reader(self):
-        lock = ReadWriteLock("x")
-        lock.acquire_write()
+        locks = LockManager(timeout=0.05)
+        held = locks.acquire((), ["x"])
         with pytest.raises(LockTimeoutError):
-            lock.acquire_read(timeout=0.05)
-        lock.release_write()
-        lock.acquire_read(timeout=0.05)
+            locks.acquire(["x"], ())
+        locks.release(*held)
+        locks.release(*locks.acquire(["x"], ()))
 
     def test_reader_blocks_writer(self):
-        lock = ReadWriteLock("x")
-        lock.acquire_read()
+        locks = LockManager(timeout=0.05)
+        held = locks.acquire(["x"], ())
         with pytest.raises(LockTimeoutError):
-            lock.acquire_write(timeout=0.05)
-        lock.release_read()
-        lock.acquire_write(timeout=0.05)
+            locks.acquire((), ["x"])
+        locks.release(*held)
+        locks.release(*locks.acquire((), ["x"]))
 
 
 class TestLockManager:
     def test_write_subsumes_read(self):
-        manager = LockManager(timeout=0.2)
-        token = manager.acquire(["t"], ["t"])
-        assert len(token) == 1
-        assert token[0][1] == "w"
-        LockManager.release(token)
+        manager = LockManager(timeout=0.05)
+        reads, writes = manager.acquire(["T"], ["t"])
+        assert (reads, writes) == (set(), {"t"})
+        with pytest.raises(LockTimeoutError):
+            manager.acquire(["t"], ())
+        manager.release(reads, writes)
+        manager.release(*manager.acquire(["t"], ()))
 
-    def test_ordered_acquisition(self):
-        manager = LockManager(timeout=0.2)
-        token = manager.acquire(["b", "a"], ["c"])
-        names = [lock.name for lock, __ in token]
-        assert names == sorted(names)
-        LockManager.release(token)
+    def test_whole_set_or_nothing(self):
+        """A set that cannot be granted whole takes none of it, so the
+        free table of a timed-out request stays free."""
+        manager = LockManager(timeout=0.05)
+        held = manager.acquire((), ["b"])
+        with pytest.raises(LockTimeoutError, match="'b'"):
+            manager.acquire(["c"], ["a", "b"])
+        manager.release(*manager.acquire((), ["a", "c"]))
+        manager.release(*held)
+
+    def test_holder_does_not_queue_behind_a_waiting_writer(self):
+        """A writer waiting for x and y holds back new readers of y, but
+        not the holder of x, whose read of y the writer is waiting on."""
+        manager = LockManager(timeout=5)
+        held = manager.acquire((), ["x"])
+        writer = threading.Thread(
+            target=lambda: manager.release(*manager.acquire((), ["x", "y"]))
+        )
+        writer.start()
+
+        def writer_queued():
+            try:
+                with manager.cap(0.0):
+                    manager.release(*manager.acquire(["y"], ()))
+            except LockTimeoutError:
+                return True
+            return False
+
+        deadline = time.monotonic() + 5
+        while not writer_queued() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert writer_queued()
+        with manager.cap(0.2):
+            more = manager.acquire(["y"], (), holding=held[1])
+        manager.release(*more)
+        manager.release(*held)
+        writer.join(timeout=5)
+        assert not writer.is_alive()
 
     def test_transaction_holds_locks_until_commit(self):
         database = make_db()
@@ -192,6 +230,98 @@ class TestLockManager:
         for thread in threads:
             thread.join()
         assert database.execute("SELECT COUNT(*) FROM t").scalar() == 82
+
+
+class TestLockUpgrade:
+    """A transaction that read a table and then writes it upgrades its
+    read lock in place: it never lets go of the table in between."""
+
+    @staticmethod
+    def counter_db(lock_timeout):
+        database = Database(lock_timeout=lock_timeout)
+        database.execute("CREATE TABLE c (id INTEGER PRIMARY KEY, n INTEGER)")
+        database.execute("INSERT INTO c VALUES (1, 0)")
+        return database
+
+    def test_read_then_write_loses_no_update(self):
+        """Two read-then-increment transactions: one commits, the other
+        cannot upgrade while the first also holds the read lock, so it
+        fails instead of writing a stale count."""
+        database = self.counter_db(lock_timeout=5)
+        both_read = threading.Barrier(2)
+        outcomes = []
+        guard = threading.Lock()
+
+        def increment():
+            try:
+                with database.transaction():
+                    n = database.execute(
+                        "SELECT n FROM c WHERE id = 1"
+                    ).scalar()
+                    both_read.wait(timeout=5)
+                    database.execute(
+                        "UPDATE c SET n = ? WHERE id = 1", [n + 1]
+                    )
+            except LockTimeoutError:
+                outcome = "timeout"
+            else:
+                outcome = "commit"
+            with guard:
+                outcomes.append(outcome)
+
+        threads = [threading.Thread(target=increment) for __ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == ["commit", "timeout"]
+        final = database.execute("SELECT n FROM c WHERE id = 1").scalar()
+        assert final == outcomes.count("commit")
+
+    def test_failed_upgrade_keeps_the_read_lock(self):
+        database = self.counter_db(lock_timeout=0.2)
+        reader_holds, reader_done = threading.Event(), threading.Event()
+
+        def other_reader():
+            with database.transaction():
+                database.execute("SELECT n FROM c WHERE id = 1")
+                reader_holds.set()
+                reader_done.wait(timeout=10)
+
+        reader = threading.Thread(target=other_reader)
+        reader.start()
+        transaction = database.begin()
+        try:
+            assert database.execute(
+                "SELECT n FROM c WHERE id = 1"
+            ).scalar() == 0
+            assert reader_holds.wait(timeout=5)
+            with pytest.raises(LockTimeoutError):
+                database.execute("UPDATE c SET n = 1 WHERE id = 1")
+            reader_done.set()
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+            raised = []
+
+            def writer():
+                try:
+                    database.execute("UPDATE c SET n = 5 WHERE id = 1")
+                except LockTimeoutError as exc:
+                    raised.append(exc)
+
+            other = threading.Thread(target=writer)
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+            assert len(raised) == 1
+            assert database.execute(
+                "SELECT n FROM c WHERE id = 1"
+            ).scalar() == 0
+        finally:
+            reader_done.set()
+            transaction.rollback()
+        assert database.execute("SELECT n FROM c WHERE id = 1").scalar() == 0
 
 
 def property_db():
