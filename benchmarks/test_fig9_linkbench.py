@@ -62,36 +62,52 @@ def _build_adapters(node_count, stores=("sqlgraph", "titan-like(kv)",
     return data, adapters
 
 
-def _throughput(data, adapter, requesters):
-    result = run_throughput(
-        adapter,
-        lambda rid: linkbench.RequestGenerator(data, seed=13, requester_id=rid),
-        requesters=requesters,
-        duration=DURATION,
-    )
-    return result.ops_per_second
+def _throughput(data, adapter):
+    """Ops/sec at each of REQUESTERS, and the ops that failed in all runs.
+
+    The runs share one store, so each takes requester ids no earlier run
+    used: a generator creates nodes and links from its requester's own id
+    range, and a reused range would re-add what an earlier run added.
+    """
+    cells, errors, first_id = [], 0, 0
+    for requesters in REQUESTERS:
+        result = run_throughput(
+            adapter,
+            lambda rid, first_id=first_id: linkbench.RequestGenerator(
+                data, seed=13, requester_id=first_id + rid
+            ),
+            requesters=requesters,
+            duration=DURATION,
+        )
+        cells.append(result.ops_per_second)
+        errors += result.errors
+        first_id += requesters
+    return cells, errors
 
 
 def test_fig9_linkbench_throughput(benchmark):
     rows = []
     summary = {}
+    failed = {}
     for node_count in SCALES:
         data, adapters = _build_adapters(node_count)
         for name, adapter in adapters.items():
-            cells = [
-                _throughput(data, adapter, requesters)
-                for requesters in REQUESTERS
-            ]
-            summary[(name, node_count)] = cells
-            rows.append([name, node_count] + [round(cell, 1) for cell in cells])
+            key = (name, node_count)
+            cells, failed[key] = _throughput(data, adapter)
+            summary[key] = cells
+            rows.append([name, node_count] + [round(cell, 1) for cell in cells]
+                        + [failed[key]])
     record(
         "fig9_linkbench",
         format_table(
-            ["system", "nodes"] + [f"{r} req" for r in REQUESTERS],
+            ["system", "nodes"] + [f"{r} req" for r in REQUESTERS]
+            + ["errors"],
             rows,
             title="Figure 9 — LinkBench throughput (ops/sec)",
         ),
     )
+    # every SQLGraph request succeeds: a failed op is not throughput
+    assert [failed[("sqlgraph", n)] for n in SCALES] == [0] * len(SCALES)
     largest = SCALES[-1]
     sql = summary[("sqlgraph", largest)]
     kv = summary[("titan-like(kv)", largest)]
@@ -114,20 +130,21 @@ def test_fig9d_largest_scale(benchmark):
     )
     rows = []
     summary = {}
+    failed = {}
     for name, adapter in adapters.items():
-        cells = [
-            _throughput(data, adapter, requesters) for requesters in REQUESTERS
-        ]
+        cells, failed[name] = _throughput(data, adapter)
         summary[name] = cells
-        rows.append([name] + [round(cell, 1) for cell in cells])
+        rows.append([name] + [round(cell, 1) for cell in cells]
+                    + [failed[name]])
     record(
         "fig9d_largest",
         format_table(
-            ["system"] + [f"{r} req" for r in REQUESTERS],
+            ["system"] + [f"{r} req" for r in REQUESTERS] + ["errors"],
             rows,
             title="Figure 9d — largest LinkBench graph (ops/sec)",
         ),
     )
+    assert failed["sqlgraph"] == 0
     # paper shape: ~30x advantage at high concurrency on the largest graph
     assert summary["sqlgraph"][2] > 10 * summary["neo4j-like(native)"][2]
 

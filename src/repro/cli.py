@@ -42,8 +42,8 @@ cost-based planner uses for selectivity and join ordering (see
 docs/OPTIMIZER.md); ``:stats`` then lists the analyzed tables.
 
 ``:pagerank``, ``:components``, ``:labelprop`` and ``:sssp`` run the bulk
-analytics drivers (iterated SQL joins/aggregates over scratch tables, see
-docs/ANALYTICS.md) over the live graph and summarize the result plus the
+analytics drivers (iterated SQL joins/aggregates over a copy of the
+graph, see docs/ANALYTICS.md) over the live graph and summarize the result plus the
 per-run iteration/convergence statistics.
 
 ``--path`` opens a durable store: the first run loads the dataset and

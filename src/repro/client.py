@@ -54,8 +54,8 @@ ALWAYS_IDEMPOTENT_OPS = frozenset({"ping", "stats"})
 #: read-only ops: safe to re-send unless the session had an open
 #: transaction (the transaction died with the old connection, so a
 #: retried read would silently run outside it).  ``analytics`` belongs
-#: here — a run reads a frozen scratch copy of the graph and writes
-#: nothing, so a reconnect-and-retry returns the same answer.
+#: here — a run reads a frozen copy of the graph and writes nothing to
+#: the store, so a reconnect-and-retry returns the same answer.
 READ_ONLY_OPS = frozenset({"gremlin", "run", "analytics", "hop", "fetch"})
 
 #: ``crud`` sub-actions that only read (everything else mutates and must
@@ -328,8 +328,8 @@ class SQLGraphClient:
     def analytics(self, algorithm, **options):
         """One full analytics run server-side; returns ``{vid: value}``.
 
-        Analytics read a frozen scratch copy of the live graph and write
-        nothing, so a dropped connection mid-run is safe to retry; the
+        Analytics read a frozen copy of the live graph and write nothing
+        to the store, so a dropped connection mid-run is safe to retry; the
         per-run :class:`~repro.obs.stats.AnalyticsStats` dict lands on
         :attr:`last_analytics_stats`.
         """

@@ -10,26 +10,30 @@ engine" recipe of the Vertica graph paper: the engine's join/aggregate
 machinery (hash joins, batch kernels, the cost-based planner) does the
 per-iteration heavy lifting; the driver only sequences statements.
 
-Scratch tables
---------------
+Scratch database
+----------------
 
-Every run materializes the *live* graph once into per-run scratch tables
-(``scratch_<token>_v``, ``scratch_<token>_e``, ...) named under
-:data:`~repro.relational.schema.SCRATCH_TABLE_PREFIX`:
+A run only *reads* the store.  Every thread that runs analytics owns one
+private, in-memory :class:`~repro.relational.database.Database`, and a
+run copies the *live* graph into its ``v`` and ``e`` tables, under one
+read scope on the store so both see the same snapshot:
 
 * vertices: ``va`` rows with ``vid >= 0`` (lazy deletes excluded);
 * edges: ``ea`` rows with ``eid >= 0`` whose *both* endpoints are live —
   the same dangling-edge rule as ``SQLGraphStore.export_graph``.
 
-Iterations then mutate only scratch tables (``DELETE FROM`` +
-``INSERT INTO ... SELECT`` swaps, never per-iteration DDL), so the
-statement shapes stay plan-cache friendly.
+Iterations then run only on the scratch database, over tables named
+``<algorithm>_<role>`` (``pagerank_rank``, ``sssp_front``, ...), with
+``DELETE FROM`` + ``INSERT INTO ... SELECT`` swaps.  The thread creates
+each table the first time it needs it; a finished run empties its tables
+and keeps them, so the next run on the thread re-opens every plan the
+scratch database cached.  A run that raised, timed out or was cancelled
+discards the thread's scratch database instead, so no run ever sees rows
+an earlier one left.
 
-Durability contract: scratch state is *never* logged.  On a durable
-store the whole run executes under ``wal.pause()`` and checkpoint
-snapshots skip scratch-prefixed tables, so a crash at any point during
-(or after) an analytics run recovers the base tables bit-identical with
-no orphaned frontier/temp tables (``tests/test_analytics_crash.py``).
+Nothing a run does reaches the store: its catalog, schema epoch, plan
+cache entries beyond the two extraction reads, WAL and transaction undo
+log stay as they were (``tests/test_analytics_crash.py``).
 
 Cooperative cancellation: drivers accept a ``time_budget_s`` deadline
 and a ``cancel`` callback, both checked between statements — the server
@@ -39,14 +43,13 @@ errors so a draining server never waits on a long analytics loop.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from time import monotonic, perf_counter
 
 from repro.obs import context as obs_context
 from repro.obs.stats import AnalyticsStats
+from repro.relational.database import Database
 from repro.relational.errors import EngineError
-from repro.relational.schema import SCRATCH_TABLE_PREFIX
 
 
 class AnalyticsError(EngineError):
@@ -61,30 +64,16 @@ class AnalyticsCancelledError(AnalyticsError):
     """An analytics run was cancelled (e.g. server drain) mid-iteration."""
 
 
-#: process-wide scratch-table token pool; tokens keep concurrent runs
-#: (different server sessions) from colliding on scratch names.  Released
-#: tokens are reused smallest-first so back-to-back runs get the *same*
-#: scratch table names — and therefore byte-identical statement texts,
-#: which is what lets the prepared-statement/plan cache serve every
-#: fixed-shape statement of run k+1 from run k's entries.
-_TOKENS_GUARD = threading.Lock()
-_FREE_TOKENS = []  # min-heap of released tokens
-_NEXT_TOKEN = 1
+#: ``database``: the calling thread's scratch database, if it has one
+_LOCAL = threading.local()
 
 
-def _acquire_token():
-    global _NEXT_TOKEN
-    with _TOKENS_GUARD:
-        if _FREE_TOKENS:
-            return heapq.heappop(_FREE_TOKENS)
-        token = _NEXT_TOKEN
-        _NEXT_TOKEN += 1
-        return token
-
-
-def _release_token(token):
-    with _TOKENS_GUARD:
-        heapq.heappush(_FREE_TOKENS, token)
+def scratch_database():
+    """The calling thread's scratch :class:`Database`, made on first use."""
+    database = getattr(_LOCAL, "database", None)
+    if database is None:
+        database = _LOCAL.database = Database()
+    return database
 
 
 def _quote(text):
@@ -93,79 +82,77 @@ def _quote(text):
 
 
 class _Run:
-    """One analytics run: scratch-table lifecycle + stats + cancellation.
+    """One analytics run: stats, cancellation and the scratch database.
 
-    Use as a context manager; ``__exit__`` always drops the scratch
-    tables (and re-enables WAL logging for this thread).
+    Use as a context manager; ``__exit__`` empties the scratch tables of
+    a finished run and discards the scratch database of any other.
     """
 
     def __init__(self, database, algorithm, options, time_budget_s=None,
                  cancel=None):
         self.database = database
+        self.scratch_db = scratch_database()
         self.stats = AnalyticsStats(algorithm, options)
         obs_context.current().analytics = self.stats
-        self.token = _acquire_token()
         self.deadline = (
             None if time_budget_s is None else monotonic() + time_budget_s
         )
         self.cancel = cancel
-        self._tables = []
-        self._pause = None
         self._started = perf_counter()
 
     def __enter__(self):
-        wal = self.database.wal
-        if wal is not None:
-            # nothing a run does may reach the log: scratch DDL/DML would
-            # otherwise be replayed into a recovered catalog
-            self._pause = wal.pause()
-            self._pause.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        try:
-            for name in reversed(self._tables):
-                self.database.execute(f"DROP TABLE IF EXISTS {name}")
-        finally:
-            if self._pause is not None:
-                self._pause.__exit__(None, None, None)
-            # only after the scratch tables are gone: the next run to
-            # take this token recreates them from scratch
-            _release_token(self.token)
-            self.stats.elapsed_s = perf_counter() - self._started
+        # only a run that finished and emptied its tables hands the
+        # scratch database on to the thread's next run
+        _LOCAL.database = None
+        if exc_type is None:
+            scratch = self.scratch_db
+            names = scratch.catalog.table_names()
+            with scratch.scope(writes=names):
+                for name in names:
+                    scratch.table(name).truncate()
+            _LOCAL.database = scratch
+        self.stats.elapsed_s = perf_counter() - self._started
         return False
 
-    def name(self, suffix):
-        return f"{SCRATCH_TABLE_PREFIX}{self.token}_{suffix}"
-
-    def scratch(self, suffix, columns_sql):
-        """CREATE a scratch table; remembered for cleanup."""
-        name = self.name(suffix)
-        self.sql(f"CREATE TABLE {name} ({columns_sql})")
-        self._tables.append(name)
+    def table(self, name, columns_sql, hashed=()):
+        """The scratch table *name*, created with a hash index on each
+        *hashed* column the first time the thread needs it."""
+        scratch = self.scratch_db
+        if not scratch.catalog.has_table(name):
+            scratch.execute(f"CREATE TABLE {name} ({columns_sql})")
+            for column in hashed:
+                scratch.execute(f"CREATE INDEX {name}_{column} ON {name} "
+                                f"({column}) USING hash")
         return name
 
-    def index(self, table, column):
-        self.sql(f"CREATE INDEX {table}_{column} ON {table} ({column}) "
-                 "USING hash")
+    def scratch(self, role, columns_sql):
+        """This algorithm's scratch table for *role*: ``next`` and
+        ``stage`` hold doubles in one algorithm and integers in another."""
+        return self.table(f"{self.stats.algorithm}_{role}", columns_sql)
 
     def sql(self, statement, params=None):
-        """Run one statement, honouring deadline + cancel between calls.
+        """Run one statement on the scratch database, honouring deadline
+        + cancel between calls.
 
         Values that change between iterations (the dangling mass, the
         sssp source, ...) are bound as ``?`` *params* rather than spliced
         into the text, so every fixed-shape statement keeps one entry in
         the prepared-statement/plan cache across iterations and runs.
         """
+        return self._timed(self.scratch_db, statement, params)
+
+    def read(self, statement):
+        """Run one read of the store."""
+        return self._timed(self.database, statement)
+
+    def _timed(self, database, statement, params=None):
         self.check()
         started = perf_counter()
-        result = self.database.execute(statement, params)
-        # the per-run token is stripped so a statement keeps one shape
-        # across runs: ``INSERT INTO scratch_counts SELECT ...``
-        self.stats.record_statement(
-            statement.replace(self.name(""), SCRATCH_TABLE_PREFIX),
-            perf_counter() - started,
-        )
+        result = database.execute(statement, params)
+        self.stats.record_statement(statement, perf_counter() - started)
         return result
 
     def check(self):
@@ -214,30 +201,33 @@ class GraphAnalytics:
     # shared scratch extraction
     # ------------------------------------------------------------------
     def _extract(self, run, weight_key=None):
-        """Materialize live vertices + edges into scratch ``v``/``e``.
+        """Copy the live vertices + edges into scratch ``v``/``e``.
 
         Returns ``(v_name, e_name, vertex_count)``.  ``e`` carries a
         ``w`` weight column: ``COALESCE(json_val(attr, key), 1)`` when a
         *weight_key* is given, constant 1 otherwise.
         """
-        v = run.scratch("v", "vid INTEGER PRIMARY KEY")
-        e = run.scratch("e", "src INTEGER, dst INTEGER, w DOUBLE")
-        run.sql(f"INSERT INTO {v} SELECT vid FROM {self.va} "
-                "WHERE vid >= 0")
-        n = run.sql(f"SELECT COUNT(*) FROM {v}").scalar() or 0
         weight = "1.0" if weight_key is None else (
             f"COALESCE(JSON_VAL(ea.attr, {_quote(weight_key)}), 1.0)"
         )
-        run.sql(
-            f"INSERT INTO {e} "
-            f"SELECT ea.outv, ea.inv, {weight} FROM {self.ea} ea "
-            f"JOIN {self.va} src ON src.vid = ea.outv "
-            f"JOIN {self.va} dst ON dst.vid = ea.inv "
-            "WHERE ea.eid >= 0 AND src.vid >= 0 AND dst.vid >= 0"
-        )
-        run.index(e, "src")
-        run.index(e, "dst")
-        return v, e, n
+        with self.database.scope(reads=(self.va, self.ea)):
+            vertices = run.read(
+                f"SELECT vid FROM {self.va} WHERE vid >= 0"
+            ).rows
+            edges = run.read(
+                f"SELECT ea.outv, ea.inv, {weight} FROM {self.ea} ea "
+                f"JOIN {self.va} src ON src.vid = ea.outv "
+                f"JOIN {self.va} dst ON dst.vid = ea.inv "
+                "WHERE ea.eid >= 0 AND src.vid >= 0 AND dst.vid >= 0"
+            ).rows
+        v = run.table("v", "vid INTEGER PRIMARY KEY")
+        e = run.table("e", "src INTEGER, dst INTEGER, w DOUBLE",
+                      hashed=("src", "dst"))
+        scratch = run.scratch_db
+        with scratch.scope(writes=(v, e)):
+            scratch.table(v).insert_many(vertices)
+            scratch.table(e).insert_many(edges)
+        return v, e, len(vertices)
 
     def _result_dict(self, run, table):
         return dict(run.sql(f"SELECT * FROM {table}").rows)
@@ -457,6 +447,13 @@ class GraphAnalytics:
         with _Run(self.database, "sssp", options,
                   time_budget_s, cancel) as run:
             v, e, n = self._extract(run, weight_key=weight_key)
+            # every table before the first statement: a CREATE would drop
+            # the statements the scratch database prepared before it
+            dist = run.scratch("dist", "vid INTEGER PRIMARY KEY, val DOUBLE")
+            front = run.scratch("front", "vid INTEGER PRIMARY KEY, val DOUBLE")
+            nxt = run.scratch("next", "vid INTEGER PRIMARY KEY, val DOUBLE")
+            cand = run.scratch("cand", "vid INTEGER PRIMARY KEY, val DOUBLE")
+            stage = run.scratch("stage", "vid INTEGER, val DOUBLE")
             present = run.sql(
                 f"SELECT COUNT(*) FROM {v} WHERE vid = ?",
                 params=(int(source),),
@@ -477,11 +474,6 @@ class GraphAnalytics:
                     )
             if max_iterations is None:
                 max_iterations = n + 1
-            dist = run.scratch("dist", "vid INTEGER PRIMARY KEY, val DOUBLE")
-            front = run.scratch("front", "vid INTEGER PRIMARY KEY, val DOUBLE")
-            nxt = run.scratch("next", "vid INTEGER PRIMARY KEY, val DOUBLE")
-            cand = run.scratch("cand", "vid INTEGER PRIMARY KEY, val DOUBLE")
-            stage = run.scratch("stage", "vid INTEGER, val DOUBLE")
             run.sql(f"INSERT INTO {dist} VALUES (?, 0.0)",
                     params=(int(source),))
             run.sql(f"INSERT INTO {front} VALUES (?, 0.0)",

@@ -379,8 +379,8 @@ class AnalyticsStats:
         self.iterations = []
         #: every SQL statement the driver issued (setup + iterations)
         self.statements_executed = 0
-        #: statement shape (scratch token stripped) -> [executions,
-        #: total seconds]: where a run's time went, statement by statement
+        #: statement text -> [executions, total seconds]: where a run's
+        #: time went, statement by statement
         self.statement_times = {}
         #: False when the run stopped at ``max_iterations`` instead of at
         #: its convergence condition

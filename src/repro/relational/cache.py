@@ -71,11 +71,6 @@ class LRUCache:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
 
-    def values(self):
-        """A snapshot of the cached values, least recently used first."""
-        with self._lock:
-            return [value for __, value in self._entries.values()]
-
     def invalidate_all(self):
         """Drop every entry (counted as invalidations)."""
         with self._lock:

@@ -43,12 +43,7 @@ from repro.relational.locks import LockManager
 from repro.relational.pages import BufferPool
 from repro.relational.plan import PlanPool, Runtime
 from repro.relational.planner import Planner
-from repro.relational.schema import (
-    Column,
-    ColumnType,
-    SCRATCH_TABLE_PREFIX,
-    TableSchema,
-)
+from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse_statement
 from repro.relational.stats import META_STATS_KEY, StatisticsRegistry
@@ -434,15 +429,6 @@ class Database:
         payload = self.meta.get(META_STATS_KEY)
         if payload:
             self.statistics.load_meta(self, payload)
-        # Belt and braces: a crash mid-analytics can leave scratch CREATEs
-        # in the replayed log even though snapshots exclude them.  Drop any
-        # survivors — scratch state is per-run and never meaningful after
-        # recovery.  (The checkpoint below truncates the log, so the drops
-        # need no WAL records of their own.)
-        for name in list(self.catalog.table_names()):
-            if name.startswith(SCRATCH_TABLE_PREFIX):
-                with self.wal.pause():
-                    self.execute(f"DROP TABLE IF EXISTS {name}")
         # Checkpoint immediately: the recovered state becomes the snapshot
         # and the (possibly long, possibly torn) log is truncated, so txids
         # from the previous incarnation can never collide with ours.
@@ -521,20 +507,6 @@ class Database:
         """Invalidate every compiled plan after a schema change."""
         self.schema_epoch += 1
         self.plan_cache.invalidate_all()
-
-    def _ddl_epoch(self, table_name):
-        """Bump the schema epoch unless the DDL touched a scratch table.
-
-        Scratch tables (analytics temporaries under
-        ``SCRATCH_TABLE_PREFIX``) use process-unique names and are
-        created strictly before any statement references them, so their
-        appearance or disappearance cannot poison a cached plan for any
-        other statement.  Skipping the bump keeps one pagerank run (a
-        dozen scratch CREATE/DROPs) from invalidating every compiled
-        plan and every ANALYZE statistic in the store.
-        """
-        if not table_name.lower().startswith(SCRATCH_TABLE_PREFIX):
-            self._bump_schema_epoch()
 
     def begin(self):
         """Open an explicit transaction bound to the calling thread.
@@ -801,10 +773,7 @@ class Database:
                 raise BindError(f"unknown table {statement.table!r}")
             names = [name]
         else:
-            names = sorted(
-                name for name in self.catalog.table_names()
-                if not name.startswith(SCRATCH_TABLE_PREFIX)
-            )
+            names = self.catalog.table_names()
         rows = []
         for name in names:
             entry = self.statistics.analyze(
@@ -977,7 +946,7 @@ class Database:
         table = self.catalog.create_table(schema)
         if schema.primary_key is not None:
             self._create_pk_index(table, schema.primary_key)
-        self._ddl_epoch(schema.name)
+        self._bump_schema_epoch()
         self._log_ddl(sql)
         return ResultSet()
 
@@ -1036,7 +1005,7 @@ class Database:
         # remember the statement so checkpoint snapshots can rebuild the
         # index (its key function holds compiled kernels, never serialized)
         index.ddl = sql
-        self._ddl_epoch(table.name)
+        self._bump_schema_epoch()
         self._log_ddl(sql)
         return ResultSet()
 
@@ -1046,8 +1015,6 @@ class Database:
             raise BindError(f"unknown table {statement.name!r}")
         if dropped:
             self.statistics.forget(statement.name.lower())
-            for prepared in self.plan_cache.values():
-                prepared.plans.forget_table(statement.name.lower())
-            self._ddl_epoch(statement.name)
+            self._bump_schema_epoch()
             self._log_ddl(sql)
         return ResultSet()

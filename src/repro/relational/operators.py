@@ -182,10 +182,6 @@ class Operator:
         """Estimated output row count (the planner's ``est_rows``)."""
         return self.est_rows
 
-    def blocks_accessed(self):
-        """Estimated page fetches to produce the full output once."""
-        return sum(child.blocks_accessed() for child in self.children_ops())
-
     def distinct_values(self, fingerprint):
         """Estimated distinct values of the expression *fingerprint* in the
         output, or ``None`` when unknown.
@@ -273,9 +269,6 @@ class SeqScan(_TableScan):
         suffix = " filtered" if self.predicate is not None else ""
         return f"SeqScan({self.table.name} as {self.qualifier}){suffix}"
 
-    def blocks_accessed(self):
-        return self.table.page_count
-
     def batches(self):
         return _filtered(self.table.scan_batches(), self.predicate)
 
@@ -309,10 +302,6 @@ class IndexEqScan(_TableScan):
             f"via {self.index.name})"
         )
 
-    def blocks_accessed(self):
-        # each probed row may land on its own page (worst case)
-        return max(self.est_rows, 1)
-
     def _rids(self):
         # a key listed twice (``k IN (1, 1)``) is probed once
         keys = {make_hashable(key): key for key in (fn() for fn in self.key_fns)}
@@ -344,9 +333,6 @@ class IndexRangeScan(_TableScan):
             f"IndexRangeScan({self.table.name} as {self.qualifier} "
             f"via {self.index.name})"
         )
-
-    def blocks_accessed(self):
-        return max(self.est_rows, 1)
 
     def _rids(self):
         return self.index.range_scan(
@@ -383,9 +369,6 @@ class MaterializedScan(Operator):
 
     def describe(self):
         return f"MaterializedScan({self.est_rows} rows)"
-
-    def blocks_accessed(self):
-        return 0  # already resident in memory
 
     def batches(self):
         relation = self._relation()
@@ -590,10 +573,6 @@ class IndexNLJoinOp(Operator):
             f"IndexNLJoin[{self.kind}]({self.table.name} as {self.qualifier} "
             f"via {self.index.name})"
         )
-
-    def blocks_accessed(self):
-        # drive the outer once, then roughly one probe page per outer row
-        return self.outer.blocks_accessed() + max(self.outer.records_output(), 1)
 
     def batches(self):
         table = self.table

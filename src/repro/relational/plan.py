@@ -167,8 +167,9 @@ class Plan:
     def reusable(self, params):
         """Can this plan answer for *params*?  Not when they are fewer
         than it was planned with (re-planning names the missing one), nor
-        when a table it read was dropped or re-created since (scratch DDL
-        does not bump the schema epoch)."""
+        when a table it read was dropped or re-created since (a DROP that
+        lands between a statement's prepare and its lock grant leaves that
+        statement in hand from before the schema epoch moved)."""
         if len(params or ()) < len(self.runtime.params):
             return False
         get_table = self.runtime.database.catalog.get_table
@@ -239,9 +240,3 @@ class PlanPool:
         if len(idle) < MAX_IDLE_PLANS:
             idle.append(plan)
         return result
-
-    def forget_table(self, name):
-        """Drop the idle plans when one reads table *name*, which was just
-        dropped: an idle plan would keep its pages and indexes alive."""
-        if any(name in plan.runtime.tables for plan in list(self._idle)):
-            self._idle.clear()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import pickle
 
-from repro.relational.schema import SCRATCH_TABLE_PREFIX, TableSchema
+from repro.relational.schema import TableSchema
 from repro.relational.table import HeapTable
 from repro.relational.wal import scan_log
 
@@ -72,8 +72,6 @@ def write_snapshot(database, directory):
         pool.flush_all()
     tables = []
     for table in database.catalog._tables.values():
-        if table.schema.name.startswith(SCRATCH_TABLE_PREFIX):
-            continue  # analytics scratch state never reaches a snapshot
         tables.append(
             {
                 "schema": table.schema.describe(),

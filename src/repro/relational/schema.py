@@ -26,13 +26,6 @@ from operator import is_
 
 from repro.relational.errors import BindError, TypeMismatchError
 
-#: tables whose (lowercased) name starts with this prefix are *scratch*
-#: state: per-run temporaries of the analytics drivers
-#: (:mod:`repro.graph.analytics`).  They are excluded from checkpoint
-#: snapshots, dropped after recovery, and skipped by auto-ANALYZE — a
-#: durable database can never come back up with one.
-SCRATCH_TABLE_PREFIX = "scratch_"
-
 
 class ColumnType(enum.Enum):
     """Declared type of a table column."""

@@ -1,8 +1,14 @@
-"""Hand-written SQL tokenizer."""
+"""SQL tokenizer.
+
+One compiled pattern matches every token kind; a text it cannot match at
+some offset holds an unexpected character, an unterminated string, quoted
+identifier or block comment.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 
 from repro.relational.errors import SqlSyntaxError
 
@@ -18,116 +24,70 @@ KEYWORDS = {
     "VARCHAR", "WHEN", "WHERE", "WITH",
 }
 
-# multi-char operators first so they win over single-char prefixes
-OPERATORS = ["||", "<>", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "/",
-             "%", "(", ")", ",", ".", ";", "?"]
+#: one token: ``kind`` is KEYWORD, IDENT, STRING, NUMBER, OP or EOF,
+#: ``value`` its text (a KEYWORD upper-cased, a STRING or quoted IDENT
+#: without its quotes), ``position`` its start offset
+Token = namedtuple("Token", "kind value position")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # KEYWORD, IDENT, STRING, NUMBER, OP, EOF
-    value: str
-    position: int
+_TOKEN = re.compile(
+    r"""
+      # a block comment ends at the first */ after its /, so /*/ is one
+      (?P<SKIP>[ \t\r\n]+|--[^\n]*|/\*(?:/|.*?\*/))
+    # '' inside a string is a quote; the closing quote is the first one
+    # not followed by another
+    | (?P<STRING>'(?:[^']|'')*'(?!'))
+    | (?P<QUOTED>"[^"]*")
+    # a "." starts a decimal part only before a digit: t1.a is a name;
+    # an exponent is e/E, a sign or digit, then any digits
+    | (?P<NUMBER>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+\d]\d*)?)
+    | (?P<WORD>[^\W\d]\w*)
+    | (?P<OP>\|\||<>|!=|<=|>=|[<>=+\-*%(),.;?]|/(?!\*))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(text):
     """Tokenize *text* into a list of tokens ending with an EOF token."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        char = text[i]
-        if char in " \t\r\n":
-            i += 1
+    append = tokens.append
+    position = 0
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        if start != position:
+            _refuse(text, position)
+        position = match.end()
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i)
-            if end == -1:
-                raise SqlSyntaxError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if char == "'":
-            value, i = _read_string(text, i)
-            tokens.append(Token("STRING", value, i))
-            continue
-        if char == '"':
-            end = text.find('"', i + 1)
-            if end == -1:
-                raise SqlSyntaxError("unterminated quoted identifier", i)
-            tokens.append(Token("IDENT", text[i + 1 : end], end))
-            i = end + 1
-            continue
-        if char.isdigit() or (char == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, i = _read_number(text, i)
-            tokens.append(Token("NUMBER", value, i))
-            continue
-        if char.isalpha() or char == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+        value = match.group()
+        if kind == "WORD":
+            upper = value.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("KEYWORD", upper, start))
-            else:
-                tokens.append(Token("IDENT", word, start))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {char!r}", i)
-    tokens.append(Token("EOF", "", n))
+                kind, value = "KEYWORD", upper
+            elif value[0].isalpha() or value[0] == "_":
+                kind = "IDENT"
+            else:  # \w also takes numerals that are no decimal digit: ²
+                _refuse(text, start)
+        elif kind == "STRING":
+            value = value[1:-1].replace("''", "'")
+        elif kind == "QUOTED":
+            kind, value = "IDENT", value[1:-1]
+        append(Token(kind, value, start))
+    if position != len(text):
+        _refuse(text, position)
+    append(Token("EOF", "", len(text)))
     return tokens
 
 
-def _read_string(text, start):
-    """Read a single-quoted string literal; '' is an escaped quote."""
-    parts = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        char = text[i]
-        if char == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(char)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", start)
-
-
-def _read_number(text, start):
-    i = start
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        char = text[i]
-        if char.isdigit():
-            i += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            # do not swallow a trailing `.` that belongs to a qualified name
-            if i + 1 < n and text[i + 1].isdigit():
-                seen_dot = True
-                i += 1
-            else:
-                break
-        elif char in "eE" and not seen_exp and i + 1 < n and (
-            text[i + 1].isdigit() or text[i + 1] in "+-"
-        ):
-            seen_exp = True
-            i += 2
-        else:
-            break
-    return text[start:i], i
+def _refuse(text, position):
+    char = text[position]
+    if char == "'":
+        message = "unterminated string literal"
+    elif char == '"':
+        message = "unterminated quoted identifier"
+    elif text.startswith("/*", position):
+        message = "unterminated block comment"
+    else:
+        message = f"unexpected character {char!r}"
+    raise SqlSyntaxError(message, position)

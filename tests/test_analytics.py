@@ -3,12 +3,14 @@
 The differential correctness suite lives in
 ``tests/test_analytics_property.py``; here we pin the *contract* around
 the algorithms: live-data semantics under lazy deletes, per-run
-observability, cooperative timeout/cancel, scratch-table hygiene, the
-``analytics`` server op (wire codes, statement-timeout integration) and
-the ``:pagerank``-family shell commands.
+observability, cooperative timeout/cancel, per-thread scratch databases
+that leave the store untouched, the ``analytics`` server op (wire codes,
+statement-timeout integration, transactions) and the ``:pagerank``-family
+shell commands.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -26,10 +28,15 @@ from repro.graph.analytics import (
     AnalyticsError,
     AnalyticsTimeoutError,
     GraphAnalytics,
+    scratch_database,
 )
 from repro.server import SQLGraphServer
 from repro.server.protocol import WireError
-from tests.analytics_oracle import oracle_components, oracle_pagerank
+from tests.analytics_oracle import (
+    oracle_components,
+    oracle_label_propagation,
+    oracle_pagerank,
+)
 
 
 def _loaded_store(graph):
@@ -38,11 +45,9 @@ def _loaded_store(graph):
     return store
 
 
-def _scratch_tables(store):
-    return [
-        name for name in store.database.catalog.table_names()
-        if name.startswith("scratch_")
-    ]
+def _footprint(store):
+    """What a run must leave as it was: the store's catalog and epoch."""
+    return store.database.catalog.table_names(), store.database.schema_epoch
 
 
 # ----------------------------------------------------------------------
@@ -107,15 +112,15 @@ def test_run_stats_name_the_slowest_statement_shape():
     elapsed = [entry["elapsed_s"] for entry in statements]
     assert elapsed == sorted(elapsed, reverse=True)
     assert sum(elapsed) <= stats.elapsed_s
-    # the scratch token is stripped: shapes repeat across runs and name
-    # the scratch table by role alone
+    # shapes are the statement texts: they repeat across runs and name
+    # each scratch table by algorithm and role
     shapes = {entry["shape"]: entry["count"] for entry in statements}
     assert shapes == {
         shape: count for shape, count, __ in first.slowest_statements()
     }
     assert shapes[
-        "INSERT INTO scratch_counts SELECT vid, val, COUNT(*) "
-        "FROM scratch_stage GROUP BY vid, val"
+        "INSERT INTO labelprop_counts SELECT vid, val, COUNT(*) "
+        "FROM labelprop_stage GROUP BY vid, val"
     ] == stats.iteration_count
 
 
@@ -131,19 +136,21 @@ def test_stats_are_per_algorithm_and_thread_local_property_updates():
 
 
 # ----------------------------------------------------------------------
-# cooperative timeout / cancel + scratch hygiene
+# cooperative timeout / cancel; the store is only read
 # ----------------------------------------------------------------------
 def test_time_budget_raises_and_cleans_up():
     store = _loaded_store(paper_figure_graph())
+    footprint = _footprint(store)
     with pytest.raises(AnalyticsTimeoutError):
         store.pagerank(time_budget_s=-1.0)
-    assert _scratch_tables(store) == []
+    assert _footprint(store) == footprint
     # the interrupted run is still observable
     assert store.last_analytics_stats.algorithm == "pagerank"
 
 
 def test_cancel_callback_raises_and_cleans_up():
     store = _loaded_store(paper_figure_graph())
+    footprint = _footprint(store)
     calls = []
 
     def cancel():
@@ -152,50 +159,106 @@ def test_cancel_callback_raises_and_cleans_up():
 
     with pytest.raises(AnalyticsCancelledError):
         store.connected_components(cancel=cancel)
-    assert _scratch_tables(store) == []
+    assert _footprint(store) == footprint
+
+
+@pytest.mark.parametrize("after", [2, 6, 12])
+def test_cancelled_run_leaves_no_rows_for_the_next(after):
+    graph = paper_figure_graph()
+    store = _loaded_store(graph)
+    store.label_propagation(max_iterations=3)  # the thread's tables exist
+    calls = []
+
+    def cancel():
+        calls.append(True)
+        return len(calls) > after  # stop part-way through an iteration
+
+    with pytest.raises(AnalyticsCancelledError):
+        store.label_propagation(max_iterations=3, cancel=cancel)
+    assert store.label_propagation(max_iterations=3) == (
+        oracle_label_propagation(graph, max_iterations=3)
+    )
 
 
 def test_invalid_requests_raise_analytics_error():
     store = _loaded_store(paper_figure_graph())
+    footprint = _footprint(store)
     with pytest.raises(AnalyticsError):
         store.shortest_paths(999)  # unknown source
     graph = analytics_case_graph(3)
     for edge in graph.edges():
         edge.set_property("weight", -1.0)
     negative = _loaded_store(graph)
+    negative_footprint = _footprint(negative)
     with pytest.raises(AnalyticsError):
         negative.shortest_paths(1, weight_key="weight")
-    assert _scratch_tables(store) == [] and _scratch_tables(negative) == []
+    assert _footprint(store) == footprint
+    assert _footprint(negative) == negative_footprint
 
 
 def test_runs_leave_no_scratch_tables_and_no_epoch_churn():
     store = _loaded_store(paper_figure_graph())
     store.analyze_tables()
+    footprint = _footprint(store)
     epoch = store.database.schema_epoch
     store.pagerank(max_iterations=3)
     store.label_propagation(max_iterations=3)
-    assert _scratch_tables(store) == []
-    # scratch DDL is epoch-neutral: plans and ANALYZE statistics survive
-    assert store.database.schema_epoch == epoch
+    # the runs wrote only the thread's scratch database: the store's
+    # catalog, plans and ANALYZE statistics are as they were
+    assert _footprint(store) == footprint
     assert store.database.statistics.get("va", epoch) is not None
+    assert "pagerank_rank" in scratch_database().catalog.table_names()
 
 
 def test_concurrent_runs_use_distinct_scratch_names():
-    store = _loaded_store(paper_figure_graph())
+    graph = analytics_scale_graph(60, 240, seed=13)
+    store = _loaded_store(graph)
     analytics = GraphAnalytics(store.database, store.schema.table_names)
-    first = analytics.pagerank(max_iterations=2)
-    second = analytics.pagerank(max_iterations=2)
-    assert first == second
-    # token monotonicity is what keeps parallel sessions collision-free
-    assert _scratch_tables(store) == []
+    runs = {
+        "pagerank": (
+            lambda: analytics.pagerank(tolerance=0.0, max_iterations=8),
+            oracle_pagerank(graph, tolerance=0.0, max_iterations=8),
+        ),
+        "labelprop": (
+            lambda: analytics.label_propagation(max_iterations=5),
+            oracle_label_propagation(graph, max_iterations=5),
+        ),
+    }
+    results, databases = {}, {}
+    start = threading.Barrier(len(runs), timeout=60)
+
+    def worker(name, run):
+        start.wait()
+        for __ in range(3):
+            results.setdefault(name, []).append(run())
+        databases[name] = scratch_database()
+
+    threads = [
+        threading.Thread(target=worker, args=(name, run))
+        for name, (run, __) in runs.items()
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    # each thread ran in a scratch database of its own
+    assert databases["pagerank"] is not databases["labelprop"]
+    assert databases["pagerank"] is not scratch_database()
+    for name, (__, expected) in runs.items():
+        assert len(results[name]) == 3, name
+        for result in results[name]:
+            assert result.keys() == expected.keys(), name
+            for vid, value in expected.items():
+                assert result[vid] == pytest.approx(value, abs=1e-9), name
 
 
 def test_warm_rerun_compiles_nothing():
-    # changing values are bound ``?`` parameters and a finished run hands
-    # its scratch-name token back, so every statement shape of a second
-    # run is already in the prepared-statement cache
+    # changing values are bound ``?`` parameters and a finished run keeps
+    # the thread's scratch tables, so a second run finds every statement
+    # prepared and every plan cached: in the scratch database the
+    # iterations run on, and in the store's cache for the two reads
     store = _loaded_store(analytics_scale_graph(60, 240, seed=13))
-    cache = store.database.plan_cache
     runs = {
         "pagerank": lambda: store.pagerank(tolerance=0.0, max_iterations=3),
         "components": store.connected_components,
@@ -204,11 +267,14 @@ def test_warm_rerun_compiles_nothing():
     }
     for name, run in runs.items():
         run()  # cold
-        before = dict(cache.stats())
+        caches = (scratch_database().plan_cache, store.database.plan_cache)
+        before = [dict(cache.stats()) for cache in caches]
         run()  # warm
-        after = cache.stats()
-        assert after["misses"] == before["misses"], name
-        assert after["hits"] > before["hits"], name
+        assert caches[0] is scratch_database().plan_cache, name
+        for cache, stats in zip(caches, before):
+            after = cache.stats()
+            assert after["misses"] == stats["misses"], name
+            assert after["hits"] > stats["hits"], name
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +320,20 @@ def test_analytics_wire_validation(server_client):
         client.shortest_paths(10**9)
     assert excinfo.value.code == "BAD_REQUEST"
     assert not excinfo.value.retryable
+
+
+def test_served_rollback_after_analytics_undoes_the_transaction(
+        server_client):
+    __, client, store = server_client
+    vertices = store.vertex_count()
+    client.begin()
+    client.crud("add_vertex", vertex_id=1000, properties={"name": "tmp"})
+    ranks = client.pagerank(max_iterations=2)
+    assert 1000 in ranks  # the run sees its own transaction
+    client.rollback()
+    assert store.get_vertex(1000) is None
+    assert store.vertex_count() == vertices
+    assert 1000 not in client.pagerank(max_iterations=2)
 
 
 def test_analytics_statement_timeout_maps_to_wire_code(server_client):

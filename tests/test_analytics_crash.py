@@ -1,19 +1,18 @@
-"""Durability contract of analytics runs: scratch state never survives.
+"""Durability contract of analytics runs: a run only reads the store.
 
-The drivers run under ``wal.pause()`` and scratch tables are excluded
-from checkpoint snapshots, so the invariants are:
+The drivers copy the live graph into the calling thread's in-memory
+scratch database and iterate there, so the invariants are:
 
 * an analytics run appends **zero bytes** to the WAL — the log is
-  byte-identical before and after;
+  byte-identical before and after — and leaves the store's catalog and
+  schema epoch as they were;
 * a crash at any point around a run recovers the base tables exactly
-  (differential against :func:`tests.crashkit.database_state`) with no
-  orphaned frontier/temp tables;
-* even scratch DDL that *was* logged (a scratch table created outside a
-  run, WAL active) or snapshotted around is dropped on reopen — the
-  belt-and-braces sweep in ``Database._open_durable``.
+  (differential against :func:`tests.crashkit.database_state`);
+* a run inside an open transaction adds nothing to its undo log, so the
+  rollback undoes exactly the transaction's own writes;
+* table names mean nothing to the engine: a user table named
+  ``scratch_*`` is as durable as any other.
 """
-
-import os
 
 import pytest
 
@@ -43,9 +42,8 @@ def _wal_bytes(store):
         return fh.read()
 
 
-def _scratch_tables(database):
-    return [name for name in database.catalog.table_names()
-            if name.startswith("scratch_")]
+def _footprint(database):
+    return database.catalog.table_names(), database.schema_epoch
 
 
 def test_analytics_append_zero_wal_bytes(tmp_path):
@@ -54,11 +52,12 @@ def test_analytics_append_zero_wal_bytes(tmp_path):
     vid = store.add_vertex(properties={"name": "extra"})
     store.add_edge(vid, 1, "knows")
     before = _wal_bytes(store)
+    footprint = _footprint(store.database)
     store.pagerank(max_iterations=5)
     store.connected_components()
     store.shortest_paths(1)
     assert _wal_bytes(store) == before  # byte-identical, not just same size
-    assert _scratch_tables(store.database) == []
+    assert _footprint(store.database) == footprint
     store.close()
 
 
@@ -67,13 +66,14 @@ def test_crash_after_analytics_recovers_base_tables_identically(tmp_path):
     store = _durable_store(source)
     store.add_vertex(properties={"name": "crud"})
     store.remove_vertex(2)
+    names = store.database.catalog.table_names()
     store.connected_components()
     store.label_propagation(max_iterations=4)
     expected = database_state(store.database)
     store.database.wal.flush()
     crashed = crash_copy(str(source), str(tmp_path / "crashed"))
     recovered = SQLGraphStore(path=crashed)
-    assert _scratch_tables(recovered.database) == []
+    assert recovered.database.catalog.table_names() == names
     assert_states_equal(
         database_state(recovered.database), expected, "post-analytics crash"
     )
@@ -87,6 +87,7 @@ def test_crash_after_analytics_recovers_base_tables_identically(tmp_path):
 def test_crash_at_every_boundary_leaves_no_scratch(tmp_path):
     source = tmp_path / "db"
     store = _durable_store(source)
+    names = store.database.catalog.table_names()
     for i in range(4):
         vid = store.add_vertex(properties={"n": i})
         store.add_edge(vid, 1, "burst")
@@ -102,53 +103,90 @@ def test_crash_at_every_boundary_leaves_no_scratch(tmp_path):
         crashed = crash_copy(str(source), str(tmp_path / f"cut{i}"),
                              cut_offset=cut)
         recovered = Database(path=crashed)
-        assert _scratch_tables(recovered) == []
+        assert recovered.catalog.table_names() == names
         recovered.close()
 
 
-def test_logged_scratch_ddl_is_dropped_on_reopen(tmp_path):
+def _scratch_named_user_table(store):
+    database = store.database
+    database.execute(
+        "CREATE TABLE scratch_orders (k INTEGER PRIMARY KEY, note STRING)"
+    )
+    database.execute("INSERT INTO scratch_orders VALUES (1, 'a')")
+    database.execute("INSERT INTO scratch_orders VALUES (2, 'b')")
+    assert database.execute(
+        "SELECT COUNT(*) FROM scratch_orders"
+    ).scalar() == 2
+    return database_state(database)
+
+
+def test_scratch_named_user_table_survives_crash_replay(tmp_path):
     source = tmp_path / "db"
     store = _durable_store(source)
-    # a scratch table created OUTSIDE a run is logged (WAL active) and
-    # replayed at recovery; the post-recovery sweep must still drop it
-    store.database.execute("CREATE TABLE scratch_stale (k INTEGER)")
-    store.database.execute("INSERT INTO scratch_stale VALUES (1)")
+    expected = _scratch_named_user_table(store)
     store.database.wal.flush()
     crashed = crash_copy(str(source), str(tmp_path / "crashed"))
     recovered = SQLGraphStore(path=crashed)
-    assert _scratch_tables(recovered.database) == []
+    assert_states_equal(
+        database_state(recovered.database), expected, "replayed user table"
+    )
+    assert recovered.database.execute(
+        "SELECT note FROM scratch_orders WHERE k = 2"
+    ).rows == [("b",)]
     recovered.close()
     store.close()
 
 
-def test_checkpoint_snapshot_excludes_scratch_tables(tmp_path):
+def test_scratch_named_user_table_survives_checkpoint_and_reopen(tmp_path):
     source = tmp_path / "db"
     store = _durable_store(source)
-    store.database.execute("CREATE TABLE scratch_live (k INTEGER)")
-    store.database.execute("INSERT INTO scratch_live VALUES (7)")
-    expected = {
-        name: state
-        for name, state in database_state(store.database).items()
-        if not name.startswith("scratch_")
-    }
+    expected = _scratch_named_user_table(store)
     assert store.database.checkpoint()
     store.close()
     recovered = SQLGraphStore(path=str(source))
-    assert _scratch_tables(recovered.database) == []
     assert_states_equal(
-        database_state(recovered.database), expected, "checkpoint+scratch"
+        database_state(recovered.database), expected, "checkpointed user table"
+    )
+    assert recovered.database.execute(
+        "SELECT COUNT(*) FROM scratch_orders"
+    ).scalar() == 2
+    recovered.close()
+
+
+def test_rollback_after_analytics_undoes_the_transaction(tmp_path):
+    source = tmp_path / "db"
+    store = _durable_store(source)
+    expected = database_state(store.database)
+    transaction = store.database.begin()
+    store.add_vertex(1000, properties={"name": "uncommitted"})
+    components = store.connected_components()
+    assert components[1000] == 1000  # the run sees its own transaction
+    transaction.rollback()
+    assert store.get_vertex(1000) is None
+    assert 1000 not in store.connected_components()
+    assert_states_equal(
+        database_state(store.database), expected, "rolled back"
+    )
+    store.database.wal.flush()
+    crashed = crash_copy(str(source), str(tmp_path / "crashed"))
+    recovered = SQLGraphStore(path=crashed)
+    assert recovered.get_vertex(1000) is None
+    assert_states_equal(
+        database_state(recovered.database), expected, "recovered rollback"
     )
     recovered.close()
+    store.close()
 
 
 def test_failed_run_leaves_durable_store_clean(tmp_path):
     store = _durable_store(tmp_path / "db")
     before = _wal_bytes(store)
+    footprint = _footprint(store.database)
     with pytest.raises(Exception):
         store.shortest_paths(10**9)  # unknown source aborts mid-setup
-    assert _scratch_tables(store.database) == []
+    assert _footprint(store.database) == footprint
     assert _wal_bytes(store) == before
-    # WAL logging resumed after the aborted run's pause
+    # the store still logs its own writes
     store.add_vertex(properties={"name": "after"})
     assert len(_wal_bytes(store)) > len(before)
     store.close()

@@ -1,8 +1,11 @@
 """Tests for the interactive shell plumbing."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_store, execute_line, main
+from repro.server import SQLGraphServer
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,57 @@ class TestMain:
     def test_one_shot_query(self, capsys):
         assert main(["--dataset", "tinker", "--query", "g.V.count()"]) == 0
         assert capsys.readouterr().out.strip() == "4"
+
+
+@pytest.fixture()
+def served():
+    """``HOST:PORT`` of an in-process server over the tinker graph."""
+    server = SQLGraphServer(build_store("tinker"), port=0)
+    server.start()
+    yield f"127.0.0.1:{server.port}"
+    server.shutdown()
+
+
+class TestRemoteMain:
+    def test_one_shot_query(self, served, capsys):
+        assert main(["--connect", served, "--query", "g.V.count()"]) == 0
+        assert capsys.readouterr().out.strip() == "4"
+
+    def test_repl_session(self, served, capsys, monkeypatch):
+        lines = iter(["g.V.count()", "", ":stats", ":quit", "g.V.count()"])
+        prompts = []
+
+        def fake_input(prompt):
+            prompts.append(prompt)
+            return next(lines)
+
+        monkeypatch.setattr("builtins.input", fake_input)
+        assert main(["--connect", served]) == 0
+        out = capsys.readouterr().out
+        assert f"connected to {served}" in out
+        assert "\n4\n" in out
+        assert "translation cache" in out  # the :stats report
+        assert prompts == ["sqlgraph> "] * 4  # :quit ends the session
+
+    def test_repl_exits_on_end_of_input(self, served, monkeypatch):
+        def end_of_input(prompt):
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", end_of_input)
+        assert main(["--connect", served]) == 0
+
+    def test_address_without_port_exits_2(self, capsys):
+        assert main(["--connect", "nohost"]) == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_closed_port_exits_1(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # nothing listens on the port once the probe is closed
+        assert main(["--connect", f"127.0.0.1:{port}",
+                     "--query", "g.V.count()"]) == 1
+        assert "cannot connect" in capsys.readouterr().err
 
 
 def test_console_script_registered():

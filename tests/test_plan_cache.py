@@ -274,6 +274,8 @@ class TestPlanReuse:
         assert errors == []
 
     def test_recreated_scratch_table_is_read_afresh(self):
+        # a table name means nothing to the engine: DDL on a scratch_*
+        # table moves the schema epoch like any other
         db = Database()
         db.execute("CREATE TABLE scratch_plan_t (a INTEGER, b STRING)")
         db.execute("CREATE INDEX scratch_plan_t_a ON scratch_plan_t (a)")
@@ -281,13 +283,19 @@ class TestPlanReuse:
         sql = "SELECT b FROM scratch_plan_t WHERE a = ?"
         assert db.execute(sql, [1]).rows == [("old",)]
         assert db.execute(sql, [2]).rows == [("old",)]
+        # a statement in hand when the DROP lands (its lock grant waited
+        # behind the DROP) keeps its idle plans over the old table
+        prepared = db._prepare(sql)
         epoch = db.schema_epoch
         db.execute("DROP TABLE scratch_plan_t")
         db.execute("CREATE TABLE scratch_plan_t (a INTEGER, b STRING)")
         db.execute("INSERT INTO scratch_plan_t VALUES (1, 'new'), (1, 'newer')")
-        assert db.schema_epoch == epoch  # scratch DDL leaves plans cached
+        assert db.schema_epoch == epoch + 2
+        with db.scope(prepared.read_tables):
+            rows = db._dispatch(prepared, [1]).rows
+        assert sorted(rows) == [("new",), ("newer",)]
         assert sorted(db.execute(sql, [1]).rows) == [("new",), ("newer",)]
-        assert current().plan_cache_hit
+        assert not current().plan_cache_hit
         db.execute("DROP TABLE scratch_plan_t")
         with pytest.raises(BindError, match="unknown table"):
             db.execute(sql, [1])
@@ -460,15 +468,19 @@ class TestDmlPlanReuse:
         assert db.execute(update, ["mid", 1]).rowcount == 1
         assert db.execute(delete, [2]).rowcount == 1
         db.execute(insert, [3, "mid"])
+        # statements in hand when the DROP lands keep their idle plans
+        # over the old table
+        held = [db._prepare(sql) for sql in (update, delete)]
         epoch = db.schema_epoch
         db.execute("DROP TABLE scratch_dml_t")
         db.execute(create)
         db.execute("INSERT INTO scratch_dml_t VALUES (1, 'new'), (2, 'new')")
-        assert db.schema_epoch == epoch  # scratch DDL leaves plans cached
-        assert db.execute(update, ["x", 1]).rowcount == 1
-        assert current().plan_cache_hit
-        assert db.execute(delete, [2]).rowcount == 1
+        assert db.schema_epoch == epoch + 2
+        for prepared, params in zip(held, (["x", 1], [2])):
+            with db.scope(prepared.read_tables, prepared.write_tables):
+                assert db._dispatch(prepared, params).rowcount == 1
         db.execute(insert, [4, "y"])
+        assert not current().plan_cache_hit
         assert sorted(db.execute("SELECT a, b FROM scratch_dml_t").rows) == [
             (1, "x"), (4, "y"),
         ]

@@ -14,6 +14,8 @@ import pathlib
 import textwrap
 
 from repro.analysis import lint
+from repro.analysis.core import collect_sources
+from repro.analysis.lockgraph import build_graph
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -284,6 +286,30 @@ def test_self_run_src_repro_is_clean():
     """src/repro has zero unsuppressed findings."""
     findings = lint([REPO_ROOT / "src" / "repro"])
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+#: every (held, acquired) pair of product locks: none, since no product
+#: mutex is taken while another is held
+PRODUCT_LOCK_EDGES = set()
+
+
+def test_self_run_product_locks_are_leaves():
+    """The may-acquire-while-holding graph of src/repro has exactly the
+    edges listed above, so `lock-order` has nothing to order today."""
+    files, errors = collect_sources([REPO_ROOT / "src" / "repro"])
+    assert errors == []
+    __, edges = build_graph(files)
+    added = {
+        f"{held} -> {acquired} ({path}:{line})"
+        for (held, acquired), (path, line) in edges.items()
+        if (held, acquired) not in PRODUCT_LOCK_EDGES
+    }
+    assert not added, (
+        "a lock is now taken while another is held: list each new edge in "
+        "PRODUCT_LOCK_EDGES and confirm the graph stays acyclic "
+        "(the lock-order rule fails on a cycle):\n" + "\n".join(sorted(added))
+    )
+    assert set(edges) == PRODUCT_LOCK_EDGES
 
 
 # ---------------------------------------------------------------------------

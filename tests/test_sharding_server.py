@@ -105,9 +105,11 @@ class TestCoordinatorServing:
             store.close()
 
     def test_transactions_rejected_typed(self, client):
-        with pytest.raises(WireError) as excinfo:
-            client.begin()
-        assert excinfo.value.code == protocol.TRANSACTION_ERROR
+        for call in (client.begin, client.commit, client.rollback):
+            with pytest.raises(WireError) as excinfo:
+                call()
+            assert excinfo.value.code == protocol.TRANSACTION_ERROR
+            assert "coordinator" in str(excinfo.value)
 
     def test_sql_and_analytics_rejected_typed(self, client):
         with pytest.raises(WireError) as excinfo:
