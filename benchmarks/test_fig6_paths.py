@@ -9,38 +9,41 @@ Paper shape: the shredded adjacency tables win on long paths (mean 8.8s vs
 EA representation, so the join cardinalities are smaller.
 """
 
+import re
+
 import pytest
 
 from benchmarks.conftest import RUNS, record
 from repro.bench.reporting import format_table, milliseconds
 from repro.bench.runner import warm_cache_time
 from repro.core import SQLGraphStore
+from repro.core.translator import GremlinTranslator, _Translation
 from repro.datasets import dbpedia
+from repro.obs import context as obs_context
+
+
+class _EAOnlyTranslator(GremlinTranslator):
+    """A translator whose adjacency chooser always takes the EA template,
+    so every hop is a join against the redundant edge table (paper: "we
+    therefore ran our long path queries using joins on the EA table
+    alone")."""
+
+    def translate(self, query):
+        translation = _Translation(self.schema, list(query.pipes))
+        translation._adjacent_direction = translation._adjacent_via_ea
+        sql = translation.build()
+        obs_context.current().trace = translation.trace
+        return sql
 
 
 class _EAOnlyStore(SQLGraphStore):
-    """SQLGraph variant whose translator never uses the hash tables.
+    """SQLGraph variant whose translator never uses the hash tables; every
+    query path (``run``, ``query``, ``translate``) goes through it."""
 
-    Implemented by forcing the translator's single-traversal flag, so every
-    adjacency step goes through the EA template (paper: "we therefore ran
-    our long path queries using joins on the EA table alone").
-    """
-
-    def translate(self, gremlin_text):
-        from repro.core.translator import _Translation
-        from repro.gremlin.parser import parse_gremlin
-
-        query = parse_gremlin(gremlin_text)
-        translation = _Translation(self.schema, list(query.pipes))
-        build = translation.build
-
-        # pre-compute then pin the flag: _Translation sets single_traversal
-        # inside build(), so wrap the adjacency chooser instead
-        translation._adjacent_via_hash = (
-            lambda tin, direction, labels:
-            translation._adjacent_via_ea(tin, direction, labels)
-        )
-        return build()
+    def load_graph(self, graph, sample_limit=None):
+        report = super().load_graph(graph, sample_limit)
+        self.translator = _EAOnlyTranslator(self.schema)
+        return report
 
 
 # the paper runs in the scan-bound, disk-resident regime (16k-row frontiers
@@ -105,3 +108,15 @@ def test_fig6_path_queries(benchmark, stores, dbpedia_data):
 
     query = dbpedia.path_queries(dbpedia_data)[1][1]
     benchmark(lambda: hash_store.run(query))
+
+
+def test_fig6_ea_arm_reads_only_ea(stores, dbpedia_data):
+    """The EA-only arm's executed statements never name a hash table."""
+    __, ea_store = stores
+    names = ea_store.schema.table_names
+    hash_tables = re.compile(r"\b(%s)\b" % "|".join(
+        names[key] for key in ("opa", "ipa", "osa", "isa")))
+    for query_id, text in dbpedia.path_queries(dbpedia_data):
+        ea_store.run(text)
+        sql = ea_store.last_query_stats.sql
+        assert hash_tables.search(sql) is None, (query_id, sql)

@@ -370,15 +370,17 @@ def _explain(store, argument, analyze):
 def _cache_lines(store):
     """Render the compiled-query cache counters for :stats."""
     lines = []
-    for label, cache in (
-        ("plan cache", store.database.plan_cache),
-        ("translation cache", store.translation_cache),
+    # the translation cache's entries are query shapes (Gremlin text with
+    # its literals slotted), each holding its statements
+    for label, cache, unit in (
+        ("plan cache", store.database.plan_cache, "entries"),
+        ("translation cache", store.translation_cache, "shapes"),
     ):
         counters = cache.stats()
         lines.append(
             f"{label}: {counters['hits']} hits, {counters['misses']} misses, "
             f"{counters['invalidations']} invalidations, "
-            f"{counters['size']} entries"
+            f"{counters['size']} {unit}"
         )
     return lines
 

@@ -29,6 +29,7 @@ from repro.core.translator import (
 from repro.graph.analytics import GraphAnalytics
 from repro.graph.blueprints import Direction, GraphInterface
 from repro.gremlin.errors import GremlinError
+from repro.gremlin.lexer import fill_slots, slot_literals
 from repro.gremlin.parser import parse_gremlin
 from repro.obs import context as obs_context
 from repro.obs.stats import ExecutionStats, QueryStats
@@ -36,15 +37,86 @@ from repro.relational.cache import LRUCache
 from repro.relational.database import Database
 
 
-class _CompiledTemplate:
-    """Translation-cache entry: parameterized SQL + binding recipe."""
+#: statements one shape keeps, one per tuple of kept literals; a full
+#: shape starts over
+_STATEMENTS_PER_SHAPE = 16
+#: probe sentinels are numbers (or ``#<number>#`` strings) near this one
+_SENTINEL = 7_919_000_000
 
-    __slots__ = ("sql", "recipe", "trace")
 
-    def __init__(self, sql, recipe, trace):
-        self.sql = sql
-        self.recipe = recipe
-        self.trace = trace
+class _Shape:
+    """Translation-cache entry: one query shape's slot map, learned once,
+    and the statements translated for it.
+
+    ``feeds[j]`` is the literal that parameter *j* of
+    :func:`~repro.core.translator.parameterize_query` takes: slot ``i``,
+    or ``~i`` for ``-literal`` (a unary minus).  Every other literal is
+    *kept*: it shapes the SQL (a label, a ``range`` position, a ``loop``
+    bound, a string-method argument ...), so ``statements`` is keyed by
+    the kept literals' values.  A statement's recipe lists the literal
+    bound to each ``?`` in the same encoding.
+    """
+
+    __slots__ = ("feeds", "kept", "statements")
+
+    def __init__(self, feeds, slots):
+        self.feeds = feeds
+        fed = {slot if slot >= 0 else ~slot for slot in feeds}
+        self.kept = tuple(slot for slot in range(slots) if slot not in fed)
+        self.statements = {}
+
+    def add(self, literals, sql, recipe, trace):
+        statements = self.statements
+        if len(statements) >= _STATEMENTS_PER_SHAPE:
+            self.statements = statements = {}
+        statements[tuple([literals[slot] for slot in self.kept])] = (
+            sql, [self.feeds[position] for position in recipe], trace)
+
+
+def _bind(recipe, literals):
+    return [literals[slot] if slot >= 0 else -literals[~slot]
+            for slot in recipe]
+
+
+def _same_values(left, right):
+    """Equal in order, value and type (``1`` is not ``1.0``)."""
+    return len(left) == len(right) and all(
+        type(a) is type(b) and a == b for a, b in zip(left, right))
+
+
+def _learn_feeds(shape, literals):
+    """The literal feeding each parameter of *shape*, or ``None`` when
+    that cannot be told unambiguously.
+
+    Parameterizes a probe copy of the text in which every literal is a
+    distinct sentinel of its kind, and reads off where each sentinel
+    lands.  A parameter no sentinel explains (a constant the parser made
+    up), or a fed literal whose sentinel also lands in the template,
+    makes the shape unlearnable.
+    """
+    sentinels = []
+    slot_of = {}
+    for slot, value in enumerate(literals):
+        number = _SENTINEL + slot
+        if isinstance(value, str):
+            sentinel = f"#{number}#"
+        else:
+            sentinel = number + 0.5 if isinstance(value, float) else number
+            slot_of[-sentinel] = ~slot
+        slot_of[sentinel] = slot
+        sentinels.append(sentinel)
+    try:
+        __, probed, template_key = parameterize_query(
+            parse_gremlin(fill_slots(shape, sentinels)))
+    except GremlinError:
+        return None
+    feeds = [slot_of.get(value) for value in probed]
+    if None in feeds or not _same_values(_bind(feeds, sentinels), probed):
+        return None
+    if any(str(_SENTINEL + (slot if slot >= 0 else ~slot)) in template_key
+           for slot in feeds):
+        return None
+    return feeds
 
 
 class SQLGraphStore(GraphInterface):
@@ -73,7 +145,7 @@ class SQLGraphStore(GraphInterface):
             wal_fsync=wal_fsync, wal_group_window_ms=wal_group_window_ms,
             wal_checkpoint_every=wal_checkpoint_every,
         )
-        #: Gremlin template -> translated SQL + parameter binding recipe
+        #: query shape (Gremlin text, literals slotted) -> :class:`_Shape`
         self.translation_cache = LRUCache()
         self.max_columns = max_columns
         self.client = client
@@ -325,24 +397,37 @@ class SQLGraphStore(GraphInterface):
     def _compile(self, gremlin_text):
         """Gremlin text → ``(sql, params, trace, translation_cache_hit)``.
 
-        Parse the pipeline, extract its literals into a parameter vector,
-        and look up the translated SQL by template shape — only a miss
-        (the first sight of a template) pays for translation.
+        The key pass (:func:`~repro.gremlin.lexer.slot_literals`) splits
+        the text into its shape and literals.  A warm shape binds the
+        literals through its slot map, so a hit runs neither the parser
+        nor ``parameterize_query``; only a miss pays for translation.
         """
-        query = parse_gremlin(gremlin_text)
-        template, values, key = parameterize_query(query)
+        shape, literals = slot_literals(gremlin_text)
         epoch = self.database.schema_epoch
-        entry = self.translation_cache.get(key, epoch=epoch)
+        entry = self.translation_cache.get(shape, epoch=epoch)
+        if entry is not None:
+            statement = entry.statements.get(
+                tuple([literals[slot] for slot in entry.kept]))
+            if statement is not None:
+                sql, recipe, trace = statement
+                return sql, _bind(recipe, literals), trace, True
+        query = parse_gremlin(gremlin_text)
+        template, params, __ = parameterize_query(query)
+        marked_sql = self.translator.translate(template)
+        trace = obs_context.current().trace
+        sql, recipe = strip_parameter_markers(marked_sql)
+        self._count_translation()
         if entry is None:
-            marked_sql = self.translator.translate(template)
-            sql, recipe = strip_parameter_markers(marked_sql)
-            entry = _CompiledTemplate(
-                sql, recipe, obs_context.current().trace
-            )
-            self.translation_cache.put(key, entry, epoch=epoch)
-            self._count_translation()
-            return entry.sql, bind_parameters(values, entry.recipe), entry.trace, False
-        return entry.sql, bind_parameters(values, entry.recipe), entry.trace, True
+            feeds = _learn_feeds(shape, literals)
+            if feeds is not None:
+                entry = _Shape(feeds, len(literals))
+                self.translation_cache.put(shape, entry, epoch=epoch)
+        # a shape whose map is unknown, or does not explain this text's
+        # parameters, is never served from the cache
+        if entry is not None and _same_values(
+                _bind(entry.feeds, literals), params):
+            entry.add(literals, sql, recipe, trace)
+        return sql, bind_parameters(params, recipe), trace, False
 
     def run(self, gremlin_text):
         """Run a Gremlin query; returns the list of result values."""

@@ -93,13 +93,6 @@ def sql_literal(value):
     raise UnsupportedPipeError(f"cannot render literal {value!r}")
 
 
-def _render_id(value):
-    """Render a vertex/edge id (coerced to int unless parameterized)."""
-    if isinstance(value, ParamLiteral):
-        return value.marker
-    return str(int(value))
-
-
 class GremlinTranslator:
     """Translates parsed Gremlin queries against one SQLGraph schema."""
 
@@ -217,58 +210,38 @@ class _Translation:
         pipe = self.pipes[position]
         merged, next_position = self._collect_mergeable(position + 1)
         if isinstance(pipe, p.StartVertices):
-            table = self.names["va"]
-            conditions = ["p.vid >= 0"]
-            if pipe.ids:
-                rendered = ", ".join(_render_id(i) for i in pipe.ids)
-                conditions.append(f"p.vid IN ({rendered})")
-            if pipe.key is not None:
-                conditions.append(
-                    self._attribute_condition("p", VERTEX, pipe.key, "==",
-                                              pipe.value)
-                )
-            for filt in merged:
-                conditions.append(
-                    self._filter_condition("p", VERTEX, filt, "p.vid")
-                )
-            path = ", PATH_INIT(p.vid) AS path" if self.track_path else ""
-            sql = (
-                f"SELECT p.vid AS val{path} FROM {table} p WHERE "
-                + " AND ".join(conditions)
-            )
-            if merged:
-                self.trace.graphquery_merges += len(merged)
-                template = f"g.V start + GraphQuery merge of {len(merged)} filter(s)"
-            else:
-                template = "g.V start"
-            self._new_cte(sql, template)
-            self._extend(VERTEX)
-            return next_position
-        table = self.names["ea"]
-        conditions = ["p.eid >= 0"]
-        if pipe.ids:
-            rendered = ", ".join(_render_id(i) for i in pipe.ids)
-            conditions.append(f"p.eid IN ({rendered})")
+            elem_type, table, column, start = VERTEX, "va", "p.vid", "g.V"
+        else:
+            elem_type, table, column, start = EDGE, "ea", "p.eid", "g.E"
+        sources = f"{self.names[table]} p"
+        conditions = [f"{column} >= 0"]
+        if len(pipe.ids) == 1:
+            conditions.append(f"{column} IN ({sql_literal(pipe.ids[0])})")
+        elif pipe.ids:
+            # a join, not IN: each repeated id starts one more traverser
+            ids = self._new_cte(" UNION ALL ".join(
+                f"SELECT {sql_literal(i)} AS val" for i in pipe.ids
+            ), f"{start} id list")
+            sources = f"{ids} i, {sources}"
+            conditions.append(f"{column} = i.val")
         if pipe.key is not None:
-            conditions.append(
-                self._attribute_condition("p", EDGE, pipe.key, "==", pipe.value)
-            )
+            conditions.append(self._attribute_condition(
+                "p", elem_type, pipe.key, "==", pipe.value))
         for filt in merged:
             conditions.append(
-                self._filter_condition("p", EDGE, filt, "p.eid")
-            )
-        path = ", PATH_INIT(p.eid) AS path" if self.track_path else ""
+                self._filter_condition("p", elem_type, filt, column))
+        path = f", PATH_INIT({column}) AS path" if self.track_path else ""
         sql = (
-            f"SELECT p.eid AS val{path} FROM {table} p WHERE "
+            f"SELECT {column} AS val{path} FROM {sources} WHERE "
             + " AND ".join(conditions)
         )
         if merged:
             self.trace.graphquery_merges += len(merged)
-            template = f"g.E start + GraphQuery merge of {len(merged)} filter(s)"
+            template = f"{start} start + GraphQuery merge of {len(merged)} filter(s)"
         else:
-            template = "g.E start"
+            template = f"{start} start"
         self._new_cte(sql, template)
-        self._extend(EDGE)
+        self._extend(elem_type)
         return next_position
 
     def _collect_mergeable(self, position):
@@ -1007,7 +980,7 @@ def _parameterize_pipe(pipe, slot):
     if isinstance(pipe, (p.StartVertices, p.StartEdges)):
         changes = {}
         if pipe.ids:
-            changes["ids"] = [slot(int(i)) for i in pipe.ids]
+            changes["ids"] = [slot(i) for i in pipe.ids]
         if pipe.key is not None and _parameterizable(pipe.value):
             changes["value"] = slot(pipe.value)
         return dataclasses.replace(pipe, **changes) if changes else pipe

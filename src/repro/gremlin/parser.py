@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.gremlin import closures as cl
 from repro.gremlin import pipes as p
 from repro.gremlin.errors import GremlinSyntaxError, UnsupportedPipeError
-from repro.gremlin.lexer import tokenize
+from repro.gremlin.lexer import number_value, tokenize
 
 
 def parse_gremlin(text):
@@ -105,20 +105,16 @@ class _Parser:
     def _start_vertices(self, name, args):
         if not args:
             return p.StartVertices()
-        if name == "v" or all(isinstance(arg, (int, float)) for arg in args):
-            return p.StartVertices(ids=[int(arg) for arg in args])
-        if len(args) == 2 and isinstance(args[0], str):
+        if name == "V" and len(args) == 2 and isinstance(args[0], str):
             return p.StartVertices(key=args[0], value=args[1])
-        raise GremlinSyntaxError(f"cannot interpret start pipe arguments {args!r}")
+        return p.StartVertices(ids=_ids(args))
 
     def _start_edges(self, name, args):
         if not args:
             return p.StartEdges()
-        if name == "e" or all(isinstance(arg, (int, float)) for arg in args):
-            return p.StartEdges(ids=[int(arg) for arg in args])
-        if len(args) == 2 and isinstance(args[0], str):
+        if name == "E" and len(args) == 2 and isinstance(args[0], str):
             return p.StartEdges(key=args[0], value=args[1])
-        raise GremlinSyntaxError(f"cannot interpret start pipe arguments {args!r}")
+        return p.StartEdges(ids=_ids(args))
 
     # ------------------------------------------------------------------
     # individual pipes
@@ -161,9 +157,7 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            return float(token.value) if "." in token.value or "e" in (
-                token.value.lower()
-            ) else int(token.value)
+            return number_value(token.value)
         if token.kind == "STRING":
             self.advance()
             return token.value
@@ -298,10 +292,7 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            text = token.value
-            if "." in text or "e" in text.lower():
-                return cl.Const(float(text))
-            return cl.Const(int(text))
+            return cl.Const(number_value(token.value))
         if token.kind == "STRING":
             self.advance()
             return cl.Const(token.value)
@@ -461,6 +452,17 @@ class _VarName:
 
     def __init__(self, name):
         self.name = name
+
+
+def _ids(args):
+    """Start ids: integer literals only (a bool is not an id)."""
+    for arg in args:
+        if type(arg) is not int:
+            shown = arg.name if isinstance(arg, _VarName) else repr(arg)
+            raise GremlinSyntaxError(
+                f"an element id must be an integer literal, got {shown}"
+            )
+    return list(args)
 
 
 def _strings(args):

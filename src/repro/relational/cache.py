@@ -5,7 +5,7 @@ Two caches in the engine are built on :class:`LRUCache`:
 * the **prepared-statement cache** in :class:`repro.relational.Database`
   (normalized SQL text -> parsed AST + lock sets), and
 * the **translation cache** in :class:`repro.core.SQLGraphStore`
-  (Gremlin template key -> parameterized SQL + binding recipe).
+  (Gremlin query shape -> learned slot map + translated statements).
 
 Entries are stamped with the database's *schema epoch* at insertion time.
 Any DDL (``CREATE TABLE``, ``CREATE INDEX``, ``DROP TABLE`` — and therefore
