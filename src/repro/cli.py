@@ -16,8 +16,6 @@ colon::
     sqlgraph> :explain g.v(1).out.out       -- show the engine's plan
     sqlgraph> :analyze g.v(1).out.out       -- run it: actual rows + timings
     sqlgraph> :sql SELECT COUNT(*) FROM ea  -- raw SQL escape hatch
-    sqlgraph> :analyze-tables               -- collect optimizer statistics
-                                               (optionally one table name)
     sqlgraph> :stats                        -- table sizes, load report,
                                                last-query stats
     sqlgraph> :pagerank                     -- bulk analytics: top PageRank
@@ -35,11 +33,6 @@ the engine for the plan — ``:analyze`` additionally executes it and
 annotates every operator with actual row counts and wall time (see
 docs/OBSERVABILITY.md).  ``:stats`` appends the most recent query's
 translation trace and execution counters when one has run.
-
-``:analyze-tables`` runs the SQL ``ANALYZE`` statement: it samples every
-table (or just the named one) and installs per-column statistics the
-cost-based planner uses for selectivity and join ordering (see
-docs/OPTIMIZER.md); ``:stats`` then lists the analyzed tables.
 
 ``:pagerank``, ``:components``, ``:labelprop`` and ``:sssp`` run the bulk
 analytics drivers (iterated SQL joins/aggregates over a copy of the
@@ -142,7 +135,7 @@ def execute_line(store, line):
 #: commands that require a local relational engine and therefore cannot
 #: run on the sharded coordinator (each worker shard still serves them)
 _SHARD_LOCAL_COMMANDS = frozenset({
-    ":translate", ":explain", ":analyze", ":sql", ":analyze-tables",
+    ":translate", ":explain", ":analyze", ":sql",
     ":pagerank", ":components", ":labelprop", ":sssp", ":checkpoint",
 })
 
@@ -177,16 +170,6 @@ def _execute_command(store, line):
             )
             return f"{header}\n{body}" if body else header
         return f"ok ({result.rowcount} rows affected)"
-    if command == ":analyze-tables":
-        sql = "ANALYZE" if not argument else f"ANALYZE {argument}"
-        try:
-            result = store.database.execute(sql)
-        except EngineError as exc:
-            return f"cannot analyze: {type(exc).__name__}: {exc}"
-        return "\n".join(
-            f"{name:6} {rows:>10} rows ({sample} sampled)"
-            for name, rows, sample in result.rows
-        ) or "(no tables)"
     if command == ":stats":
         stats = store.table_stats()
         lines = [f"{name:6} {count:>10} rows" for name, count in
@@ -198,17 +181,6 @@ def _execute_command(store, line):
             f"{report.out.spill_percentage:.2f}%, in spill "
             f"{report.incoming.spill_percentage:.2f}%"
         )
-        analyzed = stats.get("statistics") or {}
-        if analyzed:
-            lines.append(
-                "optimizer statistics: "
-                + ", ".join(sorted(analyzed))
-                + " (run :analyze-tables to refresh)"
-            )
-        else:
-            lines.append(
-                "optimizer statistics: none (run :analyze-tables)"
-            )
         lines.extend(_cache_lines(store))
         lines.extend(_wal_lines(store))
         lines.extend(_last_query_lines())

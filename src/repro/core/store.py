@@ -544,17 +544,7 @@ class SQLGraphStore(GraphInterface):
         return {
             "rows": stats,
             "load": self.load_report,
-            "statistics": self.database.statistics.snapshot(),
         }
-
-    def analyze_tables(self, table=None):
-        """Collect optimizer statistics (the SQL ``ANALYZE`` statement).
-
-        Returns ``[(table_name, row_count, sample_size), ...]`` for the
-        analyzed tables.  See docs/OPTIMIZER.md.
-        """
-        sql = "ANALYZE" if table is None else f"ANALYZE {table}"
-        return list(self.database.execute(sql).rows)
 
     def storage_bytes(self):
         return self.database.storage_bytes()

@@ -46,7 +46,6 @@ from repro.relational.planner import Planner
 from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.sql import ast_nodes as ast
 from repro.relational.sql.parser import parse_statement
-from repro.relational.stats import META_STATS_KEY, StatisticsRegistry
 from repro.relational.table import HeapTable
 
 #: recognized planner options and their validators.  Options are read
@@ -381,9 +380,6 @@ class Database:
         self.functions = ex.default_functions()
         self.locks = LockManager(lock_timeout)
         self.planner_options = validate_planner_options(planner_options)
-        #: ANALYZE statistics (see repro.relational.stats); consulted by
-        #: every planner
-        self.statistics = StatisticsRegistry()
         self._local = _ThreadState()
         self.statements_executed = 0  # guarded-by: _txn_guard
         #: monotonic counter bumped by every DDL statement; prepared plans
@@ -424,11 +420,6 @@ class Database:
         for table in self.catalog._tables.values():
             table.wal = self.wal
             table.scope_source = self.catalog.scope_source
-        # ANALYZE statistics ride the meta channel: reload them (validated
-        # against the recovered catalog) so the cost model survives restarts
-        payload = self.meta.get(META_STATS_KEY)
-        if payload:
-            self.statistics.load_meta(self, payload)
         # Checkpoint immediately: the recovered state becomes the snapshot
         # and the (possibly long, possibly torn) log is truncated, so txids
         # from the previous incarnation can never collide with ours.
@@ -667,13 +658,6 @@ class Database:
         elif isinstance(statement, ast.DeleteStatement):
             writes.add(statement.table.lower())
             self._collect_tables(reads, expressions=[statement.where])
-        elif isinstance(statement, ast.AnalyzeStatement):
-            # the statistics persist through put_meta
-            writes.add(META_LOCK)
-            if statement.table is not None:
-                reads.add(statement.table.lower())
-            else:
-                reads.update(self.catalog.table_names())
         elif isinstance(statement, ast.CreateIndexStatement):
             writes.add(statement.table.lower())
         elif isinstance(
@@ -761,32 +745,7 @@ class Database:
             return self._run_create_index(statement, prepared.sql)
         if isinstance(statement, ast.DropTableStatement):
             return self._run_drop_table(statement, prepared.sql)
-        if isinstance(statement, ast.AnalyzeStatement):
-            return self._run_analyze(statement)
         raise BindError(f"cannot execute {type(statement).__name__}")
-
-    def _run_analyze(self, statement):
-        """``ANALYZE [table]``: collect statistics, persist via WAL meta."""
-        if statement.table is not None:
-            name = statement.table.lower()
-            if not self.catalog.has_table(name):
-                raise BindError(f"unknown table {statement.table!r}")
-            names = [name]
-        else:
-            names = self.catalog.table_names()
-        rows = []
-        for name in names:
-            entry = self.statistics.analyze(
-                self.catalog.get_table(name), self.schema_epoch
-            )
-            rows.append((name, entry.row_count, entry.sample_size))
-        self.put_meta(META_STATS_KEY, self.statistics.to_meta())
-        # cached plans were costed on the old statistics
-        self.plan_cache.invalidate_all()
-        return ResultSet(
-            ["table_name", "row_count", "sample_size"], rows,
-            rowcount=len(rows),
-        )
 
     def _run_plan(self, prepared, params=None, apply=None):
         """Run *prepared* through a cached plan from its pool: what
@@ -1014,7 +973,6 @@ class Database:
         if not dropped and not statement.if_exists:
             raise BindError(f"unknown table {statement.name!r}")
         if dropped:
-            self.statistics.forget(statement.name.lower())
             self._bump_schema_epoch()
             self._log_ddl(sql)
         return ResultSet()

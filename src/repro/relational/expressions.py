@@ -251,7 +251,9 @@ class BinaryOp(Expression):
 def compare_values(op, left, right):
     """SQL comparison with 3VL and a cross-type total order.
 
-    Returns True/False, or ``None`` when either side is NULL.
+    Returns True/False, or ``None`` when either side is NULL or when an
+    ordering compares a string with a non-string (no order between them:
+    Gremlin's own comparison fails there too).
     """
     if left is None or right is None:
         return None
@@ -259,6 +261,8 @@ def compare_values(op, left, right):
         return _sql_equal(left, right)
     if op in ("<>", "!="):
         return not _sql_equal(left, right)
+    if isinstance(left, str) is not isinstance(right, str):
+        return None
     left_key = total_order_key(left)
     right_key = total_order_key(right)
     if op == "<":

@@ -305,8 +305,18 @@ class SortedIndex(Index):
         return rids
 
     def range_scan(self, low=None, high=None, low_inclusive=True, high_inclusive=True):
-        """Yield RIDs with keys in the given (partially open) range."""
+        """Yield RIDs with keys in the given (partially open) range.
+
+        A bounded scan yields only keys of its bounds' class, string or
+        non-string: no order holds between the two (see
+        :func:`repro.relational.expressions.compare_values`)."""
         self.range_scans += 1
+        text = None  # the bounds' class: True for str, None when unbounded
+        for bound in (low, high):
+            if bound is not None:
+                if text is not None and text is not isinstance(bound, str):
+                    return
+                text = isinstance(bound, str)
         if low is not None:
             low_order = total_order_key(low)
             if low_inclusive:
@@ -326,7 +336,9 @@ class SortedIndex(Index):
                         break
                 elif not (order < high_order):
                     break
-            if key is None:
+            if key is None or (
+                text is not None and isinstance(key, str) is not text
+            ):
                 continue
             yield rid
 

@@ -171,37 +171,6 @@ class Operator:
         """One-line summary used by EXPLAIN."""
         return type(self).__name__
 
-    # ------------------------------------------------------------------
-    # cost interface (consumed by the planner when statistics exist)
-    # ------------------------------------------------------------------
-    #: ANALYZE-derived ``{fingerprint: ndv}`` the planner attaches to base
-    #: accesses; ``distinct_values`` consults it before asking children
-    stats_ndv = None
-
-    def records_output(self):
-        """Estimated output row count (the planner's ``est_rows``)."""
-        return self.est_rows
-
-    def distinct_values(self, fingerprint):
-        """Estimated distinct values of the expression *fingerprint* in the
-        output, or ``None`` when unknown.
-
-        Pipeline operators pass the question through to whichever child
-        carries the column, capped by their own output cardinality — a
-        filter can only shrink the value set.
-        """
-        local = self.stats_ndv
-        if local is not None and fingerprint in local:
-            return min(local[fingerprint], max(self.records_output(), 1))
-        answers = [
-            child.distinct_values(fingerprint)
-            for child in self.children_ops()
-        ]
-        answers = [answer for answer in answers if answer is not None]
-        if not answers:
-            return None
-        return min(min(answers), max(self.records_output(), 1))
-
 
 def explain_plan(plan, indent=0):
     """Render an operator tree as an indented text plan."""

@@ -8,9 +8,9 @@ shapes it must handle well are exactly those of the paper's Figures 3/6
 traversal queries (chains of adjacency CTEs) and Figure 4 attribute lookups
 (``JSON_VAL`` expression indexes, §3.4).
 
-The planner is cost-based but deliberately simple, with one rule whether
-or not ANALYZE has run (without statistics the estimates fall back to
-constants; the rule does not change):
+The planner is cost-based but deliberately simple.  Its estimates come
+from what the tables already keep — live row counts and each index's
+distinct key count — plus fixed selectivity constants:
 
 * single-table conjuncts are pushed into scans, with access-path selection
   (hash index for equality and IN lists, sorted index for ranges / prefix
@@ -57,8 +57,7 @@ from repro.relational.plan import (
 )
 from repro.relational.sql import ast_nodes as ast
 
-# no-statistics fallback constants: what the planner estimates with for
-# a table ANALYZE has not covered
+# selectivity constants for a conjunct no index answers
 EQ_FALLBACK_SELECTIVITY = 0.05
 RANGE_SELECTIVITY = 0.3
 LIKE_SELECTIVITY = 0.1
@@ -147,7 +146,6 @@ class Planner:
         self.stats = None
         #: validated planner option, read once per plan (not per join step)
         self._probe_cost = database.planner_option("index_probe_cost", 1.0)
-        self._stats_cache = {}  # table name -> TableStats or None
         self._subqueries = {}  # id(statement AST) -> its Plan
 
     # ------------------------------------------------------------------
@@ -626,28 +624,6 @@ class Planner:
         self._mark_base(scan, table, alias, ())
         return scan
 
-    # ------------------------------------------------------------------
-    # statistics access
-    # ------------------------------------------------------------------
-    def _table_stats(self, table):
-        """ANALYZE statistics for *table*, or ``None`` (absent, or
-        invalidated by a schema change)."""
-        name = table.name
-        if name in self._stats_cache:
-            return self._stats_cache[name]
-        registry = getattr(self.database, "statistics", None)
-        entry = None
-        if registry is not None:
-            entry = registry.get(name, self.database.schema_epoch)
-        self._stats_cache[name] = entry
-        return entry
-
-    def _attach_table_ndv(self, plan, table):
-        """Stamp the cost interface's NDV map onto a base-table access."""
-        tstats = self._table_stats(table)
-        if tstats is not None:
-            plan.stats_ndv = tstats.ndv_map()
-
     def _apply_unnest(self, child, unnest):
         ctx = self._ctx(child.columns)
         width = len(unnest.columns)
@@ -789,8 +765,8 @@ class Planner:
         pair costs the full cross product, so it is ranked last (joining
         one raises: :meth:`_equi_join`).
         """
-        outer_rows = max(outer.records_output(), 1)
-        inner_rows = max(inner.records_output(), 1)
+        outer_rows = max(outer.est_rows, 1)
+        inner_rows = max(inner.est_rows, 1)
         if not pairs:
             return outer_rows * inner_rows, None
         hash_cost = inner_rows + outer_rows * 0.5
@@ -812,25 +788,14 @@ class Planner:
         return hash_cost, None
 
     def _estimate_join_rows(self, left, right, pairs):
-        """System-R style equi-join cardinality: ``|L||R| / Π max(ndv)``.
-
-        Each equi-pair divides the cross product by the larger side's
-        distinct count for the join key (the smaller value set matches into
-        the larger).  A pair whose NDV is unknown on both sides divides by
-        the smaller input — the foreign-key guess: a key join returns about
-        as many rows as its larger side.
-        """
-        left_rows = max(left.records_output(), 1)
-        right_rows = max(right.records_output(), 1)
+        """Equi-join cardinality: each equi-pair divides the cross product
+        ``|L||R|`` by the smaller input — the foreign-key guess: a key
+        join returns about as many rows as its larger side."""
+        left_rows = max(left.est_rows, 1)
+        right_rows = max(right.est_rows, 1)
         estimate = left_rows * right_rows
-        if not pairs:
-            return estimate
-        for left_expr, right_expr in pairs:
-            left_ndv = left.distinct_values(safe_fingerprint(left_expr))
-            right_ndv = right.distinct_values(safe_fingerprint(right_expr))
-            known = [ndv for ndv in (left_ndv, right_ndv) if ndv]
-            denominator = max(known) if known else min(left_rows, right_rows)
-            estimate /= max(denominator, 1)
+        for __ in pairs:
+            estimate /= min(left_rows, right_rows)
         return max(1, int(estimate))
 
     def _join_pair(self, current, candidate, conjuncts):
@@ -871,7 +836,7 @@ class Planner:
                 (inner.base_qualifier, name)
                 for name in table.schema.column_names
             ]
-            join_op = op.IndexNLJoinOp(
+            return op.IndexNLJoinOp(
                 outer, table, inner.base_qualifier, index, outer_key_fns,
                 residual=self._residual_kernel(
                     list(residual) + list(inner.pushed_conjuncts),
@@ -879,10 +844,6 @@ class Planner:
                 ),
                 kind=kind, est_rows=est,
             )
-            # inner-table NDVs for downstream join-cardinality questions
-            # (the inner side is a raw table, not a child operator)
-            self._attach_table_ndv(join_op, table)
-            return join_op
         inner_ctx = self._ctx(inner.columns)
         inner_key_fns = [pair[1].compile_batch(inner_ctx) for pair in pairs]
         if kind == "left" or inner.est_rows <= outer.est_rows:
@@ -942,9 +903,7 @@ class Planner:
             if chosen is None or access[1] < chosen[1]:
                 chosen = access + (conjunct,)
         if chosen is None:
-            est = self._estimate_filtered(
-                table.live_rows, local_conjuncts, self._table_stats(table)
-            )
+            est = self._estimate_filtered(table.live_rows, local_conjuncts)
             scan = op.SeqScan(
                 table, qualifier,
                 self._conjunction_kernel(local_conjuncts, ctx), est,
@@ -954,7 +913,7 @@ class Planner:
         factory, est, exact, consumed = chosen
         rest = [conjunct for conjunct in local_conjuncts if conjunct is not consumed]
         if rest:
-            est = self._estimate_filtered(est, rest, self._table_stats(table))
+            est = self._estimate_filtered(est, rest)
         if not exact:
             # the index only narrowed the conjunct (a LIKE beyond its
             # prefix): re-check it on the fetched rows
@@ -969,7 +928,6 @@ class Planner:
         scan.base_table = table
         scan.base_qualifier = qualifier
         scan.pushed_conjuncts = list(pushed_conjuncts)
-        self._attach_table_ndv(scan, table)
 
     def _conjunction_kernel(self, conjuncts, ctx):
         """Batch kernel for AND-ed *conjuncts*."""
@@ -977,20 +935,14 @@ class Planner:
             return conjuncts[0].compile_batch(ctx)
         return ex.And(list(conjuncts)).compile_batch(ctx)
 
-    def _estimate_filtered(self, base_rows, conjuncts, tstats=None):
+    def _estimate_filtered(self, base_rows, conjuncts):
         estimate = base_rows
         for conjunct in conjuncts:
-            estimate *= self._conjunct_selectivity(conjunct, tstats)
+            estimate *= self._conjunct_selectivity(conjunct)
         return max(1, int(estimate))
 
-    def _conjunct_selectivity(self, conjunct, tstats):
-        """Selectivity of one conjunct: histogram/MCV answer when ANALYZE
-        statistics cover the referenced expression, the classic constants
-        otherwise (the exact pre-statistics behavior)."""
-        if tstats is not None:
-            selectivity = self._stats_selectivity(conjunct, tstats)
-            if selectivity is not None:
-                return selectivity
+    def _conjunct_selectivity(self, conjunct):
+        """Selectivity of one conjunct, from the fixed constants."""
         if isinstance(conjunct, ex.Comparison) and conjunct.op == "=":
             return EQ_FALLBACK_SELECTIVITY
         if isinstance(conjunct, ex.Comparison):
@@ -1000,75 +952,6 @@ class Planner:
         if isinstance(conjunct, ex.IsNull) and conjunct.negated:
             return NOTNULL_SELECTIVITY
         return 0.5
-
-    def _stats_selectivity(self, conjunct, tstats):
-        """Answer *conjunct* from column statistics, or ``None`` when they
-        cannot (no matching column stats, non-constant comparison, ...)."""
-        if isinstance(conjunct, ex.Comparison):
-            sides = [
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ]
-            for key_side, value_side in sides:
-                if not self._is_const(value_side):
-                    continue
-                if not key_side.references():
-                    continue
-                column = tstats.column(safe_fingerprint(key_side))
-                if column is None:
-                    continue
-                value = self._const_fn(value_side)()
-                operator = conjunct.op
-                if key_side is conjunct.right:
-                    operator = _MIRRORED.get(operator, operator)
-                if operator == "=":
-                    return column.eq_selectivity(value)
-                if operator in ("<>", "!="):
-                    return column.ne_selectivity(value)
-                if operator in ("<", "<="):
-                    return column.range_selectivity(
-                        None, value, high_inclusive=operator == "<="
-                    )
-                if operator in (">", ">="):
-                    return column.range_selectivity(
-                        value, None, low_inclusive=operator == ">="
-                    )
-                return None
-            return None
-        if isinstance(conjunct, ex.InList) and not conjunct.negated:
-            if not all(self._is_const(item) for item in conjunct.items):
-                return None
-            column = tstats.column(safe_fingerprint(conjunct.operand))
-            if column is None:
-                return None
-            return column.in_list_selectivity(
-                [self._const_fn(item)() for item in conjunct.items]
-            )
-        if isinstance(conjunct, ex.Like) and not conjunct.negated:
-            prefix = _like_prefix(conjunct)
-            if prefix is None:
-                return None
-            column = tstats.column(safe_fingerprint(conjunct.operand))
-            if column is None:
-                return None
-            return column.like_prefix_selectivity(prefix)
-        if isinstance(conjunct, ex.IsNull):
-            column = tstats.column(safe_fingerprint(conjunct.operand))
-            if column is None:
-                return None
-            if conjunct.negated:
-                return column.not_null_selectivity()
-            return column.null_selectivity()
-        return None
-
-    def _index_access_est(self, table, conjunct, fallback_est):
-        """Index-access row estimate: statistics-based when available."""
-        tstats = self._table_stats(table)
-        if tstats is not None:
-            selectivity = self._stats_selectivity(conjunct, tstats)
-            if selectivity is not None:
-                return max(1, int(table.live_rows * selectivity))
-        return fallback_est
 
     def _match_index_access(self, table, qualifier, conjunct):
         """Try to satisfy *conjunct* with an index; returns ``(factory,
@@ -1086,10 +969,7 @@ class Planner:
             index = table.find_index(fingerprint, kind="sorted")
             if index is None:
                 return None
-            est = self._index_access_est(
-                table, conjunct,
-                max(1, int(table.live_rows * NOTNULL_SELECTIVITY)),
-            )
+            est = max(1, int(table.live_rows * NOTNULL_SELECTIVITY))
 
             def factory(predicate, est_rows, _index=index):
                 return op.IndexRangeScan(
@@ -1105,10 +985,7 @@ class Planner:
             index = table.find_index(fingerprint, kind="sorted")
             if index is None:
                 return None
-            est = self._index_access_est(
-                table, conjunct,
-                max(1, int(table.live_rows * LIKE_SELECTIVITY)),
-            )
+            est = max(1, int(table.live_rows * LIKE_SELECTIVITY))
             high = prefix + "￿"
 
             def factory(predicate, est_rows, _index=index):
@@ -1127,9 +1004,7 @@ class Planner:
                 return None
             key_fns = [self._const_fn(item) for item in conjunct.items]
             ndv = max(index.distinct_keys(), 1)
-            est = self._index_access_est(
-                table, conjunct, max(1, len(key_fns) * table.live_rows // ndv)
-            )
+            est = max(1, len(key_fns) * table.live_rows // ndv)
 
             def factory(predicate, est_rows, _index=index, _key_fns=key_fns):
                 return op.IndexEqScan(
@@ -1159,9 +1034,7 @@ class Planner:
                     continue
                 key_fn = self._const_fn(value_side)
                 ndv = max(index.distinct_keys(), 1)
-                est = self._index_access_est(
-                    table, conjunct, max(1, table.live_rows // ndv)
-                )
+                est = max(1, table.live_rows // ndv)
 
                 def factory(predicate, est_rows, _index=index, _key=key_fn):
                     return op.IndexEqScan(
@@ -1186,10 +1059,7 @@ class Planner:
                 else:
                     low = bound
                     low_inc = operator == ">="
-                est = self._index_access_est(
-                    table, conjunct,
-                    max(1, int(table.live_rows * RANGE_SELECTIVITY)),
-                )
+                est = max(1, int(table.live_rows * RANGE_SELECTIVITY))
 
                 def factory(
                     predicate, est_rows, _index=index, _low=low, _high=high,

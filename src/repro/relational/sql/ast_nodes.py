@@ -142,16 +142,6 @@ class DropTableStatement:
 
 
 @dataclass
-class AnalyzeStatement:
-    """``ANALYZE [table]`` — collect optimizer statistics.
-
-    ``table`` is ``None`` for the bare form, which analyzes every table.
-    """
-
-    table: str | None = None
-
-
-@dataclass
 class ExplainStatement:
     """``EXPLAIN [ANALYZE] <statement>``.
 

@@ -6,7 +6,8 @@ stored procedures, the analytics algorithms and the loaders) plus
 reach directly; ``tests/test_engine_surface.py`` keeps it that way.
 Constructs outside it that a reader might expect (``INTERSECT`` /
 ``EXCEPT``, ``HAVING``, ``EXISTS``, scalar subqueries, derived tables in
-FROM) are rejected with a :class:`SqlSyntaxError` that names them.
+FROM, a bare ``ANALYZE``) are rejected with a :class:`SqlSyntaxError`
+that names them.
 """
 
 from __future__ import annotations
@@ -125,11 +126,8 @@ class _Parser:
             return self.parse_create()
         if self.check_keyword("DROP"):
             return self.parse_drop()
-        if self.accept_keyword("ANALYZE"):
-            table = None
-            if self.current.kind != "EOF" and not self.check_op(";"):
-                table = self.expect_ident()
-            return ast.AnalyzeStatement(table=table)
+        if self.check_keyword("ANALYZE"):
+            self.unsupported("ANALYZE (collecting optimizer statistics)")
         raise SqlSyntaxError(
             f"cannot parse statement starting with {self.current.value!r}",
             self.current.position,

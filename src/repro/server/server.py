@@ -850,16 +850,8 @@ class SQLGraphServer:
             "active_sessions": active,
             "queue_depth": self._pending.qsize(),
             "draining": self._draining.is_set(),
-            # ANALYZE statistics snapshot: which tables the shared store's
-            # cost-based planner currently has estimates for
-            "optimizer_statistics": self._store_statistics(),
             **counters,
         }
-
-    def _store_statistics(self):
-        """Optimizer-statistics snapshot; a sharded coordinator has no
-        local relational engine to snapshot."""
-        return self.store.database.statistics.snapshot()
 
     def _stats_lines(self, session):
         """Server section appended to a remote ``:stats``."""

@@ -90,9 +90,6 @@ class CoordinatorServer(SQLGraphServer):
     })
 
     # ------------------------------------------------------------------
-    def _store_statistics(self):
-        return None  # no local relational engine on the coordinator
-
     def stats(self):
         """Serving counters plus per-shard health."""
         payload = super().stats()

@@ -1,18 +1,21 @@
-"""Differential testing: planning from statistics vs the no-statistics
-fallback.
+"""Differential testing: the RAM and disk cost regimes of the planner.
 
-Every query runs on two identical stores: one whose tables were ANALYZEd
-and one that never ran ANALYZE, so its planner estimates with the
-fallback constants.  With statistics the planner may pick different join
-orders and access paths — but it must return the same *multiset* of rows
-for every query.  Results are compared unordered (canonicalized by
-``repr``) because a different join order legitimately permutes output
-rows; queries with ORDER BY additionally assert the exact ordered result.
+Every query runs on two identical stores: one planning with the default
+``index_probe_cost`` (an index probe costs about a sequential row, the
+paper's RAM regime) and one whose probes cost a thousand rows (the disk
+regime, pushed far enough that these small fixtures' joins flip).  The
+two pick different join methods — index nested loops against hash
+joins — but must return the same *multiset* of rows for every query.
+Results are compared unordered (canonicalized by ``repr``) because a
+different join order legitimately permutes output rows; queries with
+ORDER BY additionally assert the exact ordered result.
 
 Corpus: the paper's Table 8 pipe matrix and Figure 7 examples over the
 TinkerPop classic graph, and a pool of SQL shapes over a relational
 fixture.
 """
+
+import re
 
 import pytest
 
@@ -22,11 +25,15 @@ from repro.relational import Database
 from tests.corpus import FIGURE7_EXAMPLES, TABLE8_MATRIX
 
 
+#: planner options of the disk regime
+DISK_REGIME = {"index_probe_cost": 1000.0}
+
+
 def run_both(pair, run):
-    """Call *run* on the ANALYZEd member of *pair* and on the one without
-    statistics; return both results."""
-    analyzed, plain = pair
-    return run(analyzed), run(plain)
+    """Call *run* on the RAM-regime member of *pair* and on the
+    disk-regime one; return both results."""
+    ram, disk = pair
+    return run(ram), run(disk)
 
 
 def canon(result):
@@ -34,8 +41,8 @@ def canon(result):
     return sorted(repr(item) for item in result)
 
 
-def _classic_store():
-    store = SQLGraphStore()
+def _classic_store(planner_options=None):
+    store = SQLGraphStore(planner_options=planner_options)
     store.load_graph(tinkerpop_classic())
     store.create_attribute_index("vertex", "lang")
     return store
@@ -43,9 +50,7 @@ def _classic_store():
 
 @pytest.fixture(scope="module")
 def classic_stores():
-    analyzed, plain = _classic_store(), _classic_store()
-    analyzed.analyze_tables()
-    return analyzed, plain
+    return _classic_store(), _classic_store(DISK_REGIME)
 
 
 @pytest.mark.parametrize("pipe_name", sorted(TABLE8_MATRIX))
@@ -100,8 +105,8 @@ ORDERED_POOL = [
 ]
 
 
-def _sql_db():
-    database = Database()
+def _sql_db(planner_options=None):
+    database = Database(planner_options=planner_options)
     database.execute(
         "CREATE TABLE people (id INTEGER PRIMARY KEY, name STRING, "
         "age INTEGER, city STRING)"
@@ -151,9 +156,7 @@ def _sql_db():
 
 @pytest.fixture(scope="module")
 def sql_dbs():
-    analyzed, plain = _sql_db(), _sql_db()
-    analyzed.execute("ANALYZE")
-    return analyzed, plain
+    return _sql_db(), _sql_db(DISK_REGIME)
 
 
 @pytest.mark.parametrize("sql", SQL_POOL)
@@ -168,20 +171,19 @@ def test_ordered_sql_shapes_agree_exactly(sql_dbs, sql):
     assert costed == fallback, sql
 
 
-def test_stats_actually_engage(sql_dbs):
-    """Sanity check on the corpus itself: the two sides must not be
-    silently identical because statistics failed to load."""
-    analyzed, plain = sql_dbs
-    assert analyzed.statistics.get(
-        "people", analyzed.schema_epoch
-    ) is not None
-    assert plain.statistics.get("people", plain.schema_epoch) is None
-    import re
+def test_probe_cost_actually_engages(sql_dbs):
+    """Sanity check on the corpus itself: the two regimes must not be
+    silently identical because the probe cost failed to reach the
+    planner."""
 
-    def first_est(database):
-        sql = "EXPLAIN SELECT * FROM people WHERE city = 'paris'"
-        text = database.execute(sql).rows[0][0]
-        return int(re.search(r"est_rows=(\d+)", text).group(1))
+    def plan(database):
+        sql = (
+            "EXPLAIN SELECT p.name, o.item FROM people p, orders o "
+            "WHERE p.id = o.pid"
+        )
+        text = "\n".join(row[0] for row in database.execute(sql).rows)
+        return re.sub(r"\(est_rows=\d+\)", "", text)
 
-    costed, fallback = run_both(sql_dbs, first_est)
-    assert costed != fallback
+    ram, disk = run_both(sql_dbs, plan)
+    assert "IndexNLJoin" in ram
+    assert "IndexNLJoin" not in disk

@@ -439,3 +439,33 @@ def test_cli_checkpoint_requires_durable_store():
 
     store = build_store("tinker")
     assert "not a durable store" in execute_line(store, ":checkpoint")
+
+
+def test_reopen_ignores_persisted_analyze_statistics(tmp_path):
+    """Optimizer statistics that an ``ANALYZE`` of earlier releases wrote
+    to the meta channel are inert: the store reopens, plans from its
+    tables alone and answers as before."""
+    from repro.datasets.tinker import tinkerpop_classic
+
+    path = str(tmp_path / "store")
+    query = "g.V.has('age', T.gt, 28).out('created').name"
+    store = SQLGraphStore(path=path, wal_fsync="off")
+    store.load_graph(tinkerpop_classic())
+    expected = sorted(store.run(query))
+    # the shape an earlier release's ANALYZE persisted under this key
+    store.database.put_meta("table_stats", {"va": {
+        "table_name": "va", "row_count": 6, "page_count": 1,
+        "sample_size": 6, "schema_epoch": 13,
+        "columns": {"col(vid)": {
+            "ndv": 6, "null_frac": 0.0,
+            "mcvs": [[1, 0.5], [2, 0.5]], "bounds": [1, 6],
+            "sample_size": 6,
+        }},
+    }})
+    store.close()
+    reopened = SQLGraphStore(path=path, wal_fsync="off")
+    try:
+        assert "table_stats" in reopened.database.meta
+        assert sorted(reopened.run(query)) == expected
+    finally:
+        reopened.close()

@@ -127,3 +127,33 @@ class TestFixedSeeds:
 def test_property_differential(seed, n_vertices, n_edges, query):
     graph = random_property_graph(seed, n_vertices, n_edges)
     check_graph(graph, queries=[query])
+
+
+#: orderings between a string property and a number bound, or a number
+#: property and a string bound: no order holds, so none match
+MIXED_ORDER_QUERIES = [
+    "g.V.has('name', T.gte, 0).id",
+    "g.V.has('name', T.lt, 5).id",
+    "g.V.filter{it.name >= 0}.id",
+    "g.V.filter{it.name < 5}.id",
+    "g.V.has('age', T.lt, 'z').id",
+    "g.V.has('age', T.gte, 'a').id",
+    "g.V.has('name', T.gte, 'm').id",  # same class: an ordinary range
+]
+
+
+@pytest.mark.parametrize("sorted_index", [False, True],
+                         ids=["scan", "sorted_index"])
+def test_string_number_ordering_matches_interpreter(sorted_index):
+    from repro.datasets.tinker import tinkerpop_classic
+
+    graph = tinkerpop_classic()
+    store = SQLGraphStore()
+    store.load_graph(graph)
+    if sorted_index:
+        store.create_attribute_index("vertex", "name", sorted_index=True)
+        store.create_attribute_index("vertex", "age", sorted_index=True)
+    interpreter = GremlinInterpreter(graph)
+    for text in MIXED_ORDER_QUERIES:
+        expected = normalize_interpreter(interpreter.run(parse_gremlin(text)))
+        assert normalize_sql(store.run(text)) == expected, text

@@ -1,10 +1,13 @@
 """Tests for EXPLAIN and planner regime options."""
 
+import re
 import threading
 import time
 
 import pytest
 
+from repro.obs.context import current
+from repro.obs.stats import q_error
 from repro.relational import Database
 from repro.relational.errors import BindError
 
@@ -186,3 +189,39 @@ class TestPlannerOptions:
 
     def test_options_default_empty(self):
         assert Database().planner_options == {}
+
+
+# ----------------------------------------------------------------------
+# est-vs-actual feedback: EXPLAIN ANALYZE q_err
+# ----------------------------------------------------------------------
+def test_q_error_definition():
+    assert q_error(10, 10) == 1.0
+    assert q_error(100, 10) == 10.0
+    assert q_error(10, 100) == 10.0
+    assert q_error(0, 0) == 1.0  # floored at 1 on both sides
+
+
+def test_explain_analyze_reports_q_error():
+    """An equality through a hash index is estimated as live rows over
+    the index's distinct keys: exact on a uniform column."""
+    database = Database()
+    database.execute("CREATE TABLE ev (id INTEGER PRIMARY KEY, lbl STRING)")
+    database.execute("CREATE INDEX ev_lbl ON ev (lbl)")
+    with database.scope(writes=("ev",)):
+        database.table("ev").insert_many(
+            [(i, f"l{i % 20}") for i in range(1000)]
+        )
+    assert database.table("ev").indexes["ev_lbl"].distinct_keys() == 20
+    text = "\n".join(
+        row[0] for row in database.execute(
+            "EXPLAIN ANALYZE SELECT * FROM ev WHERE lbl = 'l7'"
+        ).rows
+    )
+    first = text.splitlines()[0]
+    assert "est_rows=50" in first
+    assert "actual_rows=50" in first
+    assert "q_err=1.00" in first
+    assert re.search(r"Estimates: median q_err \d+\.\d\d over \d+", text)
+    stats = current().statement
+    assert stats.median_q_error() == pytest.approx(1.0)
+    assert stats.as_dict()["median_q_error"] == pytest.approx(1.0)

@@ -300,16 +300,6 @@ class TestPlanReuse:
         with pytest.raises(BindError, match="unknown table"):
             db.execute(sql, [1])
 
-    def test_analyze_forces_a_replan(self, monkeypatch):
-        db = self._db()
-        counter = count_plans(monkeypatch)
-        db.execute(self.CTE_SQL, [1, 0])
-        db.execute(self.CTE_SQL, [2, 0])
-        assert counter["plans"] == 1
-        db.execute("ANALYZE t")
-        assert db.execute(self.CTE_SQL, [3, 0]).scalar() == 20
-        assert counter["plans"] == 2
-
     def test_attribute_index_forces_a_replan(self, store, monkeypatch):
         query = "g.V.has('age', T.gt, 28).name"
         counter = count_plans(monkeypatch)

@@ -77,6 +77,12 @@ class TestBasicServing:
                 client.sql("SELEKT nope")
         assert client.ping()["pong"] is True
 
+    def test_stats_carry_no_planner_statistics(self, client):
+        """The planner keeps no statistics, so the payload reports none."""
+        server_stats = client.stats()["server"]
+        assert "requests" in server_stats
+        assert [key for key in server_stats if "statistic" in key] == []
+
 
 class TestSessionIsolation:
     def test_transactions_do_not_leak_across_sessions(self, server):

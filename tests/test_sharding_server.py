@@ -76,7 +76,7 @@ class TestCoordinatorServing:
 
     def test_shell_guards_shard_local_commands(self, client):
         for line in (":sql SELECT 1", ":pagerank", ":translate g.V",
-                     ":checkpoint", ":analyze-tables"):
+                     ":checkpoint"):
             output = client.shell(line)
             assert "shard-local" in output
 

@@ -168,9 +168,9 @@ class TestJoins:
         assert op.IndexNLJoinOp in operators_in(plan)
 
     def test_cte_probes_smaller_indexed_table_without_statistics(self):
-        """No ANALYZE: the 500-row CTE drives an index nested loop into
-        the 100-row table u through its join-key index, rather than
-        hash-joining from the smaller leaf (the costed rule alone)."""
+        """From row counts alone, the 500-row CTE drives an index nested
+        loop into the 100-row table u through its join-key index, rather
+        than hash-joining from the smaller leaf (the costed rule alone)."""
         database = make_db()
         sql = (
             "WITH c AS (SELECT id AS x FROM t) "
@@ -214,3 +214,25 @@ class TestCorrectnessUnderOptimization:
             "SELECT COUNT(*) FROM u, t WHERE u.t_id = t.id"
         ).scalar()
         assert joined == sum(1 for i in range(100) if i * 3 < 500)
+
+
+# ----------------------------------------------------------------------
+# planner_options accessor + validation
+# ----------------------------------------------------------------------
+def test_planner_option_accessor():
+    database = Database(planner_options={"index_probe_cost": 50})
+    assert database.planner_option("index_probe_cost", 1.0) == 50.0
+    assert Database().planner_option("index_probe_cost", 1.0) == 1.0
+
+
+def test_planner_options_reject_unknown_key():
+    with pytest.raises(ValueError, match="unknown planner option"):
+        Database(planner_options={"index_prob_cost": 1.0})
+    with pytest.raises(ValueError, match="unknown planner option"):
+        Database().planner_option("index_prob_cost")
+
+
+@pytest.mark.parametrize("bad", ["10", True, None, -1.0, 0])
+def test_planner_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        Database(planner_options={"index_probe_cost": bad})

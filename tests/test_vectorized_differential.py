@@ -37,8 +37,9 @@ def expected_vids(graph, column, operator, value, conjunct):
         if left is None:
             first = None
         elif isinstance(left, str):
-            # a string equals no number and sorts after every number
-            first = operator in ("<>", ">", ">=")
+            # a string equals no number, and no order holds between
+            # them: an ordering is unknown
+            first = {"=": False, "<>": True}.get(operator)
         else:
             first = OPERATORS[operator](left, value)
         if conjunct == CONJUNCTS[1]:

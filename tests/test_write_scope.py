@@ -201,7 +201,6 @@ ENTRY_POINTS = {
     "sql_create": lambda store: store.execute_sql(
         "CREATE TABLE other (n INTEGER)"),
     "sql_drop": lambda store: store.execute_sql("DROP TABLE extra"),
-    "analyze": lambda store: store.execute_sql("ANALYZE extra"),
     "put_meta": lambda store: store.database.put_meta("k", "v"),
 }
 
