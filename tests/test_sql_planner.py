@@ -219,6 +219,10 @@ class TestCorrectnessUnderOptimization:
 # ----------------------------------------------------------------------
 # planner_options accessor + validation
 # ----------------------------------------------------------------------
+def test_planner_options_default_empty():
+    assert Database().planner_options == {}
+
+
 def test_planner_option_accessor():
     database = Database(planner_options={"index_probe_cost": 50})
     assert database.planner_option("index_probe_cost", 1.0) == 50.0
